@@ -90,7 +90,8 @@ def _profile_for(args, m: Market) -> Optional[Profile]:
 
 def cmd_classify(args) -> int:
     m = _load(args)
-    lines = [f"market {market_digest(m)}"]
+    digest = market_digest(m)
+    lines = [f"market {digest}"]
     firms_out = []
     for name, fn in m.firms:
         monotone = fn.is_monotone()
@@ -115,25 +116,26 @@ def cmd_classify(args) -> int:
                 f"firm {name}: monotone=no (substitute classes need a weakly increasing table)"
             )
         firms_out.append(entry)
-    _emit(args, lines, {"command": "classify", "market": market_digest(m), "firms": firms_out})
+    _emit(args, lines, {"command": "classify", "market": digest, "firms": firms_out})
     return 0
 
 
 def cmd_solve(args) -> int:
     m = _load(args)
     sol = efficient_matching(m, _profile_for(args, m))
+    digest = market_digest(m)
     assign = " ".join(
         f"{w}->{f if f is not None else '-'}" for w, f in sol.matching.assignment
     )
     lines = [
-        f"market {market_digest(m)}",
+        f"market {digest}",
         f"total_surplus {sol.total}",
         f"matching {assign}".rstrip(),
         f"ties_broken {_fmt_value(sol.ties_broken)}",
     ]
     payload = {
         "command": "solve",
-        "market": market_digest(m),
+        "market": digest,
         "total_surplus": str(sol.total),
         "matching": sol.matching.to_dict(),
         "ties_broken": sol.ties_broken,
@@ -147,7 +149,8 @@ def cmd_vcg(args) -> int:
     r = vcg(m, _profile_for(args, m))
     ir = check_ir(r)
     sir = check_sir(r)
-    lines = [f"market {market_digest(m)}", f"total_surplus {r.total}"]
+    digest = market_digest(m)
+    lines = [f"market {digest}", f"total_surplus {r.total}"]
     for w, f in r.outcome.matching.assignment:
         firm = f if f is not None else "-"
         lines.append(
@@ -163,7 +166,7 @@ def cmd_vcg(args) -> int:
         lines.append(f"  witness: {_fmt_witness(sir.witness)}")
     payload = {
         "command": "vcg",
-        "market": market_digest(m),
+        "market": digest,
         "result": r.to_dict(),
         "individually_rational": _cond_dict(ir),
         "firing_proof": _cond_dict(sir),
@@ -178,7 +181,8 @@ def cmd_stability(args) -> int:
     r = vcg(m, profile)
     block = find_block(m, r.outcome, profile)
     weak = find_weak_block(m, r.outcome, profile)
-    lines = [f"market {market_digest(m)}", f"stable {_fmt_value(block is None)}"]
+    digest = market_digest(m)
+    lines = [f"market {digest}", f"stable {_fmt_value(block is None)}"]
     if block is not None:
         pay = " ".join(f"{w}={p}" for w, p in block.payments)
         lines.append(
@@ -193,7 +197,7 @@ def cmd_stability(args) -> int:
         )
     payload = {
         "command": "stability",
-        "market": market_digest(m),
+        "market": digest,
         "stable": block is None,
         "block": block.to_dict() if block is not None else None,
         "weakly_stable": weak is None,
@@ -208,8 +212,9 @@ def cmd_necessity(args) -> int:
     if args.firm not in m.firm_names:
         raise MarketFormatError(f"unknown firm {args.firm!r}")
     fn = m.utility(args.firm)
-    lines = [f"market {market_digest(m)}", f"firm {args.firm}"]
-    payload: dict = {"command": "necessity", "market": market_digest(m), "firm": args.firm}
+    digest = market_digest(m)
+    lines = [f"market {digest}", f"firm {args.firm}"]
+    payload: dict = {"command": "necessity", "market": digest, "firm": args.firm}
     if find_submodularity_violation(fn) is None:
         lines.append("submodular: no SIR construction")
         payload["sir"] = None

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .subsets import bit_indices, mask_of, members
@@ -88,6 +89,17 @@ class SetFunction:
     def index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.universe)}
 
+    @cached_property
+    def scaled(self) -> tuple[int, ...]:
+        """The values times the LCM of their denominators, as exact integers.
+
+        Scaling by a positive constant preserves every (in)equality between
+        sums of values, so the classifiers decide on this table and read
+        their witnesses off `values`.
+        """
+        den = lcm(*{v.denominator for v in self.values})
+        return tuple(v.numerator * (den // v.denominator) for v in self.values)
+
     @property
     def n(self) -> int:
         return len(self.universe)
@@ -115,7 +127,7 @@ class SetFunction:
         adjacent pairs suffice because monotonicity failures compose along
         one-element chains.
         """
-        vals = self.values
+        vals = self.scaled
         for s in range(1 << self.n):
             vs = vals[s]
             for i in range(self.n):

@@ -38,7 +38,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .model import Market, Matching, Outcome, Profile, SetFunction
-from .setfn import _first_submodularity_violation, is_weak_substitutes
+from .setfn import (
+    _first_submodularity_violation,
+    _submodularity_violations,
+    is_weak_substitutes,
+)
 from .subsets import bit_indices
 from .surplus import MarketSolver
 from .pivot import VcgResult, check_ir, check_outcome_sir, vcg
@@ -110,19 +114,8 @@ def iter_submodularity_violations(
     h: SetFunction,
 ) -> Iterator[tuple[tuple[str, ...], str, str]]:
     """All violating triples, base mask ascending, then worker pairs."""
-    vals = h.values
-    n = h.n
-    for base in range(1 << n):
-        for i in range(n):
-            bi = 1 << i
-            if base & bi:
-                continue
-            for j in range(i + 1, n):
-                bj = 1 << j
-                if base & bj:
-                    continue
-                if vals[base | bi] + vals[base | bj] < vals[base | bi | bj] + vals[base]:
-                    yield (h.members(base), h.universe[i], h.universe[j])
+    for base, i, j in _submodularity_violations(h):
+        yield (h.members(base), h.universe[i], h.universe[j])
 
 
 def adversarial_profile(m: Market, firm: str, inside: Iterable[str]) -> Profile:
@@ -341,25 +334,33 @@ def demonstrate_sir_violation(m: Market, firm: str) -> AdversarialProfile:
     exhibited-outcome certificates (see construct_sir_violation).
     """
     fn = m.utility(firm)
-    vals = fn.values
-    triples = list(iter_submodularity_violations(fn))
-    if not triples:
-        raise ValueError(f"utility of firm {firm!r} is submodular")
+    vals = fn.scaled
 
-    def taut(triple: tuple[tuple[str, ...], str, str]) -> bool:
-        subset, wl, wk = triple
-        tmask = fn.mask_of(subset) | (1 << fn.index[wl]) | (1 << fn.index[wk])
-        return all(vals[tmask ^ (1 << i)] < vals[tmask] for i in bit_indices(tmask))
+    def by_preference() -> Iterator[tuple[int, int, int]]:
+        deferred = []
+        for hit in _submodularity_violations(fn):
+            base, i, j = hit
+            tmask = base | (1 << i) | (1 << j)
+            if all(vals[tmask ^ (1 << b)] < vals[tmask] for b in bit_indices(tmask)):
+                yield hit
+            else:
+                deferred.append(hit)
+        yield from deferred
 
-    ordered = [t for t in triples if taut(t)] + [t for t in triples if not taut(t)]
+    tried = 0
     last: Optional[ConstructionError] = None
-    for subset, wl, wk in ordered:
+    for base, i, j in by_preference():
+        tried += 1
         try:
-            return construct_sir_violation(m, firm, subset, wl, wk)
+            return construct_sir_violation(
+                m, firm, fn.members(base), fn.universe[i], fn.universe[j]
+            )
         except ConstructionError as err:
             last = err
+    if not tried:
+        raise ValueError(f"utility of firm {firm!r} is submodular")
     raise ConstructionError(
-        f"none of the {len(ordered)} violating triples verified; last failure: {last}"
+        f"none of the {tried} violating triples verified; last failure: {last}"
     )
 
 

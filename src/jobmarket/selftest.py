@@ -187,18 +187,27 @@ def _sir_iff_submodular(corpus: Corpus, rng: random.Random) -> SuiteResult:
 
 
 def _valuation_chain(corpus: Corpus) -> SuiteResult:
+    """Gross substitutes <= submodular <= weak substitutes, firm by firm.
+
+    Also replays each gross-substitutes report against the exhaustive
+    exchange scan, which must give the same verdict and witness.
+    """
     failures = []
     checked = 0
     for label, m in corpus:
         for name, fn in m.firms:
             checked += 1
+            gross = setfn.is_gross_substitutes(fn)
+            if gross != setfn._gross_substitutes_scan(fn):
+                failures.append(
+                    f"{label}/{name}: local gross-substitutes test disagrees with the scan"
+                )
             subm = setfn.is_submodular(fn).verdict
             if subm:
                 if not setfn.is_weak_substitutes(fn).verdict:
                     failures.append(f"{label}/{name}: submodular but not weak-substitutes")
-            else:
-                if setfn.is_gross_substitutes(fn).verdict:
-                    failures.append(f"{label}/{name}: gross-substitutes but not submodular")
+            elif gross.verdict:
+                failures.append(f"{label}/{name}: gross-substitutes but not submodular")
     return SuiteResult("valuation_chain", checked, tuple(failures))
 
 

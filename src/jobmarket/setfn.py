@@ -5,13 +5,19 @@ false, contains the exact sets and values of the first violated inequality
 in scan order (subsets ascending by bit pattern, workers ascending by
 index). Witnesses are plain dicts with rationals rendered as strings so
 they can be re-checked and serialized as-is.
+
+Verdicts are decided on the table's integer form (`SetFunction.scaled`);
+witnesses are read off the exact values. Two classes are decided by a
+cheaper equivalent condition than the one they are defined by: strong
+substitutes by submodularity, gross substitutes by the local exchange
+test. Their exhaustive scans run only after a false verdict, to locate the
+canonical witness, and as independent oracles for the cross-checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .model import ConditionReport, RationalLike, SetFunction, as_fraction
 from .subsets import bit_indices
@@ -38,55 +44,78 @@ def marginal_set(h: SetFunction, s: Iterable[str], sp: Iterable[str]) -> Fractio
     return h.values[mask] - h.values[mask ^ sub]
 
 
-def _sum_of_marginals(h: SetFunction, mask: int) -> Fraction:
+def _sum_of_marginals(h: SetFunction, mask: int, sub: int) -> Fraction:
+    """Sum over w in sub of the w-marginal at mask, exactly."""
     vals = h.values
     vs = vals[mask]
     total = Fraction(0)
-    for i in bit_indices(mask):
+    for i in bit_indices(sub):
         total += vs - vals[mask ^ (1 << i)]
     return total
 
 
+def _witnessed(report: ConditionReport, condition: str) -> ConditionReport:
+    """The exhaustive scan's report after a false verdict; it must find one."""
+    if report.verdict:
+        raise RuntimeError(
+            f"{condition}: the verdict is false but the exhaustive scan finds no violation"
+        )
+    return report
+
+
 def is_weak_substitutes(h: SetFunction) -> ConditionReport:
-    """h(S) >= sum over w in S of the w-marginal at S, for every S."""
-    for mask in range(1 << h.n):
-        total = _sum_of_marginals(h, mask)
-        if h.values[mask] < total:
+    """h(S) >= sum over w in S of the w-marginal at S, for every S.
+
+    O(n 2^n). With k = |S| the inequality reads
+    sum over w in S of h(S - w) >= (k - 1) h(S).
+    """
+    vals = h.scaled
+    for mask in range(1, 1 << h.n):
+        idx = bit_indices(mask)
+        if sum(vals[mask ^ (1 << i)] for i in idx) < (len(idx) - 1) * vals[mask]:
             return ConditionReport(
                 verdict=False,
                 witness={
                     "subset": list(h.members(mask)),
                     "value": str(h.values[mask]),
-                    "marginal_sum": str(total),
+                    "marginal_sum": str(_sum_of_marginals(h, mask, mask)),
                 },
                 details="set value is below the sum of its members' marginals",
             )
     return ConditionReport(verdict=True)
 
 
-def _first_submodularity_violation(
-    h: SetFunction,
-) -> Optional[tuple[int, int, int]]:
-    """First (base mask, i, j) with h(S+i) + h(S+j) < h(S+i+j) + h(S)."""
-    vals = h.values
+def _submodularity_violations(h: SetFunction) -> Iterator[tuple[int, int, int]]:
+    """Every (base mask, i, j), i < j, with h(S+i) + h(S+j) < h(S+i+j) + h(S).
+
+    Base masks ascending, then i, then j; O(n^2 2^n) when run to the end.
+    """
+    vals = h.scaled
     n = h.n
     for base in range(1 << n):
+        vb = vals[base]
         for i in range(n):
             bi = 1 << i
             if base & bi:
                 continue
-            vi = vals[base | bi]
+            vi = vals[base | bi] - vb
             for j in range(i + 1, n):
                 bj = 1 << j
                 if base & bj:
                     continue
-                if vi + vals[base | bj] < vals[base | bi | bj] + vals[base]:
-                    return (base, i, j)
-    return None
+                if vi + vals[base | bj] < vals[base | bi | bj]:
+                    yield (base, i, j)
+
+
+def _first_submodularity_violation(
+    h: SetFunction,
+) -> Optional[tuple[int, int, int]]:
+    """First (base mask, i, j) with h(S+i) + h(S+j) < h(S+i+j) + h(S)."""
+    return next(_submodularity_violations(h), None)
 
 
 def is_submodular(h: SetFunction) -> ConditionReport:
-    """Diminishing marginals; checked in the adjacent-pair form.
+    """Diminishing marginals; checked in the adjacent-pair form, O(n^2 2^n).
 
     A violation at base S with workers w, w' is reported in nested form:
     w's marginal on the smaller set S+w is strictly below its marginal on
@@ -120,28 +149,41 @@ def is_strong_substitutes(h: SetFunction) -> ConditionReport:
     S' ranges over all nonempty subsets of S, S itself included (at S'=S
     this is exactly the weak-substitutes inequality, which is what makes
     this condition the stronger one).
+
+    The condition is equivalent to submodularity: S' = {i, j} is the
+    adjacent-pair inequality, and telescoping h(S) - h(S minus S') over
+    the members of S' gives the converse. The verdict therefore costs
+    O(n^2 2^n); only a false one runs the O(3^n) scan for the witness.
     """
-    vals = h.values
-    for mask in range(1 << h.n):
-        idx = bit_indices(mask)
-        if not idx:
-            continue
+    if _first_submodularity_violation(h) is None:
+        return ConditionReport(verdict=True)
+    return _witnessed(_strong_substitutes_scan(h), "strong substitutes")
+
+
+def _strong_substitutes_scan(h: SetFunction) -> ConditionReport:
+    """The defining inequality over every pair S' within S, directly.
+
+    Sets ascending, then removed submasks ascending, which gives the
+    canonical witness.
+    """
+    vals = h.scaled
+    for mask in range(1, 1 << h.n):
         vs = vals[mask]
-        marg = {i: vs - vals[mask ^ (1 << i)] for i in idx}
-        # ascending submask order for the canonical witness
-        for sub in range(1, mask + 1):
-            if sub & ~mask:
-                continue
-            drop = vs - vals[mask ^ sub]
-            total = sum((marg[i] for i in bit_indices(sub)), Fraction(0))
-            if drop < total:
+        # marginal sums over the submasks visited so far
+        acc = {0: 0}
+        sub = 0
+        while sub != mask:
+            sub = (sub - mask) & mask
+            low = sub & -sub
+            total = acc[sub] = acc[sub ^ low] + vs - vals[mask ^ low]
+            if vs - vals[mask ^ sub] < total:
                 return ConditionReport(
                     verdict=False,
                     witness={
                         "set": list(h.members(mask)),
                         "removed": list(h.members(sub)),
-                        "value_drop": str(drop),
-                        "marginal_sum": str(total),
+                        "value_drop": str(h.values[mask] - h.values[mask ^ sub]),
+                        "marginal_sum": str(_sum_of_marginals(h, mask, sub)),
                     },
                     details="removing a group costs less than its members' marginals",
                 )
@@ -149,9 +191,9 @@ def is_strong_substitutes(h: SetFunction) -> ConditionReport:
 
 
 def check_submodularity_equivalence(h: SetFunction) -> ConditionReport:
-    """is_submodular and is_strong_substitutes must agree on every table."""
+    """is_submodular and the exhaustive strong-substitutes scan must agree."""
     sub = is_submodular(h)
-    strong = is_strong_substitutes(h)
+    strong = _strong_substitutes_scan(h)
     if sub.verdict == strong.verdict:
         return ConditionReport(verdict=True, details=f"both {sub.verdict}")
     return ConditionReport(
@@ -193,13 +235,6 @@ def demand_set(
     return {frozenset(h.members(m)) for m in arg}
 
 
-def _scaled_values(h: SetFunction) -> tuple[list[int], int]:
-    den = 1
-    for v in h.values:
-        den = lcm(den, v.denominator)
-    return [int(v * den) for v in h.values], den
-
-
 def is_gross_substitutes(
     h: SetFunction, *, find_price_refutation: bool = False
 ) -> ConditionReport:
@@ -211,6 +246,18 @@ def is_gross_substitutes(
         h(S) + h(T) <= max of  h(S-w) + h(T+w)
                        and     h(S-w+w') + h(T+w-w')  over w' in T minus S.
 
+    This is the exchange axiom of M-natural concavity, which on the whole
+    subset lattice holds iff it holds locally (Fujishige & Yang, Math. Oper.
+    Res. 28, 2003; Reijnierse, van Gellekom & Potters, Economic Theory 20,
+    2002): for every X and distinct i, j, k outside X,
+
+        h(X+i+j) + h(X) <= h(X+i) + h(X+j)
+        h(X+i+j) + h(X+k) <= max(h(X+i+k) + h(X+j), h(X+j+k) + h(X+i)).
+
+    The verdict comes from that O(n^3 2^n) local test; only a false one
+    runs the O(n^2 4^n) pairwise scan, which reports the first violating
+    (S, T, w) in scan order.
+
     Non-monotone tables are rejected. On a false verdict with
     find_price_refutation=True, a bounded deterministic search over prices
     derived from the table's marginal values tries to exhibit a price pair
@@ -220,7 +267,47 @@ def is_gross_substitutes(
     """
     if not h.is_monotone():
         raise ValueError("gross-substitutes test requires a weakly increasing table")
-    vals, _ = _scaled_values(h)
+    if _local_exchange_holds(h):
+        return ConditionReport(verdict=True)
+    report = _witnessed(_gross_substitutes_scan(h), "gross substitutes")
+    if find_price_refutation:
+        ref = _search_price_refutation(h)
+        if ref is not None:
+            report.witness["price_refutation"] = ref
+    return report
+
+
+def _local_exchange_holds(h: SetFunction) -> bool:
+    """The two local inequalities of is_gross_substitutes, at every X."""
+    vals = h.scaled
+    n = h.n
+    for x in range(1 << n):
+        hx = vals[x]
+        free = [1 << i for i in range(n) if not x >> i & 1]
+        for a, bi in enumerate(free):
+            hi = vals[x | bi]
+            for bj in free[a + 1:]:
+                hj = vals[x | bj]
+                hij = vals[x | bi | bj]
+                if hij + hx > hi + hj:
+                    return False
+                # symmetric in i and j, so each unordered pair once
+                for bk in free:
+                    if bk == bi or bk == bj:
+                        continue
+                    lhs = hij + vals[x | bk]
+                    if lhs > vals[x | bi | bk] + hj and lhs > vals[x | bj | bk] + hi:
+                        return False
+    return True
+
+
+def _gross_substitutes_scan(h: SetFunction) -> ConditionReport:
+    """The exchange inequality at every (S, T, w), directly.
+
+    S ascending, then T ascending, then w by index: the first violation
+    found is the canonical witness.
+    """
+    vals = h.scaled
     n = h.n
     size = 1 << n
     for s in range(size):
@@ -249,20 +336,15 @@ def is_gross_substitutes(
                             exact_best,
                             h.values[(s ^ bi) | bj] + h.values[(t | bi) ^ bj],
                         )
-                    witness = {
-                        "set_a": list(h.members(s)),
-                        "set_b": list(h.members(t)),
-                        "worker": h.universe[i],
-                        "combined_value": str(h.values[s] + h.values[t]),
-                        "best_exchange": str(exact_best),
-                    }
-                    if find_price_refutation:
-                        ref = _search_price_refutation(h)
-                        if ref is not None:
-                            witness["price_refutation"] = ref
                     return ConditionReport(
                         verdict=False,
-                        witness=witness,
+                        witness={
+                            "set_a": list(h.members(s)),
+                            "set_b": list(h.members(t)),
+                            "worker": h.universe[i],
+                            "combined_value": str(h.values[s] + h.values[t]),
+                            "best_exchange": str(exact_best),
+                        },
                         details="local exchange loses value; not gross substitutes",
                     )
     return ConditionReport(verdict=True)

@@ -1,0 +1,277 @@
+"""Differential property tests for the valuation classifiers.
+
+The classifiers decide on the table's integer form and, for strong and
+gross substitutes, on a cheaper equivalent condition. Each is compared
+here with an independent computation: the exhaustive scans that locate the
+canonical witnesses, and Fraction references written out below in the
+shape of the definitions. Reports must agree in verdict, witness and
+details, on monotone and non-monotone tables with mixed denominators.
+"""
+
+from fractions import Fraction
+from math import lcm
+from typing import Optional
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import jobmarket.setfn as setfn
+from jobmarket.fixtures import budget_vs_additive_market, plateau_table
+from jobmarket.model import ConditionReport, SetFunction
+from jobmarket.subsets import bit_indices
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+DENOMINATORS = (1, 2, 3, 4, 6)
+
+
+def _rationals(draw, numerators):
+    """Values over one table's denominators: integral (where values one unit
+    apart are common), halves, or mixed."""
+    dens = draw(st.sampled_from(((1,), (1, 2), DENOMINATORS)))
+    return st.builds(Fraction, numerators, st.sampled_from(dens))
+
+
+def _universe(n: int) -> tuple[str, ...]:
+    return tuple(f"w{i}" for i in range(1, n + 1))
+
+
+@st.composite
+def monotone_tables(draw, max_n: int = 6) -> SetFunction:
+    """Each value is the largest value one worker below, plus a bump."""
+    n = draw(st.integers(0, max_n))
+    bump = _rationals(draw, st.sampled_from((0, 0, 0, 1, 1, 2, 3)))
+    vals = [Fraction(0)] * (1 << n)
+    for mask in range(1, 1 << n):
+        floor = max(vals[mask ^ (1 << i)] for i in bit_indices(mask))
+        vals[mask] = floor + draw(bump)
+    return SetFunction(_universe(n), tuple(vals))
+
+
+@st.composite
+def arbitrary_tables(draw, max_n: int = 6) -> SetFunction:
+    """Independent values of either sign, zero at the empty set."""
+    n = draw(st.integers(0, max_n))
+    value = _rationals(draw, st.integers(-4, 8))
+    rest = draw(st.lists(value, min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+    return SetFunction(_universe(n), (Fraction(0), *rest))
+
+
+@st.composite
+def assignment_tables(draw, max_n: int = 6) -> SetFunction:
+    """Best matching of the hired workers to weighted slots (gross substitutes)."""
+    n = draw(st.integers(0, max_n))
+    slots = draw(st.integers(1, 3))
+    weight = _rationals(draw, st.integers(0, 6))
+    w = [[draw(weight) for _ in range(slots)] for _ in range(n)]
+    vals = []
+    for mask in range(1 << n):
+        best = {0: Fraction(0)}  # slots used -> best value
+        for i in bit_indices(mask):
+            grown = dict(best)
+            for used, v in best.items():
+                for s in range(slots):
+                    if not used >> s & 1:
+                        key = used | 1 << s
+                        if key not in grown or grown[key] < v + w[i][s]:
+                            grown[key] = v + w[i][s]
+            best = grown
+        vals.append(max(best.values()))
+    return SetFunction(_universe(n), tuple(vals))
+
+
+@st.composite
+def coverage_tables(draw, max_n: int = 6) -> SetFunction:
+    """Weight of the ground elements the hired workers cover (submodular,
+    often not gross substitutes), optionally capped by a budget."""
+    n = draw(st.integers(0, max_n))
+    ground = draw(st.integers(1, 5))
+    weight = _rationals(draw, st.integers(0, 6))
+    weights = [draw(weight) for _ in range(ground)]
+    covers = [draw(st.integers(0, (1 << ground) - 1)) for _ in range(n)]
+    budget = draw(st.one_of(st.none(), weight))
+    vals = []
+    for mask in range(1 << n):
+        covered = 0
+        for i in bit_indices(mask):
+            covered |= covers[i]
+        v = sum((weights[e] for e in bit_indices(covered)), Fraction(0))
+        vals.append(v if budget is None else min(v, budget))
+    return SetFunction(_universe(n), tuple(vals))
+
+
+@st.composite
+def perturbed_assignment_tables(draw, max_n: int = 6) -> SetFunction:
+    """An assignment table plus a bonus on every superset of one set: a
+    single localized complementarity, near the gross-substitutes class."""
+    base = draw(assignment_tables(max_n))
+    if base.n == 0:
+        return base
+    core = draw(st.integers(1, base.full_mask))
+    bonus = draw(_rationals(draw, st.integers(1, 3)))
+    vals = tuple(v + bonus if m & core == core else v for m, v in enumerate(base.values))
+    return SetFunction(base.universe, vals)
+
+
+monotone_table = st.one_of(
+    monotone_tables(), assignment_tables(), perturbed_assignment_tables(), coverage_tables()
+)
+any_table = st.one_of(monotone_table, arbitrary_tables())
+
+
+# ---- Fraction references ------------------------------------------------------
+
+
+def _ref_monotonicity_violation(h: SetFunction) -> Optional[tuple[int, int]]:
+    for s in range(1 << h.n):
+        for i in range(h.n):
+            bit = 1 << i
+            if not s & bit and h.values[s | bit] < h.values[s]:
+                return (s, s | bit)
+    return None
+
+
+def _marginal_sum(h: SetFunction, mask: int, sub: int) -> Fraction:
+    return sum(
+        (h.values[mask] - h.values[mask ^ (1 << i)] for i in bit_indices(sub)),
+        Fraction(0),
+    )
+
+
+def _ref_weak_substitutes(h: SetFunction) -> ConditionReport:
+    for mask in range(1 << h.n):
+        total = _marginal_sum(h, mask, mask)
+        if h.values[mask] < total:
+            return ConditionReport(
+                verdict=False,
+                witness={
+                    "subset": list(h.members(mask)),
+                    "value": str(h.values[mask]),
+                    "marginal_sum": str(total),
+                },
+                details="set value is below the sum of its members' marginals",
+            )
+    return ConditionReport(verdict=True)
+
+
+def _ref_submodular(h: SetFunction) -> ConditionReport:
+    vals = h.values
+    for base in range(1 << h.n):
+        for i in range(h.n):
+            for j in range(i + 1, h.n):
+                bi, bj = 1 << i, 1 << j
+                if base & (bi | bj):
+                    continue
+                if vals[base | bi] + vals[base | bj] < vals[base | bi | bj] + vals[base]:
+                    return ConditionReport(
+                        verdict=False,
+                        witness={
+                            "smaller_set": list(h.members(base | bi)),
+                            "larger_set": list(h.members(base | bi | bj)),
+                            "worker": h.universe[i],
+                            "marginal_smaller": str(vals[base | bi] - vals[base]),
+                            "marginal_larger": str(vals[base | bi | bj] - vals[base | bj]),
+                        },
+                        details="a worker's marginal grows when the set grows",
+                    )
+    return ConditionReport(verdict=True)
+
+
+def _ref_strong_substitutes(h: SetFunction) -> ConditionReport:
+    """Every (set, removed subset) pair, both ascending by bit pattern."""
+    for mask in range(1 << h.n):
+        for sub in range(1, mask + 1):
+            if sub & ~mask:
+                continue
+            drop = h.values[mask] - h.values[mask ^ sub]
+            total = _marginal_sum(h, mask, sub)
+            if drop < total:
+                return ConditionReport(
+                    verdict=False,
+                    witness={
+                        "set": list(h.members(mask)),
+                        "removed": list(h.members(sub)),
+                        "value_drop": str(drop),
+                        "marginal_sum": str(total),
+                    },
+                    details="removing a group costs less than its members' marginals",
+                )
+    return ConditionReport(verdict=True)
+
+
+# ---- properties ----------------------------------------------------------------
+
+# two complements: only the pairwise local inequality fails
+COMPLEMENTS = SetFunction(("w1", "w2"), (Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
+# submodular, yet the three-worker local inequality fails
+BUDGET_CAPPED = budget_vs_additive_market().utility("f1")
+MIXED = SetFunction(("w1", "w2"), (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)))
+# the first drop is one scaled unit
+ONE_UNIT_DROP = SetFunction(("w1", "w2"), (Fraction(0), Fraction(2), Fraction(-1), Fraction(1)))
+
+
+@PROPERTY_SETTINGS
+@given(monotone_table)
+@example(COMPLEMENTS)
+@example(BUDGET_CAPPED)
+def test_gross_substitutes_matches_the_exchange_scan(fn):
+    assert setfn.is_gross_substitutes(fn) == setfn._gross_substitutes_scan(fn)
+
+
+@PROPERTY_SETTINGS
+@given(arbitrary_tables())
+@example(COMPLEMENTS)
+@example(BUDGET_CAPPED)
+def test_local_exchange_test_matches_the_scan_off_the_monotone_tables(fn):
+    assert setfn._local_exchange_holds(fn) == setfn._gross_substitutes_scan(fn).verdict
+
+
+@PROPERTY_SETTINGS
+@given(any_table)
+def test_strong_substitutes_matches_the_exhaustive_scans(fn):
+    scan = setfn._strong_substitutes_scan(fn)
+    assert setfn.is_strong_substitutes(fn) == scan
+    assert scan == _ref_strong_substitutes(fn)
+
+
+@PROPERTY_SETTINGS
+@given(any_table)
+@example(ONE_UNIT_DROP)
+def test_integer_classifiers_match_fraction_references(fn):
+    assert fn.first_monotonicity_violation() == _ref_monotonicity_violation(fn)
+    assert setfn.is_weak_substitutes(fn) == _ref_weak_substitutes(fn)
+    assert setfn.is_submodular(fn) == _ref_submodular(fn)
+
+
+@PROPERTY_SETTINGS
+@given(any_table)
+@example(MIXED)
+def test_scaled_table_clears_the_common_denominator(fn):
+    den = lcm(*(v.denominator for v in fn.values))
+    assert fn.scaled == tuple(int(v * den) for v in fn.values)
+    assert all(isinstance(v, int) for v in fn.scaled)
+
+
+def test_equivalence_check_reports_planted_disagreement(monkeypatch):
+    fn = plateau_table()
+    assert setfn.check_submodularity_equivalence(fn).verdict
+    monkeypatch.setattr(
+        setfn, "_strong_substitutes_scan", lambda h: ConditionReport(verdict=True)
+    )
+    report = setfn.check_submodularity_equivalence(fn)
+    assert not report.verdict
+    assert report.details == "checkers disagree"
+    assert report.witness["submodular"] is False
+    assert report.witness["strong_substitutes"] is True
+    assert report.witness["strong_substitutes_witness"] is None
+
+
+def test_false_verdicts_without_a_witness_are_internal_errors(monkeypatch):
+    passing = ConditionReport(verdict=True)
+    monkeypatch.setattr(setfn, "_strong_substitutes_scan", lambda h: passing)
+    monkeypatch.setattr(setfn, "_gross_substitutes_scan", lambda h: passing)
+    with pytest.raises(RuntimeError, match="strong substitutes"):
+        setfn.is_strong_substitutes(plateau_table())
+    with pytest.raises(RuntimeError, match="gross substitutes"):
+        setfn.is_gross_substitutes(budget_vs_additive_market().utility("f1"))

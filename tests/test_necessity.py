@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import jobmarket.necessity as necessity
 from jobmarket.fixtures import all_or_nothing_market, plateau_market
 from jobmarket.model import Market, Profile, SetFunction
 from jobmarket.necessity import (
@@ -202,6 +203,43 @@ def test_demonstrate_prefers_canonical_certificates():
     # the top; a canonical certificate must come back
     m = plateau_market()
     assert demonstrate_sir_violation(m, "f").canonical
+
+
+def test_demonstrate_tries_positive_marginal_triples_first(monkeypatch):
+    """All constructions failing: every triple is tried once, in preference
+    order, and the error counts them."""
+    for seed in range(100):
+        m = generate("random_monotone", 5, 1, seed)
+        fn = m.utility("f1")
+        triples = list(iter_submodularity_violations(fn))
+
+        def positive(triple):
+            subset, wl, wk = triple
+            tmask = fn.mask_of((*subset, wl, wk))
+            return all(
+                fn.values[tmask ^ (1 << i)] < fn.values[tmask]
+                for i in range(fn.n)
+                if tmask >> i & 1
+            )
+
+        first = [t for t in triples if positive(t)]
+        later = [t for t in triples if not positive(t)]
+        if first and later:
+            break
+    tried = []
+
+    def failing(m, firm, subset, wl, wk):
+        tried.append((tuple(subset), wl, wk))
+        raise ConstructionError(f"attempt {len(tried)}")
+
+    monkeypatch.setattr(necessity, "construct_sir_violation", failing)
+    with pytest.raises(ConstructionError) as err:
+        demonstrate_sir_violation(m, "f1")
+    assert tried == first + later
+    assert str(err.value) == (
+        f"none of the {len(triples)} violating triples verified; "
+        f"last failure: attempt {len(triples)}"
+    )
 
 
 def test_certificates_survive_independent_reverification():

@@ -87,6 +87,17 @@ def test_detects_corrupted_classifier(monkeypatch):
     assert lines[-1].startswith("SELF-TEST FAILED")
 
 
+def test_detects_disagreeing_gross_substitutes_scan(monkeypatch):
+    """A scan that fails every table must contradict the local test."""
+    from jobmarket.model import ConditionReport
+
+    forced = ConditionReport(False, {"forced": "yes"})
+    monkeypatch.setattr(setfn, "_gross_substitutes_scan", lambda h: forced)
+    report = selftest.run(trials=20, seed=1)
+    suite = next(s for s in report.suites if s.name == "valuation_chain")
+    assert any("disagrees with the scan" in f for f in suite.failures)
+
+
 def test_detects_corrupted_solver(monkeypatch):
     """Inflating the dynamic program's total must trip the oracle suite."""
     real = surplus.efficient_matching
