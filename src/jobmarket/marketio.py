@@ -27,7 +27,14 @@ import json
 from fractions import Fraction
 from typing import Any, Mapping, Optional
 
-from .model import Market, Profile, SetFunction, as_fraction
+from .model import (
+    Market,
+    Profile,
+    SetFunction,
+    SizeLimitError,
+    as_fraction,
+    check_worker_cap,
+)
 from .subsets import members
 
 
@@ -108,6 +115,10 @@ def parse_market(obj: Any) -> Market:
     if not isinstance(workers_raw, list) or not all(isinstance(w, str) for w in workers_raw):
         raise MarketFormatError("market: 'workers' must be a list of strings")
     workers = tuple(workers_raw)
+    try:
+        check_worker_cap(len(workers))
+    except SizeLimitError as exc:
+        raise MarketFormatError(f"market: {exc}") from None
     firms_raw = obj.get("firms")
     if not isinstance(firms_raw, list):
         raise MarketFormatError("market: 'firms' must be a list")

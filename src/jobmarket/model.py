@@ -32,6 +32,12 @@ class SizeLimitError(ValueError):
     """Raised when an input exceeds a documented size cap."""
 
 
+def check_worker_cap(n: int) -> None:
+    """Refuse a universe of n workers before any 2^n table is allocated."""
+    if n > WORKER_CAP:
+        raise SizeLimitError(f"universe of {n} workers exceeds cap of {WORKER_CAP}")
+
+
 def as_fraction(x: RationalLike) -> Fraction:
     """Coerce int / Fraction / rational string ("3", "3/4", "0.25")."""
     if isinstance(x, float):
@@ -73,8 +79,7 @@ class SetFunction:
 
     def __post_init__(self) -> None:
         n = len(self.universe)
-        if n > WORKER_CAP:
-            raise SizeLimitError(f"universe of {n} workers exceeds cap of {WORKER_CAP}")
+        check_worker_cap(n)
         if len(set(self.universe)) != n:
             raise ValueError("duplicate worker ids in universe")
         if len(self.values) != 1 << n:
@@ -90,14 +95,19 @@ class SetFunction:
         return {w: i for i, w in enumerate(self.universe)}
 
     @cached_property
+    def den(self) -> int:
+        """The LCM of the values' denominators."""
+        return lcm(*{v.denominator for v in self.values})
+
+    @cached_property
     def scaled(self) -> tuple[int, ...]:
-        """The values times the LCM of their denominators, as exact integers.
+        """The values times `den`, as exact integers.
 
         Scaling by a positive constant preserves every (in)equality between
         sums of values, so the classifiers decide on this table and read
         their witnesses off `values`.
         """
-        den = lcm(*{v.denominator for v in self.values})
+        den = self.den
         return tuple(v.numerator * (den // v.denominator) for v in self.values)
 
     @property
@@ -153,6 +163,7 @@ class SetFunction:
         or duplicate entries are errors.
         """
         universe = tuple(universe)
+        check_worker_cap(len(universe))
         index = {w: i for i, w in enumerate(universe)}
         vals: list[Optional[Fraction]] = [None] * (1 << len(universe))
         for key, raw in table.items():
@@ -170,6 +181,7 @@ class SetFunction:
         cls, universe: Sequence[str], values: Mapping[str, RationalLike]
     ) -> "SetFunction":
         universe = tuple(universe)
+        check_worker_cap(len(universe))
         per = [as_fraction(values.get(w, 0)) for w in universe]
         out = [Fraction(0)] * (1 << len(universe))
         for m in range(1, 1 << len(universe)):
@@ -197,6 +209,7 @@ class SetFunction:
     ) -> "SetFunction":
         """max over hired workers of the per-worker value (0 on the empty set)."""
         universe = tuple(universe)
+        check_worker_cap(len(universe))
         per = [as_fraction(values.get(w, 0)) for w in universe]
         out = [Fraction(0)] * (1 << len(universe))
         for m in range(1, 1 << len(universe)):
@@ -298,10 +311,7 @@ class Market:
         names = [name for name, _ in self.firms]
         if len(set(names)) != len(names):
             raise ValueError("duplicate firm ids")
-        if len(self.workers) > WORKER_CAP:
-            raise SizeLimitError(
-                f"{len(self.workers)} workers exceeds cap of {WORKER_CAP}"
-            )
+        check_worker_cap(len(self.workers))
         for name, fn in self.firms:
             if fn.universe != self.workers:
                 raise ValueError(

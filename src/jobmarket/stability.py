@@ -10,6 +10,13 @@ other half equally among the coalition's workers, so every member is
 strictly better off. S = empty set is allowed (it catches firms running
 a deficit); the scan order is firms as declared, then subsets in
 ascending bit-pattern order, so the reported block is canonical.
+
+The scan runs on integers: per firm, the utility table, its disutility
+column, the worker payoffs and the firm payoff are scaled by one common
+denominator (`surplus.clear_denominators`), so salaries of any
+denominator are exact. Coalition cost sums grow one worker at a time
+along the ascending walk, O(2^n) integer additions per firm, and only the
+first blocking coalition is rebuilt in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import ConditionReport, Market, Outcome, Profile
+from .model import ConditionReport, Market, Outcome, Profile, SetFunction
+from .subsets import bit_indices
+from .surplus import clear_denominators
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,25 @@ def outcome_payoffs(
     return firm_payoffs, worker_payoffs
 
 
+def _block(
+    name: str,
+    fn: SetFunction,
+    sub: int,
+    column: tuple[Fraction, ...],
+    firm_payoff: Fraction,
+    worker_payoffs: dict[str, Fraction],
+) -> Block:
+    """The block of firm `name` with coalition `sub`, in exact arithmetic."""
+    members = fn.members(sub)
+    cost = {w: column[i] for w, i in zip(members, bit_indices(sub))}
+    raw = fn.value(sub) - sum(cost.values(), Fraction(0))
+    have = firm_payoff + sum((worker_payoffs[w] for w in members), Fraction(0))
+    excess = raw - have
+    share = excess / (2 * len(members)) if members else Fraction(0)
+    payments = tuple((w, cost[w] + worker_payoffs[w] + share) for w in members)
+    return Block(name, members, payments, excess)
+
+
 def _scan_for_block(
     m: Market,
     o: Outcome,
@@ -66,28 +94,26 @@ def _scan_for_block(
     allowed_mask_of: dict[str, int],
 ) -> Optional[Block]:
     firm_payoffs, worker_payoffs = outcome_payoffs(m, o, profile)
+    payoff_row = [worker_payoffs[w] for w in m.workers]
     for name, fn in m.firms:
         allowed = allowed_mask_of[name]
-        column = {w: profile.get(w, name) for w in m.workers}
-        # ascending bit-pattern order over subsets of `allowed`
+        column = profile.column(name)
+        _, (table,), (costs, payoffs, (have,)) = clear_denominators(
+            [fn], [column, payoff_row, (firm_payoffs[name],)]
+        )
+        # a member's cost to the coalition: disutility plus current payoff
+        weights = [costs[i] + payoffs[i] for i in bit_indices(allowed)]
+        # sums[j] is the weight of the j-th subset of `allowed` in ascending
+        # bit-pattern order; dropping its lowest bit gives an earlier one
+        sums = [0] * (1 << len(weights))
         sub = 0
-        while True:
-            members = fn.members(sub)
-            raw = fn.value(sub) - sum((column[w] for w in members), Fraction(0))
-            have = firm_payoffs[name] + sum(
-                (worker_payoffs[w] for w in members), Fraction(0)
-            )
-            excess = raw - have
-            if excess > 0:
-                share = excess / (2 * len(members)) if members else Fraction(0)
-                payments = tuple(
-                    (w, column[w] + worker_payoffs[w] + share) for w in members
-                )
-                return Block(name, members, payments, excess)
-            if sub == allowed:
-                break
-            # next subset of `allowed` in increasing numeric order
-            sub = (sub - allowed) & allowed
+        for j in range(len(sums)):
+            if j:
+                low = j & -j
+                sums[j] = sums[j ^ low] + weights[low.bit_length() - 1]
+                sub = (sub - allowed) & allowed
+            if table[sub] - sums[j] > have:
+                return _block(name, fn, sub, column, firm_payoffs[name], worker_payoffs)
     return None
 
 

@@ -7,7 +7,7 @@ means w_i is in the subset. The encoding is a bijection between masks
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def mask_of(universe_index: dict[str, int], workers: Iterable[str]) -> int:
@@ -39,16 +39,6 @@ def bit_indices(mask: int) -> tuple[int, ...]:
         m >>= 1
         i += 1
     return tuple(out)
-
-
-def iter_submasks(mask: int) -> Iterator[int]:
-    """Yield every submask of mask, descending from mask itself to 0."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:

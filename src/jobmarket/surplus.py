@@ -8,17 +8,29 @@ at the going disutilities:
 "Tight" sets are those achieving their own surplus (the raw value equals
 V_f); the empty set is always tight. The efficient matching maximizes the
 sum of firm surpluses over disjoint pools via a dynamic program on
-(firm prefix, worker subset); assigned sets are always tight, with ties
-broken toward minimum cardinality and then lexicographic worker order.
+(firm suffix, worker pool): layer k holds the best total of firms k, k+1,
+... on a pool. Assigned sets are always tight, with ties broken toward
+minimum cardinality and then lexicographic worker order.
+
+Only the layers that are read get built:
+
+* the last firm's layer is its own surplus table, since V_f is monotone
+  in the pool and V_f(empty) = 0;
+* the middle layers are full tables, O(3^n) each, because the
+  reconstruction reads layer k+1 at every submask of the pool left;
+* layer 0 is computed per requested pool, one submask walk each, and
+  memoized. Pivot payments ask for n+1 pools: W and each W minus w.
 
 All arithmetic runs on integers after clearing denominators once per solve
-(exactness is preserved; results are converted back to Fraction).
+(`clear_denominators`); exactness is preserved and results are converted
+back to Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -34,7 +46,7 @@ from .model import (
     validate_profile,
 )
 from .setfn import is_submodular
-from .subsets import bit_indices, canonical_key
+from .subsets import bit_indices, canonical_key, mask_of
 
 #: brute_force_matching enumerates (m+1)^n assignments; keep it honest but finite.
 BRUTE_FORCE_WORKER_CAP = 8
@@ -50,20 +62,15 @@ class FirmSurplusTable:
     values: tuple[Fraction, ...]
     tight: tuple[bool, ...]
 
-    def _mask(self, workers: Iterable[str]) -> int:
-        index = {w: i for i, w in enumerate(self.universe)}
-        mask = 0
-        for w in workers:
-            if w not in index:
-                raise ValueError(f"unknown worker {w!r}")
-            mask |= 1 << index[w]
-        return mask
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {w: i for i, w in enumerate(self.universe)}
 
     def value_of(self, workers: Iterable[str]) -> Fraction:
-        return self.values[self._mask(workers)]
+        return self.values[mask_of(self.index, workers)]
 
     def is_tight(self, workers: Iterable[str]) -> bool:
-        return self.tight[self._mask(workers)]
+        return self.tight[mask_of(self.index, workers)]
 
 
 @dataclass(frozen=True)
@@ -80,8 +87,27 @@ class EfficientSolution:
     ties_broken: bool = False
 
 
-def _int_surplus_table(values: Sequence[int], costs: Sequence[int]) -> tuple[list[int], list[int], list[bool]]:
-    """raw, V_f, and tightness over all masks, in integer arithmetic."""
+def clear_denominators(
+    fns: Sequence[SetFunction], rows: Sequence[Sequence[Fraction]]
+) -> tuple[int, list[Sequence[int]], list[list[int]]]:
+    """Scale set functions and rows of rationals to integers by one factor.
+
+    Returns (den, tables, int_rows) with tables[k][mask] equal to
+    fns[k].values[mask] * den and int_rows[r][i] to rows[r][i] * den. The
+    tables come from each function's cached integer table, so no Fraction
+    is multiplied over the 2^n entries.
+    """
+    den = lcm(*(fn.den for fn in fns), *(x.denominator for row in rows for x in row))
+    tables: list[Sequence[int]] = []
+    for fn in fns:
+        factor = den // fn.den
+        tables.append(fn.scaled if factor == 1 else [v * factor for v in fn.scaled])
+    int_rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    return den, tables, int_rows
+
+
+def _int_surplus_table(values: Sequence[int], costs: Sequence[int]) -> tuple[list[int], list[bool]]:
+    """V_f and tightness over all masks, in integer arithmetic."""
     n = len(costs)
     size = 1 << n
     cost_sum = [0] * size
@@ -101,13 +127,25 @@ def _int_surplus_table(values: Sequence[int], costs: Sequence[int]) -> tuple[lis
             rest ^= low
         vf[mask] = best
     tight = [raw[mask] == vf[mask] for mask in range(size)]
-    return raw, vf, tight
+    return vf, tight
+
+
+def _best_split(vfk: Sequence[int], nxt: Sequence[int], pool: int) -> int:
+    """max over t inside pool of vfk[t] + nxt[pool minus t]."""
+    best = nxt[pool]
+    t = pool
+    while t:
+        cand = vfk[t] + nxt[pool ^ t]
+        if cand > best:
+            best = cand
+        t = (t - 1) & pool
+    return best
 
 
 class MarketSolver:
     """One denominator-cleared solve of a (market, profile) pair.
 
-    Exposes the value function on every worker subset (so all exclusion
+    Answers the value function on any worker pool (so all exclusion
     queries come from a single dynamic program) plus the canonical
     matching reconstruction.
     """
@@ -122,48 +160,46 @@ class MarketSolver:
         self.market = market
         self.profile = market.require_profile(profile)
         validate_profile(market, self.profile, require_in_box=not allow_outside_domain)
-        n = market.n
-        size = 1 << n
-        den = 1
-        for _, fn in market.firms:
-            for v in fn.values:
-                den = lcm(den, v.denominator)
-        for row in self.profile.rows:
-            for d in row:
-                den = lcm(den, d.denominator)
-        self.den = den
+        rows = self.profile.rows
+        nfirms = len(market.firms)
+        columns = [tuple(row[j] for row in rows) for j in range(nfirms)]
+        self.den, tables, costs = clear_denominators([fn for _, fn in market.firms], columns)
         self.vf: list[list[int]] = []
         self.tight: list[list[bool]] = []
-        for j, (_, fn) in enumerate(market.firms):
-            costs = [int(self.profile.rows[i][j] * den) for i in range(n)]
-            values = [int(v * den) for v in fn.values]
-            _, vf, tight = _int_surplus_table(values, costs)
+        for values, column in zip(tables, costs):
+            vf, tight = _int_surplus_table(values, column)
             self.vf.append(vf)
             self.tight.append(tight)
-        nfirms = len(market.firms)
-        dp = [[0] * size for _ in range(nfirms + 1)]
-        for k in range(nfirms - 1, -1, -1):
-            vfk = self.vf[k]
-            nxt = dp[k + 1]
-            cur = dp[k]
-            for s in range(size):
-                best = nxt[s]
-                t = s
-                while t:
-                    cand = vfk[t] + nxt[s ^ t]
-                    if cand > best:
-                        best = cand
-                    t = (t - 1) & s
-                cur[s] = best
-        self.dp = dp
+        # layers[k][s]: best total of firms k, k+1, ... on pool s. Layer 0
+        # stays None when it is filled on demand (two or more firms).
+        size = 1 << market.n
+        layers: list[Optional[Sequence[int]]] = [None] * nfirms + [[0] * size]
+        if nfirms:
+            layers[nfirms - 1] = self.vf[-1]
+        for k in range(nfirms - 2, 0, -1):
+            vfk, nxt = self.vf[k], layers[k + 1]
+            layers[k] = [_best_split(vfk, nxt, s) for s in range(size)]
+        self._layers = layers
+        self._top: dict[int, int] = {}
         self._solution: Optional[EfficientSolution] = None
 
+    def scaled_value_on(self, available_mask: int) -> int:
+        """value_on(available_mask) times den, as an exact integer."""
+        top = self._layers[0]
+        if top is not None:
+            return top[available_mask]
+        best = self._top.get(available_mask)
+        if best is None:
+            best = _best_split(self.vf[0], self._layers[1], available_mask)
+            self._top[available_mask] = best
+        return best
+
     def total(self) -> Fraction:
-        return Fraction(self.dp[0][self.market.full_mask], self.den)
+        return self.value_on(self.market.full_mask)
 
     def value_on(self, available_mask: int) -> Fraction:
         """Max total surplus using only workers inside available_mask."""
-        return Fraction(self.dp[0][available_mask], self.den)
+        return Fraction(self.scaled_value_on(available_mask), self.den)
 
     def value_excluding_mask(self, excluded_mask: int) -> Fraction:
         return self.value_on(self.market.full_mask & ~excluded_mask)
@@ -173,13 +209,13 @@ class MarketSolver:
             return self._solution
         market = self.market
         s = market.full_mask
+        target = self.scaled_value_on(s)
         assignment: dict[str, Optional[str]] = {}
         ties = False
         for k, (name, _) in enumerate(market.firms):
-            target = self.dp[k][s]
             vfk = self.vf[k]
             tightk = self.tight[k]
-            nxt = self.dp[k + 1]
+            nxt = self._layers[k + 1]
             best_key = None
             best_t = 0
             count = 0
@@ -198,6 +234,7 @@ class MarketSolver:
             for i in bit_indices(best_t):
                 assignment[market.workers[i]] = name
             s ^= best_t
+            target = nxt[s]
         for i in bit_indices(s):
             assignment[market.workers[i]] = None
         matching = Matching.from_dict(market.workers, assignment)
@@ -216,15 +253,8 @@ def firm_surplus(
     fn = m.utility(firm)
     profile = m.require_profile(u)
     validate_profile(m, profile, require_in_box=not allow_outside_domain)
-    column = profile.column(firm)
-    den = 1
-    for v in fn.values:
-        den = lcm(den, v.denominator)
-    for d in column:
-        den = lcm(den, d.denominator)
-    values = [int(v * den) for v in fn.values]
-    costs = [int(d * den) for d in column]
-    _, vf, tight = _int_surplus_table(values, costs)
+    den, (values,), (costs,) = clear_denominators([fn], [profile.column(firm)])
+    vf, tight = _int_surplus_table(values, costs)
     return FirmSurplusTable(
         firm=firm,
         universe=m.workers,
@@ -346,6 +376,7 @@ def check_marginal_product_order(
     """
     solver = MarketSolver(m, u)
     sol = solver.solution()
+    full = solver.scaled_value_on(m.full_mask)
     index = m.worker_index
     for k, (name, _) in enumerate(m.firms):
         assigned = sol.matching.workers_of(name)
@@ -355,7 +386,7 @@ def check_marginal_product_order(
         vfk = solver.vf[k]
         sub = amask
         while True:
-            lhs_num = solver.dp[0][m.full_mask] - solver.dp[0][m.full_mask & ~sub]
+            lhs_num = full - solver.scaled_value_on(m.full_mask & ~sub)
             rhs_num = vfk[amask] - vfk[amask ^ sub]
             if lhs_num > rhs_num:
                 return ConditionReport(
@@ -393,14 +424,8 @@ def check_tight_sets_downward_closed(
     cost_fr = [as_fraction(costs[w]) for w in u_f.universe]
     if any(c < 0 for c in cost_fr):
         raise ValueError("costs must be nonnegative")
-    den = 1
-    for v in u_f.values:
-        den = lcm(den, v.denominator)
-    for c in cost_fr:
-        den = lcm(den, c.denominator)
-    values = [int(v * den) for v in u_f.values]
-    icosts = [int(c * den) for c in cost_fr]
-    _, _, tight = _int_surplus_table(values, icosts)
+    _, (values,), (icosts,) = clear_denominators([u_f], [cost_fr])
+    _, tight = _int_surplus_table(values, icosts)
     for mask in range(1 << u_f.n):
         if not tight[mask]:
             continue

@@ -203,3 +203,26 @@ def test_profile_must_cover_market(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "vcg", DATA / "all_or_nothing.json", "--profile", path)
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_oversized_market_exits_two_before_allocating(capsys, tmp_path):
+    # 40 workers would need 2^40-entry tables; the cap must refuse first
+    workers = [f"w{i}" for i in range(40)]
+    market = {
+        "workers": workers,
+        "firms": [{"name": "f", "utility": {"type": "additive", "values": {"w0": "1"}}}],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(market))
+    rc, out, err = run_cli(capsys, "vcg", path)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "40 workers exceeds cap of 20" in err
+
+
+def test_gen_refuses_oversized_universe(capsys):
+    rc, out, err = run_cli(capsys, "gen", "additive", "40", "1")
+    assert rc == 2
+    assert out == ""
+    assert "40 workers exceeds cap of 20" in err

@@ -118,6 +118,16 @@ def test_parse_market_error_paths(mutate, message):
         parse_market(obj)
 
 
+def test_parse_market_refuses_oversized_universe_before_firms():
+    # the firm spec is broken too; the worker cap must be reported first
+    obj = {
+        "workers": [f"w{i}" for i in range(40)],
+        "firms": [{"name": "f", "utility": {"type": "mystery"}}],
+    }
+    with pytest.raises(MarketFormatError, match="40 workers exceeds cap of 20"):
+        parse_market(obj)
+
+
 def test_budget_additive_requires_budget():
     obj = {
         "workers": ["a"],

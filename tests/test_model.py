@@ -126,6 +126,23 @@ def test_universe_cap_enforced():
         SetFunction.additive(names, {})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda names: SetFunction.additive(names, {}),
+        lambda names: SetFunction.unit_demand(names, {}),
+        lambda names: SetFunction.budget_additive(names, 1, {}),
+        lambda names: SetFunction.from_table(names, {(): 0}),
+    ],
+    ids=["additive", "unit_demand", "budget_additive", "from_table"],
+)
+def test_constructors_refuse_oversized_universe_before_allocating(build):
+    # a 2^40-entry table cannot be allocated, so only an up-front check passes
+    names = tuple(f"w{i}" for i in range(40))
+    with pytest.raises(SizeLimitError, match="40 workers exceeds cap"):
+        build(names)
+
+
 def test_profile_from_dict_and_accessors():
     p = Profile.from_dict(
         ("w1", "w2"),

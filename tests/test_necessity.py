@@ -12,7 +12,7 @@ import pytest
 
 import jobmarket.necessity as necessity
 from jobmarket.fixtures import all_or_nothing_market, plateau_market
-from jobmarket.model import Market, Profile, SetFunction
+from jobmarket.model import Market, Profile, SetFunction, SizeLimitError
 from jobmarket.necessity import (
     AdversarialProfile,
     ConstructionError,
@@ -319,3 +319,9 @@ def test_generate_rejects_bad_arguments():
         generate("mystery", 2, 2)
     with pytest.raises(ValueError, match="nonnegative"):
         generate("additive", -1, 2)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generate_refuses_oversized_universe(kind):
+    with pytest.raises(SizeLimitError, match="40 workers exceeds cap"):
+        generate(kind, 40, 1)

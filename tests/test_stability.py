@@ -6,17 +6,24 @@ survive substituting its payment vector back into every member's payoff.
 
 import random
 from fractions import Fraction
+from typing import Optional
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jobmarket.fixtures import all_or_nothing_market, budget_vs_additive_market
+from jobmarket.model import Market, Matching, Outcome
 from jobmarket.necessity import generate
 from jobmarket.pivot import check_ir, check_sir, vcg
 from jobmarket.setfn import is_gross_substitutes
 from jobmarket.stability import (
+    Block,
     find_block,
     find_weak_block,
     is_stable,
     outcome_payoffs,
 )
+from market_strategies import markets
 
 ALL_KINDS = ("additive", "budget_additive", "unit_demand", "random_submodular", "random_monotone")
 
@@ -155,3 +162,75 @@ def test_explicit_profile_overrides_embedded():
     sweet = sweet.with_row("w2", (Fraction(0), Fraction(1, 4)))
     r = vcg(m, sweet)
     assert find_block(m, r.outcome, sweet) is None
+
+
+# ---- the integer scan against a Fraction reference ----------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+#: salary denominators no generated market uses
+FOREIGN_DENOMINATORS = (5, 7, 11, 13)
+
+
+def _reference_scan(m: Market, o: Outcome, allowed_mask_of: dict) -> Optional[Block]:
+    """The block scan in Fraction arithmetic, one subset at a time."""
+    profile = m.disutilities
+    firm_payoffs, worker_payoffs = outcome_payoffs(m, o, profile)
+    for name, fn in m.firms:
+        allowed = allowed_mask_of[name]
+        column = {w: profile.get(w, name) for w in m.workers}
+        sub = 0
+        while True:
+            members = fn.members(sub)
+            raw = fn.value(sub) - sum((column[w] for w in members), Fraction(0))
+            have = firm_payoffs[name] + sum(
+                (worker_payoffs[w] for w in members), Fraction(0)
+            )
+            excess = raw - have
+            if excess > 0:
+                share = excess / (2 * len(members)) if members else Fraction(0)
+                payments = tuple(
+                    (w, column[w] + worker_payoffs[w] + share) for w in members
+                )
+                return Block(name, members, payments, excess)
+            if sub == allowed:
+                break
+            sub = (sub - allowed) & allowed
+    return None
+
+
+def _assert_scans_match_reference(m: Market, o: Outcome) -> None:
+    assert find_block(m, o) == _reference_scan(
+        m, o, {name: m.full_mask for name in m.firm_names}
+    )
+    unmatched = m.full_mask
+    own = {}
+    for name in m.firm_names:
+        own[name] = sum(1 << m.worker_index[w] for w in o.matching.workers_of(name))
+        unmatched &= ~own[name]
+    allowed = {name: own[name] | unmatched for name in m.firm_names}
+    assert find_weak_block(m, o) == _reference_scan(m, o, allowed)
+
+
+@st.composite
+def arbitrary_outcomes(draw, m: Market) -> Outcome:
+    """Any matching, with salaries over denominators the market never uses."""
+    firm = st.sampled_from((None,) + m.firm_names)
+    salary = st.builds(
+        Fraction, st.integers(0, 40), st.sampled_from((1,) + FOREIGN_DENOMINATORS)
+    )
+    assignment = {w: draw(firm) for w in m.workers}
+    salaries = {w: draw(salary) for w, f in assignment.items() if f is not None}
+    return Outcome.build(Matching.from_dict(m.workers, assignment), salaries)
+
+
+@PROPERTY_SETTINGS
+@given(markets())
+def test_block_scans_match_reference_on_pivot_outcomes(m):
+    _assert_scans_match_reference(m, vcg(m, allow_outside_domain=True).outcome)
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), markets())
+def test_block_scans_match_reference_on_arbitrary_outcomes(data, m):
+    _assert_scans_match_reference(m, data.draw(arbitrary_outcomes(m)))

@@ -3,16 +3,20 @@ brute-force oracle, exclusion values, and the two order/closure checks."""
 
 import random
 from fractions import Fraction
+from math import lcm
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
 
 from jobmarket.fixtures import (
     all_or_nothing_market,
     budget_vs_additive_market,
     plateau_market,
 )
-from jobmarket.model import Market, Profile, SetFunction, SizeLimitError
+from jobmarket.model import Market, Matching, Profile, SetFunction, SizeLimitError
 from jobmarket.necessity import generate
+from jobmarket.subsets import bit_indices, canonical_key
 from jobmarket.surplus import (
     MarketSolver,
     brute_force_matching,
@@ -22,6 +26,7 @@ from jobmarket.surplus import (
     firm_surplus,
     max_surplus_excluding,
 )
+from market_strategies import markets
 
 
 def _corpus(seed: int, count: int, kinds, n_hi=5, m_hi=3):
@@ -48,6 +53,16 @@ def test_firm_surplus_all_or_nothing():
     assert table.is_tight(("w1", "w2"))
     assert not table.is_tight(("w1",))
     assert not table.is_tight(("w2",))
+
+
+def test_firm_surplus_lookups_reject_unknown_and_duplicate_ids():
+    table = firm_surplus(all_or_nothing_market("3", "4"), "f")
+    with pytest.raises(ValueError, match="unknown worker"):
+        table.value_of(("w9",))
+    with pytest.raises(ValueError, match="duplicate worker"):
+        table.value_of(("w1", "w1"))
+    with pytest.raises(ValueError, match="duplicate worker"):
+        table.is_tight(("w2", "w2"))
 
 
 def test_firm_surplus_never_decreases_with_pool():
@@ -239,3 +254,78 @@ def test_tight_sets_closure_witnessed_directly():
                 for i in range(m.n):
                     if mask >> i & 1:
                         assert table.tight[mask ^ (1 << i)]
+
+
+# ---- the lazy program against a full-table reference -------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def _submasks(mask: int):
+    t = mask
+    while True:
+        yield t
+        if t == 0:
+            return
+        t = (t - 1) & mask
+
+
+def _reference_solve(m: Market) -> tuple[list[Fraction], dict, bool]:
+    """Every layer of the program over every pool, then the canonical walk.
+
+    Returns (top layer as Fractions, matching dict, ties_broken).
+    """
+    profile = m.disutilities
+    n, nfirms, size = m.n, len(m.firms), 1 << m.n
+    den = lcm(
+        *(v.denominator for _, fn in m.firms for v in fn.values),
+        *(d.denominator for row in profile.rows for d in row),
+    )
+    vfs, tights = [], []
+    for j, (_, fn) in enumerate(m.firms):
+        cost = [
+            sum((profile.rows[i][j] for i in bit_indices(mask)), Fraction(0))
+            for mask in range(size)
+        ]
+        raw = [int((fn.values[mask] - cost[mask]) * den) for mask in range(size)]
+        vf = [max(raw[t] for t in _submasks(mask)) for mask in range(size)]
+        vfs.append(vf)
+        tights.append([raw[mask] == vf[mask] for mask in range(size)])
+    dp = [[0] * size for _ in range(nfirms + 1)]
+    for k in range(nfirms - 1, -1, -1):
+        for s in range(size):
+            dp[k][s] = max(vfs[k][t] + dp[k + 1][s ^ t] for t in _submasks(s))
+    s = (1 << n) - 1
+    assignment: dict[str, Optional[str]] = {}
+    ties = False
+    for k, (name, _) in enumerate(m.firms):
+        optima = [
+            t for t in _submasks(s) if tights[k][t] and vfs[k][t] + dp[k + 1][s ^ t] == dp[k][s]
+        ]
+        ties = ties or len(optima) > 1
+        best = min(optima, key=canonical_key)
+        for i in bit_indices(best):
+            assignment[m.workers[i]] = name
+        s ^= best
+    matching = Matching.from_dict(m.workers, assignment).to_dict()
+    return [Fraction(v, den) for v in dp[0]], matching, ties
+
+
+@PROPERTY_SETTINGS
+@given(markets())
+def test_lazy_program_matches_full_table_reference(m):
+    top, matching, ties = _reference_solve(m)
+    solver = MarketSolver(m, allow_outside_domain=True)
+    sol = solver.solution()
+    assert sol.matching.to_dict() == matching
+    assert sol.ties_broken == ties
+    assert sol.total == top[m.full_mask] == solver.total()
+    for mask in range(1 << m.n):
+        assert solver.value_on(mask) == top[mask]
+        assert solver.value_excluding_mask(mask) == top[m.full_mask & ~mask]
+
+
+@PROPERTY_SETTINGS
+@given(markets())
+def test_lazy_program_total_matches_brute_force(m):
+    assert efficient_matching(m, allow_outside_domain=True).total == brute_force_matching(m).total
