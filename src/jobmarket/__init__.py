@@ -6,137 +6,9 @@ strong substitutes, gross substitutes), decides individual rationality,
 firing-proofness, and core stability of the pivot outcome, and constructs
 verified adversarial disutility profiles for firms whose valuations fall
 outside those classes.
+
+Import from the submodules (`jobmarket.model`, `jobmarket.pivot`, ...);
+the package root exports nothing else.
 """
 
-from .model import (
-    ConditionReport,
-    Market,
-    Matching,
-    Outcome,
-    Profile,
-    SetFunction,
-    SizeLimitError,
-    ubar,
-    validate_market,
-    validate_profile,
-)
-from .marketio import (
-    MarketFormatError,
-    dumps_market,
-    load_market,
-    load_profile,
-    market_digest,
-    parse_market,
-    parse_profile,
-    serialize_market,
-)
-from .setfn import (
-    check_submodularity_equivalence,
-    demand_set,
-    is_gross_substitutes,
-    is_strong_substitutes,
-    is_submodular,
-    is_weak_substitutes,
-    marginal,
-    marginal_set,
-    verify_price_refutation,
-)
-from .surplus import (
-    EfficientSolution,
-    FirmSurplusTable,
-    brute_force_matching,
-    check_marginal_product_order,
-    check_tight_sets_downward_closed,
-    efficient_matching,
-    firm_surplus,
-    max_surplus_excluding,
-)
-from .pivot import (
-    VcgResult,
-    check_ir,
-    check_outcome_ir,
-    check_outcome_sir,
-    check_sir,
-    check_strategy_proofness,
-    vcg,
-)
-from .stability import Block, find_block, find_weak_block, is_stable, outcome_payoffs
-from .necessity import (
-    AdversarialProfile,
-    ConstructionError,
-    GENERATOR_KINDS,
-    adversarial_profile,
-    construct_ir_violation,
-    construct_sir_violation,
-    demonstrate_ir_violation,
-    demonstrate_sir_violation,
-    find_submodularity_violation,
-    find_ws_violation,
-    generate,
-    iter_submodularity_violations,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdversarialProfile",
-    "Block",
-    "ConditionReport",
-    "ConstructionError",
-    "EfficientSolution",
-    "FirmSurplusTable",
-    "GENERATOR_KINDS",
-    "Market",
-    "MarketFormatError",
-    "Matching",
-    "Outcome",
-    "Profile",
-    "SetFunction",
-    "SizeLimitError",
-    "VcgResult",
-    "adversarial_profile",
-    "brute_force_matching",
-    "check_ir",
-    "check_outcome_ir",
-    "check_outcome_sir",
-    "check_marginal_product_order",
-    "check_sir",
-    "check_strategy_proofness",
-    "check_submodularity_equivalence",
-    "check_tight_sets_downward_closed",
-    "construct_ir_violation",
-    "construct_sir_violation",
-    "demand_set",
-    "demonstrate_ir_violation",
-    "demonstrate_sir_violation",
-    "dumps_market",
-    "efficient_matching",
-    "find_block",
-    "find_submodularity_violation",
-    "find_weak_block",
-    "find_ws_violation",
-    "firm_surplus",
-    "generate",
-    "is_gross_substitutes",
-    "is_stable",
-    "is_strong_substitutes",
-    "is_submodular",
-    "is_weak_substitutes",
-    "iter_submodularity_violations",
-    "load_market",
-    "load_profile",
-    "marginal",
-    "marginal_set",
-    "market_digest",
-    "max_surplus_excluding",
-    "outcome_payoffs",
-    "parse_market",
-    "parse_profile",
-    "serialize_market",
-    "ubar",
-    "validate_market",
-    "validate_profile",
-    "vcg",
-    "verify_price_refutation",
-    "__version__",
-]

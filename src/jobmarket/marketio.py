@@ -53,10 +53,6 @@ def parse_rational(x: Any, where: str = "value") -> Fraction:
         raise MarketFormatError(f"{where}: bad rational {x!r} ({exc})") from None
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def _parse_value_map(obj: Any, where: str) -> dict[str, Fraction]:
     if not isinstance(obj, Mapping):
         raise MarketFormatError(f"{where}: expected an object of per-worker values")
@@ -157,26 +153,24 @@ def parse_profile(obj: Any, workers: tuple[str, ...], firms: tuple[str, ...]) ->
         raise MarketFormatError(f"disutilities: {exc}") from None
 
 
-def load_market(path: str) -> Market:
+def _read_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise MarketFormatError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise MarketFormatError(f"{path}: invalid JSON ({exc})") from None
-    return parse_market(obj)
+    except RecursionError:
+        raise MarketFormatError(f"{path}: JSON nested too deeply") from None
+
+
+def load_market(path: str) -> Market:
+    return parse_market(_read_json(path))
 
 
 def load_profile(path: str, market: Market) -> Profile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise MarketFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise MarketFormatError(f"{path}: invalid JSON ({exc})") from None
-    return parse_profile(obj, market.workers, market.firm_names)
+    return parse_profile(_read_json(path), market.workers, market.firm_names)
 
 
 def serialize_market(m: Market) -> dict:
@@ -184,7 +178,7 @@ def serialize_market(m: Market) -> dict:
     firms = []
     for name, fn in m.firms:
         values = {
-            ",".join(members(mask, fn.universe)): format_rational(fn.values[mask])
+            ",".join(members(mask, fn.universe)): str(fn.values[mask])
             for mask in range(1 << fn.n)
         }
         firms.append({"name": name, "utility": {"type": "table", "values": values}})

@@ -303,6 +303,7 @@ class Market:
     workers: tuple[str, ...]
     firms: tuple[tuple[str, SetFunction], ...]
     disutilities: Optional[Profile] = None
+    #: largest full-hire utility across firms; 0 for a firmless market
     ubar: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
@@ -357,11 +358,6 @@ class Market:
         if p is None:
             raise ValueError("market has no embedded disutilities and none were supplied")
         return p
-
-
-def ubar(m: Market) -> Fraction:
-    """Largest full-hire utility across firms; 0 for a firmless market."""
-    return m.ubar
 
 
 def validate_market(m: Market) -> ConditionReport:

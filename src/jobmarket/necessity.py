@@ -43,9 +43,10 @@ from .setfn import (
     _submodularity_violations,
     is_weak_substitutes,
 )
+from .stability import outcome_payoffs
 from .subsets import bit_indices
 from .surplus import MarketSolver
-from .pivot import VcgResult, check_ir, check_outcome_sir, vcg
+from .pivot import VcgResult, check_ir, check_outcome_sir, pivot_outcome, vcg
 
 
 class ConstructionError(RuntimeError):
@@ -231,15 +232,6 @@ def _exhibited_matching(
     return Matching.from_dict(m.workers, assignment)
 
 
-def _realized_total(m: Market, profile: Profile, matching: Matching) -> Fraction:
-    total = Fraction(0)
-    for name, fn in m.firms:
-        hired = matching.workers_of(name)
-        bill = sum((profile.get(w, name) for w in hired), Fraction(0))
-        total += fn.value(fn.mask_of(hired)) - bill
-    return total
-
-
 def construct_sir_violation(
     m: Market, firm: str, subset: Iterable[str], wl: str, wk: str
 ) -> AdversarialProfile:
@@ -269,34 +261,25 @@ def construct_sir_violation(
     profile = adversarial_profile(m, firm, inside)
     solver = MarketSolver(m, profile)
     sol = solver.solution()
-    total = sol.total
-    if fn.mask_of(sol.matching.workers_of(firm)) == tmask:
-        matching = sol.matching
-        canonical = True
-    else:
-        matching = _exhibited_matching(m, profile, firm, inside)
-        canonical = False
-        realized = _realized_total(m, profile, matching)
-        if realized != total:
+    canonical = fn.mask_of(sol.matching.workers_of(firm)) == tmask
+    matching = sol.matching if canonical else _exhibited_matching(m, profile, firm, inside)
+    outcome = pivot_outcome(solver, matching)
+    firm_payoffs, worker_payoffs = outcome_payoffs(m, outcome, profile)
+    if not canonical:
+        # salaries are transfers, so the payoffs add up to the realized surplus
+        realized = sum((*firm_payoffs.values(), *worker_payoffs.values()), Fraction(0))
+        if realized != sol.total:
             raise ConstructionError(
-                f"exhibited assignment totals {realized}, the optimum is {total}"
+                f"exhibited assignment totals {realized}, the optimum is {sol.total}"
             )
-    salaries: dict[str, Fraction] = {}
-    for i, w in enumerate(m.workers):
-        g = matching.firm_of(w)
-        if g is not None:
-            salaries[w] = total - solver.value_excluding_mask(1 << i) + profile.get(w, g)
-    outcome = Outcome.build(matching, salaries)
     expected = {wl: vals[tmask] - vals[tmask ^ bl], wk: vals[tmask] - vals[tmask ^ bk]}
     for w in (wl, wk):
         if outcome.salary[w] != expected[w]:
             raise ConstructionError(
                 f"salary of {w} is {outcome.salary[w]}, expected {expected[w]}"
             )
-    bill = {w: outcome.salary[w] for w in inside}
-    keep_s = vals[smask] - sum((bill[w] for w in fn.members(smask)), Fraction(0))
-    keep_t = vals[tmask] - sum(bill.values(), Fraction(0))
-    gain = keep_s - keep_t
+    keep_s = vals[smask] - sum((outcome.salary[w] for w in fn.members(smask)), Fraction(0))
+    gain = keep_s - firm_payoffs[firm]
     if gain <= 0:
         raise ConstructionError("firing the pair does not help after all")
     if check_outcome_sir(m, outcome, profile).verdict:
@@ -317,12 +300,29 @@ def construct_sir_violation(
     )
 
 
+def _refuse_non_monotone(fn: SetFunction, firm: str) -> None:
+    """After a failed construction, blame a decreasing table, not the code.
+
+    The constructions assume a weakly increasing utility; monotonicity is
+    checked only once one has failed, so monotone inputs pay nothing.
+    """
+    if not fn.is_monotone():
+        raise ValueError(
+            f"firm {firm}: monotone=no (the constructions need a weakly increasing table)"
+        )
+
+
 def demonstrate_ir_violation(m: Market, firm: str) -> AdversarialProfile:
     """Certificate that the firm's non-weak-substitutes utility breaks IR."""
-    witness = find_ws_violation(m.utility(firm))
+    fn = m.utility(firm)
+    witness = find_ws_violation(fn)
     if witness is None:
         raise ValueError(f"utility of firm {firm!r} satisfies weak substitutes")
-    return construct_ir_violation(m, firm, witness)
+    try:
+        return construct_ir_violation(m, firm, witness)
+    except ConstructionError:
+        _refuse_non_monotone(fn, firm)
+        raise
 
 
 def demonstrate_sir_violation(m: Market, firm: str) -> AdversarialProfile:
@@ -359,6 +359,7 @@ def demonstrate_sir_violation(m: Market, firm: str) -> AdversarialProfile:
             last = err
     if not tried:
         raise ValueError(f"utility of firm {firm!r} is submodular")
+    _refuse_non_monotone(fn, firm)
     raise ConstructionError(
         f"none of the {tried} violating triples verified; last failure: {last}"
     )
@@ -446,10 +447,12 @@ def generate(kind: str, n: int, m: int, seed: int = 0) -> Market:
     workers = tuple(f"w{i}" for i in range(1, n + 1))
     make = _FAMILIES[kind]
     firms = tuple((f"f{j}", make(rng, workers)) for j in range(1, m + 1))
-    peak = max((fn.values[fn.full_mask] for _, fn in firms), default=Fraction(0))
-    grid = [peak * Fraction(i, 4) for i in range(5)] if peak > 0 else [Fraction(0)]
-    entries = {
-        w: {name: rng.choice(grid) for name, _ in firms} for w in workers
-    }
-    profile = Profile.from_dict(workers, [name for name, _ in firms], entries)
-    return Market(workers, firms, profile)
+    return Market(workers, firms, quarter_grid_profile(rng, Market(workers, firms)))
+
+
+def quarter_grid_profile(rng: random.Random, m: Market) -> Profile:
+    """Disutilities drawn from {0, ubar/4, ..., ubar}, worker by worker."""
+    top = m.ubar
+    grid = [top * Fraction(i, 4) for i in range(5)] if top > 0 else [Fraction(0)]
+    entries = {w: {f: rng.choice(grid) for f in m.firm_names} for w in m.workers}
+    return Profile.from_dict(m.workers, m.firm_names, entries)

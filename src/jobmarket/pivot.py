@@ -18,16 +18,21 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .model import ConditionReport, Market, Outcome, Profile
+from .model import ConditionReport, Market, Matching, Outcome, Profile
 from .stability import outcome_payoffs
 from .surplus import MarketSolver
 
 
 @dataclass(frozen=True)
 class VcgResult:
-    """Efficient matching, pivot salaries, and every agent's payoff."""
+    """Efficient matching, pivot salaries, and every agent's payoff.
+
+    `profile` is the disutility profile the outcome was priced under; it is
+    kept for the rationality checks and left out of `to_dict`.
+    """
 
     market: Market
+    profile: Profile
     outcome: Outcome
     total: Fraction
     worker_payoffs: tuple[tuple[str, Fraction], ...]
@@ -56,114 +61,59 @@ class VcgResult:
         }
 
 
+def pivot_outcome(solver: MarketSolver, matching: Matching) -> Outcome:
+    """Price an efficient matching by the pivot formula.
+
+    Only matched workers are priced; unmatched ones are paid 0 and cost no
+    exclusion query.
+    """
+    total = solver.total()
+    profile = solver.profile
+    salaries: dict[str, Fraction] = {}
+    for i, w in enumerate(solver.market.workers):
+        firm = matching.firm_of(w)
+        if firm is not None:
+            salaries[w] = total - solver.value_excluding_mask(1 << i) + profile.get(w, firm)
+    return Outcome.build(matching, salaries)
+
+
 def vcg(
     m: Market, u: Optional[Profile] = None, *, allow_outside_domain: bool = False
 ) -> VcgResult:
     solver = MarketSolver(m, u, allow_outside_domain=allow_outside_domain)
     sol = solver.solution()
-    total = sol.total
-    profile = solver.profile
-    excluding: list[tuple[str, Fraction]] = []
-    salaries: dict[str, Fraction] = {}
-    worker_payoffs: list[tuple[str, Fraction]] = []
-    for i, w in enumerate(m.workers):
-        drop = solver.value_excluding_mask(1 << i)
-        excluding.append((w, drop))
-        payoff = total - drop
-        worker_payoffs.append((w, payoff))
-        firm = sol.matching.firm_of(w)
-        if firm is None:
-            salaries[w] = Fraction(0)
-        else:
-            salaries[w] = payoff + profile.get(w, firm)
-    outcome = Outcome.build(sol.matching, salaries)
-    firm_payoffs: list[tuple[str, Fraction]] = []
-    for name, fn in m.firms:
-        hired = sol.matching.workers_of(name)
-        bill = sum((salaries[w] for w in hired), Fraction(0))
-        firm_payoffs.append((name, fn.value(fn.mask_of(hired)) - bill))
+    outcome = pivot_outcome(solver, sol.matching)
+    firm_payoffs, worker_payoffs = outcome_payoffs(m, outcome, solver.profile)
     return VcgResult(
         market=m,
+        profile=solver.profile,
         outcome=outcome,
-        total=total,
-        worker_payoffs=tuple(worker_payoffs),
-        firm_payoffs=tuple(firm_payoffs),
-        surplus_excluding=tuple(excluding),
+        total=sol.total,
+        worker_payoffs=tuple(worker_payoffs.items()),
+        firm_payoffs=tuple(firm_payoffs.items()),
+        surplus_excluding=tuple(
+            (w, solver.value_excluding_mask(1 << i)) for i, w in enumerate(m.workers)
+        ),
         ties_broken=sol.ties_broken,
     )
 
 
 def check_ir(r: VcgResult) -> ConditionReport:
-    """Every agent's payoff is nonnegative (firms scanned first)."""
-    for name, payoff in r.firm_payoffs:
-        if payoff < 0:
-            return ConditionReport(
-                verdict=False,
-                witness={"agent": name, "kind": "firm", "payoff": str(payoff)},
-                details=f"firm {name} runs a deficit of {-payoff}",
-            )
-    for w, payoff in r.worker_payoffs:
-        if payoff < 0:
-            return ConditionReport(
-                verdict=False,
-                witness={"agent": w, "kind": "worker", "payoff": str(payoff)},
-                details=f"worker {w} ends below their outside option by {-payoff}",
-            )
-    return ConditionReport(verdict=True)
-
-
-def _firing_improvement(m: Market, o: Outcome) -> Optional[ConditionReport]:
-    """First firm that gains by firing part of its assigned set, if any.
-
-    A firm keeping R out of its assigned set A (salaries fixed) gets
-    u_f(R) minus the wages of R; the scan covers every R inside A.
-    """
-    salary = o.salary
-    for name, fn in m.firms:
-        hired = o.matching.workers_of(name)
-        amask = fn.mask_of(hired)
-        base = fn.value(amask) - sum((salary[w] for w in hired), Fraction(0))
-        keep = amask
-        while True:
-            kept = fn.members(keep)
-            alt = fn.value(keep) - sum((salary[w] for w in kept), Fraction(0))
-            if alt > base:
-                return ConditionReport(
-                    verdict=False,
-                    witness={
-                        "firm": name,
-                        "keep": list(kept),
-                        "improvement": str(alt - base),
-                    },
-                    details=f"firm {name} gains {alt - base} by keeping only {list(kept)}",
-                )
-            if keep == 0:
-                break
-            keep = (keep - 1) & amask
-    return None
+    """Individual rationality of a pivot result (see check_outcome_ir)."""
+    return check_outcome_ir(r.market, r.outcome, r.profile)
 
 
 def check_sir(r: VcgResult) -> ConditionReport:
-    """Individual rationality plus: no firm gains by firing a subset."""
-    ir = check_ir(r)
-    if not ir.verdict:
-        return ConditionReport(
-            verdict=False,
-            witness={"individual_rationality": ir.witness},
-            details="fails individual rationality outright: " + ir.details,
-        )
-    found = _firing_improvement(r.market, r.outcome)
-    if found is not None:
-        return found
-    return ConditionReport(verdict=True)
+    """Firing-proofness of a pivot result (see check_outcome_sir)."""
+    return check_outcome_sir(r.market, r.outcome, r.profile)
 
 
 def check_outcome_ir(
     m: Market, o: Outcome, u: Optional[Profile] = None
 ) -> ConditionReport:
-    """Individual rationality of an arbitrary outcome, not just a solver's.
+    """Every agent's payoff under the outcome is nonnegative.
 
-    Firms are scanned first, then workers, mirroring check_ir.
+    Firms are scanned first, then workers, each in market order.
     """
     firm_payoffs, worker_payoffs = outcome_payoffs(m, o, u)
     for name in m.firm_names:
@@ -188,7 +138,11 @@ def check_outcome_ir(
 def check_outcome_sir(
     m: Market, o: Outcome, u: Optional[Profile] = None
 ) -> ConditionReport:
-    """check_sir for an arbitrary outcome: IR plus the firing scan."""
+    """Individual rationality plus: no firm gains by firing a subset.
+
+    A firm keeping R out of its assigned set A (salaries fixed) gets
+    u_f(R) minus the wages of R; the scan covers every R inside A.
+    """
     ir = check_outcome_ir(m, o, u)
     if not ir.verdict:
         return ConditionReport(
@@ -196,9 +150,28 @@ def check_outcome_sir(
             witness={"individual_rationality": ir.witness},
             details="fails individual rationality outright: " + ir.details,
         )
-    found = _firing_improvement(m, o)
-    if found is not None:
-        return found
+    firm_payoffs, _ = outcome_payoffs(m, o, u)
+    salary = o.salary
+    for name, fn in m.firms:
+        base = firm_payoffs[name]
+        amask = fn.mask_of(o.matching.workers_of(name))
+        keep = amask
+        while True:
+            kept = fn.members(keep)
+            alt = fn.value(keep) - sum((salary[w] for w in kept), Fraction(0))
+            if alt > base:
+                return ConditionReport(
+                    verdict=False,
+                    witness={
+                        "firm": name,
+                        "keep": list(kept),
+                        "improvement": str(alt - base),
+                    },
+                    details=f"firm {name} gains {alt - base} by keeping only {list(kept)}",
+                )
+            if keep == 0:
+                break
+            keep = (keep - 1) & amask
     return ConditionReport(verdict=True)
 
 

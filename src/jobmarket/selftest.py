@@ -23,7 +23,7 @@ import jobmarket.stability as stability
 import jobmarket.surplus as surplus
 import jobmarket.pivot as pivot
 
-from .model import Market, Profile
+from .model import Market
 
 Corpus = list[tuple[str, Market]]
 
@@ -77,15 +77,6 @@ class SelftestReport:
                 for s in self.suites
             ],
         }
-
-
-def _random_profile(rng: random.Random, m: Market) -> Profile:
-    top = m.ubar
-    grid = [top * Fraction(i, 4) for i in range(5)] if top > 0 else [Fraction(0)]
-    entries = {
-        w: {f: rng.choice(grid) for f in m.firm_names} for w in m.workers
-    }
-    return Profile.from_dict(m.workers, m.firm_names, entries)
 
 
 def _oracle_equivalence(corpus: Corpus) -> SuiteResult:
@@ -152,7 +143,7 @@ def _ir_iff_weak_substitutes(corpus: Corpus, rng: random.Random) -> SuiteResult:
     for label, m in corpus:
         bad = [name for name, fn in m.firms if not setfn.is_weak_substitutes(fn).verdict]
         if not bad:
-            for profile in (m.disutilities, _random_profile(rng, m)):
+            for profile in (m.disutilities, necessity.quarter_grid_profile(rng, m)):
                 report = pivot.check_ir(pivot.vcg(m, profile))
                 if not report.verdict:
                     failures.append(f"{label}: all firms weak-substitutes yet {report.witness}")
@@ -169,7 +160,7 @@ def _sir_iff_submodular(corpus: Corpus, rng: random.Random) -> SuiteResult:
     for label, m in corpus:
         bad = [name for name, fn in m.firms if not setfn.is_submodular(fn).verdict]
         if not bad:
-            for profile in (m.disutilities, _random_profile(rng, m)):
+            for profile in (m.disutilities, necessity.quarter_grid_profile(rng, m)):
                 report = pivot.check_sir(pivot.vcg(m, profile))
                 if not report.verdict:
                     failures.append(f"{label}: all firms submodular yet {report.witness}")

@@ -17,31 +17,10 @@ canonical witness, and as independent oracles for the cross-checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .model import ConditionReport, RationalLike, SetFunction, as_fraction
 from .subsets import bit_indices
-
-
-def marginal(h: SetFunction, s: Iterable[str], w: str) -> Fraction:
-    """h(S) - h(S minus w); requires w in S."""
-    mask = h.mask_of(s)
-    try:
-        bit = 1 << h.index[w]
-    except KeyError:
-        raise ValueError(f"unknown worker {w!r}") from None
-    if not mask & bit:
-        raise ValueError(f"worker {w!r} is not in the given set")
-    return h.values[mask] - h.values[mask ^ bit]
-
-
-def marginal_set(h: SetFunction, s: Iterable[str], sp: Iterable[str]) -> Fraction:
-    """h(S) - h(S minus Sp); requires Sp a subset of S."""
-    mask = h.mask_of(s)
-    sub = h.mask_of(sp)
-    if sub & ~mask:
-        raise ValueError("second set must be a subset of the first")
-    return h.values[mask] - h.values[mask ^ sub]
 
 
 def _sum_of_marginals(h: SetFunction, mask: int, sub: int) -> Fraction:

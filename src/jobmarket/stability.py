@@ -51,7 +51,12 @@ class Block:
 def outcome_payoffs(
     m: Market, o: Outcome, u: Optional[Profile] = None
 ) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
-    """(firm payoffs, worker payoffs) induced by an outcome."""
+    """(firm payoffs, worker payoffs) induced by an outcome.
+
+    A firm gets its utility minus its wage bill, a worker their salary minus
+    their disutility at their firm (0 when unmatched). Every payoff in the
+    package, the pivot result's included, is computed here.
+    """
     profile = m.require_profile(u)
     salary = o.salary
     firm_payoffs: dict[str, Fraction] = {}

@@ -184,6 +184,27 @@ def test_unknown_firm_exits_two(capsys):
     assert "unknown firm" in err
 
 
+def test_necessity_refuses_non_monotone_firm(capsys):
+    # the constructions fail on this decreasing table; the CLI names the
+    # firm instead of ending in a traceback
+    rc, out, err = run_cli(capsys, "necessity", DATA / "non_monotone.json", "--firm", "f")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: firm f: monotone=no (the constructions need a weakly increasing table)\n"
+
+
+def test_deeply_nested_json_exits_two(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    rc, out, err = run_cli(capsys, "vcg", path)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {path}: JSON nested too deeply\n"
+    rc, out, err = run_cli(capsys, "vcg", DATA / "all_or_nothing.json", "--profile", path)
+    assert rc == 2
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
 def test_gen_rejects_negative_counts(capsys):
     rc, _, err = run_cli(capsys, "gen", "additive", "-1", "2")
     assert rc == 2

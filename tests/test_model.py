@@ -13,7 +13,6 @@ from jobmarket.model import (
     SetFunction,
     SizeLimitError,
     as_fraction,
-    ubar,
     validate_market,
     validate_profile,
 )
@@ -201,7 +200,7 @@ def test_market_accessors():
 
 def test_market_ubar_is_the_best_full_hire():
     m = _tiny_market()
-    assert m.ubar == 5 == ubar(m)
+    assert m.ubar == 5
     empty = Market((), (), None)
     assert empty.ubar == 0
 

@@ -242,6 +242,26 @@ def test_demonstrate_tries_positive_marginal_triples_first(monkeypatch):
     )
 
 
+def test_demonstrations_refuse_non_monotone_tables():
+    # u({w1,w3}) = u({w2,w3}) = 1 and 0 elsewhere: both constructions fail
+    values = [Fraction(0)] * 8
+    values[0b101] = values[0b110] = Fraction(1)
+    m = _zero_cost_market(SetFunction(("w1", "w2", "w3"), tuple(values)))
+    for demonstrate in (demonstrate_ir_violation, demonstrate_sir_violation):
+        with pytest.raises(ValueError, match="firm f1: monotone=no") as err:
+            demonstrate(m, "f1")
+        assert not isinstance(err.value, ConstructionError)
+
+
+def test_construction_error_on_monotone_table_propagates(monkeypatch):
+    def failing(*args):
+        raise ConstructionError("planted")
+
+    monkeypatch.setattr(necessity, "construct_ir_violation", failing)
+    with pytest.raises(ConstructionError, match="planted"):
+        demonstrate_ir_violation(all_or_nothing_market(), "f")
+
+
 def test_certificates_survive_independent_reverification():
     rng = random.Random(51)
     ir_seen = sir_seen = 0

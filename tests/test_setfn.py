@@ -20,6 +20,7 @@ from jobmarket.setfn import (
     is_strong_substitutes,
     is_submodular,
     is_weak_substitutes,
+    verify_price_refutation,
 )
 
 
@@ -184,6 +185,13 @@ def test_gross_substitutes_price_refutation_is_valid():
     after = demand_set(u1, high)
     assert any(dropped in s for s in before)
     assert all(dropped not in s for s in after)
+    assert verify_price_refutation(u1, low, high, dropped)
+    # swapped, the pair lowers a price instead of raising it
+    assert not verify_price_refutation(u1, high, low, dropped)
+    # the dropped worker's own price may not move
+    for shift in (Fraction(-1, 8), Fraction(1, 8)):
+        moved_own = dict(high, **{dropped: high[dropped] + shift})
+        assert not verify_price_refutation(u1, low, moved_own, dropped)
 
 
 def test_gross_substitutes_requires_monotone():

@@ -139,10 +139,23 @@ def test_check_sir_finds_firing_improvement():
 
 
 def test_outcome_checks_agree_with_result_checks():
+    # whole reports (verdict, witness, details), on the embedded profile and
+    # on a supplied one that may leave the [0, ubar] box
+    rng = random.Random(35)
     for m in _corpus(35, 30):
-        r = vcg(m)
-        assert check_outcome_ir(m, r.outcome).verdict == check_ir(r).verdict
-        assert check_outcome_sir(m, r.outcome).verdict == check_sir(r).verdict
+        top = m.ubar
+        grid = [top * Fraction(i, 4) for i in range(7)] or [Fraction(0)]
+        supplied = Profile.from_dict(
+            m.workers,
+            m.firm_names,
+            {w: {f: rng.choice(grid) for f in m.firm_names} for w in m.workers},
+        )
+        for u, r in ((None, vcg(m)), (supplied, vcg(m, supplied, allow_outside_domain=True))):
+            assert check_outcome_ir(m, r.outcome, u) == check_ir(r)
+            assert check_outcome_sir(m, r.outcome, u) == check_sir(r)
+            firm_payoffs, worker_payoffs = outcome_payoffs(m, r.outcome, u)
+            assert tuple(firm_payoffs.items()) == r.firm_payoffs
+            assert tuple(worker_payoffs.items()) == r.worker_payoffs
 
 
 def test_outcome_checks_on_hand_built_outcome():
