@@ -42,11 +42,27 @@ class MarketFormatError(ValueError):
     """Malformed market or profile input."""
 
 
+# Caps on a rational string, checked before Fraction builds its integers:
+# "1e5000" alone would be a 5,001-digit integer.
+_MAX_RATIONAL_CHARS = 100
+_MAX_EXPONENT = 100
+
+
 def parse_rational(x: Any, where: str = "value") -> Fraction:
     if isinstance(x, bool) or isinstance(x, float):
         raise MarketFormatError(f"{where}: expected a rational string, got {x!r}")
     if not isinstance(x, (str, int)):
         raise MarketFormatError(f"{where}: expected a rational string, got {type(x).__name__}")
+    if isinstance(x, str):
+        if len(x) > _MAX_RATIONAL_CHARS:
+            raise MarketFormatError(f"{where}: rational longer than {_MAX_RATIONAL_CHARS} characters")
+        if "e" in x or "E" in x:
+            try:
+                exponent = int(x.lower().rpartition("e")[2])
+            except ValueError:
+                exponent = 0  # malformed; Fraction rejects it below
+            if abs(exponent) > _MAX_EXPONENT:
+                raise MarketFormatError(f"{where}: exponent of {x!r} exceeds {_MAX_EXPONENT}")
     try:
         return as_fraction(x)
     except (ValueError, ZeroDivisionError) as exc:

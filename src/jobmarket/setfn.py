@@ -6,8 +6,9 @@ in scan order (subsets ascending by bit pattern, workers ascending by
 index). Witnesses are plain dicts with rationals rendered as strings so
 they can be re-checked and serialized as-is.
 
-Verdicts are decided on the table's integer form (`SetFunction.scaled`);
-witnesses are read off the exact values. Two classes are decided by a
+Verdicts are decided on the table's integer form (`SetFunction.scaled`),
+and witnesses are read off the same integer table: a sum x of scaled
+values is reported as Fraction(x, den). Two classes are decided by a
 cheaper equivalent condition than the one they are defined by: strong
 substitutes by submodularity, gross substitutes by the local exchange
 test. Their exhaustive scans run only after a false verdict, to locate the
@@ -21,16 +22,6 @@ from typing import Iterator, Mapping, Optional
 
 from .model import ConditionReport, RationalLike, SetFunction, as_fraction
 from .subsets import bit_indices
-
-
-def _sum_of_marginals(h: SetFunction, mask: int, sub: int) -> Fraction:
-    """Sum over w in sub of the w-marginal at mask, exactly."""
-    vals = h.values
-    vs = vals[mask]
-    total = Fraction(0)
-    for i in bit_indices(sub):
-        total += vs - vals[mask ^ (1 << i)]
-    return total
 
 
 def _witnessed(report: ConditionReport, condition: str) -> ConditionReport:
@@ -51,13 +42,15 @@ def is_weak_substitutes(h: SetFunction) -> ConditionReport:
     vals = h.scaled
     for mask in range(1, 1 << h.n):
         idx = bit_indices(mask)
-        if sum(vals[mask ^ (1 << i)] for i in idx) < (len(idx) - 1) * vals[mask]:
+        below = sum(vals[mask ^ (1 << i)] for i in idx)
+        if below < (len(idx) - 1) * vals[mask]:
+            marginal_sum = len(idx) * vals[mask] - below
             return ConditionReport(
                 verdict=False,
                 witness={
                     "subset": list(h.members(mask)),
                     "value": str(h.values[mask]),
-                    "marginal_sum": str(_sum_of_marginals(h, mask, mask)),
+                    "marginal_sum": str(Fraction(marginal_sum, h.den)),
                 },
                 details="set value is below the sum of its members' marginals",
             )
@@ -107,8 +100,9 @@ def is_submodular(h: SetFunction) -> ConditionReport:
     bi, bj = 1 << i, 1 << j
     smaller = base | bi
     larger = base | bi | bj
-    m_small = h.values[smaller] - h.values[base]
-    m_large = h.values[larger] - h.values[base | bj]
+    vals = h.scaled
+    m_small = Fraction(vals[smaller] - vals[base], h.den)
+    m_large = Fraction(vals[larger] - vals[base | bj], h.den)
     return ConditionReport(
         verdict=False,
         witness={
@@ -155,14 +149,15 @@ def _strong_substitutes_scan(h: SetFunction) -> ConditionReport:
             sub = (sub - mask) & mask
             low = sub & -sub
             total = acc[sub] = acc[sub ^ low] + vs - vals[mask ^ low]
-            if vs - vals[mask ^ sub] < total:
+            drop = vs - vals[mask ^ sub]
+            if drop < total:
                 return ConditionReport(
                     verdict=False,
                     witness={
                         "set": list(h.members(mask)),
                         "removed": list(h.members(sub)),
-                        "value_drop": str(h.values[mask] - h.values[mask ^ sub]),
-                        "marginal_sum": str(_sum_of_marginals(h, mask, sub)),
+                        "value_drop": str(Fraction(drop, h.den)),
+                        "marginal_sum": str(Fraction(total, h.den)),
                     },
                     details="removing a group costs less than its members' marginals",
                 )
@@ -214,9 +209,7 @@ def demand_set(
     return {frozenset(h.members(m)) for m in arg}
 
 
-def is_gross_substitutes(
-    h: SetFunction, *, find_price_refutation: bool = False
-) -> ConditionReport:
+def is_gross_substitutes(h: SetFunction) -> ConditionReport:
     """Local-exchange test for gross substitutes on a monotone table.
 
     For every pair of sets S, T and every w in S minus T, moving w across
@@ -237,23 +230,13 @@ def is_gross_substitutes(
     runs the O(n^2 4^n) pairwise scan, which reports the first violating
     (S, T, w) in scan order.
 
-    Non-monotone tables are rejected. On a false verdict with
-    find_price_refutation=True, a bounded deterministic search over prices
-    derived from the table's marginal values tries to exhibit a price pair
-    p <= p' (one coordinate raised) under which some worker with an
-    unchanged price is demanded at p but dropped from every demanded set at
-    p'; when the bounded family contains none, the witness simply omits it.
+    Non-monotone tables are rejected.
     """
     if not h.is_monotone():
         raise ValueError("gross-substitutes test requires a weakly increasing table")
     if _local_exchange_holds(h):
         return ConditionReport(verdict=True)
-    report = _witnessed(_gross_substitutes_scan(h), "gross substitutes")
-    if find_price_refutation:
-        ref = _search_price_refutation(h)
-        if ref is not None:
-            report.witness["price_refutation"] = ref
-    return report
+    return _witnessed(_gross_substitutes_scan(h), "gross substitutes")
 
 
 def _local_exchange_holds(h: SetFunction) -> bool:
@@ -308,110 +291,16 @@ def _gross_substitutes_scan(h: SetFunction) -> ConditionReport:
                         if best >= lhs:
                             break
                 if best < lhs:
-                    exact_best = h.values[s ^ bi] + h.values[t | bi]
-                    for j in bit_indices(t & ~s):
-                        bj = 1 << j
-                        exact_best = max(
-                            exact_best,
-                            h.values[(s ^ bi) | bj] + h.values[(t | bi) ^ bj],
-                        )
+                    # no break was taken, so best is the maximum over all w'
                     return ConditionReport(
                         verdict=False,
                         witness={
                             "set_a": list(h.members(s)),
                             "set_b": list(h.members(t)),
                             "worker": h.universe[i],
-                            "combined_value": str(h.values[s] + h.values[t]),
-                            "best_exchange": str(exact_best),
+                            "combined_value": str(Fraction(lhs, h.den)),
+                            "best_exchange": str(Fraction(best, h.den)),
                         },
                         details="local exchange loses value; not gross substitutes",
                     )
     return ConditionReport(verdict=True)
-
-
-def _candidate_prices(h: SetFunction, worker: str) -> list[Fraction]:
-    """Distinct marginals of the worker, plus 0 and midpoints between neighbors."""
-    i = h.index[worker]
-    bit = 1 << i
-    seen = {Fraction(0)}
-    for mask in range(1 << h.n):
-        if mask & bit:
-            continue
-        seen.add(h.values[mask | bit] - h.values[mask])
-    levels = sorted(seen)
-    out = list(levels)
-    for a, b in zip(levels, levels[1:]):
-        out.append((a + b) / 2)
-    return sorted(out)
-
-
-def _demand_union(h: SetFunction, p: list[Fraction]) -> int:
-    """Union mask of all demanded sets at price vector p (worker order)."""
-    best = Fraction(0)
-    union = 0
-    psum = [Fraction(0)] * (1 << h.n)
-    for mask in range(1, 1 << h.n):
-        low = mask & -mask
-        psum[mask] = psum[mask ^ low] + p[low.bit_length() - 1]
-        net = h.values[mask] - psum[mask]
-        if net > best:
-            best, union = net, mask
-        elif net == best:
-            union |= mask
-    return union
-
-
-_REFUTATION_BUDGET = 60_000
-
-
-def _search_price_refutation(h: SetFunction) -> Optional[dict]:
-    cands = [_candidate_prices(h, w) for w in h.universe]
-    total = 1
-    for c in cands:
-        total *= len(c)
-    if total > _REFUTATION_BUDGET:
-        return None
-    from itertools import product
-
-    for base in product(*cands):
-        p = list(base)
-        at_p = _demand_union(h, p)
-        if at_p == 0:
-            continue
-        for j in range(h.n):
-            for raised in cands[j]:
-                if raised <= p[j]:
-                    continue
-                q = list(p)
-                q[j] = raised
-                at_q = _demand_union(h, q)
-                dropped = at_p & ~at_q & ~(1 << j)
-                if dropped:
-                    k = dropped & -dropped
-                    w = h.universe[k.bit_length() - 1]
-                    return {
-                        "prices": {u: str(x) for u, x in zip(h.universe, p)},
-                        "raised_prices": {u: str(x) for u, x in zip(h.universe, q)},
-                        "raised_worker": h.universe[j],
-                        "dropped_worker": w,
-                    }
-    return None
-
-
-def verify_price_refutation(
-    h: SetFunction,
-    prices: Mapping[str, RationalLike],
-    raised_prices: Mapping[str, RationalLike],
-    dropped_worker: str,
-) -> bool:
-    """Re-check a refutation: p <= p', dropped worker's price unchanged,
-    demanded somewhere at p, demanded nowhere at p'."""
-    p = [as_fraction(prices[w]) for w in h.universe]
-    q = [as_fraction(raised_prices[w]) for w in h.universe]
-    if any(a > b for a, b in zip(p, q)):
-        return False
-    i = h.index[dropped_worker]
-    if p[i] != q[i]:
-        return False
-    bit = 1 << i
-    return bool(_demand_union(h, p) & bit) and not _demand_union(h, q) & bit

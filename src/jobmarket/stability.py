@@ -55,9 +55,21 @@ def outcome_payoffs(
 
     A firm gets its utility minus its wage bill, a worker their salary minus
     their disutility at their firm (0 when unmatched). Every payoff in the
-    package, the pivot result's included, is computed here.
+    package, the pivot result's included, is computed here, so this is also
+    where an outcome is checked to fit its market: it must list exactly the
+    market's workers, each once, and send them only to market firms.
     """
     profile = m.require_profile(u)
+    for w, firm in o.matching.assignment:
+        if w not in m.worker_index:
+            raise ValueError(f"outcome assigns worker {w!r}, who is not in the market")
+        if firm is not None and firm not in m.utilities:
+            raise ValueError(f"outcome sends worker {w!r} to unknown firm {firm!r}")
+    missing = [w for w in m.workers if w not in o.salary]
+    if missing:
+        raise ValueError(f"outcome leaves out the market's worker {missing[0]!r}")
+    if len(o.matching.assignment) != m.n:
+        raise ValueError("outcome lists a worker more than once")
     salary = o.salary
     firm_payoffs: dict[str, Fraction] = {}
     for name, fn in m.firms:
@@ -94,11 +106,11 @@ def _block(
 
 def _scan_for_block(
     m: Market,
-    o: Outcome,
     profile: Profile,
+    payoffs: tuple[dict[str, Fraction], dict[str, Fraction]],
     allowed_mask_of: dict[str, int],
 ) -> Optional[Block]:
-    firm_payoffs, worker_payoffs = outcome_payoffs(m, o, profile)
+    firm_payoffs, worker_payoffs = payoffs
     payoff_row = [worker_payoffs[w] for w in m.workers]
     for name, fn in m.firms:
         allowed = allowed_mask_of[name]
@@ -125,8 +137,9 @@ def _scan_for_block(
 def find_block(m: Market, o: Outcome, u: Optional[Profile] = None) -> Optional[Block]:
     """First blocking pair over all firms and all worker subsets."""
     profile = m.require_profile(u)
+    payoffs = outcome_payoffs(m, o, profile)
     full = m.full_mask
-    return _scan_for_block(m, o, profile, {name: full for name in m.firm_names})
+    return _scan_for_block(m, profile, payoffs, {name: full for name in m.firm_names})
 
 
 def find_weak_block(
@@ -134,6 +147,8 @@ def find_weak_block(
 ) -> Optional[Block]:
     """Blocking restricted to each firm's own hires plus unmatched workers."""
     profile = m.require_profile(u)
+    # checks that the outcome fits the market before its workers are indexed
+    payoffs = outcome_payoffs(m, o, profile)
     index = m.worker_index
     unmatched = 0
     for w in o.matching.unmatched_workers:
@@ -144,7 +159,7 @@ def find_weak_block(
         for w in o.matching.workers_of(name):
             own |= 1 << index[w]
         allowed[name] = own | unmatched
-    return _scan_for_block(m, o, profile, allowed)
+    return _scan_for_block(m, profile, payoffs, allowed)
 
 
 def is_stable(m: Market, o: Outcome, u: Optional[Profile] = None) -> ConditionReport:

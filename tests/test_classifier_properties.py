@@ -200,6 +200,33 @@ def _ref_strong_substitutes(h: SetFunction) -> ConditionReport:
     return ConditionReport(verdict=True)
 
 
+def _ref_gross_substitutes_scan(h: SetFunction) -> ConditionReport:
+    """Every (S, T, w in S minus T): S ascending, then T, then w by index."""
+    vals = h.values
+    for s in range(1 << h.n):
+        for t in range(1 << h.n):
+            combined = vals[s] + vals[t]
+            for i in bit_indices(s & ~t):
+                bi = 1 << i
+                exchanges = [vals[s ^ bi] + vals[t | bi]]
+                for j in bit_indices(t & ~s):
+                    bj = 1 << j
+                    exchanges.append(vals[(s ^ bi) | bj] + vals[(t | bi) ^ bj])
+                if max(exchanges) < combined:
+                    return ConditionReport(
+                        verdict=False,
+                        witness={
+                            "set_a": list(h.members(s)),
+                            "set_b": list(h.members(t)),
+                            "worker": h.universe[i],
+                            "combined_value": str(combined),
+                            "best_exchange": str(max(exchanges)),
+                        },
+                        details="local exchange loses value; not gross substitutes",
+                    )
+    return ConditionReport(verdict=True)
+
+
 # ---- properties ----------------------------------------------------------------
 
 # two complements: only the pairwise local inequality fails
@@ -216,7 +243,9 @@ ONE_UNIT_DROP = SetFunction(("w1", "w2"), (Fraction(0), Fraction(2), Fraction(-1
 @example(COMPLEMENTS)
 @example(BUDGET_CAPPED)
 def test_gross_substitutes_matches_the_exchange_scan(fn):
-    assert setfn.is_gross_substitutes(fn) == setfn._gross_substitutes_scan(fn)
+    report = setfn.is_gross_substitutes(fn)
+    assert report == setfn._gross_substitutes_scan(fn)
+    assert report == _ref_gross_substitutes_scan(fn)
 
 
 @PROPERTY_SETTINGS

@@ -205,6 +205,18 @@ def test_deeply_nested_json_exits_two(capsys, tmp_path):
     assert err == f"error: {path}: JSON nested too deeply\n"
 
 
+def test_oversized_rational_exits_two(capsys, tmp_path):
+    market = json.loads((DATA / "all_or_nothing.json").read_text())
+    market["firms"][0]["utility"]["values"]["w1,w2"] = "1e5000"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(market))
+    rc, out, err = run_cli(capsys, "classify", path)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "exponent of '1e5000' exceeds" in err
+
+
 def test_gen_rejects_negative_counts(capsys):
     rc, _, err = run_cli(capsys, "gen", "additive", "-1", "2")
     assert rc == 2

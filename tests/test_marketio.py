@@ -37,9 +37,14 @@ def test_parse_rational_forms():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational(5) == 5
     assert parse_rational("0.5") == Fraction(1, 2)
+    assert parse_rational("1e100") == 10**100
+    assert parse_rational("25E-2") == Fraction(1, 4)
 
 
-@pytest.mark.parametrize("bad", [0.5, True, None, [1], "3/0", "abc"])
+# the last three break the size caps on rational strings
+@pytest.mark.parametrize(
+    "bad", [0.5, True, None, [1], "3/0", "abc", "1e5000", "1e-5000", "1" * 101]
+)
 def test_parse_rational_rejects(bad):
     with pytest.raises(MarketFormatError):
         parse_rational(bad)

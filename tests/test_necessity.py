@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import jobmarket.necessity as necessity
 from jobmarket.fixtures import all_or_nothing_market, plateau_market
@@ -30,6 +31,7 @@ from jobmarket.necessity import (
 from jobmarket.pivot import check_ir, check_outcome_sir, check_sir, vcg
 from jobmarket.setfn import is_submodular, is_weak_substitutes
 from jobmarket.surplus import efficient_matching
+from market_strategies import markets
 
 
 def _zero_cost_market(fn: SetFunction) -> Market:
@@ -293,6 +295,22 @@ def test_certificates_survive_independent_reverification():
                     Fraction(0),
                 )
     assert ir_seen > 20 and sir_seen > 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(markets())
+def test_demonstrations_succeed_on_monotone_violators(m):
+    # a ConstructionError here is a fault in the constructions: every
+    # monotone firm outside a class has a certificate
+    for name, fn in m.firms:
+        if not fn.is_monotone():
+            continue
+        if not is_weak_substitutes(fn).verdict:
+            cert = demonstrate_ir_violation(m, name)
+            assert not check_ir(vcg(m, cert.profile)).verdict
+        if not is_submodular(fn).verdict:
+            cert = demonstrate_sir_violation(m, name)
+            assert not check_outcome_sir(m, cert.outcome, cert.profile).verdict
 
 
 def test_certificate_to_dict_shape():

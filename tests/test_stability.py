@@ -8,13 +8,14 @@ import random
 from fractions import Fraction
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jobmarket.fixtures import all_or_nothing_market, budget_vs_additive_market
 from jobmarket.model import Market, Matching, Outcome
 from jobmarket.necessity import generate
-from jobmarket.pivot import check_ir, check_sir, vcg
+from jobmarket.pivot import check_ir, check_outcome_ir, check_outcome_sir, check_sir, vcg
 from jobmarket.setfn import is_gross_substitutes
 from jobmarket.stability import (
     Block,
@@ -162,6 +163,29 @@ def test_explicit_profile_overrides_embedded():
     sweet = sweet.with_row("w2", (Fraction(0), Fraction(1, 4)))
     r = vcg(m, sweet)
     assert find_block(m, r.outcome, sweet) is None
+
+
+MISFITS = [
+    # (assignment, salaries, message)
+    ((("w1", "g"), ("w2", "f")), {"w1": "1", "w2": "1"}, "unknown firm 'g'"),
+    ((("w1", "f"),), {"w1": "1"}, "leaves out the market's worker 'w2'"),
+    (
+        (("w1", "f"), ("w2", "f"), ("w3", None)),
+        {"w1": "1", "w2": "1", "w3": "0"},
+        "assigns worker 'w3', who is not in the market",
+    ),
+]
+
+
+@pytest.mark.parametrize("assignment, salaries, message", MISFITS)
+@pytest.mark.parametrize(
+    "check", [check_outcome_ir, check_outcome_sir, find_block, find_weak_block, is_stable]
+)
+def test_outcome_must_fit_its_market(check, assignment, salaries, message):
+    m = all_or_nothing_market()
+    o = Outcome(Matching(assignment), tuple((w, Fraction(p)) for w, p in salaries.items()))
+    with pytest.raises(ValueError, match=message):
+        check(m, o)
 
 
 # ---- the integer scan against a Fraction reference ----------------------------
