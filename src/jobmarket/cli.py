@@ -10,7 +10,8 @@ Commands:
     selftest   cross-check suites on random markets
 
 Exit codes: 0 success, 1 the checked property fails (vcg: IR or SIR false;
-stability: blocked; selftest: any suite failure), 2 bad input. Output is
+stability: blocked; selftest: any suite failure), 2 bad input, 141 stdout
+closed before the output was written (console entry only). Output is
 deterministic for a fixed input and seed; --json emits a stable schema with
 all rationals as exact strings.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -83,9 +85,22 @@ def _load(args) -> Market:
 
 
 def _profile_for(args, m: Market) -> Optional[Profile]:
-    if getattr(args, "profile", None):
-        return load_profile(args.profile, m)
-    return None
+    """The --profile file, else the embedded one, refused outside [0, ubar].
+
+    The engine solves any nonnegative profile; the commands keep to the
+    type space the paper's results range over. Entries are scanned
+    worker-major; a negative one is left for the engine to name.
+    """
+    profile = load_profile(args.profile, m) if args.profile else m.disutilities
+    if profile is None:
+        return None
+    for w, row in zip(m.workers, profile.rows):
+        for f, d in zip(m.firm_names, row):
+            if d < 0:
+                return profile
+            if d > m.ubar:
+                raise ValueError(f"disutility {d} for {w} at {f} exceeds ubar={m.ubar}")
+    return profile
 
 
 def cmd_classify(args) -> int:
@@ -319,8 +334,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    """Console entry: main, then exit 141 (128 + SIGPIPE) if stdout closed early."""
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that flush succeed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    entry()

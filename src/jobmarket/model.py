@@ -71,7 +71,7 @@ class SetFunction:
 
     values[mask] is the function's value on the subset encoded by mask.
     values[0] (the empty set) must be 0. Monotonicity is not enforced here;
-    validate_market reports on it.
+    is_monotone reports on it.
     """
 
     universe: tuple[str, ...]
@@ -281,7 +281,7 @@ class Profile:
             raise ValueError("row length must match firm count")
         i = self.worker_index[worker]
         rows = list(self.rows)
-        rows[i] = tuple(Fraction(x) for x in row)
+        rows[i] = tuple(as_fraction(x) for x in row)
         return Profile(self.workers, self.firms, tuple(rows))
 
     def to_dict(self) -> dict[str, dict[str, str]]:
@@ -360,67 +360,14 @@ class Market:
         return p
 
 
-def validate_market(m: Market) -> ConditionReport:
-    """Check firm monotonicity and nonnegative disutilities.
-
-    The witness names the first violated inequality in scan order: firms in
-    declared order (adjacent subset pairs, ascending), then the disutility
-    matrix in worker-major order.
-    """
-    for name, fn in m.firms:
-        hit = fn.first_monotonicity_violation()
-        if hit is not None:
-            sub, sup = hit
-            return ConditionReport(
-                verdict=False,
-                witness={
-                    "kind": "monotonicity",
-                    "firm": name,
-                    "subset": list(fn.members(sub)),
-                    "superset": list(fn.members(sup)),
-                    "values": [str(fn.values[sub]), str(fn.values[sup])],
-                },
-                details=f"firm {name} value drops when adding a worker",
-            )
-    if m.disutilities is not None:
-        for i, w in enumerate(m.workers):
-            for j, f in enumerate(m.firm_names):
-                d = m.disutilities.rows[i][j]
-                if d < 0:
-                    return ConditionReport(
-                        verdict=False,
-                        witness={
-                            "kind": "negative_disutility",
-                            "worker": w,
-                            "firm": f,
-                            "value": str(d),
-                        },
-                        details=f"disutility of {w} at {f} is negative",
-                    )
-    return ConditionReport(verdict=True)
-
-
-def validate_profile(
-    m: Market, profile: Profile, *, require_in_box: bool = True
-) -> None:
-    """Reject profiles that do not fit the market.
-
-    Entries must be nonnegative; by default they must also lie in the
-    [0, ubar] box (pass require_in_box=False to admit larger reports).
-    """
+def validate_profile(m: Market, profile: Profile) -> None:
+    """Reject profiles that do not fit the market or have a negative entry."""
     if profile.workers != m.workers or profile.firms != m.firm_names:
         raise ValueError("profile workers/firms do not match market")
-    cap = m.ubar
-    for i, w in enumerate(m.workers):
-        for j, f in enumerate(m.firm_names):
-            d = profile.rows[i][j]
+    for w, row in zip(m.workers, profile.rows):
+        for f, d in zip(m.firm_names, row):
             if d < 0:
                 raise ValueError(f"negative disutility {d} for {w} at {f}")
-            if require_in_box and d > cap:
-                raise ValueError(
-                    f"disutility {d} for {w} at {f} exceeds ubar={cap}; "
-                    "pass allow_outside_domain=True to accept"
-                )
 
 
 @dataclass(frozen=True)
@@ -490,5 +437,5 @@ class Outcome:
     ) -> "Outcome":
         return cls(
             matching,
-            tuple((w, Fraction(salaries.get(w, 0))) for w, _ in matching.assignment),
+            tuple((w, as_fraction(salaries.get(w, 0))) for w, _ in matching.assignment),
         )

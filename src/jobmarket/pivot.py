@@ -77,10 +77,8 @@ def pivot_outcome(solver: MarketSolver, matching: Matching) -> Outcome:
     return Outcome.build(matching, salaries)
 
 
-def vcg(
-    m: Market, u: Optional[Profile] = None, *, allow_outside_domain: bool = False
-) -> VcgResult:
-    solver = MarketSolver(m, u, allow_outside_domain=allow_outside_domain)
+def vcg(m: Market, u: Optional[Profile] = None) -> VcgResult:
+    solver = MarketSolver(m, u)
     sol = solver.solution()
     outcome = pivot_outcome(solver, sol.matching)
     firm_payoffs, worker_payoffs = outcome_payoffs(m, outcome, solver.profile)
@@ -115,7 +113,12 @@ def check_outcome_ir(
 
     Firms are scanned first, then workers, each in market order.
     """
-    firm_payoffs, worker_payoffs = outcome_payoffs(m, o, u)
+    return _ir_report(m, *outcome_payoffs(m, o, u))
+
+
+def _ir_report(
+    m: Market, firm_payoffs: dict[str, Fraction], worker_payoffs: dict[str, Fraction]
+) -> ConditionReport:
     for name in m.firm_names:
         payoff = firm_payoffs[name]
         if payoff < 0:
@@ -143,14 +146,14 @@ def check_outcome_sir(
     A firm keeping R out of its assigned set A (salaries fixed) gets
     u_f(R) minus the wages of R; the scan covers every R inside A.
     """
-    ir = check_outcome_ir(m, o, u)
+    firm_payoffs, worker_payoffs = outcome_payoffs(m, o, u)
+    ir = _ir_report(m, firm_payoffs, worker_payoffs)
     if not ir.verdict:
         return ConditionReport(
             verdict=False,
             witness={"individual_rationality": ir.witness},
             details="fails individual rationality outright: " + ir.details,
         )
-    firm_payoffs, _ = outcome_payoffs(m, o, u)
     salary = o.salary
     for name, fn in m.firms:
         base = firm_payoffs[name]
@@ -176,12 +179,7 @@ def check_outcome_sir(
 
 
 def check_strategy_proofness(
-    m: Market,
-    worker: str,
-    k: int = 6,
-    u: Optional[Profile] = None,
-    *,
-    allow_outside_domain: bool = False,
+    m: Market, worker: str, k: int = 6, u: Optional[Profile] = None
 ) -> ConditionReport:
     """No grid misreport of one worker's disutilities beats truth-telling.
 
@@ -193,7 +191,7 @@ def check_strategy_proofness(
         raise ValueError("grid density k must be at least 1")
     if worker not in m.worker_index:
         raise ValueError(f"unknown worker {worker!r}")
-    truth = MarketSolver(m, u, allow_outside_domain=allow_outside_domain)
+    truth = MarketSolver(m, u)
     profile = truth.profile
     wi = m.worker_index[worker]
     excl = truth.value_excluding_mask(1 << wi)
@@ -209,11 +207,7 @@ def check_strategy_proofness(
         if combo == true_row:
             continue
         checked += 1
-        shifted = MarketSolver(
-            m,
-            profile.with_row(worker, combo),
-            allow_outside_domain=allow_outside_domain,
-        )
+        shifted = MarketSolver(m, profile.with_row(worker, combo))
         sol = shifted.solution()
         firm = sol.matching.firm_of(worker)
         if firm is None:

@@ -23,7 +23,8 @@ Only the layers that are read get built:
 
 All arithmetic runs on integers after clearing denominators once per solve
 (`clear_denominators`); exactness is preserved and results are converted
-back to Fraction.
+back to Fraction. Any nonnegative profile that fits the market is solved;
+the [0, ubar] box is a policy of the solving commands (see cli).
 """
 
 from __future__ import annotations
@@ -150,16 +151,10 @@ class MarketSolver:
     matching reconstruction.
     """
 
-    def __init__(
-        self,
-        market: Market,
-        profile: Optional[Profile] = None,
-        *,
-        allow_outside_domain: bool = False,
-    ) -> None:
+    def __init__(self, market: Market, profile: Optional[Profile] = None) -> None:
         self.market = market
         self.profile = market.require_profile(profile)
-        validate_profile(market, self.profile, require_in_box=not allow_outside_domain)
+        validate_profile(market, self.profile)
         rows = self.profile.rows
         nfirms = len(market.firms)
         columns = [tuple(row[j] for row in rows) for j in range(nfirms)]
@@ -242,17 +237,11 @@ class MarketSolver:
         return self._solution
 
 
-def firm_surplus(
-    m: Market,
-    firm: str,
-    u: Optional[Profile] = None,
-    *,
-    allow_outside_domain: bool = False,
-) -> FirmSurplusTable:
+def firm_surplus(m: Market, firm: str, u: Optional[Profile] = None) -> FirmSurplusTable:
     """V_f over every subset, with tight-set markers."""
     fn = m.utility(firm)
     profile = m.require_profile(u)
-    validate_profile(m, profile, require_in_box=not allow_outside_domain)
+    validate_profile(m, profile)
     den, (values,), (costs,) = clear_denominators([fn], [profile.column(firm)])
     vf, tight = _int_surplus_table(values, costs)
     return FirmSurplusTable(
@@ -263,21 +252,15 @@ def firm_surplus(
     )
 
 
-def efficient_matching(
-    m: Market, u: Optional[Profile] = None, *, allow_outside_domain: bool = False
-) -> EfficientSolution:
-    return MarketSolver(m, u, allow_outside_domain=allow_outside_domain).solution()
+def efficient_matching(m: Market, u: Optional[Profile] = None) -> EfficientSolution:
+    return MarketSolver(m, u).solution()
 
 
 def max_surplus_excluding(
-    m: Market,
-    u: Optional[Profile] = None,
-    excluded: Iterable[str] = (),
-    *,
-    allow_outside_domain: bool = False,
+    m: Market, u: Optional[Profile] = None, excluded: Iterable[str] = ()
 ) -> Fraction:
     """Best total surplus once the excluded workers leave the market."""
-    solver = MarketSolver(m, u, allow_outside_domain=allow_outside_domain)
+    solver = MarketSolver(m, u)
     index = m.worker_index
     mask = 0
     for w in excluded:
@@ -315,7 +298,7 @@ def brute_force_matching(m: Market, u: Optional[Profile] = None) -> EfficientSol
     raw subset but does not canonicalize across ties between assignments.
     """
     profile = m.require_profile(u)
-    validate_profile(m, profile, require_in_box=False)
+    validate_profile(m, profile)
     n = m.n
     nfirms = len(m.firms)
     if n > BRUTE_FORCE_WORKER_CAP:

@@ -3,8 +3,8 @@
 Markets come from two sources: independent monotone tables with
 disutilities over mixed denominators (value and cost grids often line up,
 so ties between pools are common), and the seeded generator families.
-Disutilities may exceed ubar, so callers solve with
-allow_outside_domain=True.
+Disutilities may exceed ubar; the engine solves any nonnegative profile
+that fits the market, so callers solve them as they are.
 """
 
 from fractions import Fraction

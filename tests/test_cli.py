@@ -1,6 +1,9 @@
 """Command-line behavior: golden transcripts, JSON mode, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -259,3 +262,85 @@ def test_gen_refuses_oversized_universe(capsys):
     assert rc == 2
     assert out == ""
     assert "40 workers exceeds cap of 20" in err
+
+
+def _with_disutilities(tmp_path, name, entries):
+    """A copy of a data market with some embedded disutilities replaced."""
+    market = json.loads((DATA / name).read_text())
+    for w, row in entries.items():
+        market["disutilities"][w].update(row)
+    path = tmp_path / f"edited_{name}"
+    path.write_text(json.dumps(market))
+    return path
+
+
+# w1 at f2 comes first worker-major, w2 at f1 first firm-major
+ABOVE_UBAR = {"w1": {"f2": "7/2"}, "w2": {"f1": "4"}}
+
+
+@pytest.mark.parametrize("source", ["profile", "embedded"])
+@pytest.mark.parametrize("command", ["solve", "vcg", "stability"])
+def test_solving_commands_refuse_entries_above_ubar(capsys, tmp_path, command, source):
+    edited = _with_disutilities(tmp_path, "budget_vs_additive.json", ABOVE_UBAR)
+    if source == "profile":
+        path = tmp_path / "costs.json"
+        path.write_text(json.dumps(json.loads(edited.read_text())["disutilities"]))
+        argv = [command, DATA / "budget_vs_additive.json", "--profile", path]
+    else:
+        argv = [command, edited]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: disutility 7/2 for w1 at f2 exceeds ubar=3\n"
+
+
+def test_negative_entry_before_the_box_is_named_by_the_engine(capsys, tmp_path):
+    entries = {"w1": {"f1": "-1", "f2": "7/2"}, "w2": {"f1": "4"}}
+    path = _with_disutilities(tmp_path, "budget_vs_additive.json", entries)
+    rc, out, err = run_cli(capsys, "vcg", path)
+    assert (rc, out) == (2, "")
+    assert err == "error: negative disutility -1 for w1 at f1\n"
+
+
+@pytest.mark.parametrize(
+    "name,entries,argv",
+    [
+        ("budget_vs_additive.json", ABOVE_UBAR, ["classify"]),
+        ("all_or_nothing.json", {"w1": {"f": "11"}}, ["necessity", "--firm", "f"]),
+    ],
+)
+def test_box_leaves_classify_and_necessity_alone(capsys, tmp_path, name, entries, argv):
+    edited = _with_disutilities(tmp_path, name, entries)
+    rc, out, err = run_cli(capsys, argv[0], edited, *argv[1:])
+    rc0, out0, _ = run_cli(capsys, argv[0], DATA / name, *argv[1:])
+    assert (rc, err) == (rc0, "") == (0, "")
+    # only the digest line differs: these commands never read the profile
+    assert out.splitlines()[1:] == out0.splitlines()[1:]
+    assert out.splitlines()[0] != out0.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vcg", DATA / "all_or_nothing.json"],
+        ["classify", DATA / "budget_vs_additive.json", "--json"],
+        ["gen", "additive", "4", "2", "--seed", "7"],
+    ],
+    ids=["vcg", "classify-json", "gen"],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "jobmarket.cli", *map(str, argv)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")

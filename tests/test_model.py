@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import jobmarket.cli as cli
+from jobmarket.marketio import dumps_market
 from jobmarket.model import (
     Market,
     Matching,
@@ -13,9 +15,9 @@ from jobmarket.model import (
     SetFunction,
     SizeLimitError,
     as_fraction,
-    validate_market,
     validate_profile,
 )
+from jobmarket.surplus import brute_force_matching, efficient_matching
 
 
 def test_as_fraction_accepts_exact_forms():
@@ -164,6 +166,8 @@ def test_profile_with_row_is_a_copy():
     assert q.get("w1", "f1") == 5
     with pytest.raises(ValueError, match="row length"):
         p.with_row("w1", (Fraction(5),))
+    with pytest.raises(TypeError, match="floats are not accepted"):
+        p.with_row("w1", (Fraction(5), 0.1))
 
 
 def test_profile_from_dict_rejects_gaps_and_strays():
@@ -227,23 +231,29 @@ def test_market_require_profile():
         bare.require_profile(None)
 
 
-def test_validate_market_and_profile_pass_on_good_input():
+def test_validate_profile_passes_on_good_input():
     m = _tiny_market()
-    validate_market(m)
     validate_profile(m, m.disutilities)
 
 
-def test_validate_profile_flags_out_of_box_entries():
+def test_validate_profile_flags_negative_entries_only(capsys, tmp_path):
+    # the engine solves a report above ubar; the solving commands refuse it
     m = _tiny_market()
     high = Profile.from_dict(
         m.workers,
         m.firm_names,
         {"w1": {"f1": "99", "f2": 0}, "w2": {"f1": 0, "f2": 0}},
     )
-    with pytest.raises(ValueError):
-        validate_profile(m, high)
+    validate_profile(m, high)
+    assert efficient_matching(m, high).total == brute_force_matching(m, high).total == 7
+    path = tmp_path / "high.json"
+    path.write_text(dumps_market(Market(m.workers, m.firms, high)))
+    assert cli.main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: disutility 99 for w1 at f1 exceeds ubar=5\n"
     neg = Profile(m.workers, m.firm_names, ((Fraction(-1), Fraction(0)), (Fraction(0), Fraction(0))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative disutility -1 for w1 at f1"):
         validate_profile(m, neg)
 
 
@@ -266,6 +276,8 @@ def test_outcome_build_defaults_and_invariants():
         Outcome.build(matching, {"w1": Fraction(5), "w2": Fraction(1)})
     with pytest.raises(ValueError, match="negative"):
         Outcome.build(matching, {"w1": Fraction(-5)})
+    with pytest.raises(TypeError, match="floats are not accepted"):
+        Outcome.build(matching, {"w1": 0.1})
 
 
 def test_set_function_values_are_fractions_after_construction():

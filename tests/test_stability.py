@@ -251,7 +251,7 @@ def arbitrary_outcomes(draw, m: Market) -> Outcome:
 @PROPERTY_SETTINGS
 @given(markets())
 def test_block_scans_match_reference_on_pivot_outcomes(m):
-    _assert_scans_match_reference(m, vcg(m, allow_outside_domain=True).outcome)
+    _assert_scans_match_reference(m, vcg(m).outcome)
 
 
 @PROPERTY_SETTINGS

@@ -1,14 +1,17 @@
 """Efficient-matching engine: per-firm surplus tables, the partition DP, the
 brute-force oracle, exclusion values, and the two order/closure checks."""
 
+import json
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 
+import jobmarket.cli as cli
 from jobmarket.fixtures import (
     all_or_nothing_market,
     budget_vs_additive_market,
@@ -27,6 +30,8 @@ from jobmarket.surplus import (
     max_surplus_excluding,
 )
 from market_strategies import markets
+
+DATA = Path(__file__).parent / "data"
 
 
 def _corpus(seed: int, count: int, kinds, n_hi=5, m_hi=3):
@@ -159,7 +164,7 @@ def test_exclusions_match_rebuilt_markets():
             keep, tuple(firms), Profile.from_dict(keep, m.firm_names, entries)
         )
         # the reduced market's ubar may shrink below inherited disutilities
-        reduced_total = efficient_matching(reduced, allow_outside_domain=True).total
+        reduced_total = efficient_matching(reduced).total
         assert reduced_total == max_surplus_excluding(m, excluded=(victim,))
 
 
@@ -197,15 +202,19 @@ def test_zero_marginal_worker_is_never_hired():
                 assert margin > profile.get(w, name)
 
 
-def test_solver_rejects_out_of_box_profiles_by_default():
+def test_solver_solves_profiles_the_cli_refuses(capsys, tmp_path):
     m = all_or_nothing_market()
     wild = Profile.from_dict(
         m.workers, m.firm_names, {"w1": {"f": "11"}, "w2": {"f": "0"}}
     )
-    with pytest.raises(ValueError):
-        efficient_matching(m, wild)
-    sol = efficient_matching(m, wild, allow_outside_domain=True)
-    assert sol.total == 0
+    sol = efficient_matching(m, wild)
+    assert sol.total == 0 == brute_force_matching(m, wild).total
+    path = tmp_path / "wild.json"
+    path.write_text(json.dumps(wild.to_dict()))
+    assert cli.main(["solve", str(DATA / "all_or_nothing.json"), "--profile", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: disutility 11 for w1 at f exceeds ubar=10\n"
 
 
 def test_brute_force_caps():
@@ -315,7 +324,7 @@ def _reference_solve(m: Market) -> tuple[list[Fraction], dict, bool]:
 @given(markets())
 def test_lazy_program_matches_full_table_reference(m):
     top, matching, ties = _reference_solve(m)
-    solver = MarketSolver(m, allow_outside_domain=True)
+    solver = MarketSolver(m)
     sol = solver.solution()
     assert sol.matching.to_dict() == matching
     assert sol.ties_broken == ties
@@ -328,4 +337,4 @@ def test_lazy_program_matches_full_table_reference(m):
 @PROPERTY_SETTINGS
 @given(markets())
 def test_lazy_program_total_matches_brute_force(m):
-    assert efficient_matching(m, allow_outside_domain=True).total == brute_force_matching(m).total
+    assert efficient_matching(m).total == brute_force_matching(m).total

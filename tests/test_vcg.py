@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import jobmarket.pivot as pivot
 from jobmarket.fixtures import (
     all_or_nothing_market,
     budget_vs_additive_market,
@@ -150,12 +151,28 @@ def test_outcome_checks_agree_with_result_checks():
             m.firm_names,
             {w: {f: rng.choice(grid) for f in m.firm_names} for w in m.workers},
         )
-        for u, r in ((None, vcg(m)), (supplied, vcg(m, supplied, allow_outside_domain=True))):
+        for u, r in ((None, vcg(m)), (supplied, vcg(m, supplied))):
             assert check_outcome_ir(m, r.outcome, u) == check_ir(r)
             assert check_outcome_sir(m, r.outcome, u) == check_sir(r)
             firm_payoffs, worker_payoffs = outcome_payoffs(m, r.outcome, u)
             assert tuple(firm_payoffs.items()) == r.firm_payoffs
             assert tuple(worker_payoffs.items()) == r.worker_payoffs
+
+
+def test_check_outcome_sir_computes_payoffs_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return outcome_payoffs(*args)
+
+    monkeypatch.setattr(pivot, "outcome_payoffs", counting)
+    # IR fails (the all-or-nothing firm runs a deficit); IR and SIR hold
+    for m in (all_or_nothing_market(), budget_vs_additive_market()):
+        r = vcg(m)
+        calls.clear()
+        check_outcome_sir(m, r.outcome)
+        assert len(calls) == 1
 
 
 def test_outcome_checks_on_hand_built_outcome():
