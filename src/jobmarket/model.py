@@ -39,7 +39,13 @@ def check_worker_cap(n: int) -> None:
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce int / Fraction / rational string ("3", "3/4", "0.25")."""
+    """Coerce int / Fraction / rational string ("3", "3/4", "0.25").
+
+    A Fraction comes back unchanged: it is immutable, and rebuilding it
+    costs as much as parsing a string.
+    """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(f"floats are not accepted, got {x!r}; pass a string or Fraction")
     return Fraction(x)
@@ -163,13 +169,32 @@ class SetFunction:
         or duplicate entries are errors.
         """
         universe = tuple(universe)
-        check_worker_cap(len(universe))
         index = {w: i for i, w in enumerate(universe)}
+        return cls.from_masks(
+            universe, ((mask_of(index, key), key, raw) for key, raw in table.items())
+        )
+
+    @classmethod
+    def from_masks(
+        cls,
+        universe: Sequence[str],
+        entries: Iterable[tuple[int, Optional[tuple[str, ...]], RationalLike]],
+    ) -> "SetFunction":
+        """Build from (mask, subset, value) entries, one per subset.
+
+        `subset` is the entry's worker ids as written, for the duplicate
+        error; None stands for the mask's members in universe order. Entries
+        are consumed one at a time, so a lazy resolver's errors and the
+        duplicate check are raised in entry order.
+        """
+        universe = tuple(universe)
+        check_worker_cap(len(universe))
         vals: list[Optional[Fraction]] = [None] * (1 << len(universe))
-        for key, raw in table.items():
-            m = mask_of(index, key)
+        for m, subset, raw in entries:
             if vals[m] is not None:
-                raise ValueError(f"subset {key!r} appears twice in table")
+                if subset is None:
+                    subset = members(m, universe)
+                raise ValueError(f"subset {subset!r} appears twice in table")
             vals[m] = as_fraction(raw)
         missing = [members(m, universe) for m, v in enumerate(vals) if v is None]
         if missing:

@@ -220,6 +220,19 @@ def test_oversized_rational_exits_two(capsys, tmp_path):
     assert "exponent of '1e5000' exceeds" in err
 
 
+def test_oversized_integer_exits_two(capsys, tmp_path):
+    # a JSON integer gets the cap a rational string gets
+    market = {
+        "workers": ["w1"],
+        "firms": [{"name": "f", "utility": {"type": "additive", "values": {"w1": 10**4000}}}],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(market))
+    rc, out, err = run_cli(capsys, "classify", path)
+    assert (rc, out) == (2, "")
+    assert err == "error: firm 'f' utility[w1]: integer longer than 100 digits\n"
+
+
 def test_gen_rejects_negative_counts(capsys):
     rc, _, err = run_cli(capsys, "gen", "additive", "-1", "2")
     assert rc == 2

@@ -2,8 +2,11 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jobmarket.fixtures import all_or_nothing_market, budget_vs_additive_market
 from jobmarket.marketio import (
@@ -16,7 +19,31 @@ from jobmarket.marketio import (
     parse_profile,
     parse_rational,
     serialize_market,
+    subset_keys,
 )
+from jobmarket.necessity import GENERATOR_KINDS, generate
+from jobmarket.subsets import members
+from market_strategies import markets
+
+DATA = Path(__file__).parent / "data"
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
+
+# sha256 of the canonical serialization, recorded before the loader moved to
+# memoized parsing and dict-resolved keys; every later change must keep them.
+PINNED_GENERATED = {
+    "additive": "829fd2d68a74e33a6bcc153c745683a6b34e6c3784641a92ce56354c50b3e699",
+    "budget_additive": "62235d11feb7d9b1f7100f4842784031964c796830673cc0060d03b75c2022b3",
+    "random_monotone": "31313b4a09674395347e7505be1f3c9928f8fb69926b7ebd4b05454873598616",
+    "random_submodular": "ae611ffa040fd2f82be8fab27636cfea4aa1143bc0e6c16059e6fd06bb966cf7",
+    "unit_demand": "1098a1c200deffa67c8314861522d0ca71a517a08766516be6fb80673212a492",
+}
+PINNED_FILES = {
+    "all_or_nothing.json": "c8c4be9c3df11d90a03fdd384cfe4db4153093b25ed2e1031cd07ade102484a4",
+    "budget_vs_additive.json": "dff0b1062e530bb0f0e96e620a736615218a1c97698771fbbaa1a249b1fcc584",
+    "non_monotone.json": "42724ddd4bd6f47707ad6897ae8dbf16cbda74b36d4ba864a47b31ee1c3329cd",
+    "plateau.json": "4beb4fb65686527667f1af61f75e467d544e9609c4751396e20d9be88cc63201",
+    "tie_dodger.json": "f10dc78b731fc2dd489764a0e30bfd5531f637bce119328340a0ba6609df506b",
+}
 
 GOOD = {
     "workers": ["w1", "w2"],
@@ -39,11 +66,15 @@ def test_parse_rational_forms():
     assert parse_rational("0.5") == Fraction(1, 2)
     assert parse_rational("1e100") == 10**100
     assert parse_rational("25E-2") == Fraction(1, 4)
+    assert parse_rational(10**100 - 1) == 10**100 - 1
+    assert parse_rational(-(10**100 - 1)) == -(10**100 - 1)
 
 
-# the last three break the size caps on rational strings
+# the last five break the size caps: on strings in characters and exponent,
+# on JSON integers in digits
 @pytest.mark.parametrize(
-    "bad", [0.5, True, None, [1], "3/0", "abc", "1e5000", "1e-5000", "1" * 101]
+    "bad",
+    [0.5, True, None, [1], "3/0", "abc", "1e5000", "1e-5000", "1" * 101, 10**100, -(10**100)],
 )
 def test_parse_rational_rejects(bad):
     with pytest.raises(MarketFormatError):
@@ -192,3 +223,105 @@ def test_load_market_bad_file(tmp_path):
         load_market(str(path))
     with pytest.raises(MarketFormatError):
         load_market(str(tmp_path / "absent.json"))
+
+
+def test_integer_cap_matches_string_cap():
+    with pytest.raises(MarketFormatError, match=r"^v: integer longer than 100 digits$"):
+        parse_rational(10**4000, "v")
+    assert parse_rational(int("9" * 100)) == parse_rational("9" * 100)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generated_market_digest_is_pinned(kind):
+    assert market_digest(generate(kind, 6, 2, seed=1)) == PINNED_GENERATED[kind]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FILES))
+def test_data_market_digest_is_pinned(name):
+    assert market_digest(load_market(str(DATA / name))) == PINNED_FILES[name]
+
+
+def test_every_data_market_is_pinned():
+    found = {p.name for p in DATA.glob("*.json") if "workers" in json.loads(p.read_text())}
+    assert found == set(PINNED_FILES)
+
+
+def test_subset_keys_join_members_in_universe_order():
+    workers = ("a", "b", "c", "d")
+    assert subset_keys(workers) == [",".join(members(m, workers)) for m in range(16)]
+    assert subset_keys(()) == [""]
+
+
+@PROPERTY_SETTINGS
+@given(markets(max_n=5, max_m=3))
+def test_dump_parse_roundtrip(m):
+    again = parse_market(json.loads(dumps_market(m)))
+    assert market_digest(again) == market_digest(m)
+    assert [fn.values for _, fn in again.firms] == [fn.values for _, fn in m.firms]
+    assert again.disutilities == m.disutilities
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), markets(max_n=5, max_m=2))
+def test_key_order_does_not_change_masks(data, m):
+    obj = serialize_market(m)
+    for firm in obj["firms"]:
+        respelled = {}
+        for key, value in data.draw(st.permutations(list(firm["utility"]["values"].items()))):
+            ids = data.draw(st.permutations(key.split(","))) if key else []
+            respelled[",".join(ids)] = value
+        firm["utility"]["values"] = respelled
+    again = parse_market(obj)
+    assert [fn.values for _, fn in again.firms] == [fn.values for _, fn in m.firms]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        # a canonical and a reordered spelling of one subset: the later is named
+        (
+            {"": "0", "w1": "0", "w2": "0", "w2,w1": "10", "w1,w2": "10"},
+            "firm 'f1' utility: subset ('w1', 'w2') appears twice in table",
+        ),
+        (
+            {"": "0", "w1": "0", "w2": "0", "w1,w2": "10", "w2,w1": "10"},
+            "firm 'f1' utility: subset ('w2', 'w1') appears twice in table",
+        ),
+        (
+            {"": "0", "w1": "0", "w2": "0", "w1,w2": "10", "w3": "1"},
+            "firm 'f1' utility: unknown worker 'w3'",
+        ),
+        (
+            {"": "0", "w1": "0", "w2": "0", "w1,w2": "10", "w1,w1": "1"},
+            "firm 'f1' utility: duplicate worker 'w1'",
+        ),
+        (
+            {"": "0", "w1": "0", "w1,w2": "10"},
+            "firm 'f1' utility: table is missing 1 subsets, first ('w2',)",
+        ),
+        # a JSON true after a 1 is still a bool, not the memoized 1
+        (
+            {"": "0", "w1": 1, "w2": True, "w1,w2": "10"},
+            "firm 'f1' utility['w2']: expected a rational string, got True",
+        ),
+        (
+            {"": "0", "w1": "1", "w2": True, "w1,w2": "10"},
+            "firm 'f1' utility['w2']: expected a rational string, got True",
+        ),
+    ],
+)
+def test_table_key_and_value_errors(values, message):
+    obj = json.loads(json.dumps(GOOD))
+    obj["firms"][0]["utility"]["values"] = values
+    with pytest.raises(MarketFormatError) as exc:
+        parse_market(obj)
+    assert str(exc.value) == message
+
+
+def test_profile_names_first_bad_entry_after_memoized_ones():
+    obj = json.loads(json.dumps(GOOD))
+    obj["disutilities"] = {"w1": {"f1": "3"}, "w2": {"f1": True}}
+    obj["firms"][0]["utility"]["values"]["w1"] = 3
+    with pytest.raises(MarketFormatError) as exc:
+        parse_market(obj)
+    assert str(exc.value) == "disutilities['w2']['f1']: expected a rational string, got True"
