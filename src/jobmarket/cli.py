@@ -25,13 +25,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import selftest as selftest_mod
-from .marketio import (
-    MarketFormatError,
-    dumps_market,
-    load_market,
-    load_profile,
-    market_digest,
-)
+from .marketio import dumps_market, load_market, load_profile, market_digest
 from .model import ConditionReport, Market, Profile
 from .necessity import (
     GENERATOR_KINDS,
@@ -224,8 +218,6 @@ def cmd_stability(args) -> int:
 
 def cmd_necessity(args) -> int:
     m = _load(args)
-    if args.firm not in m.firm_names:
-        raise MarketFormatError(f"unknown firm {args.firm!r}")
     fn = m.utility(args.firm)
     digest = market_digest(m)
     lines = [f"market {digest}", f"firm {args.firm}"]
@@ -325,10 +317,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MarketFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except ValueError as err:  # bad input; marketio.MarketFormatError is one
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -12,10 +12,12 @@ Market file shape:
       "disutilities": {"w1": {"f1": "3"}, "w2": {"f1": "4"}}
     }
 
-Rationals are exact strings ("3", "3/4", "0.25") or JSON integers; floats
-are rejected. Utility types: "table" (every subset required, keys are
-comma-joined worker ids), "additive", "budget_additive" (extra "budget"
-key), "unit_demand" (the last three default missing workers to 0).
+Worker ids are distinct, nonempty and hold no comma, so every table key
+splits back into its ids. Rationals are exact strings ("3", "3/4", "0.25")
+or JSON integers; floats are rejected. Utility types: "table" (every subset
+required, keys are comma-joined worker ids), "additive", "budget_additive"
+(extra "budget" key), "unit_demand" (the last three default missing
+workers to 0).
 "disutilities" is optional; a profile can be supplied separately. A profile
 file is the bare {worker: {firm: rational-string}} mapping.
 
@@ -119,16 +121,8 @@ class _Load:
 
     @cached_property
     def key_masks(self) -> dict[str, int]:
-        """{canonical key: mask}, built by the first table that needs it.
-
-        Empty when a worker id is empty, repeated or holds a comma: then
-        splitting a key is not the inverse of joining one, and every key
-        takes the split-and-resolve path, as written.
-        """
-        w = self.workers
-        if len(set(w)) != len(w) or any(not x or "," in x for x in w):
-            return {}
-        return dict(zip(subset_keys(w), range(1 << len(w))))
+        """{canonical key: mask}, built by the first table that needs it."""
+        return dict(zip(subset_keys(self.workers), range(1 << len(self.workers))))
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -142,6 +136,8 @@ class _Load:
             mask = key_masks.get(key)
             if mask is None:
                 ids = tuple(key.split(",")) if key else ()
+                if "" in ids:
+                    raise ValueError(f"table key {key!r} has an empty part")
                 yield mask_of(self.index, ids), ids, value
             else:
                 yield mask, None, value
@@ -173,16 +169,11 @@ def _parse_utility(spec: Any, load: _Load, firm: str) -> SetFunction:
         if kind == "table":
             if not isinstance(values, Mapping):
                 raise MarketFormatError(f"{where}: table 'values' must be an object")
-            key_masks = load.key_masks
-            # Keyed as a key's worker ids read: other spellings of the same
-            # ids ("w1,,w2", "w1,w2,") share one entry, the last value wins.
             table: dict[str, Fraction] = {}
             for key, raw in values.items():
                 value = memo.get(raw) if type(raw) is str else None
                 if value is None:
                     value = _parse_memo(memo, raw, f"{where}[{key!r}]")
-                if key not in key_masks:
-                    key = ",".join(p for p in str(key).split(",") if p != "")
                 table[key] = value
             return SetFunction.from_masks(workers, load.table_entries(table))
         per = _parse_value_map(values, where, memo)
@@ -218,6 +209,12 @@ def parse_market(obj: Any) -> Market:
         check_worker_cap(len(workers))
     except SizeLimitError as exc:
         raise MarketFormatError(f"market: {exc}") from None
+    # table keys join worker ids with commas, so each id must split back out
+    for w in workers:
+        if not w or "," in w:
+            raise MarketFormatError(f"market: worker id {w!r} is empty or holds a comma")
+    if len(set(workers)) != len(workers):
+        raise MarketFormatError("market: duplicate worker ids")
     firms_raw = obj.get("firms")
     if not isinstance(firms_raw, list):
         raise MarketFormatError("market: 'firms' must be a list")
@@ -269,7 +266,9 @@ def _read_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise MarketFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # malformed JSON, bytes that are not UTF-8, or an integer past the
+        # interpreter's digit limit
         raise MarketFormatError(f"{path}: invalid JSON ({exc})") from None
     except RecursionError:
         raise MarketFormatError(f"{path}: JSON nested too deeply") from None

@@ -20,7 +20,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .subsets import bit_indices, mask_of, members
+from .subsets import mask_of, members, subset_sums
 
 #: Hard cap on universe size; tables are dense with 2^n entries.
 WORKER_CAP = 20
@@ -116,6 +116,11 @@ class SetFunction:
         den = self.den
         return tuple(v.numerator * (den // v.denominator) for v in self.values)
 
+    def scaled_to(self, den: int) -> Sequence[int]:
+        """The values times `den`, a multiple of `self.den`."""
+        factor = den // self.den
+        return self.scaled if factor == 1 else [v * factor for v in self.scaled]
+
     @property
     def n(self) -> int:
         return len(self.universe)
@@ -208,11 +213,7 @@ class SetFunction:
         universe = tuple(universe)
         check_worker_cap(len(universe))
         per = [as_fraction(values.get(w, 0)) for w in universe]
-        out = [Fraction(0)] * (1 << len(universe))
-        for m in range(1, 1 << len(universe)):
-            low = m & -m
-            out[m] = out[m ^ low] + per[low.bit_length() - 1]
-        return cls(universe, tuple(out))
+        return cls(universe, tuple(subset_sums(per, Fraction(0))))
 
     @classmethod
     def budget_additive(
@@ -241,6 +242,16 @@ class SetFunction:
             low = m & -m
             out[m] = max(out[m ^ low], per[low.bit_length() - 1])
         return cls(universe, tuple(out))
+
+
+def clear_denominators(
+    fns: Sequence[SetFunction], rows: Sequence[Sequence[Fraction]]
+) -> tuple[int, list[list[int]]]:
+    """(den, int_rows): den is the LCM of every fn.den and row denominator,
+    and int_rows[r][i] is rows[r][i] * den. A table at that scale is
+    fn.scaled[mask] * (den // fn.den), whole from `scaled_to`."""
+    den = lcm(*(fn.den for fn in fns), *(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 @dataclass(frozen=True)

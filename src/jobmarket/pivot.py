@@ -9,6 +9,10 @@ unmatched workers are paid 0. Worker payoffs are then exactly the
 marginal products V(W) - V(W minus w); a firm's payoff is its utility
 minus its wage bill. All exclusion values come from the same dynamic
 program as the efficient matching, so a full result costs one solve.
+
+Firing-proofness is blocking inside a firm's own hires (for a hired worker,
+disutility plus payoff is salary), so `check_outcome_sir` runs the walk of
+`stability.deviations` on each firm's hires: O(2^|hires|) additions.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from itertools import product
 from typing import Optional
 
 from .model import ConditionReport, Market, Matching, Outcome, Profile
-from .stability import outcome_payoffs
+from .stability import deviations, hire_masks, outcome_payoffs
 from .surplus import MarketSolver
 
 
@@ -143,38 +147,29 @@ def check_outcome_sir(
 ) -> ConditionReport:
     """Individual rationality plus: no firm gains by firing a subset.
 
-    A firm keeping R out of its assigned set A (salaries fixed) gets
-    u_f(R) minus the wages of R; the scan covers every R inside A.
+    A firm keeping R out of its hires A (salaries fixed) gets u_f(R) minus
+    the wages of R. The witness is the largest such R by bit pattern.
     """
-    firm_payoffs, worker_payoffs = outcome_payoffs(m, o, u)
-    ir = _ir_report(m, firm_payoffs, worker_payoffs)
+    profile = m.require_profile(u)
+    payoffs = outcome_payoffs(m, o, profile)
+    ir = _ir_report(m, *payoffs)
     if not ir.verdict:
         return ConditionReport(
             verdict=False,
             witness={"individual_rationality": ir.witness},
             details="fails individual rationality outright: " + ir.details,
         )
-    salary = o.salary
+    hires = hire_masks(m, o)
     for name, fn in m.firms:
-        base = firm_payoffs[name]
-        amask = fn.mask_of(o.matching.workers_of(name))
-        keep = amask
-        while True:
-            kept = fn.members(keep)
-            alt = fn.value(keep) - sum((salary[w] for w in kept), Fraction(0))
-            if alt > base:
-                return ConditionReport(
-                    verdict=False,
-                    witness={
-                        "firm": name,
-                        "keep": list(kept),
-                        "improvement": str(alt - base),
-                    },
-                    details=f"firm {name} gains {alt - base} by keeping only {list(kept)}",
-                )
-            if keep == 0:
-                break
-            keep = (keep - 1) & amask
+        hit = max(deviations(m, profile, payoffs, name, hires[name]), default=None)
+        if hit is not None:
+            keep, gain = hit
+            kept = list(fn.members(keep))
+            return ConditionReport(
+                verdict=False,
+                witness={"firm": name, "keep": kept, "improvement": str(gain)},
+                details=f"firm {name} gains {gain} by keeping only {kept}",
+            )
     return ConditionReport(verdict=True)
 
 

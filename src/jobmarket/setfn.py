@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
-from .model import ConditionReport, RationalLike, SetFunction, as_fraction
-from .subsets import bit_indices
+from .model import ConditionReport, RationalLike, SetFunction, as_fraction, clear_denominators
+from .subsets import bit_indices, subset_sums
 
 
 def _witnessed(report: ConditionReport, condition: str) -> ConditionReport:
@@ -195,13 +195,11 @@ def demand_set(
     p = [as_fraction(prices[w]) for w in h.universe]
     if any(x < 0 for x in p):
         raise ValueError("prices must be nonnegative")
-    best: Fraction = Fraction(0)
-    arg: list[int] = [0]
-    psum = [Fraction(0)] * (1 << h.n)
+    den, (scaled_prices,) = clear_denominators([h], [p])
+    vals, psum = h.scaled_to(den), subset_sums(scaled_prices)
+    best, arg = 0, [0]
     for mask in range(1, 1 << h.n):
-        low = mask & -mask
-        psum[mask] = psum[mask ^ low] + p[low.bit_length() - 1]
-        net = h.values[mask] - psum[mask]
+        net = vals[mask] - psum[mask]
         if net > best:
             best, arg = net, [mask]
         elif net == best:

@@ -11,23 +11,26 @@ strictly better off. S = empty set is allowed (it catches firms running
 a deficit); the scan order is firms as declared, then subsets in
 ascending bit-pattern order, so the reported block is canonical.
 
-The scan runs on integers: per firm, the utility table, its disutility
-column, the worker payoffs and the firm payoff are scaled by one common
-denominator (`surplus.clear_denominators`), so salaries of any
-denominator are exact. Coalition cost sums grow one worker at a time
-along the ascending walk, O(2^n) integer additions per firm, and only the
-first blocking coalition is rebuilt in Fraction arithmetic.
+Firing is the same inequality inside the firm's own hires: a hired
+worker's disutility plus payoff is their salary, so on a kept set S it
+reads u_f(S) - wages of S > payoff(f). `deviations` is the one walk that
+`find_block` (all workers), `find_weak_block` (own hires and unmatched)
+and `pivot.check_outcome_sir` (own hires) run.
+
+The walk runs on integers: the coalition costs and the firm payoff are
+scaled with the utility table by one common denominator
+(`model.clear_denominators`), so salaries of any denominator are exact,
+and cost sums take one addition per subset (`subsets.subset_sums`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
-from .model import ConditionReport, Market, Outcome, Profile, SetFunction
-from .subsets import bit_indices
-from .surplus import clear_denominators
+from .model import ConditionReport, Market, Outcome, Profile, clear_denominators
+from .subsets import bit_indices, subset_sums
 
 
 @dataclass(frozen=True)
@@ -85,23 +88,45 @@ def outcome_payoffs(
     return firm_payoffs, worker_payoffs
 
 
-def _block(
-    name: str,
-    fn: SetFunction,
-    sub: int,
-    column: tuple[Fraction, ...],
-    firm_payoff: Fraction,
-    worker_payoffs: dict[str, Fraction],
-) -> Block:
-    """The block of firm `name` with coalition `sub`, in exact arithmetic."""
-    members = fn.members(sub)
-    cost = {w: column[i] for w, i in zip(members, bit_indices(sub))}
-    raw = fn.value(sub) - sum(cost.values(), Fraction(0))
-    have = firm_payoff + sum((worker_payoffs[w] for w in members), Fraction(0))
-    excess = raw - have
-    share = excess / (2 * len(members)) if members else Fraction(0)
-    payments = tuple((w, cost[w] + worker_payoffs[w] + share) for w in members)
-    return Block(name, members, payments, excess)
+def hire_masks(m: Market, o: Outcome) -> dict[Optional[str], int]:
+    """Each firm's hires as a mask, and the unmatched workers' under None.
+
+    The outcome must already fit the market (see outcome_payoffs).
+    """
+    masks = dict.fromkeys((None, *m.firm_names), 0)
+    index = m.worker_index
+    for w, firm in o.matching.assignment:
+        masks[firm] |= 1 << index[w]
+    return masks
+
+
+def deviations(
+    m: Market,
+    profile: Profile,
+    payoffs: tuple[dict[str, Fraction], dict[str, Fraction]],
+    firm: str,
+    allowed: int,
+) -> Iterator[tuple[int, Fraction]]:
+    """Each coalition inside `allowed` that blocks with `firm`, ascending
+    by bit pattern, with its excess (left side minus right side).
+
+    Only the table entries visited are rescaled: O(2^|allowed|) additions.
+    """
+    firm_payoffs, worker_payoffs = payoffs
+    fn = m.utilities[firm]
+    column = profile.column(firm)
+    # a member's cost to the coalition: disutility plus current payoff
+    costs = [column[i] + worker_payoffs[m.workers[i]] for i in bit_indices(allowed)]
+    den, (costs, (have,)) = clear_denominators([fn], [costs, (firm_payoffs[firm],)])
+    factor, table = den // fn.den, fn.scaled
+    sub = 0
+    # the j-th cost is that of the j-th subset of `allowed` in ascending order
+    for j, cost in enumerate(subset_sums(costs)):
+        if j:
+            sub = (sub - allowed) & allowed
+        excess = table[sub] * factor - cost - have
+        if excess > 0:
+            yield sub, Fraction(excess, den)
 
 
 def _scan_for_block(
@@ -110,27 +135,20 @@ def _scan_for_block(
     payoffs: tuple[dict[str, Fraction], dict[str, Fraction]],
     allowed_mask_of: dict[str, int],
 ) -> Optional[Block]:
-    firm_payoffs, worker_payoffs = payoffs
-    payoff_row = [worker_payoffs[w] for w in m.workers]
+    """The first block: firms as declared, then coalitions ascending."""
+    worker_payoffs = payoffs[1]
     for name, fn in m.firms:
-        allowed = allowed_mask_of[name]
-        column = profile.column(name)
-        _, (table,), (costs, payoffs, (have,)) = clear_denominators(
-            [fn], [column, payoff_row, (firm_payoffs[name],)]
-        )
-        # a member's cost to the coalition: disutility plus current payoff
-        weights = [costs[i] + payoffs[i] for i in bit_indices(allowed)]
-        # sums[j] is the weight of the j-th subset of `allowed` in ascending
-        # bit-pattern order; dropping its lowest bit gives an earlier one
-        sums = [0] * (1 << len(weights))
-        sub = 0
-        for j in range(len(sums)):
-            if j:
-                low = j & -j
-                sums[j] = sums[j ^ low] + weights[low.bit_length() - 1]
-                sub = (sub - allowed) & allowed
-            if table[sub] - sums[j] > have:
-                return _block(name, fn, sub, column, firm_payoffs[name], worker_payoffs)
+        hit = next(deviations(m, profile, payoffs, name, allowed_mask_of[name]), None)
+        if hit is not None:
+            sub, excess = hit
+            members = fn.members(sub)
+            column = profile.column(name)
+            share = excess / (2 * len(members)) if members else Fraction(0)
+            payments = tuple(
+                (w, column[i] + worker_payoffs[w] + share)
+                for w, i in zip(members, bit_indices(sub))
+            )
+            return Block(name, members, payments, excess)
     return None
 
 
@@ -149,16 +167,8 @@ def find_weak_block(
     profile = m.require_profile(u)
     # checks that the outcome fits the market before its workers are indexed
     payoffs = outcome_payoffs(m, o, profile)
-    index = m.worker_index
-    unmatched = 0
-    for w in o.matching.unmatched_workers:
-        unmatched |= 1 << index[w]
-    allowed: dict[str, int] = {}
-    for name in m.firm_names:
-        own = 0
-        for w in o.matching.workers_of(name):
-            own |= 1 << index[w]
-        allowed[name] = own | unmatched
+    hires = hire_masks(m, o)
+    allowed = {name: hires[name] | hires[None] for name in m.firm_names}
     return _scan_for_block(m, profile, payoffs, allowed)
 
 

@@ -7,7 +7,7 @@ means w_i is in the subset. The encoding is a bijection between masks
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 
 def mask_of(universe_index: dict[str, int], workers: Iterable[str]) -> int:
@@ -27,6 +27,16 @@ def mask_of(universe_index: dict[str, int], workers: Iterable[str]) -> int:
 def members(mask: int, universe: Sequence[str]) -> tuple[str, ...]:
     """Decode a mask to worker ids in universe order."""
     return tuple(universe[i] for i in range(len(universe)) if mask >> i & 1)
+
+
+def subset_sums(weights: Sequence[Any], zero: Any = 0) -> list[Any]:
+    """sums[mask] = sum of weights[i] over the bits i of mask, one addition
+    per mask: the mask less its lowest bit is already summed."""
+    sums = [zero] * (1 << len(weights))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    return sums
 
 
 def bit_indices(mask: int) -> tuple[int, ...]:

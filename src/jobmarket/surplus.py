@@ -22,7 +22,7 @@ Only the layers that are read get built:
   memoized. Pivot payments ask for n+1 pools: W and each W minus w.
 
 All arithmetic runs on integers after clearing denominators once per solve
-(`clear_denominators`); exactness is preserved and results are converted
+(`model.clear_denominators`); exactness is preserved and results are converted
 back to Fraction. Any nonnegative profile that fits the market is solved;
 the [0, ubar] box is a policy of the solving commands (see cli).
 """
@@ -44,10 +44,11 @@ from .model import (
     SetFunction,
     SizeLimitError,
     as_fraction,
+    clear_denominators,
     validate_profile,
 )
 from .setfn import is_submodular
-from .subsets import bit_indices, canonical_key, mask_of
+from .subsets import bit_indices, canonical_key, mask_of, subset_sums
 
 #: brute_force_matching enumerates (m+1)^n assignments; keep it honest but finite.
 BRUTE_FORCE_WORKER_CAP = 8
@@ -88,34 +89,10 @@ class EfficientSolution:
     ties_broken: bool = False
 
 
-def clear_denominators(
-    fns: Sequence[SetFunction], rows: Sequence[Sequence[Fraction]]
-) -> tuple[int, list[Sequence[int]], list[list[int]]]:
-    """Scale set functions and rows of rationals to integers by one factor.
-
-    Returns (den, tables, int_rows) with tables[k][mask] equal to
-    fns[k].values[mask] * den and int_rows[r][i] to rows[r][i] * den. The
-    tables come from each function's cached integer table, so no Fraction
-    is multiplied over the 2^n entries.
-    """
-    den = lcm(*(fn.den for fn in fns), *(x.denominator for row in rows for x in row))
-    tables: list[Sequence[int]] = []
-    for fn in fns:
-        factor = den // fn.den
-        tables.append(fn.scaled if factor == 1 else [v * factor for v in fn.scaled])
-    int_rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-    return den, tables, int_rows
-
-
 def _int_surplus_table(values: Sequence[int], costs: Sequence[int]) -> tuple[list[int], list[bool]]:
     """V_f and tightness over all masks, in integer arithmetic."""
-    n = len(costs)
-    size = 1 << n
-    cost_sum = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        cost_sum[mask] = cost_sum[mask ^ low] + costs[low.bit_length() - 1]
-    raw = [values[mask] - cost_sum[mask] for mask in range(size)]
+    size = 1 << len(costs)
+    raw = [v - c for v, c in zip(values, subset_sums(costs))]
     vf = [0] * size
     for mask in range(1, size):
         best = raw[mask]
@@ -158,11 +135,12 @@ class MarketSolver:
         rows = self.profile.rows
         nfirms = len(market.firms)
         columns = [tuple(row[j] for row in rows) for j in range(nfirms)]
-        self.den, tables, costs = clear_denominators([fn for _, fn in market.firms], columns)
+        fns = [fn for _, fn in market.firms]
+        self.den, costs = clear_denominators(fns, columns)
         self.vf: list[list[int]] = []
         self.tight: list[list[bool]] = []
-        for values, column in zip(tables, costs):
-            vf, tight = _int_surplus_table(values, column)
+        for fn, column in zip(fns, costs):
+            vf, tight = _int_surplus_table(fn.scaled_to(self.den), column)
             self.vf.append(vf)
             self.tight.append(tight)
         # layers[k][s]: best total of firms k, k+1, ... on pool s. Layer 0
@@ -242,8 +220,8 @@ def firm_surplus(m: Market, firm: str, u: Optional[Profile] = None) -> FirmSurpl
     fn = m.utility(firm)
     profile = m.require_profile(u)
     validate_profile(m, profile)
-    den, (values,), (costs,) = clear_denominators([fn], [profile.column(firm)])
-    vf, tight = _int_surplus_table(values, costs)
+    den, (costs,) = clear_denominators([fn], [profile.column(firm)])
+    vf, tight = _int_surplus_table(fn.scaled_to(den), costs)
     return FirmSurplusTable(
         firm=firm,
         universe=m.workers,
@@ -407,8 +385,8 @@ def check_tight_sets_downward_closed(
     cost_fr = [as_fraction(costs[w]) for w in u_f.universe]
     if any(c < 0 for c in cost_fr):
         raise ValueError("costs must be nonnegative")
-    _, (values,), (icosts,) = clear_denominators([u_f], [cost_fr])
-    _, tight = _int_surplus_table(values, icosts)
+    den, (icosts,) = clear_denominators([u_f], [cost_fr])
+    _, tight = _int_surplus_table(u_f.scaled_to(den), icosts)
     for mask in range(1 << u_f.n):
         if not tight[mask]:
             continue

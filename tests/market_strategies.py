@@ -5,17 +5,23 @@ disutilities over mixed denominators (value and cost grids often line up,
 so ties between pools are common), and the seeded generator families.
 Disutilities may exceed ubar; the engine solves any nonnegative profile
 that fits the market, so callers solve them as they are.
+
+Outcomes for a drawn market pay salaries over denominators no market
+uses, so the integer scans must clear them with the market's own.
 """
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from jobmarket.model import Market, Profile, SetFunction
+from jobmarket.model import Market, Matching, Outcome, Profile, SetFunction
 from jobmarket.necessity import GENERATOR_KINDS, generate
 from jobmarket.subsets import bit_indices
 
 DENOMINATORS = ((1,), (1, 2), (1, 2, 3, 4, 6))
+
+#: salary denominators no drawn market uses
+FOREIGN_DENOMINATORS = (5, 7, 11, 13)
 
 
 @st.composite
@@ -50,3 +56,46 @@ def generated_markets(max_n: int = 6, max_m: int = 4):
 
 def markets(max_n: int = 6, max_m: int = 4):
     return st.one_of(random_markets(max_n, max_m), generated_markets(max_n, max_m))
+
+
+@st.composite
+def arbitrary_outcomes(draw, m: Market) -> Outcome:
+    """Any matching, with salaries over denominators the market never uses."""
+    firm = st.sampled_from((None,) + m.firm_names)
+    salary = st.builds(
+        Fraction, st.integers(0, 40), st.sampled_from((1,) + FOREIGN_DENOMINATORS)
+    )
+    assignment = {w: draw(firm) for w in m.workers}
+    salaries = {w: draw(salary) for w, f in assignment.items() if f is not None}
+    return Outcome.build(Matching.from_dict(m.workers, assignment), salaries)
+
+
+@st.composite
+def rational_outcomes(draw, m: Market) -> tuple[Outcome, Profile]:
+    """An outcome and a profile under which every agent is individually
+    rational, so the firing check always runs past its IR step.
+
+    Each hire is paid at most their firm's average value per hire, which
+    often exceeds their marginal value (a firing gain), and their
+    disutility there is cut to their salary when it is higher.
+    """
+    firm = st.sampled_from((None,) + m.firm_names)
+    assignment = {w: draw(firm) for w in m.workers}
+    salaries = {}
+    for name, fn in m.firms:
+        hired = [w for w in m.workers if assignment[w] == name]
+        if hired:
+            den = draw(st.sampled_from(FOREIGN_DENOMINATORS))
+            top = int(fn.subset_value(hired) * den / len(hired))
+            for w in hired:
+                salaries[w] = Fraction(draw(st.integers(0, top)), den)
+    profile = m.disutilities
+    entries = {
+        w: {
+            f: min(d, salaries[w]) if assignment[w] == f else d
+            for f, d in zip(m.firm_names, profile.row(w))
+        }
+        for w in m.workers
+    }
+    outcome = Outcome.build(Matching.from_dict(m.workers, assignment), salaries)
+    return outcome, Profile.from_dict(m.workers, m.firm_names, entries)

@@ -233,6 +233,36 @@ def test_oversized_integer_exits_two(capsys, tmp_path):
     assert err == "error: firm 'f' utility[w1]: integer longer than 100 digits\n"
 
 
+def test_integer_past_the_digit_limit_names_the_file(capsys, tmp_path):
+    # written as text, so no test code converts the integer either
+    path = tmp_path / "huge.json"
+    path.write_text('{"workers": [], "firms": [], "x": ' + "1" + "0" * 5000 + "}")
+    rc, out, err = run_cli(capsys, "classify", path)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {path}: invalid JSON (")
+
+
+ADDITIVE = {"type": "additive", "values": {"c": "1"}}
+TABLE = {"type": "table", "values": {"": "0", "c": "1", "d": "1", "c,d": "2", "c,d,": "7"}}
+
+
+@pytest.mark.parametrize(
+    "workers, utility, message",
+    [
+        (["a,b", "c"], ADDITIVE, "market: worker id 'a,b' is empty or holds a comma"),
+        (["", "c"], ADDITIVE, "market: worker id '' is empty or holds a comma"),
+        (["c", "c"], ADDITIVE, "market: duplicate worker ids"),
+        (["c", "d"], TABLE, "firm 'f' utility: table key 'c,d,' has an empty part"),
+    ],
+)
+def test_ids_and_keys_that_do_not_split_exit_two(capsys, tmp_path, workers, utility, message):
+    # the first two loaded before, but their dumps could not be loaded back
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"workers": workers, "firms": [{"name": "f", "utility": utility}]}))
+    rc, out, err = run_cli(capsys, "classify", path)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_gen_rejects_negative_counts(capsys):
     rc, _, err = run_cli(capsys, "gen", "additive", "-1", "2")
     assert rc == 2

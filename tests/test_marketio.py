@@ -308,6 +308,19 @@ def test_key_order_does_not_change_masks(data, m):
             {"": "0", "w1": "1", "w2": True, "w1,w2": "10"},
             "firm 'f1' utility['w2']: expected a rational string, got True",
         ),
+        # stray commas are not another spelling of a subset
+        (
+            {"": "0", "w1": "0", "w2": "0", "w1,w2": "2", "w1,w2,": "7"},
+            "firm 'f1' utility: table key 'w1,w2,' has an empty part",
+        ),
+        (
+            {",": "0", "w1": "0", "w2": "0", "w1,w2": "2"},
+            "firm 'f1' utility: table key ',' has an empty part",
+        ),
+        (
+            {"": "0", "w1": "0", "w2": "0", "w1,,w2": "2"},
+            "firm 'f1' utility: table key 'w1,,w2' has an empty part",
+        ),
     ],
 )
 def test_table_key_and_value_errors(values, message):

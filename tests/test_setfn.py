@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jobmarket.fixtures import budget_vs_additive_market, plateau_table
 from jobmarket.model import SetFunction
@@ -21,6 +23,7 @@ from jobmarket.setfn import (
     is_submodular,
     is_weak_substitutes,
 )
+from market_strategies import FOREIGN_DENOMINATORS, markets
 
 
 def _random_monotone(rng: random.Random, n: int) -> SetFunction:
@@ -157,6 +160,29 @@ def test_demand_set_validates_prices():
         demand_set(fn, {"a": 0, "zz": 1})
     with pytest.raises(ValueError):
         demand_set(fn, {"a": "-1"})
+
+
+def _reference_demand_set(h: SetFunction, prices: dict) -> set:
+    """Demand in Fraction arithmetic: each subset's price summed on its own."""
+    best, arg = Fraction(0), [0]
+    for mask in range(1, 1 << h.n):
+        net = h.values[mask] - sum((prices[w] for w in h.members(mask)), Fraction(0))
+        if net > best:
+            best, arg = net, [mask]
+        elif net == best:
+            arg.append(mask)
+    return {frozenset(h.members(mask)) for mask in arg}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), markets())
+def test_demand_set_matches_reference(data, m):
+    price = st.builds(
+        Fraction, st.integers(0, 12), st.sampled_from((1,) + FOREIGN_DENOMINATORS)
+    )
+    for _, fn in m.firms:
+        prices = {w: data.draw(price) for w in m.workers}
+        assert demand_set(fn, prices) == _reference_demand_set(fn, prices)
 
 
 def test_gross_substitutes_worked_example():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jobmarket.fixtures import all_or_nothing_market, budget_vs_additive_market
-from jobmarket.model import Market, Matching, Outcome
+from jobmarket.model import ConditionReport, Market, Matching, Outcome, Profile, SetFunction
 from jobmarket.necessity import generate
 from jobmarket.pivot import check_ir, check_outcome_ir, check_outcome_sir, check_sir, vcg
 from jobmarket.setfn import is_gross_substitutes
@@ -24,7 +24,7 @@ from jobmarket.stability import (
     is_stable,
     outcome_payoffs,
 )
-from market_strategies import markets
+from market_strategies import arbitrary_outcomes, markets, rational_outcomes
 
 ALL_KINDS = ("additive", "budget_additive", "unit_demand", "random_submodular", "random_monotone")
 
@@ -188,17 +188,16 @@ def test_outcome_must_fit_its_market(check, assignment, salaries, message):
         check(m, o)
 
 
-# ---- the integer scan against a Fraction reference ----------------------------
+# ---- the integer scans against Fraction references ---------------------------
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
-#: salary denominators no generated market uses
-FOREIGN_DENOMINATORS = (5, 7, 11, 13)
 
-
-def _reference_scan(m: Market, o: Outcome, allowed_mask_of: dict) -> Optional[Block]:
+def _reference_scan(
+    m: Market, o: Outcome, allowed_mask_of: dict, u: Optional[Profile] = None
+) -> Optional[Block]:
     """The block scan in Fraction arithmetic, one subset at a time."""
-    profile = m.disutilities
+    profile = m.require_profile(u)
     firm_payoffs, worker_payoffs = outcome_payoffs(m, o, profile)
     for name, fn in m.firms:
         allowed = allowed_mask_of[name]
@@ -223,9 +222,39 @@ def _reference_scan(m: Market, o: Outcome, allowed_mask_of: dict) -> Optional[Bl
     return None
 
 
-def _assert_scans_match_reference(m: Market, o: Outcome) -> None:
-    assert find_block(m, o) == _reference_scan(
-        m, o, {name: m.full_mask for name in m.firm_names}
+def _reference_sir(m: Market, o: Outcome, u: Optional[Profile] = None) -> ConditionReport:
+    """The firing check in Fraction arithmetic: kept sets of each firm's
+    hires in descending bit pattern, wages summed per kept set."""
+    ir = check_outcome_ir(m, o, u)
+    if not ir.verdict:
+        return ConditionReport(
+            verdict=False,
+            witness={"individual_rationality": ir.witness},
+            details="fails individual rationality outright: " + ir.details,
+        )
+    firm_payoffs, _ = outcome_payoffs(m, o, u)
+    for name, fn in m.firms:
+        amask = fn.mask_of(o.matching.workers_of(name))
+        keep = amask
+        while True:
+            kept = fn.members(keep)
+            alt = fn.value(keep) - sum((o.salary[w] for w in kept), Fraction(0))
+            gain = alt - firm_payoffs[name]
+            if gain > 0:
+                return ConditionReport(
+                    verdict=False,
+                    witness={"firm": name, "keep": list(kept), "improvement": str(gain)},
+                    details=f"firm {name} gains {gain} by keeping only {list(kept)}",
+                )
+            if keep == 0:
+                break
+            keep = (keep - 1) & amask
+    return ConditionReport(verdict=True)
+
+
+def _assert_scans_match_reference(m: Market, o: Outcome, u: Optional[Profile] = None) -> None:
+    assert find_block(m, o, u) == _reference_scan(
+        m, o, {name: m.full_mask for name in m.firm_names}, u
     )
     unmatched = m.full_mask
     own = {}
@@ -233,19 +262,8 @@ def _assert_scans_match_reference(m: Market, o: Outcome) -> None:
         own[name] = sum(1 << m.worker_index[w] for w in o.matching.workers_of(name))
         unmatched &= ~own[name]
     allowed = {name: own[name] | unmatched for name in m.firm_names}
-    assert find_weak_block(m, o) == _reference_scan(m, o, allowed)
-
-
-@st.composite
-def arbitrary_outcomes(draw, m: Market) -> Outcome:
-    """Any matching, with salaries over denominators the market never uses."""
-    firm = st.sampled_from((None,) + m.firm_names)
-    salary = st.builds(
-        Fraction, st.integers(0, 40), st.sampled_from((1,) + FOREIGN_DENOMINATORS)
-    )
-    assignment = {w: draw(firm) for w in m.workers}
-    salaries = {w: draw(salary) for w, f in assignment.items() if f is not None}
-    return Outcome.build(Matching.from_dict(m.workers, assignment), salaries)
+    assert find_weak_block(m, o, u) == _reference_scan(m, o, allowed, u)
+    assert check_outcome_sir(m, o, u) == _reference_sir(m, o, u)
 
 
 @PROPERTY_SETTINGS
@@ -258,3 +276,25 @@ def test_block_scans_match_reference_on_pivot_outcomes(m):
 @given(st.data(), markets())
 def test_block_scans_match_reference_on_arbitrary_outcomes(data, m):
     _assert_scans_match_reference(m, data.draw(arbitrary_outcomes(m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), markets())
+def test_scans_match_reference_on_rational_outcomes(data, m):
+    # IR holds, so the firing check runs; the largest kept set is the witness
+    _assert_scans_match_reference(m, *data.draw(rational_outcomes(m)))
+
+
+def test_firing_witness_is_the_largest_kept_set():
+    # keeping either worker alone gains 1; the witness keeps the larger mask
+    workers = ("w1", "w2")
+    values = tuple(Fraction(v) for v in (0, 3, 3, 4))
+    m = Market(
+        workers,
+        (("f", SetFunction(workers, values)),),
+        Profile.from_dict(workers, ("f",), {w: {"f": "0"} for w in workers}),
+    )
+    o = Outcome.build(Matching.from_dict(workers, {"w1": "f", "w2": "f"}), {"w1": 2, "w2": 2})
+    report = check_outcome_sir(m, o)
+    assert report.witness == {"firm": "f", "keep": ["w2"], "improvement": "1"}
+    assert report == _reference_sir(m, o)
