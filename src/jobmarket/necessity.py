@@ -43,7 +43,7 @@ from .setfn import (
     _submodularity_violations,
     is_weak_substitutes,
 )
-from .stability import outcome_payoffs
+from .stability import hire_masks, outcome_payoffs
 from .subsets import bit_indices
 from .surplus import MarketSolver
 from .pivot import VcgResult, check_ir, check_outcome_sir, pivot_outcome, vcg
@@ -139,11 +139,11 @@ def adversarial_profile(m: Market, firm: str, inside: Iterable[str]) -> Profile:
 
 def _verified_result(m: Market, profile: Profile, firm: str, want_mask: int) -> VcgResult:
     r = vcg(m, profile)
-    hired = r.outcome.matching.workers_of(firm)
-    fn = m.utility(firm)
-    if fn.mask_of(hired) != want_mask:
+    hired = hire_masks(m, r.outcome.matching)[firm]
+    if hired != want_mask:
+        fn = m.utility(firm)
         raise ConstructionError(
-            f"firm {firm} was assigned {list(hired)}, "
+            f"firm {firm} was assigned {list(fn.members(hired))}, "
             f"construction needs {list(fn.members(want_mask))}"
         )
     return r
@@ -261,7 +261,7 @@ def construct_sir_violation(
     profile = adversarial_profile(m, firm, inside)
     solver = MarketSolver(m, profile)
     sol = solver.solution()
-    canonical = fn.mask_of(sol.matching.workers_of(firm)) == tmask
+    canonical = hire_masks(m, sol.matching)[firm] == tmask
     matching = sol.matching if canonical else _exhibited_matching(m, profile, firm, inside)
     outcome = pivot_outcome(solver, matching)
     firm_payoffs, worker_payoffs = outcome_payoffs(m, outcome, profile)

@@ -159,7 +159,7 @@ def check_outcome_sir(
             witness={"individual_rationality": ir.witness},
             details="fails individual rationality outright: " + ir.details,
         )
-    hires = hire_masks(m, o)
+    hires = hire_masks(m, o.matching)
     for name, fn in m.firms:
         hit = max(deviations(m, profile, payoffs, name, hires[name]), default=None)
         if hit is not None:

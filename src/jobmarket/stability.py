@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .model import ConditionReport, Market, Outcome, Profile, clear_denominators
+from .model import ConditionReport, Market, Matching, Outcome, Profile, clear_denominators
 from .subsets import bit_indices, subset_sums
 
 
@@ -74,11 +74,11 @@ def outcome_payoffs(
     if len(o.matching.assignment) != m.n:
         raise ValueError("outcome lists a worker more than once")
     salary = o.salary
+    hires = hire_masks(m, o.matching)
     firm_payoffs: dict[str, Fraction] = {}
     for name, fn in m.firms:
-        hired = o.matching.workers_of(name)
-        bill = sum((salary[w] for w in hired), Fraction(0))
-        firm_payoffs[name] = fn.value(fn.mask_of(hired)) - bill
+        bill = sum((salary[w] for w in fn.members(hires[name])), Fraction(0))
+        firm_payoffs[name] = fn.value(hires[name]) - bill
     worker_payoffs: dict[str, Fraction] = {}
     for w, firm in o.matching.assignment:
         if firm is None:
@@ -88,14 +88,14 @@ def outcome_payoffs(
     return firm_payoffs, worker_payoffs
 
 
-def hire_masks(m: Market, o: Outcome) -> dict[Optional[str], int]:
+def hire_masks(m: Market, matching: Matching) -> dict[Optional[str], int]:
     """Each firm's hires as a mask, and the unmatched workers' under None.
 
-    The outcome must already fit the market (see outcome_payoffs).
+    The matching must already fit the market (see outcome_payoffs).
     """
     masks = dict.fromkeys((None, *m.firm_names), 0)
     index = m.worker_index
-    for w, firm in o.matching.assignment:
+    for w, firm in matching.assignment:
         masks[firm] |= 1 << index[w]
     return masks
 
@@ -167,7 +167,7 @@ def find_weak_block(
     profile = m.require_profile(u)
     # checks that the outcome fits the market before its workers are indexed
     payoffs = outcome_payoffs(m, o, profile)
-    hires = hire_masks(m, o)
+    hires = hire_masks(m, o.matching)
     allowed = {name: hires[name] | hires[None] for name in m.firm_names}
     return _scan_for_block(m, profile, payoffs, allowed)
 

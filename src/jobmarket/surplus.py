@@ -12,14 +12,21 @@ sum of firm surpluses over disjoint pools via a dynamic program on
 ... on a pool. Assigned sets are always tight, with ties broken toward
 minimum cardinality and then lexicographic worker order.
 
-Only the layers that are read get built:
+Every split of a pool between firm k and the firms after it runs over
+firm k's tight sets only. A set t that is not tight is dominated by the
+tight set t* inside it that achieves V_f(t), because layer k+1 is monotone
+in the pool; so every optimum, and every tie, lies on tight sets. Only the
+layers that are read get built:
 
 * the last firm's layer is its own surplus table, since V_f is monotone
   in the pool and V_f(empty) = 0;
-* the middle layers are full tables, O(3^n) each, because the
-  reconstruction reads layer k+1 at every submask of the pool left;
-* layer 0 is computed per requested pool, one submask walk each, and
-  memoized. Pivot payments ask for n+1 pools: W and each W minus w.
+* a middle layer is pushed from a copy of layer k+1 (the empty hire):
+  each nonempty tight t lifts every pool r outside t to r | t, which is
+  the sum over tight t of 2^(n-|t|) steps, at most 3^n;
+* layer 0 is computed per requested pool, one pass over firm 0's tight
+  list each, and memoized. Pivot payments ask for n+1 pools: W and each
+  W minus w;
+* the canonical matching takes one pass over each firm's tight list.
 
 All arithmetic runs on integers after clearing denominators once per solve
 (`model.clear_denominators`); exactness is preserved and results are converted
@@ -32,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -48,6 +56,7 @@ from .model import (
     validate_profile,
 )
 from .setfn import is_submodular
+from .stability import hire_masks
 from .subsets import bit_indices, canonical_key, mask_of, subset_sums
 
 #: brute_force_matching enumerates (m+1)^n assignments; keep it honest but finite.
@@ -108,18 +117,6 @@ def _int_surplus_table(values: Sequence[int], costs: Sequence[int]) -> tuple[lis
     return vf, tight
 
 
-def _best_split(vfk: Sequence[int], nxt: Sequence[int], pool: int) -> int:
-    """max over t inside pool of vfk[t] + nxt[pool minus t]."""
-    best = nxt[pool]
-    t = pool
-    while t:
-        cand = vfk[t] + nxt[pool ^ t]
-        if cand > best:
-            best = cand
-        t = (t - 1) & pool
-    return best
-
-
 class MarketSolver:
     """One denominator-cleared solve of a (market, profile) pair.
 
@@ -138,20 +135,33 @@ class MarketSolver:
         fns = [fn for _, fn in market.firms]
         self.den, costs = clear_denominators(fns, columns)
         self.vf: list[list[int]] = []
-        self.tight: list[list[bool]] = []
+        # each firm's tight masks, ascending; their values are in self.vf
+        self.tight: list[list[int]] = []
         for fn, column in zip(fns, costs):
             vf, tight = _int_surplus_table(fn.scaled_to(self.den), column)
             self.vf.append(vf)
-            self.tight.append(tight)
+            self.tight.append(list(compress(range(len(vf)), tight)))
         # layers[k][s]: best total of firms k, k+1, ... on pool s. Layer 0
         # stays None when it is filled on demand (two or more firms).
-        size = 1 << market.n
-        layers: list[Optional[Sequence[int]]] = [None] * nfirms + [[0] * size]
+        full = market.full_mask
+        layers: list[Optional[Sequence[int]]] = [None] * nfirms + [[0] * (full + 1)]
         if nfirms:
             layers[nfirms - 1] = self.vf[-1]
         for k in range(nfirms - 2, 0, -1):
             vfk, nxt = self.vf[k], layers[k + 1]
-            layers[k] = [_best_split(vfk, nxt, s) for s in range(size)]
+            layer = list(nxt)  # the empty hire, first in the tight list
+            for t in self.tight[k][1:]:
+                v = vfk[t]
+                rest = full ^ t
+                r = rest
+                while True:
+                    cand = v + nxt[r]
+                    if cand > layer[r | t]:
+                        layer[r | t] = cand
+                    if r == 0:
+                        break
+                    r = (r - 1) & rest
+            layers[k] = layer
         self._layers = layers
         self._top: dict[int, int] = {}
         self._solution: Optional[EfficientSolution] = None
@@ -163,7 +173,9 @@ class MarketSolver:
             return top[available_mask]
         best = self._top.get(available_mask)
         if best is None:
-            best = _best_split(self.vf[0], self._layers[1], available_mask)
+            vf0, nxt, pool = self.vf[0], self._layers[1], available_mask
+            # firm 0's tight sets inside the pool; the empty set is always one
+            best = max([vf0[t] + nxt[pool ^ t] for t in self.tight[0] if t & pool == t])
             self._top[available_mask] = best
         return best
 
@@ -186,30 +198,15 @@ class MarketSolver:
         assignment: dict[str, Optional[str]] = {}
         ties = False
         for k, (name, _) in enumerate(market.firms):
-            vfk = self.vf[k]
-            tightk = self.tight[k]
-            nxt = self._layers[k + 1]
-            best_key = None
-            best_t = 0
-            count = 0
-            t = s
-            while True:
-                if tightk[t] and vfk[t] + nxt[s ^ t] == target:
-                    count += 1
-                    key = canonical_key(t)
-                    if best_key is None or key < best_key:
-                        best_key, best_t = key, t
-                if t == 0:
-                    break
-                t = (t - 1) & s
-            if count > 1:
-                ties = True
+            vfk, nxt = self.vf[k], self._layers[k + 1]
+            optima = [t for t in self.tight[k] if t & s == t and vfk[t] + nxt[s ^ t] == target]
+            ties = ties or len(optima) > 1
+            best_t = min(optima, key=canonical_key)
             for i in bit_indices(best_t):
                 assignment[market.workers[i]] = name
             s ^= best_t
             target = nxt[s]
-        for i in bit_indices(s):
-            assignment[market.workers[i]] = None
+        # workers left in s stay unmatched
         matching = Matching.from_dict(market.workers, assignment)
         self._solution = EfficientSolution(matching, self.total(), ties)
         return self._solution
@@ -338,12 +335,9 @@ def check_marginal_product_order(
     solver = MarketSolver(m, u)
     sol = solver.solution()
     full = solver.scaled_value_on(m.full_mask)
-    index = m.worker_index
+    hires = hire_masks(m, sol.matching)
     for k, (name, _) in enumerate(m.firms):
-        assigned = sol.matching.workers_of(name)
-        amask = 0
-        for w in assigned:
-            amask |= 1 << index[w]
+        amask = hires[name]
         vfk = solver.vf[k]
         sub = amask
         while True:

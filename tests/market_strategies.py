@@ -1,8 +1,10 @@
 """Hypothesis strategies for whole markets, shared by the property tests.
 
-Markets come from two sources: independent monotone tables with
+Markets come from three sources: independent monotone tables with
 disutilities over mixed denominators (value and cost grids often line up,
-so ties between pools are common), and the seeded generator families.
+so ties between pools are common), strictly increasing tables under a zero
+profile (every set is tight, the surplus program's worst case), and the
+seeded generator families.
 Disutilities may exceed ubar; the engine solves any nonnegative profile
 that fits the market, so callers solve them as they are.
 
@@ -24,13 +26,23 @@ DENOMINATORS = ((1,), (1, 2), (1, 2, 3, 4, 6))
 FOREIGN_DENOMINATORS = (5, 7, 11, 13)
 
 
+def sizes(top: int, floor: int):
+    """Any size in [0, top] half the time, else one in [floor, top], so the
+    sizes where the program branches (n >= 4 workers, m >= 3 firms) come up
+    in most examples while 0 and 1 stay reachable."""
+    return st.integers(0, top) | st.integers(min(floor, top), top)
+
+
 @st.composite
-def random_markets(draw, max_n: int = 6, max_m: int = 4) -> Market:
-    n = draw(st.integers(0, max_n))
-    nfirms = draw(st.integers(0, max_m))
+def random_markets(draw, max_n: int = 6, max_m: int = 4, all_tight: bool = False) -> Market:
+    """Monotone tables; with all_tight, strictly increasing tables and a
+    zero profile, so that every set is tight for every firm."""
+    n = draw(sizes(max_n, 4))
+    nfirms = draw(sizes(max_m, 3))
     dens = st.sampled_from(draw(st.sampled_from(DENOMINATORS)))
-    bump = st.builds(Fraction, st.sampled_from((0, 0, 1, 1, 2, 3)), dens)
-    cost = st.builds(Fraction, st.integers(0, 4), dens)
+    steps = (1, 1, 2, 3) if all_tight else (0, 0, 1, 1, 2, 3)
+    bump = st.builds(Fraction, st.sampled_from(steps), dens)
+    cost = st.just(Fraction(0)) if all_tight else st.builds(Fraction, st.integers(0, 4), dens)
     workers = tuple(f"w{i}" for i in range(1, n + 1))
     names = tuple(f"f{j}" for j in range(1, nfirms + 1))
     firms = []
@@ -48,14 +60,18 @@ def generated_markets(max_n: int = 6, max_m: int = 4):
     return st.builds(
         generate,
         st.sampled_from(GENERATOR_KINDS),
-        st.integers(0, max_n),
-        st.integers(0, max_m),
+        sizes(max_n, 4),
+        sizes(max_m, 3),
         st.integers(0, 10**6),
     )
 
 
 def markets(max_n: int = 6, max_m: int = 4):
-    return st.one_of(random_markets(max_n, max_m), generated_markets(max_n, max_m))
+    return st.one_of(
+        random_markets(max_n, max_m),
+        random_markets(max_n, max_m, all_tight=True),
+        generated_markets(max_n, max_m),
+    )
 
 
 @st.composite

@@ -17,9 +17,10 @@ from jobmarket.fixtures import (
     budget_vs_additive_market,
     plateau_market,
 )
+from jobmarket.marketio import dumps_market
 from jobmarket.model import Market, Matching, Profile, SetFunction, SizeLimitError
 from jobmarket.necessity import generate
-from jobmarket.subsets import bit_indices, canonical_key
+from jobmarket.subsets import bit_indices, canonical_key, mask_of
 from jobmarket.surplus import (
     MarketSolver,
     brute_force_matching,
@@ -180,6 +181,39 @@ def test_solution_is_deterministic_and_canonical_on_ties():
     assert sol.matching.to_dict() == {"w1": "f", "w2": None}
     again = efficient_matching(m)
     assert again.matching.to_dict() == sol.matching.to_dict()
+
+
+def _zero_cost_market(n: int, minimal_sets: tuple[tuple[str, ...], ...]) -> Market:
+    """One firm, no costs, u = 1 on every superset of a listed set, else 0."""
+    workers = tuple(f"w{i}" for i in range(1, n + 1))
+    index = {w: i for i, w in enumerate(workers)}
+    wanted = [mask_of(index, s) for s in minimal_sets]
+    values = tuple(
+        Fraction(int(any(mask & want == want for want in wanted))) for mask in range(1 << n)
+    )
+    profile = Profile.from_dict(workers, ("f",), {w: {"f": 0} for w in workers})
+    return Market(workers, (("f", SetFunction(workers, values)),), profile)
+
+
+# (market, canonical hire); the first optimum in mask order is another set
+CANONICAL_TIES = (
+    (_zero_cost_market(3, (("w3",), ("w1", "w2"))), ("w3",)),
+    (_zero_cost_market(4, (("w1", "w4"), ("w2", "w3"))), ("w1", "w4")),
+)
+
+
+@pytest.mark.parametrize("m, hired", CANONICAL_TIES)
+def test_canonical_tie_break_is_not_mask_order(m, hired, tmp_path, capsys):
+    expected = {w: ("f" if w in hired else None) for w in m.workers}
+    sol = efficient_matching(m)
+    assert sol.matching.to_dict() == expected
+    assert sol.ties_broken
+    path = tmp_path / "m.json"
+    path.write_text(dumps_market(m))
+    assert cli.main(["solve", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["matching"] == expected
+    assert payload["ties_broken"] is True
 
 
 def test_zero_marginal_worker_is_never_hired():
