@@ -35,12 +35,7 @@ from .necessity import (
     find_ws_violation,
     generate,
 )
-from .setfn import (
-    is_gross_substitutes,
-    is_strong_substitutes,
-    is_submodular,
-    is_weak_substitutes,
-)
+from .setfn import classify
 from .stability import find_block, find_weak_block
 from .surplus import efficient_matching
 from .pivot import check_ir, check_sir, vcg
@@ -103,15 +98,9 @@ def cmd_classify(args) -> int:
     lines = [f"market {digest}"]
     firms_out = []
     for name, fn in m.firms:
-        monotone = fn.is_monotone()
-        entry: dict = {"firm": name, "monotone": monotone}
-        if monotone:
-            checks = {
-                "weak_substitutes": is_weak_substitutes(fn),
-                "submodular": is_submodular(fn),
-                "strong_substitutes": is_strong_substitutes(fn),
-                "gross_substitutes": is_gross_substitutes(fn),
-            }
+        checks = classify(fn)
+        entry: dict = {"firm": name, "monotone": checks is not None}
+        if checks is not None:
             flags = " ".join(
                 f"{k}={_fmt_value(r.verdict)}" for k, r in checks.items()
             )

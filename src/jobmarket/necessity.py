@@ -111,14 +111,6 @@ def find_submodularity_violation(
     return (h.members(base), h.universe[i], h.universe[j])
 
 
-def iter_submodularity_violations(
-    h: SetFunction,
-) -> Iterator[tuple[tuple[str, ...], str, str]]:
-    """All violating triples, base mask ascending, then worker pairs."""
-    for base, i, j in _submodularity_violations(h):
-        yield (h.members(base), h.universe[i], h.universe[j])
-
-
 def adversarial_profile(m: Market, firm: str, inside: Iterable[str]) -> Profile:
     """0/ubar profile steering `inside` to `firm` and everyone else away."""
     if firm not in m.firm_names:

@@ -180,25 +180,40 @@ def _sir_iff_submodular(corpus: Corpus, rng: random.Random) -> SuiteResult:
 def _valuation_chain(corpus: Corpus) -> SuiteResult:
     """Gross substitutes <= submodular <= weak substitutes, firm by firm.
 
-    Also replays each gross-substitutes report against the exhaustive
-    exchange scan, which must give the same verdict and witness.
+    Also replays the chain that `classify` runs against the independent
+    checks: each of its four reports must equal, verdict and witness, the
+    standalone weak-substitutes and submodularity scans and the exhaustive
+    strong- and gross-substitutes scans. The chain takes weak substitutes
+    from submodularity; the standalone scan does not.
     """
     failures = []
     checked = 0
     for label, m in corpus:
         for name, fn in m.firms:
             checked += 1
-            gross = setfn.is_gross_substitutes(fn)
-            if gross != setfn._gross_substitutes_scan(fn):
-                failures.append(
-                    f"{label}/{name}: local gross-substitutes test disagrees with the scan"
-                )
-            subm = setfn.is_submodular(fn).verdict
-            if subm:
-                if not setfn.is_weak_substitutes(fn).verdict:
-                    failures.append(f"{label}/{name}: submodular but not weak-substitutes")
-            elif gross.verdict:
-                failures.append(f"{label}/{name}: gross-substitutes but not submodular")
+            where = f"{label}/{name}"
+            try:
+                chain = setfn.classify(fn)
+            except RuntimeError as err:
+                failures.append(f"{where}: {err}")
+                continue
+            if chain is None:
+                failures.append(f"{where}: classify finds the table not monotone")
+                continue
+            oracles = {
+                "weak_substitutes": setfn.is_weak_substitutes(fn),
+                "submodular": setfn.is_submodular(fn),
+                "strong_substitutes": setfn._strong_substitutes_scan(fn),
+                "gross_substitutes": setfn._gross_substitutes_scan(fn),
+            }
+            for cls, report in oracles.items():
+                if chain[cls] != report:
+                    failures.append(f"{where}: the chain's {cls} disagrees with the scan")
+            if oracles["submodular"].verdict:
+                if not oracles["weak_substitutes"].verdict:
+                    failures.append(f"{where}: submodular but not weak-substitutes")
+            elif oracles["gross_substitutes"].verdict:
+                failures.append(f"{where}: gross-substitutes but not submodular")
     return SuiteResult("valuation_chain", checked, tuple(failures))
 
 

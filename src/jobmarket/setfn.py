@@ -13,6 +13,16 @@ cheaper equivalent condition than the one they are defined by: strong
 substitutes by submodularity, gross substitutes by the local exchange
 test. Their exhaustive scans run only after a false verdict, to locate the
 canonical witness, and as independent oracles for the cross-checks.
+
+`classify` decides all four classes of a monotone table as one chain
+(gross substitutes => submodular = strong substitutes => weak
+substitutes), which is what the `classify` command runs. Per table: one
+monotonicity scan and one O(n^2 2^n) submodularity scan; on a submodular
+table, C(n,3) 2^(n-3) three-element exchange checks; on any other, the
+O(n 2^n) weak-substitutes scan. The strong and gross witness scans run
+only after a false verdict. Deriving weak substitutes from submodularity
+(telescope the marginals down to the empty set) rests on h(empty) = 0,
+which SetFunction enforces.
 """
 
 from __future__ import annotations
@@ -93,7 +103,13 @@ def is_submodular(h: SetFunction) -> ConditionReport:
     w's marginal on the smaller set S+w is strictly below its marginal on
     the larger set S+w+w'.
     """
-    hit = _first_submodularity_violation(h)
+    return _submodularity_report(h, _first_submodularity_violation(h))
+
+
+def _submodularity_report(
+    h: SetFunction, hit: Optional[tuple[int, int, int]]
+) -> ConditionReport:
+    """is_submodular's report on the first violation `hit` (None: none)."""
     if hit is None:
         return ConditionReport(verdict=True)
     base, i, j = hit
@@ -224,9 +240,11 @@ def is_gross_substitutes(h: SetFunction) -> ConditionReport:
         h(X+i+j) + h(X) <= h(X+i) + h(X+j)
         h(X+i+j) + h(X+k) <= max(h(X+i+k) + h(X+j), h(X+j+k) + h(X+i)).
 
-    The verdict comes from that O(n^3 2^n) local test; only a false one
-    runs the O(n^2 4^n) pairwise scan, which reports the first violating
-    (S, T, w) in scan order.
+    The verdict comes from that local test. The first inequality is the
+    adjacent-pair submodularity scan; the second, symmetric in i and j,
+    is checked once per unordered triple, C(n,3) 2^(n-3) checks. Only a
+    false verdict runs the O(n^2 4^n) pairwise scan, which reports the
+    first violating (S, T, w) in scan order.
 
     Non-monotone tables are rejected.
     """
@@ -237,26 +255,79 @@ def is_gross_substitutes(h: SetFunction) -> ConditionReport:
     return _witnessed(_gross_substitutes_scan(h), "gross substitutes")
 
 
+def classify(h: SetFunction) -> Optional[dict[str, ConditionReport]]:
+    """The four substitute-class reports of a weakly increasing table, by name.
+
+    Decided as one chain, gross substitutes => submodular = strong
+    substitutes => weak substitutes, with the monotonicity scan and the
+    submodularity scan run once. Without a submodularity violation the
+    middle classes hold, weak substitutes follows by telescoping (this
+    rests on h(empty) = 0), and gross substitutes needs only the
+    three-element local inequality. With one, strong and gross substitutes
+    fail, and every false verdict gets the witness its standalone check
+    would report. The standalone checks stay the independent oracles.
+
+    None for a table that is not weakly increasing.
+    """
+    if not h.is_monotone():
+        return None
+    hit = _first_submodularity_violation(h)
+    if hit is None:
+        holds = ConditionReport(verdict=True)
+        gross = holds
+        if not _exchange_triples_hold(h):
+            gross = _witnessed(_gross_substitutes_scan(h), "gross substitutes")
+        return {
+            "weak_substitutes": holds,
+            "submodular": holds,
+            "strong_substitutes": holds,
+            "gross_substitutes": gross,
+        }
+    return {
+        "weak_substitutes": is_weak_substitutes(h),
+        "submodular": _submodularity_report(h, hit),
+        "strong_substitutes": _witnessed(_strong_substitutes_scan(h), "strong substitutes"),
+        "gross_substitutes": _witnessed(_gross_substitutes_scan(h), "gross substitutes"),
+    }
+
+
 def _local_exchange_holds(h: SetFunction) -> bool:
     """The two local inequalities of is_gross_substitutes, at every X."""
+    return _first_submodularity_violation(h) is None and _exchange_triples_hold(h)
+
+
+def _exchange_triples_hold(h: SetFunction) -> bool:
+    """The three-element local inequality, once per X and triple i < j < k.
+
+    Of the three sums h(X+i+j) + h(X+k), h(X+i+k) + h(X+j) and
+    h(X+j+k) + h(X+i), each must be at most the larger of the other two,
+    that is, their maximum must be reached at least twice. C(n,3) 2^(n-3)
+    triples in all.
+    """
     vals = h.scaled
     n = h.n
     for x in range(1 << n):
-        hx = vals[x]
         free = [1 << i for i in range(n) if not x >> i & 1]
-        for a, bi in enumerate(free):
-            hi = vals[x | bi]
-            for bj in free[a + 1:]:
-                hj = vals[x | bj]
-                hij = vals[x | bi | bj]
-                if hij + hx > hi + hj:
-                    return False
-                # symmetric in i and j, so each unordered pair once
-                for bk in free:
-                    if bk == bi or bk == bj:
-                        continue
-                    lhs = hij + vals[x | bk]
-                    if lhs > vals[x | bi | bk] + hj and lhs > vals[x | bj | bk] + hi:
+        single = [vals[x | b] for b in free]
+        f = len(free)
+        for a in range(f - 2):
+            xi, hi = x | free[a], single[a]
+            for b in range(a + 1, f - 1):
+                xj, hj = x | free[b], single[b]
+                hij = vals[xi | free[b]]
+                for c in range(b + 1, f):
+                    bk = free[c]
+                    s1 = hij + single[c]
+                    s2 = vals[xi | bk] + hj
+                    s3 = vals[xj | bk] + hi
+                    # the larger of s1, s2 must be matched by s3, or s1 = s2 >= s3
+                    if s1 < s2:
+                        if s3 != s2:
+                            return False
+                    elif s1 > s2:
+                        if s3 != s1:
+                            return False
+                    elif s3 > s1:
                         return False
     return True
 

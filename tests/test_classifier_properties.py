@@ -227,6 +227,26 @@ def _ref_gross_substitutes_scan(h: SetFunction) -> ConditionReport:
     return ConditionReport(verdict=True)
 
 
+def _ref_exchange_triples(h: SetFunction) -> bool:
+    """The three-element local inequality, once per unordered pair {i, j}
+    and every k outside X + i + j: each ordering of a triple on its own."""
+    vals = h.scaled
+    for x in range(1 << h.n):
+        free = [1 << i for i in range(h.n) if not x >> i & 1]
+        for a, bi in enumerate(free):
+            for bj in free[a + 1:]:
+                for bk in free:
+                    if bk in (bi, bj):
+                        continue
+                    lhs = vals[x | bi | bj] + vals[x | bk]
+                    if (
+                        lhs > vals[x | bi | bk] + vals[x | bj]
+                        and lhs > vals[x | bj | bk] + vals[x | bi]
+                    ):
+                        return False
+    return True
+
+
 # ---- properties ----------------------------------------------------------------
 
 # two complements: only the pairwise local inequality fails
@@ -234,6 +254,11 @@ COMPLEMENTS = SetFunction(("w1", "w2"), (Fraction(0), Fraction(0), Fraction(0), 
 # submodular, yet the three-worker local inequality fails
 BUDGET_CAPPED = budget_vs_additive_market().utility("f1")
 MIXED = SetFunction(("w1", "w2"), (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)))
+# submodular and monotone, but of the three sums at X = {} the last is the
+# unique maximum: 6 + 4 < 7 + 4 < 8 + 4
+TRIPLE_UNIQUE_MAX = SetFunction(
+    ("w1", "w2", "w3"), tuple(Fraction(v) for v in (0, 4, 4, 6, 4, 7, 8, 9))
+)
 # the first drop is one scaled unit
 ONE_UNIT_DROP = SetFunction(("w1", "w2"), (Fraction(0), Fraction(2), Fraction(-1), Fraction(1)))
 
@@ -242,6 +267,7 @@ ONE_UNIT_DROP = SetFunction(("w1", "w2"), (Fraction(0), Fraction(2), Fraction(-1
 @given(monotone_table)
 @example(COMPLEMENTS)
 @example(BUDGET_CAPPED)
+@example(TRIPLE_UNIQUE_MAX)
 def test_gross_substitutes_matches_the_exchange_scan(fn):
     report = setfn.is_gross_substitutes(fn)
     assert report == setfn._gross_substitutes_scan(fn)
@@ -254,6 +280,39 @@ def test_gross_substitutes_matches_the_exchange_scan(fn):
 @example(BUDGET_CAPPED)
 def test_local_exchange_test_matches_the_scan_off_the_monotone_tables(fn):
     assert setfn._local_exchange_holds(fn) == setfn._gross_substitutes_scan(fn).verdict
+
+
+@PROPERTY_SETTINGS
+@given(arbitrary_tables())
+@example(TRIPLE_UNIQUE_MAX)
+@example(COMPLEMENTS)
+@example(BUDGET_CAPPED)
+def test_triple_test_matches_the_per_ordering_loop(fn):
+    triples = _ref_exchange_triples(fn)
+    assert setfn._exchange_triples_hold(fn) == triples
+    assert setfn._local_exchange_holds(fn) == (_ref_submodular(fn).verdict and triples)
+
+
+@PROPERTY_SETTINGS
+@given(monotone_table)
+@example(plateau_table())  # weak substitutes, not submodular
+@example(COMPLEMENTS)  # not even weak substitutes
+@example(BUDGET_CAPPED)  # submodular, not gross substitutes
+@example(TRIPLE_UNIQUE_MAX)
+def test_classify_matches_the_standalone_checks(fn):
+    chain = setfn.classify(fn)
+    assert list(chain) == [
+        "weak_substitutes", "submodular", "strong_substitutes", "gross_substitutes"
+    ]
+    assert chain["weak_substitutes"] == setfn.is_weak_substitutes(fn)
+    assert chain["submodular"] == setfn.is_submodular(fn)
+    assert chain["strong_substitutes"] == setfn.is_strong_substitutes(fn)
+    assert chain["gross_substitutes"] == setfn.is_gross_substitutes(fn)
+
+
+def test_classify_leaves_non_monotone_tables_unclassified():
+    assert not ONE_UNIT_DROP.is_monotone()
+    assert setfn.classify(ONE_UNIT_DROP) is None
 
 
 @PROPERTY_SETTINGS

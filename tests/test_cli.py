@@ -24,6 +24,10 @@ def run_cli(capsys, *argv):
 
 GOLDEN_CASES = [
     ("classify_budget_vs_additive.txt", 0, ["classify", DATA / "budget_vs_additive.json"]),
+    ("classify_plateau.txt", 0, ["classify", DATA / "plateau.json"]),
+    ("classify_all_or_nothing.txt", 0, ["classify", DATA / "all_or_nothing.json"]),
+    ("classify_tie_dodger.txt", 0, ["classify", DATA / "tie_dodger.json"]),
+    ("classify_non_monotone.txt", 0, ["classify", DATA / "non_monotone.json"]),
     ("solve_budget_low.txt", 0, ["solve", DATA / "budget_vs_additive.json"]),
     ("vcg_all_or_nothing.txt", 1, ["vcg", DATA / "all_or_nothing.json"]),
     (

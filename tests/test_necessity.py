@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import jobmarket.necessity as necessity
+import jobmarket.setfn as setfn
 from jobmarket.fixtures import all_or_nothing_market, plateau_market
 from jobmarket.model import Market, Profile, SetFunction, SizeLimitError
 from jobmarket.necessity import (
@@ -26,7 +27,6 @@ from jobmarket.necessity import (
     find_submodularity_violation,
     find_ws_violation,
     generate,
-    iter_submodularity_violations,
 )
 from jobmarket.pivot import check_ir, check_outcome_sir, check_sir, vcg
 from jobmarket.setfn import is_submodular, is_weak_substitutes
@@ -58,6 +58,14 @@ TIE_DODGER = SetFunction(
 )
 
 
+def _submodularity_violations(h: SetFunction) -> list[tuple[tuple[str, ...], str, str]]:
+    """Every violating (S, wl, wk), base mask ascending, then worker pairs."""
+    return [
+        (h.members(base), h.universe[i], h.universe[j])
+        for base, i, j in setfn._submodularity_violations(h)
+    ]
+
+
 def test_find_ws_violation_is_minimal():
     m = all_or_nothing_market()
     assert find_ws_violation(m.utility("f")) == ("w1", "w2")
@@ -72,9 +80,9 @@ def test_find_submodularity_violation_plateau():
 
 
 def test_iter_violations_orders_by_base_mask():
-    hits = list(iter_submodularity_violations(TIE_DODGER))
+    hits = _submodularity_violations(TIE_DODGER)
     assert hits == [(("w3",), "w1", "w2")]
-    plateau_hits = list(iter_submodularity_violations(plateau_market().utility("f")))
+    plateau_hits = _submodularity_violations(plateau_market().utility("f"))
     assert plateau_hits[0] == (("w1",), "w2", "w3")
     assert len(plateau_hits) == 3
 
@@ -213,7 +221,7 @@ def test_demonstrate_tries_positive_marginal_triples_first(monkeypatch):
     for seed in range(100):
         m = generate("random_monotone", 5, 1, seed)
         fn = m.utility("f1")
-        triples = list(iter_submodularity_violations(fn))
+        triples = _submodularity_violations(fn)
 
         def positive(triple):
             subset, wl, wk = triple
