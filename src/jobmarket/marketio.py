@@ -26,10 +26,14 @@ digits) before any arithmetic runs, and so is an exponent past 100.
 
 Cost: one load parses each distinct rational string once (a generated
 12-worker table holds a few dozen distinct strings among its 4,096
-values), and resolves each canonical table key (workers in universe order,
-as `serialize_market` writes them) with one dict lookup; only keys in
-another order are split and resolved worker by worker. The subset keys
-are built once per load or serialization by a recurrence over the workers.
+values) and scales each distinct value once, by the LCM of its table's
+denominators, so a loaded table arrives with `den` and `scaled` set.
+Table keys in universe order (as `serialize_market` writes them) resolve
+to masks by dict lookup; only keys in another order are split and resolved
+worker by worker, and only a table found at fault is walked entry by entry
+to name its first offender. `market_digest` builds the compact, sorted JSON
+straight from the integer tables: one sort of the subset keys per call and
+one text per distinct value of each table.
 """
 
 from __future__ import annotations
@@ -38,7 +42,10 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Iterator, Mapping, Optional
+from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
+from operator import add
+from typing import Any, Mapping, Optional
 
 from .model import (
     Market,
@@ -112,6 +119,14 @@ def subset_keys(workers: tuple[str, ...]) -> list[str]:
     return keys
 
 
+def _key_ids(key: str) -> tuple[str, ...]:
+    """A table key's worker ids as written; stray commas are refused."""
+    ids = tuple(key.split(",")) if key else ()
+    if "" in ids:
+        raise ValueError(f"table key {key!r} has an empty part")
+    return ids
+
+
 class _Load:
     """What one parse_market call shares across its firms and profile."""
 
@@ -128,19 +143,62 @@ class _Load:
     def index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.workers)}
 
-    def table_entries(self, table: dict[str, Fraction]) -> Iterator[tuple]:
-        """(mask, subset, value) per entry; keys not in canonical order are
-        split and resolved only here, when from_masks reaches them."""
-        key_masks = self.key_masks
-        for key, value in table.items():
-            mask = key_masks.get(key)
-            if mask is None:
-                ids = tuple(key.split(",")) if key else ()
-                if "" in ids:
-                    raise ValueError(f"table key {key!r} has an empty part")
-                yield mask_of(self.index, ids), ids, value
-            else:
-                yield mask, None, value
+    def table(self, values: Mapping, where: str) -> SetFunction:
+        """One firm's table from its {key: value} object, in bulk.
+
+        Each distinct value is parsed once and scaled once, by the LCM of
+        the table's distinct denominators; keys resolve to masks through
+        `key_masks`, and only a key in another order is split. When the
+        bulk result shows a refused value or a bad key set, a per-entry
+        pass names the first offender in entry order, with the errors of
+        `SetFunction.from_table`.
+        """
+        fracs = self._distinct_values(values, where)
+        size = 1 << len(self.workers)
+        masks = list(map(self.key_masks.get, values))
+        found = set(masks)
+        if None in found:
+            try:
+                masks = [
+                    mask_of(self.index, _key_ids(key)) if m is None else m
+                    for key, m in zip(values, masks)
+                ]
+                found = set(masks)
+            except ValueError:
+                masks = []  # a key that does not resolve: named below
+        if len(masks) != size or len(found) != size:
+            return SetFunction.from_table(
+                self.workers, ((_key_ids(key), fracs[raw]) for key, raw in values.items())
+            )
+        ordered: list = [None] * size
+        for m, raw in zip(masks, values.values()):
+            ordered[m] = raw
+        den = lcm(*{v.denominator for v in fracs.values()})
+        ints = {raw: v.numerator * (den // v.denominator) for raw, v in fracs.items()}
+        return SetFunction.from_scaled(
+            self.workers, tuple(map(fracs.__getitem__, ordered)), den, map(ints.__getitem__, ordered)
+        )
+
+    def _distinct_values(self, values: Mapping, where: str) -> dict[Any, Fraction]:
+        """{distinct value as written: Fraction}, strings from the load's memo.
+
+        A string equals only strings, so only a non-string can hide another
+        entry from the set (True == 1 == 1.0 hash alike); a table holding
+        one has every non-string entry checked. A refused or unhashable
+        value is named by a second, per-entry pass.
+        """
+        memo = self.rationals
+        try:
+            distinct = set(values.values())
+            if any(type(raw) is not str for raw in distinct):
+                for raw in values.values():
+                    if type(raw) is not str:
+                        parse_rational(raw, where)
+            return {raw: _parse_memo(memo, raw, where) for raw in distinct}
+        except (MarketFormatError, TypeError):  # TypeError: an unhashable value
+            for key, raw in values.items():
+                _parse_memo(memo, raw, f"{where}[{key!r}]")
+            raise
 
 
 def _parse_value_map(obj: Any, where: str, memo: dict[str, Fraction]) -> dict[str, Fraction]:
@@ -169,13 +227,7 @@ def _parse_utility(spec: Any, load: _Load, firm: str) -> SetFunction:
         if kind == "table":
             if not isinstance(values, Mapping):
                 raise MarketFormatError(f"{where}: table 'values' must be an object")
-            table: dict[str, Fraction] = {}
-            for key, raw in values.items():
-                value = memo.get(raw) if type(raw) is str else None
-                if value is None:
-                    value = _parse_memo(memo, raw, f"{where}[{key!r}]")
-                table[key] = value
-            return SetFunction.from_masks(workers, load.table_entries(table))
+            return load.table(values, where)
         per = _parse_value_map(values, where, memo)
         unknown = set(per) - set(workers)
         if unknown:
@@ -282,19 +334,19 @@ def load_profile(path: str, market: Market) -> Profile:
     return parse_profile(_read_json(path), market.workers, market.firm_names)
 
 
+def _value_texts(fn: SetFunction) -> list[str]:
+    """str of each value in mask order, built once per distinct scaled value."""
+    text = {v: str(Fraction(v, fn.den)) for v in set(fn.scaled)}
+    return list(map(text.__getitem__, fn.scaled))
+
+
 def serialize_market(m: Market) -> dict:
     """Canonical JSON form: explicit tables, rationals as strings."""
     keys = subset_keys(m.workers)
-    text: dict[int, str] = {}  # str of each distinct value object, by id
-    firms = []
-    for name, fn in m.firms:
-        strs = []
-        for v in fn.values:
-            s = text.get(id(v))
-            if s is None:
-                s = text[id(v)] = str(v)
-            strs.append(s)
-        firms.append({"name": name, "utility": {"type": "table", "values": dict(zip(keys, strs))}})
+    firms = [
+        {"name": name, "utility": {"type": "table", "values": dict(zip(keys, _value_texts(fn)))}}
+        for name, fn in m.firms
+    ]
     out: dict = {"workers": list(m.workers), "firms": firms}
     if m.disutilities is not None:
         out["disutilities"] = m.disutilities.to_dict()
@@ -305,7 +357,39 @@ def dumps_market(m: Market) -> str:
     return json.dumps(serialize_market(m), indent=2) + "\n"
 
 
+def _object(items: Mapping[str, str]) -> str:
+    """Compact JSON object of already-encoded values, keys sorted."""
+    return "{" + ",".join(f"{_quote(k)}:{v}" for k, v in sorted(items.items())) + "}"
+
+
 def market_digest(m: Market) -> str:
-    """Stable content hash of the canonical serialization."""
-    blob = json.dumps(serialize_market(m), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """Stable content hash of the canonical serialization.
+
+    The sha256 of json.dumps(serialize_market(m), sort_keys=True,
+    separators=(",", ":")), built from the integer tables: the subset keys
+    are sorted once, as json sorts them, before escaping; each escaped key
+    comes from the recurrence over the escaped worker ids, since escaping
+    works per character and leaves commas alone. The blob is hashed piece
+    by piece, one table at a time, so no copy of it is ever whole.
+    """
+    keys = subset_keys(m.workers)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ids = tuple(_quote(w)[1:-1] for w in m.workers)
+    escaped = keys if ids == m.workers else subset_keys(ids)
+    heads = ['"' + escaped[s] + '":"' for s in order]
+    # the top-level keys in sorted order: disutilities, firms, workers
+    blob = hashlib.sha256(b"{")
+    if m.disutilities is not None:
+        rows = m.disutilities.to_dict().items()
+        profile = _object({w: _object({f: _quote(d) for f, d in row.items()}) for w, row in rows})
+        blob.update(f'"disutilities":{profile},'.encode())
+    blob.update(b'"firms":[')
+    for k, (name, fn) in enumerate(m.firms):
+        texts = _value_texts(fn)
+        values = '",'.join(map(add, heads, map(texts.__getitem__, order)))
+        sep = "," if k else ""
+        blob.update(f'{sep}{{"name":{_quote(name)},"utility":{{"type":"table","values":{{'.encode())
+        blob.update(values.encode())
+        blob.update(b'"}}}')
+    blob.update(f'],"workers":[{",".join(map(_quote, m.workers))}]}}'.encode())
+    return blob.hexdigest()

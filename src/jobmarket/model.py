@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import gt
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .subsets import mask_of, members, subset_sums
@@ -146,12 +147,16 @@ class SetFunction:
 
         Scans subsets in ascending mask order, added worker in index order;
         adjacent pairs suffice because monotonicity failures compose along
-        one-element chains.
+        one-element chains. The verdict is taken per bit by `_has_drop`;
+        only a table that drops somewhere runs the ordered walk.
         """
         vals = self.scaled
-        for s in range(1 << self.n):
+        n = self.n
+        if not any(_has_drop(vals, 1 << i) for i in range(n)):
+            return None
+        for s in range(1 << n):
             vs = vals[s]
-            for i in range(self.n):
+            for i in range(n):
                 bit = 1 << i
                 if s & bit:
                     continue
@@ -166,45 +171,46 @@ class SetFunction:
 
     @classmethod
     def from_table(
-        cls, universe: Sequence[str], table: Mapping[tuple[str, ...], RationalLike]
-    ) -> "SetFunction":
-        """Build from a total mapping {tuple-of-worker-ids: value}.
-
-        Every subset of the universe must be present exactly once; missing
-        or duplicate entries are errors.
-        """
-        universe = tuple(universe)
-        index = {w: i for i, w in enumerate(universe)}
-        return cls.from_masks(
-            universe, ((mask_of(index, key), key, raw) for key, raw in table.items())
-        )
-
-    @classmethod
-    def from_masks(
         cls,
         universe: Sequence[str],
-        entries: Iterable[tuple[int, Optional[tuple[str, ...]], RationalLike]],
+        table: Union[
+            Mapping[tuple[str, ...], RationalLike], Iterable[tuple[tuple[str, ...], RationalLike]]
+        ],
     ) -> "SetFunction":
-        """Build from (mask, subset, value) entries, one per subset.
+        """Build from {tuple-of-worker-ids: value}, or (ids, value) pairs.
 
-        `subset` is the entry's worker ids as written, for the duplicate
-        error; None stands for the mask's members in universe order. Entries
-        are consumed one at a time, so a lazy resolver's errors and the
-        duplicate check are raised in entry order.
+        Every subset of the universe must be present exactly once; missing
+        or duplicate entries are errors. Pairs are consumed one at a time,
+        so a lazy source's own errors and the duplicate check are raised in
+        entry order.
         """
         universe = tuple(universe)
         check_worker_cap(len(universe))
+        index = {w: i for i, w in enumerate(universe)}
         vals: list[Optional[Fraction]] = [None] * (1 << len(universe))
-        for m, subset, raw in entries:
+        for key, raw in table.items() if isinstance(table, Mapping) else table:
+            m = mask_of(index, key)
             if vals[m] is not None:
-                if subset is None:
-                    subset = members(m, universe)
-                raise ValueError(f"subset {subset!r} appears twice in table")
+                raise ValueError(f"subset {key!r} appears twice in table")
             vals[m] = as_fraction(raw)
         missing = [members(m, universe) for m, v in enumerate(vals) if v is None]
         if missing:
             raise ValueError(f"table is missing {len(missing)} subsets, first {missing[0]!r}")
         return cls(universe, tuple(vals))  # type: ignore[arg-type]
+
+    @classmethod
+    def from_scaled(
+        cls, universe: Sequence[str], values: Sequence[Fraction], den: int, scaled: Sequence[int]
+    ) -> "SetFunction":
+        """Build from the values and their integer form, computed together.
+
+        `den` must be the LCM of the values' denominators and scaled[mask]
+        must be values[mask] * den, as a loader that parses each distinct
+        value once can give them without a per-value pass.
+        """
+        fn = cls(tuple(universe), tuple(values))
+        fn.__dict__.update(den=den, scaled=tuple(scaled))
+        return fn
 
     @classmethod
     def additive(
@@ -242,6 +248,21 @@ class SetFunction:
             low = m & -m
             out[m] = max(out[m ^ low], per[low.bit_length() - 1])
         return cls(universe, tuple(out))
+
+
+def _has_drop(vals: Sequence[int], bit: int) -> bool:
+    """Whether vals[s] > vals[s | bit] for some s without `bit`.
+
+    The entries without the bit and those with it are compared as slices,
+    at C speed: the len(vals) / (2 * bit) contiguous blocks of each, or
+    the `bit` strided slices when those are fewer.
+    """
+    size, step = len(vals), bit << 1
+    if bit * step < size:
+        halves = ((vals[j::step], vals[j + bit :: step]) for j in range(bit))
+    else:
+        halves = ((vals[b : b + bit], vals[b + bit : b + step]) for b in range(0, size, step))
+    return any(any(map(gt, lo, hi)) for lo, hi in halves)
 
 
 def clear_denominators(

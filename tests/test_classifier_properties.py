@@ -332,6 +332,30 @@ def test_integer_classifiers_match_fraction_references(fn):
     assert setfn.is_submodular(fn) == _ref_submodular(fn)
 
 
+@st.composite
+def dropped_tables(draw, max_n: int = 9) -> SetFunction:
+    """A monotone integer table with up to three one-step drops planted at
+    drawn (mask, bit) pairs, up to sizes where the verdict compares both
+    contiguous blocks and strided slices."""
+    n = draw(st.integers(0, max_n))
+    vals = [Fraction(m.bit_count() * 3 + draw(st.integers(0, 2))) for m in range(1 << n)]
+    vals[0] = Fraction(0)
+    if n:
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, n - 1))
+            s = draw(st.integers(0, (1 << n) - 1)) & ~(1 << i)
+            vals[s | 1 << i] = vals[s] - draw(st.sampled_from((Fraction(1), Fraction(1, 2))))
+    return SetFunction(_universe(n), tuple(vals))
+
+
+@PROPERTY_SETTINGS
+@given(dropped_tables())
+def test_monotonicity_verdict_and_witness_match_the_ordered_loop(fn):
+    witness = _ref_monotonicity_violation(fn)
+    assert fn.first_monotonicity_violation() == witness
+    assert fn.is_monotone() == (witness is None)
+
+
 @PROPERTY_SETTINGS
 @given(any_table)
 @example(MIXED)

@@ -1,11 +1,13 @@
 """JSON ingestion, serialization, and digests."""
 
+import hashlib
 import json
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jobmarket.fixtures import all_or_nothing_market, budget_vs_additive_market
@@ -21,6 +23,7 @@ from jobmarket.marketio import (
     serialize_market,
     subset_keys,
 )
+from jobmarket.model import Market, Profile, SetFunction
 from jobmarket.necessity import GENERATOR_KINDS, generate
 from jobmarket.subsets import members
 from market_strategies import markets
@@ -321,6 +324,48 @@ def test_key_order_does_not_change_masks(data, m):
             {"": "0", "w1": "0", "w2": "0", "w1,,w2": "2"},
             "firm 'f1' utility: table key 'w1,,w2' has an empty part",
         ),
+        # two offenders: the first in entry order is named
+        (
+            {"": "0", "w1": "0", "w2": "0", "w1,w2": "1", "w2,w1": "1", "w3": "1"},
+            "firm 'f1' utility: subset ('w2', 'w1') appears twice in table",
+        ),
+        (
+            {"": "0", "w3": "1", "w1": "0", "w2": "0", "w1,w2": "1", "w2,w1": "1"},
+            "firm 'f1' utility: unknown worker 'w3'",
+        ),
+        (
+            {"": "0", "w1": "0", "w2": "0", "w1,w2": "1", "w2,w1": "1", "w1,,w2": "1"},
+            "firm 'f1' utility: subset ('w2', 'w1') appears twice in table",
+        ),
+        (
+            {"": "0", "w1": "0", "w2": "0", "w2,,w1": "1", "w1,w2": "1", "w2,w1": "1"},
+            "firm 'f1' utility: table key 'w2,,w1' has an empty part",
+        ),
+        (
+            {"": "0", "w1": "0", "w1,w2": "1", "w3": "2"},
+            "firm 'f1' utility: unknown worker 'w3'",
+        ),
+        (
+            {"": "0", "w1,w2": "1"},
+            "firm 'f1' utility: table is missing 2 subsets, first ('w1',)",
+        ),
+        (
+            {"": "0", "w1": "1/0", "w2": "abc", "w1,w2": "1/0"},
+            "firm 'f1' utility['w1']: bad rational '1/0' (Fraction(1, 0))",
+        ),
+        # every value is parsed before any key is resolved
+        (
+            {"": "0", "w3": "1", "w1": "0", "w2": "0", "w1,w2": "x"},
+            "firm 'f1' utility['w1,w2']: bad rational 'x' (Invalid literal for Fraction: 'x')",
+        ),
+        (
+            {"": "0", "w1": 1, "w2": 1.0, "w1,w2": "10"},
+            "firm 'f1' utility['w2']: expected a rational string, got 1.0",
+        ),
+        (
+            {"": "0", "w1": "0", "w2": [1], "w1,w2": "10"},
+            "firm 'f1' utility['w2']: expected a rational string, got list",
+        ),
     ],
 )
 def test_table_key_and_value_errors(values, message):
@@ -338,3 +383,133 @@ def test_profile_names_first_bad_entry_after_memoized_ones():
     with pytest.raises(MarketFormatError) as exc:
         parse_market(obj)
     assert str(exc.value) == "disutilities['w2']['f1']: expected a rational string, got True"
+
+
+# ---- the bulk table loader against a per-entry reference ---------------------
+
+# worker ids with JSON escapes, non-ASCII text and characters that sort
+# below '"' and ','
+ODD_IDS = ("w1", "a", "a b", "a!", 'a"', "\\", "\u00e9", "\u2603", "\x01", "W")
+
+
+def _decimal(v: Fraction) -> str:
+    """v as a decimal string; its denominator divides 100."""
+    c = int(v * 100)
+    return f"{'-' if c < 0 else ''}{abs(c) // 100}.{abs(c) % 100:02d}"
+
+
+def _spellings(v: Fraction) -> list:
+    """JSON values that all parse to v."""
+    out = [str(v), f"{v.numerator * 3}/{v.denominator * 3}"]
+    if 100 % v.denominator == 0:
+        out += [_decimal(v), f"{int(v * 100)}e-2"]
+    if v.denominator == 1:
+        out.append(v.numerator)
+    return out
+
+
+@st.composite
+def table_market_objects(draw):
+    """(market JSON object, True key or None): tables in shuffled entry
+    order, keys in drawn worker order, values in drawn spellings, and now
+    and then a JSON true beside a JSON 1 in the first firm."""
+    n = draw(st.integers(0, 5))
+    workers = draw(st.permutations(ODD_IDS))[:n]
+    firms = []
+    for j in range(draw(st.integers(1, 3))):
+        dens = draw(st.sampled_from(((1,), (1, 2, 4), (1, 2, 3, 5))))
+        value = st.builds(Fraction, st.integers(-6, 12), st.sampled_from(dens))
+        entries = []
+        for mask in range(1 << n):
+            ids = [w for i, w in enumerate(workers) if mask >> i & 1]
+            if draw(st.booleans()):
+                ids = draw(st.permutations(ids))
+            v = draw(value) if mask else Fraction(0)
+            entries.append([",".join(ids), draw(st.sampled_from(_spellings(v)))])
+        entries = draw(st.permutations(entries))
+        firms.append({"name": f"f{j}", "utility": {"type": "table", "values": entries}})
+    true_key = None
+    if n and draw(st.booleans()):
+        entries = firms[0]["utility"]["values"]
+        picks = [k for k, (key, _) in enumerate(entries) if key]
+        one, true = draw(st.permutations(picks))[:2] if len(picks) > 1 else (None, picks[0])
+        if one is not None:
+            entries[one][1] = 1
+        entries[true][1] = True
+        true_key = entries[true][0]
+    for firm in firms:
+        firm["utility"]["values"] = dict(firm["utility"]["values"])
+    return json.loads(json.dumps({"workers": list(workers), "firms": firms})), true_key
+
+
+def _reference_table(workers, values):
+    """(values, den, scaled), parsed and placed one entry at a time."""
+    index = {w: i for i, w in enumerate(workers)}
+    vals = [None] * (1 << len(workers))
+    for key, raw in values.items():
+        vals[sum(1 << index[w] for w in key.split(",")) if key else 0] = Fraction(raw)
+    den = lcm(*(v.denominator for v in vals))
+    return tuple(vals), den, tuple(v.numerator * (den // v.denominator) for v in vals)
+
+
+@PROPERTY_SETTINGS
+@given(table_market_objects())
+def test_bulk_table_loader_matches_per_entry_reference(case):
+    obj, true_key = case
+    if true_key is not None:
+        with pytest.raises(MarketFormatError) as exc:
+            parse_market(obj)
+        assert str(exc.value) == (
+            f"firm 'f0' utility[{true_key!r}]: expected a rational string, got True"
+        )
+        return
+    m = parse_market(obj)
+    for firm, (_, fn) in zip(obj["firms"], m.firms):
+        values, den, scaled = _reference_table(obj["workers"], firm["utility"]["values"])
+        assert (fn.values, fn.den, fn.scaled) == (values, den, scaled)
+        assert all(type(v) is int for v in fn.scaled)
+
+
+# ---- the digest against json.dumps of the canonical form -----------------------
+
+ODD_TEXT = st.text(
+    alphabet=st.sampled_from(" !#\"\\a\u00e9\u2603\x01\x7f-"), min_size=1, max_size=3
+)
+
+
+@st.composite
+def odd_markets(draw) -> Market:
+    """Markets whose worker and firm ids need escaping or sort below '"'."""
+    n = draw(st.integers(0, 5))
+    workers = tuple(draw(st.lists(ODD_TEXT, min_size=n, max_size=n, unique=True)))
+    names = tuple(draw(st.lists(ODD_TEXT, max_size=3, unique=True)))
+    value = st.builds(Fraction, st.integers(-4, 9), st.sampled_from((1, 2, 3, 6)))
+    firms = tuple(
+        (name, SetFunction(workers, (Fraction(0), *(draw(value) for _ in range((1 << n) - 1)))))
+        for name in names
+    )
+    profile = None
+    if draw(st.booleans()):
+        entries = {w: {f: draw(value) for f in names} for w in workers}
+        profile = Profile.from_dict(workers, names, entries)
+    return Market(workers, firms, profile)
+
+
+def _oracle_digest(m: Market) -> str:
+    blob = json.dumps(serialize_market(m), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@PROPERTY_SETTINGS
+@given(odd_markets())
+@example(
+    Market(
+        ("a", "a b", 'a"', "a!"),
+        (("f", SetFunction.additive(("a", "a b", 'a"', "a!"), {"a": "1/2", "a!": 3})),),
+    )
+)
+def test_market_digest_matches_sorted_json_dumps(m):
+    assert market_digest(m) == _oracle_digest(m)
+    keys = subset_keys(m.workers)
+    tables = [firm["utility"]["values"] for firm in serialize_market(m)["firms"]]
+    assert tables == [dict(zip(keys, map(str, fn.values))) for _, fn in m.firms]
