@@ -119,8 +119,10 @@ def subset_keys(workers: tuple[str, ...]) -> list[str]:
     return keys
 
 
-def _key_ids(key: str) -> tuple[str, ...]:
+def _key_ids(key: Any) -> tuple[str, ...]:
     """A table key's worker ids as written; stray commas are refused."""
+    if not isinstance(key, str):
+        raise ValueError(f"table key {key!r} is not a string")
     ids = tuple(key.split(",")) if key else ()
     if "" in ids:
         raise ValueError(f"table key {key!r} has an empty part")
@@ -220,7 +222,8 @@ def _parse_utility(spec: Any, load: _Load, firm: str) -> SetFunction:
     values = spec.get("values")
     if values is None:
         raise MarketFormatError(f"{where}: missing 'values'")
-    extra = set(spec) - {"type", "values", "budget"}
+    allowed = {"type", "values", "budget"} if kind == "budget_additive" else {"type", "values"}
+    extra = set(spec) - allowed
     if extra:
         raise MarketFormatError(f"{where}: unexpected key {sorted(extra)[0]!r}")
     try:

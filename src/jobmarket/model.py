@@ -444,16 +444,8 @@ class Matching:
     def firm_of(self, worker: str) -> Optional[str]:
         return self._by_worker[worker]
 
-    def workers_of(self, firm: str) -> tuple[str, ...]:
+    def workers_of(self, firm: Optional[str]) -> tuple[str, ...]:
         return tuple(w for w, f in self.assignment if f == firm)
-
-    @property
-    def matched_workers(self) -> tuple[str, ...]:
-        return tuple(w for w, f in self.assignment if f is not None)
-
-    @property
-    def unmatched_workers(self) -> tuple[str, ...]:
-        return tuple(w for w, f in self.assignment if f is None)
 
     def to_dict(self) -> dict[str, Optional[str]]:
         return dict(self.assignment)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
@@ -57,31 +56,11 @@ from .model import (
 )
 from .setfn import is_submodular
 from .stability import hire_masks
-from .subsets import bit_indices, canonical_key, mask_of, subset_sums
+from .subsets import bit_indices, canonical_key, subset_sums
 
 #: brute_force_matching enumerates (m+1)^n assignments; keep it honest but finite.
 BRUTE_FORCE_WORKER_CAP = 8
 BRUTE_FORCE_FIRM_CAP = 4
-
-
-@dataclass(frozen=True)
-class FirmSurplusTable:
-    """V_f on every subset of the universe, with tight-set markers."""
-
-    firm: str
-    universe: tuple[str, ...]
-    values: tuple[Fraction, ...]
-    tight: tuple[bool, ...]
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.universe)}
-
-    def value_of(self, workers: Iterable[str]) -> Fraction:
-        return self.values[mask_of(self.index, workers)]
-
-    def is_tight(self, workers: Iterable[str]) -> bool:
-        return self.tight[mask_of(self.index, workers)]
 
 
 @dataclass(frozen=True)
@@ -129,9 +108,8 @@ class MarketSolver:
         self.market = market
         self.profile = market.require_profile(profile)
         validate_profile(market, self.profile)
-        rows = self.profile.rows
         nfirms = len(market.firms)
-        columns = [tuple(row[j] for row in rows) for j in range(nfirms)]
+        columns = [self.profile.column(name) for name, _ in market.firms]
         fns = [fn for _, fn in market.firms]
         self.den, costs = clear_denominators(fns, columns)
         self.vf: list[list[int]] = []
@@ -210,21 +188,6 @@ class MarketSolver:
         matching = Matching.from_dict(market.workers, assignment)
         self._solution = EfficientSolution(matching, self.total(), ties)
         return self._solution
-
-
-def firm_surplus(m: Market, firm: str, u: Optional[Profile] = None) -> FirmSurplusTable:
-    """V_f over every subset, with tight-set markers."""
-    fn = m.utility(firm)
-    profile = m.require_profile(u)
-    validate_profile(m, profile)
-    den, (costs,) = clear_denominators([fn], [profile.column(firm)])
-    vf, tight = _int_surplus_table(fn.scaled_to(den), costs)
-    return FirmSurplusTable(
-        firm=firm,
-        universe=m.workers,
-        values=tuple(Fraction(x, den) for x in vf),
-        tight=tuple(tight),
-    )
 
 
 def efficient_matching(m: Market, u: Optional[Profile] = None) -> EfficientSolution:

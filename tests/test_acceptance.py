@@ -12,11 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-from jobmarket.fixtures import (
-    all_or_nothing_market,
-    budget_vs_additive_market,
-    plateau_table,
-)
 from jobmarket.model import Profile, SetFunction
 from jobmarket.necessity import (
     GENERATOR_KINDS,
@@ -47,6 +42,11 @@ from jobmarket.surplus import (
     check_tight_sets_downward_closed,
     efficient_matching,
     max_surplus_excluding,
+)
+from worked_examples import (
+    all_or_nothing_market,
+    budget_vs_additive_market,
+    plateau_table,
 )
 
 F = Fraction

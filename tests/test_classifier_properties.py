@@ -17,9 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jobmarket.setfn as setfn
-from jobmarket.fixtures import budget_vs_additive_market, plateau_table
 from jobmarket.model import ConditionReport, SetFunction
 from jobmarket.subsets import bit_indices
+from worked_examples import budget_vs_additive_market, plateau_table
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 

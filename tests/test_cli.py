@@ -267,6 +267,21 @@ def test_ids_and_keys_that_do_not_split_exit_two(capsys, tmp_path, workers, util
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_budget_on_a_non_budget_utility_exits_two(capsys, tmp_path):
+    # loaded as an uncapped additive table before: total_surplus 10, exit 0
+    utility = {"type": "additive", "budget": "1", "values": {"a": "5", "b": "5"}}
+    market = {
+        "workers": ["a", "b"],
+        "firms": [{"name": "f", "utility": utility}],
+        "disutilities": {"a": {"f": "0"}, "b": {"f": "0"}},
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(market))
+    for command in ("solve", "classify"):
+        rc, out, err = run_cli(capsys, command, path)
+        assert (rc, out, err) == (2, "", "error: firm 'f' utility: unexpected key 'budget'\n")
+
+
 def test_gen_rejects_negative_counts(capsys):
     rc, _, err = run_cli(capsys, "gen", "additive", "-1", "2")
     assert rc == 2

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jobmarket.fixtures import all_or_nothing_market, budget_vs_additive_market
 from jobmarket.marketio import (
     MarketFormatError,
     dumps_market,
@@ -27,6 +26,7 @@ from jobmarket.model import Market, Profile, SetFunction
 from jobmarket.necessity import GENERATOR_KINDS, generate
 from jobmarket.subsets import members
 from market_strategies import markets
+from worked_examples import all_or_nothing_market, budget_vs_additive_market
 
 DATA = Path(__file__).parent / "data"
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
@@ -173,6 +173,19 @@ def test_budget_additive_requires_budget():
     }
     with pytest.raises(MarketFormatError, match="budget"):
         parse_market(obj)
+
+
+@pytest.mark.parametrize("kind", ["table", "additive", "unit_demand"])
+def test_budget_key_only_on_budget_additive(kind):
+    # only budget_additive reads a budget; elsewhere it would be ignored
+    values = {"": "0", "a": "5"} if kind == "table" else {"a": "5"}
+    obj = {
+        "workers": ["a"],
+        "firms": [{"name": "f", "utility": {"type": kind, "budget": "1", "values": values}}],
+    }
+    with pytest.raises(MarketFormatError) as exc:
+        parse_market(obj)
+    assert str(exc.value) == "firm 'f' utility: unexpected key 'budget'"
 
 
 def test_parse_profile_strays():
@@ -365,6 +378,15 @@ def test_key_order_does_not_change_masks(data, m):
         (
             {"": "0", "w1": "0", "w2": [1], "w1,w2": "10"},
             "firm 'f1' utility['w2']: expected a rational string, got list",
+        ),
+        # a Python object may hold the tuple keys SetFunction.from_table takes
+        (
+            {"": "0", ("w1",): "0", "w2": "0", "w1,w2": "10"},
+            "firm 'f1' utility: table key ('w1',) is not a string",
+        ),
+        (
+            {"": "0", "w1": "0", "w2": "0", "w1,w2": "10", 7: "1"},
+            "firm 'f1' utility: table key 7 is not a string",
         ),
     ],
 )

@@ -263,8 +263,7 @@ def test_matching_views_agree():
     )
     assert matching.firm_of("w2") is None
     assert matching.workers_of("f1") == ("w1", "w3")
-    assert matching.matched_workers == ("w1", "w3")
-    assert matching.unmatched_workers == ("w2",)
+    assert matching.workers_of(None) == ("w2",)
     assert matching.to_dict() == {"w1": "f1", "w2": None, "w3": "f1"}
 
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 
 import jobmarket.necessity as necessity
 import jobmarket.setfn as setfn
-from jobmarket.fixtures import all_or_nothing_market, plateau_market
 from jobmarket.model import Market, Profile, SetFunction, SizeLimitError
 from jobmarket.necessity import (
     AdversarialProfile,
@@ -32,6 +31,7 @@ from jobmarket.pivot import check_ir, check_outcome_sir, check_sir, vcg
 from jobmarket.setfn import is_submodular, is_weak_substitutes
 from jobmarket.surplus import efficient_matching
 from market_strategies import markets
+from worked_examples import all_or_nothing_market, plateau_market
 
 
 def _zero_cost_market(fn: SetFunction) -> Market:

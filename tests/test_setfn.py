@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jobmarket.fixtures import budget_vs_additive_market, plateau_table
 from jobmarket.model import SetFunction
 from jobmarket.necessity import generate
 from jobmarket.setfn import (
@@ -24,6 +23,7 @@ from jobmarket.setfn import (
     is_weak_substitutes,
 )
 from market_strategies import FOREIGN_DENOMINATORS, markets
+from worked_examples import budget_vs_additive_market, plateau_table
 
 
 def _random_monotone(rng: random.Random, n: int) -> SetFunction:

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jobmarket.fixtures import all_or_nothing_market, budget_vs_additive_market
 from jobmarket.model import ConditionReport, Market, Matching, Outcome, Profile, SetFunction
 from jobmarket.necessity import generate
 from jobmarket.pivot import check_ir, check_outcome_ir, check_outcome_sir, check_sir, vcg
@@ -25,6 +24,7 @@ from jobmarket.stability import (
     outcome_payoffs,
 )
 from market_strategies import arbitrary_outcomes, markets, rational_outcomes
+from worked_examples import all_or_nothing_market, budget_vs_additive_market
 
 ALL_KINDS = ("additive", "budget_additive", "unit_demand", "random_submodular", "random_monotone")
 
@@ -116,7 +116,7 @@ def test_weak_blocks_are_sound_and_restricted():
         found += 1
         _assert_block_sound(m, r.outcome, weak)
         own = set(r.outcome.matching.workers_of(weak.firm))
-        own |= set(r.outcome.matching.unmatched_workers)
+        own |= set(r.outcome.matching.workers_of(None))
         assert set(weak.coalition) <= own
     # weak blocks of the pivot outcome are rare but the scan must agree
     # with the unrestricted one whenever the latter is silent

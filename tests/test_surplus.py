@@ -12,11 +12,6 @@ import pytest
 from hypothesis import given, settings
 
 import jobmarket.cli as cli
-from jobmarket.fixtures import (
-    all_or_nothing_market,
-    budget_vs_additive_market,
-    plateau_market,
-)
 from jobmarket.marketio import dumps_market
 from jobmarket.model import Market, Matching, Profile, SetFunction, SizeLimitError
 from jobmarket.necessity import generate
@@ -27,10 +22,14 @@ from jobmarket.surplus import (
     check_marginal_product_order,
     check_tight_sets_downward_closed,
     efficient_matching,
-    firm_surplus,
     max_surplus_excluding,
 )
 from market_strategies import markets
+from worked_examples import (
+    all_or_nothing_market,
+    budget_vs_additive_market,
+    plateau_market,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -48,53 +47,38 @@ ALL_KINDS = ("additive", "budget_additive", "unit_demand", "random_submodular", 
 
 
 def test_firm_surplus_all_or_nothing():
-    m = all_or_nothing_market("3", "4")
-    table = firm_surplus(m, "f")
-    # only hiring both clears the costs: 10 - 3 - 4 = 3
-    assert table.value_of(()) == 0
-    assert table.value_of(("w1",)) == 0
-    assert table.value_of(("w2",)) == 0
-    assert table.value_of(("w1", "w2")) == 3
-    assert table.is_tight(())
-    assert table.is_tight(("w1", "w2"))
-    assert not table.is_tight(("w1",))
-    assert not table.is_tight(("w2",))
-
-
-def test_firm_surplus_lookups_reject_unknown_and_duplicate_ids():
-    table = firm_surplus(all_or_nothing_market("3", "4"), "f")
-    with pytest.raises(ValueError, match="unknown worker"):
-        table.value_of(("w9",))
-    with pytest.raises(ValueError, match="duplicate worker"):
-        table.value_of(("w1", "w1"))
-    with pytest.raises(ValueError, match="duplicate worker"):
-        table.is_tight(("w2", "w2"))
+    solver = MarketSolver(all_or_nothing_market("3", "4"))
+    # V_f on masks {}, {w1}, {w2}, {w1, w2}: only hiring both clears the
+    # costs, 10 - 3 - 4 = 3
+    assert [Fraction(v, solver.den) for v in solver.vf[0]] == [0, 0, 0, 3]
+    # tight: the empty set and the pair, not either worker alone
+    assert solver.tight[0] == [0b00, 0b11]
 
 
 def test_firm_surplus_never_decreases_with_pool():
-    rng = random.Random(21)
     for m in _corpus(21, 25, ALL_KINDS):
-        name = rng.choice(m.firm_names)
-        table = firm_surplus(m, name)
-        for mask in range(1, 1 << m.n):
-            for i in range(m.n):
-                if mask >> i & 1:
-                    assert table.values[mask] >= table.values[mask ^ (1 << i)]
+        for vf in MarketSolver(m).vf:
+            for mask in range(1, 1 << m.n):
+                for i in range(m.n):
+                    if mask >> i & 1:
+                        assert vf[mask] >= vf[mask ^ (1 << i)]
 
 
 def test_tight_set_achieves_its_own_value():
     for m in _corpus(22, 25, ALL_KINDS):
         profile = m.disutilities
-        for name, fn in m.firms:
-            table = firm_surplus(m, name)
+        solver = MarketSolver(m)
+        for k, (name, fn) in enumerate(m.firms):
+            tight = set(solver.tight[k])
             column = {w: profile.get(w, name) for w in m.workers}
             for mask in range(1 << m.n):
                 members = fn.members(mask)
                 raw = fn.value(mask) - sum((column[w] for w in members), Fraction(0))
-                if table.tight[mask]:
-                    assert raw == table.values[mask]
+                vf = Fraction(solver.vf[k][mask], solver.den)
+                if mask in tight:
+                    assert raw == vf
                 else:
-                    assert raw < table.values[mask]
+                    assert raw < vf
 
 
 def test_efficient_matching_worked_example_low():
@@ -289,14 +273,11 @@ def test_tight_sets_closure_witnessed_directly():
     # with zero costs and a submodular table, tight = achieves V_f; check
     # every subset of a tight set is tight on a couple of fixtures
     for m in _corpus(29, 15, ("random_submodular",)):
-        for name, fn in m.firms:
-            table = firm_surplus(m, name)
-            for mask in range(1 << m.n):
-                if not table.tight[mask]:
-                    continue
+        for tight in map(set, MarketSolver(m).tight):
+            for mask in tight:
                 for i in range(m.n):
                     if mask >> i & 1:
-                        assert table.tight[mask ^ (1 << i)]
+                        assert mask ^ (1 << i) in tight
 
 
 # ---- the lazy program against a full-table reference -------------------------

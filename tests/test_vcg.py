@@ -6,11 +6,6 @@ from fractions import Fraction
 import pytest
 
 import jobmarket.pivot as pivot
-from jobmarket.fixtures import (
-    all_or_nothing_market,
-    budget_vs_additive_market,
-    plateau_market,
-)
 from jobmarket.model import Market, Outcome, Profile, SetFunction
 from jobmarket.necessity import generate
 from jobmarket.pivot import (
@@ -23,6 +18,11 @@ from jobmarket.pivot import (
 )
 from jobmarket.stability import outcome_payoffs
 from jobmarket.surplus import max_surplus_excluding
+from worked_examples import (
+    all_or_nothing_market,
+    budget_vs_additive_market,
+    plateau_market,
+)
 
 ALL_KINDS = ("additive", "budget_additive", "unit_demand", "random_submodular", "random_monotone")
 
@@ -95,7 +95,7 @@ def test_worker_payoff_is_marginal_product():
 def test_unmatched_worker_gets_zero():
     for m in _corpus(32, 25):
         r = vcg(m)
-        for w in r.outcome.matching.unmatched_workers:
+        for w in r.outcome.matching.workers_of(None):
             assert r.salary(w) == 0
             assert r.worker_payoff(w) == 0
 

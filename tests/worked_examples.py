@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .model import Market, Profile, RationalLike, SetFunction
+from jobmarket.model import Market, Profile, RationalLike, SetFunction
 
 
 def all_or_nothing_market(d1: RationalLike = "3", d2: RationalLike = "4") -> Market:
