@@ -206,7 +206,10 @@ class _Load:
 def _parse_value_map(obj: Any, where: str, memo: dict[str, Fraction]) -> dict[str, Fraction]:
     if not isinstance(obj, Mapping):
         raise MarketFormatError(f"{where}: expected an object of per-worker values")
-    return {str(w): _parse_memo(memo, v, f"{where}[{w}]") for w, v in obj.items()}
+    for w in obj:
+        if not isinstance(w, str):
+            raise MarketFormatError(f"{where}: worker key {w!r} is not a string")
+    return {w: _parse_memo(memo, v, f"{where}[{w}]") for w, v in obj.items()}
 
 
 def _parse_utility(spec: Any, load: _Load, firm: str) -> SetFunction:

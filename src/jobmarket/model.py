@@ -21,7 +21,7 @@ from math import lcm
 from operator import gt
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .subsets import mask_of, members, subset_sums
+from .subsets import bit_halves, mask_of, members, subset_sums
 
 #: Hard cap on universe size; tables are dense with 2^n entries.
 WORKER_CAP = 20
@@ -147,12 +147,13 @@ class SetFunction:
 
         Scans subsets in ascending mask order, added worker in index order;
         adjacent pairs suffice because monotonicity failures compose along
-        one-element chains. The verdict is taken per bit by `_has_drop`;
-        only a table that drops somewhere runs the ordered walk.
+        one-element chains. The verdict compares `bit_halves` slices at C
+        speed; only a table that drops somewhere runs the ordered walk.
         """
         vals = self.scaled
         n = self.n
-        if not any(_has_drop(vals, 1 << i) for i in range(n)):
+        halves = (h for i in range(n) for h in bit_halves(len(vals), 1 << i))
+        if not any(any(map(gt, vals[lo], vals[hi])) for lo, hi in halves):
             return None
         for s in range(1 << n):
             vs = vals[s]
@@ -248,21 +249,6 @@ class SetFunction:
             low = m & -m
             out[m] = max(out[m ^ low], per[low.bit_length() - 1])
         return cls(universe, tuple(out))
-
-
-def _has_drop(vals: Sequence[int], bit: int) -> bool:
-    """Whether vals[s] > vals[s | bit] for some s without `bit`.
-
-    The entries without the bit and those with it are compared as slices,
-    at C speed: the len(vals) / (2 * bit) contiguous blocks of each, or
-    the `bit` strided slices when those are fewer.
-    """
-    size, step = len(vals), bit << 1
-    if bit * step < size:
-        halves = ((vals[j::step], vals[j + bit :: step]) for j in range(bit))
-    else:
-        halves = ((vals[b : b + bit], vals[b + bit : b + step]) for b in range(0, size, step))
-    return any(any(map(gt, lo, hi)) for lo, hi in halves)
 
 
 def clear_denominators(

@@ -3,11 +3,13 @@
 Subsets of the universe (w_0, ..., w_{n-1}) are encoded as ints: bit i set
 means w_i is in the subset. The encoding is a bijection between masks
 0..2^n-1 and subsets, which keeps set-function tables flat and cheap.
+Whole-table kernels run one pass per bit over `bit_halves` slices, O(n 2^n)
+element steps in list comprehensions, not one interpreted turn per mask.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 
 def mask_of(universe_index: dict[str, int], workers: Iterable[str]) -> int:
@@ -29,14 +31,33 @@ def members(mask: int, universe: Sequence[str]) -> tuple[str, ...]:
     return tuple(universe[i] for i in range(len(universe)) if mask >> i & 1)
 
 
+def bit_halves(size: int, bit: int) -> Iterator[tuple[slice, slice]]:
+    """(without-bit, with-bit) slice pairs, hi[i] = lo[i] | bit, covering
+    `size` masks once: the contiguous blocks, or the `bit` strided slices
+    when those are fewer."""
+    step = bit << 1
+    if bit * step < size:
+        return ((slice(j, None, step), slice(j + bit, None, step)) for j in range(bit))
+    return ((slice(b, b + bit), slice(b + bit, b + step)) for b in range(0, size, step))
+
+
 def subset_sums(weights: Sequence[Any], zero: Any = 0) -> list[Any]:
     """sums[mask] = sum of weights[i] over the bits i of mask, one addition
-    per mask: the mask less its lowest bit is already summed."""
-    sums = [zero] * (1 << len(weights))
-    for mask in range(1, len(sums)):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    per mask: each weight doubles the table, sums[mask | bit i] from mask."""
+    sums = [zero]
+    for w in weights:
+        sums += [s + w for s in sums]
     return sums
+
+
+def submask_max(vals: Sequence[Any]) -> list[Any]:
+    """out[mask] = max of vals over the submasks of mask (len(vals) = 2^n),
+    by one pass per bit (a zeta transform); ties keep the largest submask."""
+    out = list(vals)
+    for i in range(len(out).bit_length() - 1):
+        for lo, hi in bit_halves(len(out), 1 << i):
+            out[hi] = [b if b >= a else a for a, b in zip(out[lo], out[hi])]
+    return out
 
 
 def bit_indices(mask: int) -> tuple[int, ...]:

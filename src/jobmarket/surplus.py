@@ -5,12 +5,13 @@ at the going disutilities:
 
     V_f(S) = max over T subset of S of  [ u_f(T) - sum of d_w(f) over T ].
 
-"Tight" sets are those achieving their own surplus (the raw value equals
-V_f); the empty set is always tight. The efficient matching maximizes the
-sum of firm surpluses over disjoint pools via a dynamic program on
-(firm suffix, worker pool): layer k holds the best total of firms k, k+1,
-... on a pool. Assigned sets are always tight, with ties broken toward
-minimum cardinality and then lexicographic worker order.
+The table is one `subsets.submask_max` over the raw values, O(n 2^n)
+element steps on slices. "Tight" sets are those achieving their own surplus
+(the raw value equals V_f); the empty set is always tight. The efficient
+matching maximizes the sum of firm surpluses over disjoint pools via a
+dynamic program on (firm suffix, worker pool): layer k holds the best total
+of firms k, k+1, ... on a pool. Assigned sets are always tight, with ties
+broken toward minimum cardinality and then lexicographic worker order.
 
 Every split of a pool between firm k and the firms after it runs over
 firm k's tight sets only. A set t that is not tight is dominated by the
@@ -56,7 +57,7 @@ from .model import (
 )
 from .setfn import is_submodular
 from .stability import hire_masks
-from .subsets import bit_indices, canonical_key, subset_sums
+from .subsets import bit_indices, canonical_key, submask_max, subset_sums
 
 #: brute_force_matching enumerates (m+1)^n assignments; keep it honest but finite.
 BRUTE_FORCE_WORKER_CAP = 8
@@ -79,21 +80,9 @@ class EfficientSolution:
 
 def _int_surplus_table(values: Sequence[int], costs: Sequence[int]) -> tuple[list[int], list[bool]]:
     """V_f and tightness over all masks, in integer arithmetic."""
-    size = 1 << len(costs)
     raw = [v - c for v, c in zip(values, subset_sums(costs))]
-    vf = [0] * size
-    for mask in range(1, size):
-        best = raw[mask]
-        rest = mask
-        while rest:
-            low = rest & -rest
-            child = vf[mask ^ low]
-            if child > best:
-                best = child
-            rest ^= low
-        vf[mask] = best
-    tight = [raw[mask] == vf[mask] for mask in range(size)]
-    return vf, tight
+    vf = submask_max(raw)
+    return vf, [r == v for r, v in zip(raw, vf)]
 
 
 class MarketSolver:

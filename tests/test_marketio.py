@@ -188,6 +188,21 @@ def test_budget_key_only_on_budget_additive(kind):
     assert str(exc.value) == "firm 'f' utility: unexpected key 'budget'"
 
 
+@pytest.mark.parametrize("kind", ["additive", "budget_additive", "unit_demand"])
+def test_value_map_refuses_non_string_worker_keys(kind):
+    # str(1) == "1" would load the value against worker "1"; a Python
+    # caller's integer key is refused, as a non-string table key is
+    utility = {"type": kind, "values": {1: "5"}}
+    if kind == "budget_additive":
+        utility["budget"] = "9"
+    obj = {"workers": ["1"], "firms": [{"name": "f", "utility": utility}]}
+    with pytest.raises(MarketFormatError) as exc:
+        parse_market(obj)
+    assert str(exc.value) == "firm 'f' utility: worker key 1 is not a string"
+    utility["values"] = {"1": "5"}
+    assert parse_market(obj).firms[0][1].scaled == (0, 5)
+
+
 def test_parse_profile_strays():
     with pytest.raises(MarketFormatError, match="expected an object"):
         parse_profile([1], ("w1",), ("f1",))
