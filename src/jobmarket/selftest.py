@@ -182,9 +182,11 @@ def _valuation_chain(corpus: Corpus) -> SuiteResult:
 
     Also replays the chain that `classify` runs against the independent
     checks: each of its four reports must equal, verdict and witness, the
-    standalone weak-substitutes and submodularity scans and the exhaustive
+    standalone weak-substitutes scan, `is_submodular` and the exhaustive
     strong- and gross-substitutes scans. The chain takes weak substitutes
-    from submodularity; the standalone scan does not.
+    from submodularity; the standalone scan does not. `is_submodular`
+    decides on the same slice kernel as the chain, so the chain's
+    submodular verdict is also checked against the ordered pair walk.
     """
     failures = []
     checked = 0
@@ -209,6 +211,9 @@ def _valuation_chain(corpus: Corpus) -> SuiteResult:
             for cls, report in oracles.items():
                 if chain[cls] != report:
                     failures.append(f"{where}: the chain's {cls} disagrees with the scan")
+            walked = next(setfn._submodularity_violations(fn), None) is None
+            if chain["submodular"].verdict != walked:
+                failures.append(f"{where}: the chain's submodular disagrees with the pair walk")
             if oracles["submodular"].verdict:
                 if not oracles["weak_substitutes"].verdict:
                     failures.append(f"{where}: submodular but not weak-substitutes")

@@ -14,24 +14,34 @@ substitutes by submodularity, gross substitutes by the local exchange
 test. Their exhaustive scans run only after a false verdict, to locate the
 canonical witness, and as independent oracles for the cross-checks.
 
+Submodularity and the three-element exchange inequality are decided on
+per-bit slice kernels, as the monotonicity scan is: marginal and
+interaction tables built from `subsets.bit_halves` slices, compared slice
+against slice with no mask arithmetic per element. They hold a constant
+number of 2^(n-1) and 2^(n-2) lists at a time. After a false verdict the
+ordered walks (`_submodularity_violations`, the strong and gross scans)
+find the witness.
+
 `classify` decides all four classes of a monotone table as one chain
 (gross substitutes => submodular = strong substitutes => weak
 substitutes), which is what the `classify` command runs. Per table: one
-monotonicity scan and one O(n^2 2^n) submodularity scan; on a submodular
-table, C(n,3) 2^(n-3) three-element exchange checks; on any other, the
-O(n 2^n) weak-substitutes scan. The strong and gross witness scans run
-only after a false verdict. Deriving weak substitutes from submodularity
-(telescope the marginals down to the empty set) rests on h(empty) = 0,
-which SetFunction enforces.
+monotonicity scan and the submodularity kernel, O(n^2 2^n) element steps
+on slices; on a submodular table, the exchange kernel's C(n,3) 2^(n-3)
+element steps; on any other, the ordered pair walk to the first violation
+and the O(n 2^n) weak-substitutes scan. The strong and gross witness scans
+run only after a false verdict. Deriving weak substitutes from
+submodularity (telescope the marginals down to the empty set) rests on
+h(empty) = 0, which SetFunction enforces.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import lt
 from typing import Iterator, Mapping, Optional
 
 from .model import ConditionReport, RationalLike, SetFunction, as_fraction, clear_denominators
-from .subsets import bit_indices, subset_sums
+from .subsets import bit_halves, bit_indices, bit_marginals, subset_sums
 
 
 def _witnessed(report: ConditionReport, condition: str) -> ConditionReport:
@@ -89,15 +99,48 @@ def _submodularity_violations(h: SetFunction) -> Iterator[tuple[int, int, int]]:
                     yield (base, i, j)
 
 
+def _submodular_holds(h: SetFunction) -> bool:
+    """The adjacent-pair inequality at every S and i < j, on slices.
+
+    It says that worker i's marginal d_i(S) = h(S+i) - h(S) does not rise
+    when a higher worker j joins S. For each i, d_i is one list over the
+    masks without i, and each higher j is one `bit_halves` pass of C-speed
+    comparisons on it: n(n-1)/2 2^(n-2) element steps in all, one marginal
+    table of 2^(n-1) entries held at a time.
+    """
+    vals = h.scaled
+    half = len(vals) >> 1
+    for i in range(h.n):
+        _, d = bit_marginals(vals, 1 << i)
+        for j in range(i + 1, h.n):
+            # worker j sits at bit j - 1 of d's index
+            halves = bit_halves(half, 1 << j - 1)
+            if any(any(map(lt, d[lo], d[hi])) for lo, hi in halves):
+                return False
+    return True
+
+
 def _first_submodularity_violation(
     h: SetFunction,
 ) -> Optional[tuple[int, int, int]]:
-    """First (base mask, i, j) with h(S+i) + h(S+j) < h(S+i+j) + h(S)."""
-    return next(_submodularity_violations(h), None)
+    """First (base mask, i, j) with h(S+i) + h(S+j) < h(S+i+j) + h(S).
+
+    The slice kernel decides; only a table that fails it runs the ordered
+    walk, whose first hit is the witness.
+    """
+    if _submodular_holds(h):
+        return None
+    hit = next(_submodularity_violations(h), None)
+    if hit is None:
+        raise RuntimeError(
+            "submodularity: the kernel finds a violation but the ordered walk does not"
+        )
+    return hit
 
 
 def is_submodular(h: SetFunction) -> ConditionReport:
-    """Diminishing marginals; checked in the adjacent-pair form, O(n^2 2^n).
+    """Diminishing marginals; checked in the adjacent-pair form, O(n^2 2^n)
+    element steps on slices.
 
     A violation at base S with workers w, w' is reported in nested form:
     w's marginal on the smaller set S+w is strictly below its marginal on
@@ -141,10 +184,11 @@ def is_strong_substitutes(h: SetFunction) -> ConditionReport:
 
     The condition is equivalent to submodularity: S' = {i, j} is the
     adjacent-pair inequality, and telescoping h(S) - h(S minus S') over
-    the members of S' gives the converse. The verdict therefore costs
-    O(n^2 2^n); only a false one runs the O(3^n) scan for the witness.
+    the members of S' gives the converse. The verdict therefore costs the
+    submodularity kernel's O(n^2 2^n) element steps on slices; only a
+    false one runs the O(3^n) scan for the witness.
     """
-    if _first_submodularity_violation(h) is None:
+    if _submodular_holds(h):
         return ConditionReport(verdict=True)
     return _witnessed(_strong_substitutes_scan(h), "strong substitutes")
 
@@ -241,10 +285,11 @@ def is_gross_substitutes(h: SetFunction) -> ConditionReport:
         h(X+i+j) + h(X+k) <= max(h(X+i+k) + h(X+j), h(X+j+k) + h(X+i)).
 
     The verdict comes from that local test. The first inequality is the
-    adjacent-pair submodularity scan; the second, symmetric in i and j,
-    is checked once per unordered triple, C(n,3) 2^(n-3) checks. Only a
-    false verdict runs the O(n^2 4^n) pairwise scan, which reports the
-    first violating (S, T, w) in scan order.
+    submodularity kernel; the second, symmetric in i and j, is checked
+    once per unordered triple by the exchange kernel, C(n,3) 2^(n-3)
+    element steps on slices. Only a false verdict runs the O(n^2 4^n)
+    pairwise scan, which reports the first violating (S, T, w) in scan
+    order.
 
     Non-monotone tables are rejected.
     """
@@ -260,7 +305,7 @@ def classify(h: SetFunction) -> Optional[dict[str, ConditionReport]]:
 
     Decided as one chain, gross substitutes => submodular = strong
     substitutes => weak substitutes, with the monotonicity scan and the
-    submodularity scan run once. Without a submodularity violation the
+    submodularity kernel run once. Without a submodularity violation the
     middle classes hold, weak substitutes follows by telescoping (this
     rests on h(empty) = 0), and gross substitutes needs only the
     three-element local inequality. With one, strong and gross substitutes
@@ -293,7 +338,7 @@ def classify(h: SetFunction) -> Optional[dict[str, ConditionReport]]:
 
 def _local_exchange_holds(h: SetFunction) -> bool:
     """The two local inequalities of is_gross_substitutes, at every X."""
-    return _first_submodularity_violation(h) is None and _exchange_triples_hold(h)
+    return _submodular_holds(h) and _exchange_triples_hold(h)
 
 
 def _exchange_triples_hold(h: SetFunction) -> bool:
@@ -301,34 +346,41 @@ def _exchange_triples_hold(h: SetFunction) -> bool:
 
     Of the three sums h(X+i+j) + h(X+k), h(X+i+k) + h(X+j) and
     h(X+j+k) + h(X+i), each must be at most the larger of the other two,
-    that is, their maximum must be reached at least twice. C(n,3) 2^(n-3)
-    triples in all.
+    that is, their maximum must be reached at least twice. Less 2 h(X) and
+    the three singleton marginals, the sums are the interactions
+    q_ij(X) = h(X+i+j) - h(X+i) - h(X+j) + h(X), q_ik(X) and q_jk(X).
+
+    For each pair i < k, three lists over the masks Y without i and k:
+    d_i(Y), q_ik(Y) = d_i(Y+k) - d_i(Y) and d_k(Y), with d_w the marginal
+    of worker w. Then q_ij(X) = d_i(X+j) - d_i(X) and likewise q_jk(X), so
+    each j between i and k is one zip over `bit_halves` slices of them,
+    with no mask arithmetic per element: C(n,3) 2^(n-3) element steps.
+    Held at a time: two tables of 2^(n-1) entries and three of 2^(n-2).
     """
     vals = h.scaled
     n = h.n
-    for x in range(1 << n):
-        free = [1 << i for i in range(n) if not x >> i & 1]
-        single = [vals[x | b] for b in free]
-        f = len(free)
-        for a in range(f - 2):
-            xi, hi = x | free[a], single[a]
-            for b in range(a + 1, f - 1):
-                xj, hj = x | free[b], single[b]
-                hij = vals[xi | free[b]]
-                for c in range(b + 1, f):
-                    bk = free[c]
-                    s1 = hij + single[c]
-                    s2 = vals[xi | bk] + hj
-                    s3 = vals[xj | bk] + hi
-                    # the larger of s1, s2 must be matched by s3, or s1 = s2 >= s3
-                    if s1 < s2:
-                        if s3 != s2:
+    quarter = len(vals) >> 2
+    for i in range(n - 2):
+        without_i, d_i = bit_marginals(vals, 1 << i)
+        for k in range(i + 2, n):
+            # over the masks Y without i and k; worker k sits at bit k - 1
+            # of the tables without i, worker j (i < j < k) at bit j - 1 of Y
+            d_ik, q_ik = bit_marginals(d_i, 1 << k - 1)
+            d_ki = bit_marginals(without_i, 1 << k - 1)[1]
+            for j in range(i + 1, k):
+                for lo, hi in bit_halves(quarter, 1 << j - 1):
+                    for a0, a1, y, b0, b1 in zip(d_ik[lo], d_ik[hi], q_ik[lo], d_ki[lo], d_ki[hi]):
+                        x = a1 - a0  # q_ij
+                        z = b1 - b0  # q_jk
+                        # the larger of x, y must be matched by z, or x = y >= z
+                        if x < y:
+                            if z != y:
+                                return False
+                        elif x > y:
+                            if z != x:
+                                return False
+                        elif z > x:
                             return False
-                    elif s1 > s2:
-                        if s3 != s1:
-                            return False
-                    elif s3 > s1:
-                        return False
     return True
 
 

@@ -9,6 +9,7 @@ element steps in list comprehensions, not one interpreted turn per mask.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Any, Iterable, Iterator, Sequence
 
 
@@ -39,6 +40,22 @@ def bit_halves(size: int, bit: int) -> Iterator[tuple[slice, slice]]:
     if bit * step < size:
         return ((slice(j, None, step), slice(j + bit, None, step)) for j in range(bit))
     return ((slice(b, b + bit), slice(b + bit, b + step)) for b in range(0, size, step))
+
+
+def bit_marginals(vals: Sequence[Any], bit: int) -> tuple[list[Any], list[Any]]:
+    """(base, marginal): vals[m] and vals[m | bit] - vals[m] over the masks m
+    without `bit`, two lists ascending in m, so each entry sits at m with
+    `bit` squeezed out. Copied and subtracted by `bit_halves` slices: a
+    strided slice lands every `bit`-th entry, a block lands contiguously."""
+    half = len(vals) >> 1
+    base, marginal = [0] * half, [0] * half
+    for lo, hi in bit_halves(len(vals), bit):
+        start = lo.start if lo.start < bit else lo.start >> 1
+        dst = slice(start, None, bit) if lo.step else slice(start, start + bit)
+        without = vals[lo]
+        base[dst] = without
+        marginal[dst] = map(sub, vals[hi], without)
+    return base, marginal
 
 
 def subset_sums(weights: Sequence[Any], zero: Any = 0) -> list[Any]:

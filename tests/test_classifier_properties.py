@@ -120,6 +120,50 @@ monotone_table = st.one_of(
 any_table = st.one_of(monotone_table, arbitrary_tables())
 
 
+@st.composite
+def planted_tables(draw, max_n: int = 10) -> SetFunction:
+    """Integer tables (over one drawn denominator) up to 10 workers, where
+    both slice layouts, strided and blocks, run on the 2^(n-1) marginal and
+    the 2^(n-2) pair tables.
+
+    The base h(S) = a|S| - c C(|S|, 2) has every interaction
+    q_ij(X) = h(X+i+j) - h(X+i) - h(X+j) + h(X) equal to -c, so each local
+    inequality holds, with ties. Up to three drawn sets of one to four
+    workers then get a bump. With c = 1, a bump of 1 at a set M makes q_ij
+    zero at M less i and j, for i, j in M: a triple violation with each k
+    outside M, on a table that stays submodular. A bump of 2 makes q_ij
+    positive there: a pair violation. Small sets keep a violation to the
+    pairs and triples of their own workers, so one among the highest
+    workers is found only by the checks of those workers. With a monotone
+    slope and positive bumps the table is monotone; otherwise its values
+    take either sign.
+    """
+    n = draw(st.integers(0, max_n))
+    c = draw(st.integers(0, 2))
+    monotone = draw(st.booleans())
+    a = draw(st.integers(c * n, c * n + 4) if monotone else st.integers(-3, 3))
+    bumps = (1, 2) if monotone else (-2, -1, 1, 2)
+    vals = [a * k - c * k * (k - 1) // 2 for k in map(int.bit_count, range(1 << n))]
+    for _ in range(draw(st.integers(0, 3) if n else st.just(0))):
+        workers = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4))
+        vals[sum(1 << i for i in workers)] += draw(st.sampled_from(bumps))
+    den = draw(st.sampled_from((1, 2, 3)))
+    return SetFunction(_universe(n), tuple(Fraction(v, den) for v in vals))
+
+
+@st.composite
+def random_sign_tables(draw, max_n: int = 10) -> SetFunction:
+    """Independent values in [-4, 8], zero at the empty set, up to 10 workers;
+    violations come early, at any bit."""
+    n = draw(st.integers(0, max_n))
+    rnd = draw(st.randoms(use_true_random=False))
+    vals = [0] + [rnd.randint(-4, 8) for _ in range((1 << n) - 1)]
+    return SetFunction(_universe(n), tuple(map(Fraction, vals)))
+
+
+kernel_table = st.one_of(planted_tables(), random_sign_tables())
+
+
 # ---- Fraction references ------------------------------------------------------
 
 
@@ -283,7 +327,7 @@ def test_local_exchange_test_matches_the_scan_off_the_monotone_tables(fn):
 
 
 @PROPERTY_SETTINGS
-@given(arbitrary_tables())
+@given(st.one_of(arbitrary_tables(), kernel_table))
 @example(TRIPLE_UNIQUE_MAX)
 @example(COMPLEMENTS)
 @example(BUDGET_CAPPED)
@@ -346,6 +390,44 @@ def dropped_tables(draw, max_n: int = 9) -> SetFunction:
             s = draw(st.integers(0, (1 << n) - 1)) & ~(1 << i)
             vals[s | 1 << i] = vals[s] - draw(st.sampled_from((Fraction(1), Fraction(1, 2))))
     return SetFunction(_universe(n), tuple(vals))
+
+
+@PROPERTY_SETTINGS
+@given(kernel_table)
+@example(COMPLEMENTS)
+@example(BUDGET_CAPPED)
+def test_submodularity_kernel_matches_the_ordered_walk(fn):
+    reference = _ref_submodular(fn)
+    assert setfn._submodular_holds(fn) == reference.verdict
+    assert setfn._first_submodularity_violation(fn) == next(
+        setfn._submodularity_violations(fn), None
+    )
+    assert setfn.is_submodular(fn) == reference
+
+
+@pytest.mark.parametrize("n", (9, 10))
+def test_kernels_find_a_violation_planted_at_any_pair(n):
+    """h(S) = f(|S|) with interactions q of -1 at the empty set, -2 at one
+    worker and -3 above. A bump of 2 at {i, j} makes q_ij(empty) = 1, the
+    table's only pair violation; a bump of 1 makes it 0, the unique
+    maximum of every triple with i and j at the empty set, and the table
+    stays submodular. Every triple violation it makes holds i or j, so at
+    the highest workers only their own checks can find it."""
+    f, step = [0], 3 * n
+    for drop in [1, 2] + [3] * n:
+        f.append(f[-1] + step)
+        step -= drop
+    base = [f[k] for k in map(int.bit_count, range(1 << n))]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for bump in (1, 2):
+                vals = list(base)
+                vals[1 << i | 1 << j] += bump
+                fn = SetFunction(_universe(n), tuple(map(Fraction, vals)))
+                walk = list(setfn._submodularity_violations(fn))
+                assert walk == ([] if bump == 1 else [(0, i, j)])
+                assert setfn._first_submodularity_violation(fn) == next(iter(walk), None)
+                assert not setfn._exchange_triples_hold(fn)
 
 
 @PROPERTY_SETTINGS

@@ -6,6 +6,8 @@ at a concrete violating configuration that replays against the raw table.
 """
 
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from jobmarket.model import SetFunction
 from jobmarket.necessity import generate
 from jobmarket.setfn import (
     check_submodularity_equivalence,
+    classify,
     demand_set,
     is_gross_substitutes,
     is_strong_substitutes,
@@ -225,3 +228,24 @@ def test_strong_substitutes_witness_replays():
         assert drop == Fraction(report.witness["value_drop"])
         assert total == Fraction(report.witness["marginal_sum"])
         assert drop < total
+
+
+# The kernels hold a constant number of 2^(n-1) and 2^(n-2) lists at a
+# time; a cache of every pair's 2^(n-2) interaction table would take
+# C(n,2) / 4 times the table, 22.75 at n = 14.
+PEAK_TABLE_MULTIPLE = 6
+
+
+def test_classify_memory_stays_within_a_multiple_of_the_table():
+    m = generate("unit_demand", 14, 1, 1)
+    fn = m.utility(m.firm_names[0])
+    assert fn.is_monotone()  # computes the scaled table before tracing
+    table = sys.getsizeof(fn.scaled)
+    tracemalloc.start()
+    try:
+        chain = classify(fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chain["submodular"].verdict and chain["gross_substitutes"].verdict
+    assert peak < PEAK_TABLE_MULTIPLE * table, (peak, table)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jobmarket.subsets import bit_halves, submask_max, subset_sums
+from jobmarket.subsets import bit_halves, bit_marginals, submask_max, subset_sums
 
 
 def _submasks(mask):
@@ -42,6 +42,18 @@ def test_bit_halves_pair_each_mask_with_its_bit_once(n):
             assert all(not a & bit and b == a | bit for a, b in zip(los, his))
             seen += [*los, *his]
         assert sorted(seen) == list(masks)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_bit_marginals_list_the_masks_without_the_bit_ascending(n):
+    rng = random.Random(200 + n)
+    vals = [rng.randint(-50, 50) for _ in range(1 << n)]
+    for i in range(n):
+        bit = 1 << i
+        without = [m for m in range(1 << n) if not m & bit]
+        base, marginal = bit_marginals(vals, bit)
+        assert base == [vals[m] for m in without]
+        assert marginal == [vals[m | bit] - vals[m] for m in without]
 
 
 @pytest.mark.parametrize("n", range(9))
