@@ -69,8 +69,10 @@ def _emit(args, lines: list[str], payload: dict) -> None:
             print(line)
 
 
-def _load(args) -> Market:
-    return load_market(args.market)
+def _load(args) -> tuple[Market, list[str]]:
+    """The market and its subset keys, built once for the load and the digest."""
+    keys: list[str] = []
+    return load_market(args.market, keys), keys
 
 
 def _profile_for(args, m: Market) -> Optional[Profile]:
@@ -93,8 +95,8 @@ def _profile_for(args, m: Market) -> Optional[Profile]:
 
 
 def cmd_classify(args) -> int:
-    m = _load(args)
-    digest = market_digest(m)
+    m, keys = _load(args)
+    digest = market_digest(m, keys)
     lines = [f"market {digest}"]
     firms_out = []
     for name, fn in m.firms:
@@ -119,9 +121,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    m = _load(args)
+    m, keys = _load(args)
     sol = efficient_matching(m, _profile_for(args, m))
-    digest = market_digest(m)
+    digest = market_digest(m, keys)
     assign = " ".join(
         f"{w}->{f if f is not None else '-'}" for w, f in sol.matching.assignment
     )
@@ -143,11 +145,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_vcg(args) -> int:
-    m = _load(args)
+    m, keys = _load(args)
     r = vcg(m, _profile_for(args, m))
     ir = check_ir(r)
     sir = check_sir(r)
-    digest = market_digest(m)
+    digest = market_digest(m, keys)
     lines = [f"market {digest}", f"total_surplus {r.total}"]
     for w, f in r.outcome.matching.assignment:
         firm = f if f is not None else "-"
@@ -174,12 +176,12 @@ def cmd_vcg(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    m = _load(args)
+    m, keys = _load(args)
     profile = _profile_for(args, m)
     r = vcg(m, profile)
     block = find_block(m, r.outcome, profile)
     weak = find_weak_block(m, r.outcome, profile)
-    digest = market_digest(m)
+    digest = market_digest(m, keys)
     lines = [f"market {digest}", f"stable {_fmt_value(block is None)}"]
     if block is not None:
         pay = " ".join(f"{w}={p}" for w, p in block.payments)
@@ -206,9 +208,9 @@ def cmd_stability(args) -> int:
 
 
 def cmd_necessity(args) -> int:
-    m = _load(args)
+    m, keys = _load(args)
     fn = m.utility(args.firm)
-    digest = market_digest(m)
+    digest = market_digest(m, keys)
     lines = [f"market {digest}", f"firm {args.firm}"]
     payload: dict = {"command": "necessity", "market": digest, "firm": args.firm}
     if find_submodularity_violation(fn) is None:

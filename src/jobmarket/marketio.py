@@ -27,13 +27,17 @@ digits) before any arithmetic runs, and so is an exponent past 100.
 Cost: one load parses each distinct rational string once (a generated
 12-worker table holds a few dozen distinct strings among its 4,096
 values) and scales each distinct value once, by the LCM of its table's
-denominators, so a loaded table arrives with `den` and `scaled` set.
-Table keys in universe order (as `serialize_market` writes them) resolve
-to masks by dict lookup; only keys in another order are split and resolved
-worker by worker, and only a table found at fault is walked entry by entry
-to name its first offender. `market_digest` builds the compact, sorted JSON
-straight from the integer tables: one sort of the subset keys per call and
-one text per distinct value of each table.
+denominators, straight into the table's integer form (`SetFunction.den`
+and `scaled`); no Fraction is built per entry. Table keys in universe
+order (as `dumps_market` writes them) resolve to masks by dict lookup in
+the load's subset key list, which `parse_market` hands on so that
+`market_digest` need not build it again; only keys in another order are
+split and resolved worker by worker, and only a table found at fault is
+walked entry by entry to name its first offender. `dumps_market` and
+`market_digest` write their JSON text straight from the integer tables:
+one text per distinct value of each table, the escaped key heads built
+once per call and shared by every firm, and each table's entries joined
+in one pass; the digest adds one sort of the subset keys per call.
 """
 
 from __future__ import annotations
@@ -44,8 +48,7 @@ from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from operator import add
-from typing import Any, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional
 
 from .model import (
     Market,
@@ -137,9 +140,14 @@ class _Load:
         self.rationals: dict[str, Fraction] = {}
 
     @cached_property
+    def keys(self) -> list[str]:
+        """`subset_keys` of the universe, built once per load."""
+        return subset_keys(self.workers)
+
+    @cached_property
     def key_masks(self) -> dict[str, int]:
         """{canonical key: mask}, built by the first table that needs it."""
-        return dict(zip(subset_keys(self.workers), range(1 << len(self.workers))))
+        return dict(zip(self.keys, range(1 << len(self.workers))))
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -177,9 +185,7 @@ class _Load:
             ordered[m] = raw
         den = lcm(*{v.denominator for v in fracs.values()})
         ints = {raw: v.numerator * (den // v.denominator) for raw, v in fracs.items()}
-        return SetFunction.from_scaled(
-            self.workers, tuple(map(fracs.__getitem__, ordered)), den, map(ints.__getitem__, ordered)
-        )
+        return SetFunction(self.workers, den, tuple(map(ints.__getitem__, ordered)))
 
     def _distinct_values(self, values: Mapping, where: str) -> dict[Any, Fraction]:
         """{distinct value as written: Fraction}, strings from the load's memo.
@@ -252,8 +258,12 @@ def _parse_utility(spec: Any, load: _Load, firm: str) -> SetFunction:
         raise MarketFormatError(f"{where}: {exc}") from None
 
 
-def parse_market(obj: Any) -> Market:
-    """Build a Market from a parsed JSON object."""
+def parse_market(obj: Any, keys: Optional[list[str]] = None) -> Market:
+    """Build a Market from a parsed JSON object.
+
+    A `keys` list is extended with the load's `subset_keys`, built once for
+    resolving table keys, so that `market_digest` can take them over.
+    """
     if not isinstance(obj, Mapping):
         raise MarketFormatError("market: expected a JSON object")
     extra = set(obj) - {"workers", "firms", "disutilities"}
@@ -285,6 +295,8 @@ def parse_market(obj: Any) -> Market:
         if extra:
             raise MarketFormatError(f"firm {fobj['name']!r}: unexpected key {sorted(extra)[0]!r}")
         firms.append((fobj["name"], _parse_utility(fobj.get("utility"), load, fobj["name"])))
+    if keys is not None:
+        keys.extend(load.keys)
     dis_raw = obj.get("disutilities")
     profile = None
     if dis_raw is not None:
@@ -332,8 +344,9 @@ def _read_json(path: str) -> Any:
         raise MarketFormatError(f"{path}: JSON nested too deeply") from None
 
 
-def load_market(path: str) -> Market:
-    return parse_market(_read_json(path))
+def load_market(path: str, keys: Optional[list[str]] = None) -> Market:
+    """The market in a JSON file; `keys` as for `parse_market`."""
+    return parse_market(_read_json(path), keys)
 
 
 def load_profile(path: str, market: Market) -> Profile:
@@ -346,21 +359,60 @@ def _value_texts(fn: SetFunction) -> list[str]:
     return list(map(text.__getitem__, fn.scaled))
 
 
-def serialize_market(m: Market) -> dict:
-    """Canonical JSON form: explicit tables, rationals as strings."""
-    keys = subset_keys(m.workers)
-    firms = [
-        {"name": name, "utility": {"type": "table", "values": dict(zip(keys, _value_texts(fn)))}}
-        for name, fn in m.firms
-    ]
-    out: dict = {"workers": list(m.workers), "firms": firms}
-    if m.disutilities is not None:
-        out["disutilities"] = m.disutilities.to_dict()
-    return out
+def _escaped_keys(workers: tuple[str, ...], keys: list[str]) -> list[str]:
+    """Each subset key as json escapes it, inner text only. Escaping works
+    per character and leaves commas alone, so the keys of the escaped ids
+    are the escaped keys; ids that need none share `keys` itself."""
+    ids = tuple(_quote(w)[1:-1] for w in workers)
+    return keys if ids == workers else subset_keys(ids)
+
+
+def _layout(items: list[str], depth: int, brackets: str = "{}") -> str:
+    """A JSON container at `depth` as json.dumps(..., indent=2) lays it out,
+    from its items already encoded for depth + 1."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _entries(heads: list[str], texts: Iterable[str]) -> str:
+    """heads[0] + texts[0] + heads[1] + texts[1] + ..., by one join."""
+    parts = [""] * (2 * len(heads))
+    parts[::2] = heads
+    parts[1::2] = texts
+    return "".join(parts)
 
 
 def dumps_market(m: Market) -> str:
-    return json.dumps(serialize_market(m), indent=2) + "\n"
+    """Canonical JSON text: explicit tables with keys in universe order,
+    rationals as strings, laid out by json.dumps(..., indent=2) rules.
+
+    Written straight from the integer tables: the escaped key heads of the
+    table lines are built once and shared by every firm, each distinct
+    value of a table is turned into text once, and each table's text is
+    copied only into the final join.
+    """
+    pad = "\n" + "  " * 5
+    heads = [f'",{pad}"{k}": "' for k in _escaped_keys(m.workers, subset_keys(m.workers))]
+    heads[0] = heads[0][2:]  # no separator before the first entry
+    parts = ['{\n  "workers": ', _layout(list(map(_quote, m.workers)), 1, "[]"), ',\n  "firms": [']
+    for k, (name, fn) in enumerate(m.firms):
+        parts.append(
+            f'{"," if k else ""}\n    {{\n      "name": {_quote(name)},\n      "utility": {{'
+            '\n        "type": "table",\n        "values": {'
+        )
+        parts.append(_entries(heads, _value_texts(fn)))
+        parts.append('"\n        }\n      }\n    }')
+    parts.append("\n  ]" if m.firms else "]")
+    if m.disutilities is not None:
+        rows = [
+            f"{_quote(w)}: " + _layout([f"{_quote(f)}: {_quote(d)}" for f, d in row.items()], 2)
+            for w, row in m.disutilities.to_dict().items()
+        ]
+        parts.append(f',\n  "disutilities": {_layout(rows, 1)}')
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _object(items: Mapping[str, str]) -> str:
@@ -368,21 +420,22 @@ def _object(items: Mapping[str, str]) -> str:
     return "{" + ",".join(f"{_quote(k)}:{v}" for k, v in sorted(items.items())) + "}"
 
 
-def market_digest(m: Market) -> str:
+def market_digest(m: Market, keys: Optional[list[str]] = None) -> str:
     """Stable content hash of the canonical serialization.
 
-    The sha256 of json.dumps(serialize_market(m), sort_keys=True,
-    separators=(",", ":")), built from the integer tables: the subset keys
-    are sorted once, as json sorts them, before escaping; each escaped key
-    comes from the recurrence over the escaped worker ids, since escaping
-    works per character and leaves commas alone. The blob is hashed piece
-    by piece, one table at a time, so no copy of it is ever whole.
+    The sha256 of the compact, key-sorted JSON of what `dumps_market`
+    writes (json.dumps(..., sort_keys=True, separators=(",", ":"))), built
+    from the integer tables: the subset keys are sorted once, as json
+    sorts them, before escaping. The blob is hashed piece by piece, one
+    table at a time, so no copy of it is ever whole. `keys`, when given,
+    must be `subset_keys(m.workers)`, as a load hands it on.
     """
-    keys = subset_keys(m.workers)
+    if keys is None:
+        keys = subset_keys(m.workers)
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    ids = tuple(_quote(w)[1:-1] for w in m.workers)
-    escaped = keys if ids == m.workers else subset_keys(ids)
-    heads = ['"' + escaped[s] + '":"' for s in order]
+    escaped = _escaped_keys(m.workers, keys)
+    heads = [f'","{escaped[s]}":"' for s in order]
+    heads[0] = heads[0][2:]  # no separator before the first entry
     # the top-level keys in sorted order: disutilities, firms, workers
     blob = hashlib.sha256(b"{")
     if m.disutilities is not None:
@@ -392,7 +445,7 @@ def market_digest(m: Market) -> str:
     blob.update(b'"firms":[')
     for k, (name, fn) in enumerate(m.firms):
         texts = _value_texts(fn)
-        values = '",'.join(map(add, heads, map(texts.__getitem__, order)))
+        values = _entries(heads, map(texts.__getitem__, order))
         sep = "," if k else ""
         blob.update(f'{sep}{{"name":{_quote(name)},"utility":{{"type":"table","values":{{'.encode())
         blob.update(values.encode())

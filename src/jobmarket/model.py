@@ -3,13 +3,15 @@
 A market has a finite ordered universe of workers, firms with set-valued
 production utilities over worker subsets, and per-worker per-firm
 disutilities of employment (the workers' private types). All numbers are
-exact rationals (fractions.Fraction); nothing in this package compares
-floats.
+exact rationals; nothing in this package compares floats.
 
 Utility tables are stored explicitly, one value per subset of the universe,
-indexed by bitmask (see subsets.py). Convenience families (additive,
+indexed by bitmask (see subsets.py), as exact integers over one
+denominator per table: SetFunction holds (universe, den, scaled), and a
+single value comes out as a Fraction. Convenience families (additive,
 budget-additive, unit-demand) are compiled down to tables at construction
-time, so every downstream algorithm sees one representation.
+time, on integers, so every downstream algorithm sees one representation.
+Profiles, salaries and payoffs are Fractions.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import gt
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -76,46 +78,51 @@ class ConditionReport:
 class SetFunction:
     """Normalized set function on subsets of an ordered worker universe.
 
-    values[mask] is the function's value on the subset encoded by mask.
-    values[0] (the empty set) must be 0. Monotonicity is not enforced here;
-    is_monotone reports on it.
+    The value on the subset encoded by mask is scaled[mask] / den: one
+    exact integer per subset over one positive denominator, kept in lowest
+    terms (gcd(den, *scaled) == 1), so `den` is the LCM of the values'
+    reduced denominators. A (den, ints) pair with a common factor is
+    reduced on construction. scaled[0] (the empty set) must be 0.
+    Monotonicity is not enforced here; is_monotone reports on it.
     """
 
     universe: tuple[str, ...]
-    values: tuple[Fraction, ...]
+    den: int
+    scaled: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = len(self.universe)
         check_worker_cap(n)
         if len(set(self.universe)) != n:
             raise ValueError("duplicate worker ids in universe")
-        if len(self.values) != 1 << n:
+        if len(self.scaled) != 1 << n:
             raise ValueError(
-                f"table has {len(self.values)} entries, expected {1 << n} "
+                f"table has {len(self.scaled)} entries, expected {1 << n} "
                 "(one per subset, no implicit completion)"
             )
-        if self.values[0] != 0:
-            raise ValueError(f"empty set must map to 0, got {self.values[0]}")
+        if self.den <= 0:
+            raise ValueError(f"denominator must be positive, got {self.den}")
+        if self.scaled[0] != 0:
+            raise ValueError(f"empty set must map to 0, got {Fraction(self.scaled[0], self.den)}")
+        common = gcd(self.den, gcd(*self.scaled))
+        if common != 1:
+            object.__setattr__(self, "den", self.den // common)
+            object.__setattr__(self, "scaled", tuple([v // common for v in self.scaled]))
 
     @cached_property
     def index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.universe)}
 
     @cached_property
-    def den(self) -> int:
-        """The LCM of the values' denominators."""
-        return lcm(*{v.denominator for v in self.values})
+    def values(self) -> tuple[Fraction, ...]:
+        """values[mask] = value(mask), one shared Fraction per distinct value.
 
-    @cached_property
-    def scaled(self) -> tuple[int, ...]:
-        """The values times `den`, as exact integers.
-
-        Scaling by a positive constant preserves every (in)equality between
-        sums of values, so the classifiers decide on this table and read
-        their witnesses off `values`.
+        Built whole on first read; no command reads it, they run on
+        `scaled` and read single values with `value`.
         """
         den = self.den
-        return tuple(v.numerator * (den // v.denominator) for v in self.values)
+        frac = {v: Fraction(v, den) for v in set(self.scaled)}
+        return tuple(map(frac.__getitem__, self.scaled))
 
     def scaled_to(self, den: int) -> Sequence[int]:
         """The values times `den`, a multiple of `self.den`."""
@@ -131,7 +138,7 @@ class SetFunction:
         return (1 << len(self.universe)) - 1
 
     def value(self, mask: int) -> Fraction:
-        return self.values[mask]
+        return Fraction(self.scaled[mask], self.den)
 
     def mask_of(self, workers: Iterable[str]) -> int:
         return mask_of(self.index, workers)
@@ -140,7 +147,7 @@ class SetFunction:
         return members(mask, self.universe)
 
     def subset_value(self, workers: Iterable[str]) -> Fraction:
-        return self.values[self.mask_of(workers)]
+        return self.value(self.mask_of(workers))
 
     def first_monotonicity_violation(self) -> Optional[tuple[int, int]]:
         """First (submask, supermask) adjacent pair with a value drop.
@@ -168,7 +175,15 @@ class SetFunction:
     def is_monotone(self) -> bool:
         return self.first_monotonicity_violation() is None
 
-    # ---- ingestion-time families, all compiled to explicit tables ----
+    # ---- ingestion-time families, all compiled to explicit integer tables ----
+
+    @classmethod
+    def from_values(
+        cls, universe: Sequence[str], values: Sequence[RationalLike]
+    ) -> "SetFunction":
+        """Build from one rational per mask, clearing their denominators once."""
+        den, (ints,) = clear_denominators((), [[as_fraction(v) for v in values]])
+        return cls(tuple(universe), den, tuple(ints))
 
     @classmethod
     def from_table(
@@ -197,21 +212,7 @@ class SetFunction:
         missing = [members(m, universe) for m, v in enumerate(vals) if v is None]
         if missing:
             raise ValueError(f"table is missing {len(missing)} subsets, first {missing[0]!r}")
-        return cls(universe, tuple(vals))  # type: ignore[arg-type]
-
-    @classmethod
-    def from_scaled(
-        cls, universe: Sequence[str], values: Sequence[Fraction], den: int, scaled: Sequence[int]
-    ) -> "SetFunction":
-        """Build from the values and their integer form, computed together.
-
-        `den` must be the LCM of the values' denominators and scaled[mask]
-        must be values[mask] * den, as a loader that parses each distinct
-        value once can give them without a per-value pass.
-        """
-        fn = cls(tuple(universe), tuple(values))
-        fn.__dict__.update(den=den, scaled=tuple(scaled))
-        return fn
+        return cls.from_values(universe, vals)  # type: ignore[arg-type]
 
     @classmethod
     def additive(
@@ -219,8 +220,8 @@ class SetFunction:
     ) -> "SetFunction":
         universe = tuple(universe)
         check_worker_cap(len(universe))
-        per = [as_fraction(values.get(w, 0)) for w in universe]
-        return cls(universe, tuple(subset_sums(per, Fraction(0))))
+        den, (per,) = clear_denominators((), [[as_fraction(values.get(w, 0)) for w in universe]])
+        return cls(universe, den, tuple(subset_sums(per)))
 
     @classmethod
     def budget_additive(
@@ -233,8 +234,11 @@ class SetFunction:
         cap = as_fraction(budget)
         if cap < 0:
             raise ValueError("budget must be nonnegative")
-        base = cls.additive(universe, values)
-        return cls(base.universe, tuple(min(cap, v) for v in base.values))
+        universe = tuple(universe)
+        check_worker_cap(len(universe))
+        fracs = [cap, *(as_fraction(values.get(w, 0)) for w in universe)]
+        den, ((top, *per),) = clear_denominators((), [fracs])
+        return cls(universe, den, tuple([s if s < top else top for s in subset_sums(per)]))
 
     @classmethod
     def unit_demand(
@@ -243,12 +247,11 @@ class SetFunction:
         """max over hired workers of the per-worker value (0 on the empty set)."""
         universe = tuple(universe)
         check_worker_cap(len(universe))
-        per = [as_fraction(values.get(w, 0)) for w in universe]
-        out = [Fraction(0)] * (1 << len(universe))
-        for m in range(1, 1 << len(universe)):
-            low = m & -m
-            out[m] = max(out[m ^ low], per[low.bit_length() - 1])
-        return cls(universe, tuple(out))
+        den, (per,) = clear_denominators((), [[as_fraction(values.get(w, 0)) for w in universe]])
+        out = [0]
+        for w in per:
+            out += [x if x >= w else w for x in out]
+        return cls(universe, den, tuple(out))
 
 
 def clear_denominators(
@@ -367,7 +370,7 @@ class Market:
                 names
             ):
                 raise ValueError("disutility matrix does not match market workers/firms")
-        peak = max((fn.values[fn.full_mask] for _, fn in self.firms), default=Fraction(0))
+        peak = max((fn.value(fn.full_mask) for _, fn in self.firms), default=Fraction(0))
         object.__setattr__(self, "ubar", peak)
 
     @cached_property

@@ -153,11 +153,9 @@ def construct_ir_violation(
     """
     fn = m.utility(firm)
     smask = fn.mask_of(subset)
-    marginals = {
-        fn.universe[i]: fn.values[smask] - fn.values[smask ^ (1 << i)]
-        for i in bit_indices(smask)
-    }
-    if fn.values[smask] >= sum(marginals.values(), Fraction(0)):
+    value = fn.value(smask)
+    marginals = {fn.universe[i]: value - fn.value(smask ^ (1 << i)) for i in bit_indices(smask)}
+    if value >= sum(marginals.values(), Fraction(0)):
         raise ValueError("subset does not violate weak substitutes for this firm")
     members = fn.members(smask)
     profile = adversarial_profile(m, firm, members)
@@ -168,7 +166,7 @@ def construct_ir_violation(
                 f"salary of {w} is {r.salary(w)}, expected the marginal {marginals[w]}"
             )
     payoff = r.firm_payoff(firm)
-    expected = fn.values[smask] - sum(marginals.values(), Fraction(0))
+    expected = value - sum(marginals.values(), Fraction(0))
     if payoff != expected:
         raise ConstructionError(f"firm payoff {payoff}, expected {expected}")
     if payoff >= 0 or check_ir(r).verdict:
@@ -190,14 +188,11 @@ def construct_ir_violation(
 
 def _restricted(fn: SetFunction, keep: tuple[str, ...]) -> SetFunction:
     """The same utility on a sub-universe (values read off the full table)."""
-    idx = tuple(fn.index[w] for w in keep)
-    values = []
-    for sub in range(1 << len(keep)):
-        mask = 0
-        for b in bit_indices(sub):
-            mask |= 1 << idx[b]
-        values.append(fn.values[mask])
-    return SetFunction(tuple(keep), tuple(values))
+    masks = [0]
+    for w in keep:
+        bit = 1 << fn.index[w]
+        masks += [mask | bit for mask in masks]
+    return SetFunction(tuple(keep), fn.den, tuple(map(fn.scaled.__getitem__, masks)))
 
 
 def _exhibited_matching(
@@ -246,7 +241,7 @@ def construct_sir_violation(
     if wl == wk or smask & (bl | bk):
         raise ValueError("wl and wk must be distinct workers outside the subset")
     tmask = smask | bl | bk
-    vals = fn.values
+    vals = fn.scaled
     if vals[smask | bl] + vals[smask | bk] >= vals[tmask] + vals[smask]:
         raise ValueError("triple does not violate submodularity for this firm")
     inside = fn.members(tmask)
@@ -264,13 +259,15 @@ def construct_sir_violation(
             raise ConstructionError(
                 f"exhibited assignment totals {realized}, the optimum is {sol.total}"
             )
-    expected = {wl: vals[tmask] - vals[tmask ^ bl], wk: vals[tmask] - vals[tmask ^ bk]}
+    expected = {
+        w: Fraction(vals[tmask] - vals[tmask ^ b], fn.den) for w, b in ((wl, bl), (wk, bk))
+    }
     for w in (wl, wk):
         if outcome.salary[w] != expected[w]:
             raise ConstructionError(
                 f"salary of {w} is {outcome.salary[w]}, expected {expected[w]}"
             )
-    keep_s = vals[smask] - sum((outcome.salary[w] for w in fn.members(smask)), Fraction(0))
+    keep_s = fn.value(smask) - sum((outcome.salary[w] for w in fn.members(smask)), Fraction(0))
     gain = keep_s - firm_payoffs[firm]
     if gain <= 0:
         raise ConstructionError("firing the pair does not help after all")
@@ -380,37 +377,46 @@ def _gen_unit_demand(rng: random.Random, workers: tuple[str, ...]) -> SetFunctio
 
 def _gen_random_submodular(rng: random.Random, workers: tuple[str, ...]) -> SetFunction:
     # concave-of-cardinality plus weighted coverage; both parts are
-    # submodular and monotone, and sums preserve that
+    # submodular and monotone, and sums preserve that. Halves are drawn as
+    # their numerators, over den 2.
     n = len(workers)
-    increments = sorted(
-        (Fraction(rng.randint(0, 4), 2) for _ in range(n)), reverse=True
-    )
-    prefix = [Fraction(0)]
+    increments = sorted((rng.randint(0, 4) for _ in range(n)), reverse=True)
+    prefix = [0]
     for inc in increments:
         prefix.append(prefix[-1] + inc)
     ground = n + rng.randint(1, n + 1)
     covers = [
-        frozenset(rng.sample(range(ground), rng.randint(0, min(3, ground))))
+        sum(1 << x for x in rng.sample(range(ground), rng.randint(0, min(3, ground))))
         for _ in workers
     ]
-    weight = Fraction(rng.randint(0, 2), 2)
-    values = []
-    for mask in range(1 << n):
-        covered: set[int] = set()
-        for i in bit_indices(mask):
-            covered |= covers[i]
-        values.append(prefix[mask.bit_count()] + weight * len(covered))
-    return SetFunction(tuple(workers), tuple(values))
+    weight = rng.randint(0, 2)
+    sizes, covered = [0], [0]
+    for cover in covers:
+        sizes += [k + 1 for k in sizes]
+        covered += [c | cover for c in covered]
+    return SetFunction(
+        workers,
+        2,
+        tuple([prefix[k] + weight * c.bit_count() for k, c in zip(sizes, covered)]),
+    )
 
 
 def _gen_random_monotone(rng: random.Random, workers: tuple[str, ...]) -> SetFunction:
-    n = len(workers)
-    vals = [Fraction(0)] * (1 << n)
-    bumps = (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
-    for mask in range(1, 1 << n):
-        base = max(vals[mask ^ (1 << i)] for i in bit_indices(mask))
-        vals[mask] = base + rng.choice(bumps)
-    return SetFunction(tuple(workers), tuple(vals))
+    # each subset adds a bump (in halves, over den 2) to the largest value
+    # one worker below it
+    vals = [0]
+    bumps = (0, 0, 1, 2, 4)
+    choice = rng.choice
+    for mask in range(1, 1 << len(workers)):
+        base, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            below = vals[mask ^ low]
+            if below > base:
+                base = below
+            rest ^= low
+        vals.append(base + choice(bumps))
+    return SetFunction(workers, 2, tuple(vals))
 
 
 _FAMILIES = {

@@ -69,7 +69,7 @@ def is_weak_substitutes(h: SetFunction) -> ConditionReport:
                 verdict=False,
                 witness={
                     "subset": list(h.members(mask)),
-                    "value": str(h.values[mask]),
+                    "value": str(h.value(mask)),
                     "marginal_sum": str(Fraction(marginal_sum, h.den)),
                 },
                 details="set value is below the sum of its members' marginals",

@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import (
@@ -232,15 +231,9 @@ def brute_force_matching(m: Market, u: Optional[Profile] = None) -> EfficientSol
         raise SizeLimitError(f"brute force capped at {BRUTE_FORCE_WORKER_CAP} workers")
     if nfirms > BRUTE_FORCE_FIRM_CAP:
         raise SizeLimitError(f"brute force capped at {BRUTE_FORCE_FIRM_CAP} firms")
-    den = 1
-    for _, fn in m.firms:
-        for v in fn.values:
-            den = lcm(den, v.denominator)
-    for row in profile.rows:
-        for d in row:
-            den = lcm(den, d.denominator)
-    tables = [[int(v * den) for v in fn.values] for _, fn in m.firms]
-    costs = [[int(profile.rows[i][j] * den) for i in range(n)] for j in range(nfirms)]
+    columns = [profile.column(name) for name, _ in m.firms]
+    den, costs = clear_denominators([fn for _, fn in m.firms], columns)
+    tables = [fn.scaled_to(den) for _, fn in m.firms]
 
     best_total = 0  # empty assignment is always feasible
     best_pools: list[int] = [0] * nfirms

@@ -51,7 +51,7 @@ def random_markets(draw, max_n: int = 6, max_m: int = 4, all_tight: bool = False
         for mask in range(1, 1 << n):
             floor = max(vals[mask ^ (1 << i)] for i in bit_indices(mask))
             vals[mask] = floor + draw(bump)
-        firms.append((name, SetFunction(workers, tuple(vals))))
+        firms.append((name, SetFunction.from_values(workers, tuple(vals))))
     entries = {w: {f: draw(cost) for f in names} for w in workers}
     return Market(workers, tuple(firms), Profile.from_dict(workers, names, entries))
 

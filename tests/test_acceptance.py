@@ -257,7 +257,7 @@ def test_criterion_09_order_closure_equivalence(criterion, corpus_a, corpus_b):
                 if mask >> i & 1
             ):
                 continue
-            fn = SetFunction(workers3, tuple(F(v) for v in table))
+            fn = SetFunction.from_values(workers3, tuple(F(v) for v in table))
             assert check_submodularity_equivalence(fn).verdict
             exhaustive += 1
         rng = random.Random("equivalence")
@@ -271,7 +271,7 @@ def test_criterion_09_order_closure_equivalence(criterion, corpus_a, corpus_b):
                     vals[mask ^ (1 << i)] for i in range(n) if mask >> i & 1
                 )
                 vals[mask] = below + rng.choice(bumps)
-            assert check_submodularity_equivalence(SetFunction(ws, tuple(vals))).verdict
+            assert check_submodularity_equivalence(SetFunction.from_values(ws, tuple(vals))).verdict
         note(
             f"order on {len(markets)} markets, closure premise held {premise_held} times, "
             f"equivalence on {exhaustive} exhaustive + 1000 random tables"

@@ -46,7 +46,7 @@ def monotone_tables(draw, max_n: int = 6) -> SetFunction:
     for mask in range(1, 1 << n):
         floor = max(vals[mask ^ (1 << i)] for i in bit_indices(mask))
         vals[mask] = floor + draw(bump)
-    return SetFunction(_universe(n), tuple(vals))
+    return SetFunction.from_values(_universe(n), tuple(vals))
 
 
 @st.composite
@@ -55,7 +55,7 @@ def arbitrary_tables(draw, max_n: int = 6) -> SetFunction:
     n = draw(st.integers(0, max_n))
     value = _rationals(draw, st.integers(-4, 8))
     rest = draw(st.lists(value, min_size=(1 << n) - 1, max_size=(1 << n) - 1))
-    return SetFunction(_universe(n), (Fraction(0), *rest))
+    return SetFunction.from_values(_universe(n), (Fraction(0), *rest))
 
 
 @st.composite
@@ -78,7 +78,7 @@ def assignment_tables(draw, max_n: int = 6) -> SetFunction:
                             grown[key] = v + w[i][s]
             best = grown
         vals.append(max(best.values()))
-    return SetFunction(_universe(n), tuple(vals))
+    return SetFunction.from_values(_universe(n), tuple(vals))
 
 
 @st.composite
@@ -98,7 +98,7 @@ def coverage_tables(draw, max_n: int = 6) -> SetFunction:
             covered |= covers[i]
         v = sum((weights[e] for e in bit_indices(covered)), Fraction(0))
         vals.append(v if budget is None else min(v, budget))
-    return SetFunction(_universe(n), tuple(vals))
+    return SetFunction.from_values(_universe(n), tuple(vals))
 
 
 @st.composite
@@ -111,7 +111,7 @@ def perturbed_assignment_tables(draw, max_n: int = 6) -> SetFunction:
     core = draw(st.integers(1, base.full_mask))
     bonus = draw(_rationals(draw, st.integers(1, 3)))
     vals = tuple(v + bonus if m & core == core else v for m, v in enumerate(base.values))
-    return SetFunction(base.universe, vals)
+    return SetFunction.from_values(base.universe, vals)
 
 
 monotone_table = st.one_of(
@@ -148,7 +148,7 @@ def planted_tables(draw, max_n: int = 10) -> SetFunction:
         workers = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4))
         vals[sum(1 << i for i in workers)] += draw(st.sampled_from(bumps))
     den = draw(st.sampled_from((1, 2, 3)))
-    return SetFunction(_universe(n), tuple(Fraction(v, den) for v in vals))
+    return SetFunction.from_values(_universe(n), tuple(Fraction(v, den) for v in vals))
 
 
 @st.composite
@@ -158,7 +158,7 @@ def random_sign_tables(draw, max_n: int = 10) -> SetFunction:
     n = draw(st.integers(0, max_n))
     rnd = draw(st.randoms(use_true_random=False))
     vals = [0] + [rnd.randint(-4, 8) for _ in range((1 << n) - 1)]
-    return SetFunction(_universe(n), tuple(map(Fraction, vals)))
+    return SetFunction.from_values(_universe(n), tuple(map(Fraction, vals)))
 
 
 kernel_table = st.one_of(planted_tables(), random_sign_tables())
@@ -294,17 +294,17 @@ def _ref_exchange_triples(h: SetFunction) -> bool:
 # ---- properties ----------------------------------------------------------------
 
 # two complements: only the pairwise local inequality fails
-COMPLEMENTS = SetFunction(("w1", "w2"), (Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
+COMPLEMENTS = SetFunction.from_values(("w1", "w2"), (Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
 # submodular, yet the three-worker local inequality fails
 BUDGET_CAPPED = budget_vs_additive_market().utility("f1")
-MIXED = SetFunction(("w1", "w2"), (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)))
+MIXED = SetFunction.from_values(("w1", "w2"), (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)))
 # submodular and monotone, but of the three sums at X = {} the last is the
 # unique maximum: 6 + 4 < 7 + 4 < 8 + 4
-TRIPLE_UNIQUE_MAX = SetFunction(
+TRIPLE_UNIQUE_MAX = SetFunction.from_values(
     ("w1", "w2", "w3"), tuple(Fraction(v) for v in (0, 4, 4, 6, 4, 7, 8, 9))
 )
 # the first drop is one scaled unit
-ONE_UNIT_DROP = SetFunction(("w1", "w2"), (Fraction(0), Fraction(2), Fraction(-1), Fraction(1)))
+ONE_UNIT_DROP = SetFunction.from_values(("w1", "w2"), (Fraction(0), Fraction(2), Fraction(-1), Fraction(1)))
 
 
 @PROPERTY_SETTINGS
@@ -389,7 +389,7 @@ def dropped_tables(draw, max_n: int = 9) -> SetFunction:
             i = draw(st.integers(0, n - 1))
             s = draw(st.integers(0, (1 << n) - 1)) & ~(1 << i)
             vals[s | 1 << i] = vals[s] - draw(st.sampled_from((Fraction(1), Fraction(1, 2))))
-    return SetFunction(_universe(n), tuple(vals))
+    return SetFunction.from_values(_universe(n), tuple(vals))
 
 
 @PROPERTY_SETTINGS
@@ -423,7 +423,7 @@ def test_kernels_find_a_violation_planted_at_any_pair(n):
             for bump in (1, 2):
                 vals = list(base)
                 vals[1 << i | 1 << j] += bump
-                fn = SetFunction(_universe(n), tuple(map(Fraction, vals)))
+                fn = SetFunction.from_values(_universe(n), tuple(map(Fraction, vals)))
                 walk = list(setfn._submodularity_violations(fn))
                 assert walk == ([] if bump == 1 else [(0, i, j)])
                 assert setfn._first_submodularity_violation(fn) == next(iter(walk), None)

@@ -1,5 +1,6 @@
 """Command-line behavior: golden transcripts, JSON mode, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import jobmarket.cli as cli
 from jobmarket.marketio import parse_market
+from jobmarket.model import SetFunction
 from jobmarket.selftest import SelftestReport, SuiteResult
 
 DATA = Path(__file__).parent / "data"
@@ -132,6 +134,45 @@ def test_necessity_json_reports_exhibited_outcome(capsys):
     assert sir["pair"] == ["w1", "w2"]
     assert sir["outcome"]["matching"] == {"w1": "f1", "w2": "f1", "w3": "f1"}
     assert sir["outcome"]["salaries"] == {"w1": "2", "w2": "2", "w3": "0"}
+
+
+# sha256 of `gen` output, recorded while tables were still built and dumped
+# through Fractions and json.dumps; the integer builders must keep every byte
+PINNED_GEN = {
+    "additive 12 2 --seed 1": "cb2d6677af501e7ceb5f164142310c6d565d3d3a753c3188ace44e70e24f0bfa",
+    "budget_additive 10 3 --seed 1": "463afe4ddb085dbde58d9aee88da5a2488acee8e471d70b5f4ee28f4323c7a0e",
+    "unit_demand 12 2 --seed 1": "f075e7f409930b9c37a22e0d2612d05eca2a7634495ddea074cb510206f2684b",
+    "random_submodular 11 3 --seed 1": "0faffd9f46c6b2a90b690900e19e40058a6ddb8a3f3964d5163d80e9c0db04b0",
+    "random_monotone 10 2 --seed 1": "a57b322ce11075887396c6967ecdcab731b73a4ac4b55f2229f7214b561d43cf",
+    # empty containers keep json's [] and {} spelling
+    "additive 0 0": "9d97c4f9f77e8a71c512d52c1b12aff9e722f580d8729ace174dcc0d20daab2d",
+    "unit_demand 0 2": "17b671dee2b64ea5fc2c6836ea02b8d8a1135ccaf43d2e2f921d2045362b59aa",
+    "random_monotone 3 0": "1a705f3a34a783f3b4f67d5e83a20c7160fcf595afade31301bebc93c3e45060",
+    "budget_additive 1 1": "79bf45efc24be94e7b21fdb7e93c0a2a62e8c47ed096c0f8bf2ea554665c7957",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_GEN))
+def test_gen_output_is_pinned(capsys, spec):
+    rc, out, err = run_cli(capsys, "gen", *spec.split())
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_GEN[spec]
+
+
+def test_commands_never_build_a_whole_values_view(capsys, tmp_path, monkeypatch):
+    """The commands run on the integer tables; `SetFunction.values` is the
+    Fraction view for tests and oracles only."""
+    reads = []
+    monkeypatch.setattr(SetFunction, "values", property(lambda fn: reads.append(fn.n)))
+    for kind in ("random_monotone", "budget_additive"):
+        rc, out, _ = run_cli(capsys, "gen", kind, "12", "2", "--seed", "1")
+        assert rc == 0
+        path = tmp_path / f"{kind}.json"
+        path.write_text(out)
+        for argv in (["classify"], ["solve"], ["vcg"], ["stability"], ["necessity", "--firm", "f1"]):
+            rc, _, err = run_cli(capsys, argv[0], path, *argv[1:], "--json")
+            assert rc in (0, 1), err
+    assert reads == []
 
 
 def test_gen_is_deterministic_and_loadable(capsys, tmp_path):

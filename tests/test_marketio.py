@@ -19,7 +19,6 @@ from jobmarket.marketio import (
     parse_market,
     parse_profile,
     parse_rational,
-    serialize_market,
     subset_keys,
 )
 from jobmarket.model import Market, Profile, SetFunction
@@ -47,6 +46,23 @@ PINNED_FILES = {
     "plateau.json": "4beb4fb65686527667f1af61f75e467d544e9609c4751396e20d9be88cc63201",
     "tie_dodger.json": "f10dc78b731fc2dd489764a0e30bfd5531f637bce119328340a0ba6609df506b",
 }
+
+
+def serialize_market(m: Market) -> dict:
+    """Canonical JSON form: explicit tables keyed in universe order,
+    rationals as strings. `dumps_market` writes its json.dumps(indent=2)
+    text and `market_digest` hashes its sorted compact text, both without
+    building it; this is their oracle."""
+    keys = subset_keys(m.workers)
+    firms = [
+        {"name": name, "utility": {"type": "table", "values": dict(zip(keys, map(str, fn.values)))}}
+        for name, fn in m.firms
+    ]
+    out: dict = {"workers": list(m.workers), "firms": firms}
+    if m.disutilities is not None:
+        out["disutilities"] = m.disutilities.to_dict()
+    return out
+
 
 GOOD = {
     "workers": ["w1", "w2"],
@@ -522,7 +538,7 @@ def odd_markets(draw) -> Market:
     names = tuple(draw(st.lists(ODD_TEXT, max_size=3, unique=True)))
     value = st.builds(Fraction, st.integers(-4, 9), st.sampled_from((1, 2, 3, 6)))
     firms = tuple(
-        (name, SetFunction(workers, (Fraction(0), *(draw(value) for _ in range((1 << n) - 1)))))
+        (name, SetFunction.from_values(workers, (Fraction(0), *(draw(value) for _ in range((1 << n) - 1)))))
         for name in names
     )
     profile = None
@@ -550,3 +566,39 @@ def test_market_digest_matches_sorted_json_dumps(m):
     keys = subset_keys(m.workers)
     tables = [firm["utility"]["values"] for firm in serialize_market(m)["firms"]]
     assert tables == [dict(zip(keys, map(str, fn.values))) for _, fn in m.firms]
+
+
+def _oracle_dump(m: Market) -> str:
+    return json.dumps(serialize_market(m), indent=2) + "\n"
+
+
+@PROPERTY_SETTINGS
+@given(odd_markets())
+@example(Market((), ()))
+@example(Market((), (("f", SetFunction.additive((), {})),), Profile((), ("f",), ())))
+@example(Market(("a",), (), Profile(("a",), (), ((),))))
+@example(
+    Market(
+        ('q"', "b\\", "\u00e9", "c\x01"),
+        (("f\u2603", SetFunction.unit_demand(('q"', "b\\", "\u00e9", "c\x01"), {"b\\": "-1/3"})),),
+    )
+)
+def test_dumps_market_matches_indented_json_dumps(m):
+    assert dumps_market(m) == _oracle_dump(m)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generated_dump_matches_indented_json_dumps(kind):
+    for n, firms in ((0, 0), (0, 2), (1, 1), (3, 0), (7, 3)):
+        m = generate(kind, n, firms, seed=2)
+        assert dumps_market(m) == _oracle_dump(m)
+
+
+def test_digest_takes_the_loads_key_list(tmp_path):
+    m = generate("random_monotone", 5, 2, seed=3)
+    path = tmp_path / "m.json"
+    path.write_text(dumps_market(m))
+    keys: list[str] = []
+    loaded = load_market(str(path), keys)
+    assert keys == subset_keys(m.workers)
+    assert market_digest(loaded, keys) == market_digest(loaded) == market_digest(m)

@@ -1,6 +1,8 @@
 """Data-layer checks: set functions, profiles, markets, matchings, outcomes."""
 
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -44,7 +46,7 @@ def test_from_table_rejects_unknown_worker():
 
 def test_normalization_enforced():
     with pytest.raises(ValueError, match="empty set"):
-        SetFunction(("a",), (Fraction(1), Fraction(2)))
+        SetFunction.from_values(("a",), (Fraction(1), Fraction(2)))
 
 
 def test_value_lookup_and_members_roundtrip():
@@ -106,8 +108,46 @@ def test_budget_additive_rejects_negative_budget():
     assert not SetFunction.additive(("a",), {"a": "-1"}).is_monotone()
 
 
+def test_set_function_is_kept_in_lowest_terms():
+    fn = SetFunction(("a", "b"), 6, (0, 3, 9, 12))
+    assert (fn.den, fn.scaled) == (2, (0, 1, 3, 4))
+    assert fn == SetFunction.from_values(("a", "b"), ("0", "1/2", "3/2", "2"))
+    assert fn.value(2) == Fraction(3, 2) and fn.values == (0, Fraction(1, 2), Fraction(3, 2), 2)
+    assert SetFunction.budget_additive(("a", "b"), "7/3", {"a": 1, "b": 1}).den == 1
+    with pytest.raises(ValueError, match="denominator"):
+        SetFunction(("a",), 0, (0, 1))
+
+
+WIDE = tuple(f"w{i}" for i in range(16))
+HALVES = {w: Fraction(i % 9, 2) for i, w in enumerate(WIDE)}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SetFunction.additive(WIDE, HALVES),
+        lambda: SetFunction.unit_demand(WIDE, HALVES),
+        lambda: SetFunction.budget_additive(WIDE, Fraction(41, 2), HALVES),
+    ],
+    ids=["additive", "unit_demand", "budget_additive"],
+)
+def test_compact_constructors_build_on_integers(build):
+    """At 16 workers each builder peaks near twice the finished table's
+    pointer array: the list it doubles plus the tuple copied from it (2.0 to
+    2.1 times, measured). Building the same table through Fractions and
+    clearing it afterwards peaked at 9.1 times (additive) and 3.1 times
+    (unit demand)."""
+    tracemalloc.start()
+    try:
+        fn = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sys.getsizeof(fn.scaled)
+
+
 def test_first_monotonicity_violation_found():
-    fn = SetFunction(("a", "b"), (Fraction(0), Fraction(2), Fraction(1), Fraction(1)))
+    fn = SetFunction.from_values(("a", "b"), (Fraction(0), Fraction(2), Fraction(1), Fraction(1)))
     hit = fn.first_monotonicity_violation()
     assert hit is not None
     smaller, larger = hit

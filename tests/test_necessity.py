@@ -43,7 +43,7 @@ def _zero_cost_market(fn: SetFunction) -> Market:
 
 # three workers, one violating triple ({w3}, w1, w2), and w3 contributes
 # nothing on top of the pair: the tie-break never hires all three
-TIE_DODGER = SetFunction(
+TIE_DODGER = SetFunction.from_values(
     ("w1", "w2", "w3"),
     (
         Fraction(0),
@@ -256,7 +256,7 @@ def test_demonstrations_refuse_non_monotone_tables():
     # u({w1,w3}) = u({w2,w3}) = 1 and 0 elsewhere: both constructions fail
     values = [Fraction(0)] * 8
     values[0b101] = values[0b110] = Fraction(1)
-    m = _zero_cost_market(SetFunction(("w1", "w2", "w3"), tuple(values)))
+    m = _zero_cost_market(SetFunction.from_values(("w1", "w2", "w3"), tuple(values)))
     for demonstrate in (demonstrate_ir_violation, demonstrate_sir_violation):
         with pytest.raises(ValueError, match="firm f1: monotone=no") as err:
             demonstrate(m, "f1")

@@ -35,7 +35,7 @@ def _random_monotone(rng: random.Random, n: int) -> SetFunction:
     for mask in range(1, 1 << n):
         floor = max(vals[mask ^ (1 << i)] for i in range(n) if mask >> i & 1)
         vals[mask] = floor + Fraction(rng.randint(0, 4), 2)
-    return SetFunction(names, tuple(vals))
+    return SetFunction.from_values(names, tuple(vals))
 
 
 def test_additive_is_in_every_class():
@@ -195,7 +195,7 @@ def test_gross_substitutes_worked_example():
 
 
 def test_gross_substitutes_requires_monotone():
-    fn = SetFunction(("a", "b"), (Fraction(0), Fraction(2), Fraction(1), Fraction(1)))
+    fn = SetFunction.from_values(("a", "b"), (Fraction(0), Fraction(2), Fraction(1), Fraction(1)))
     with pytest.raises(ValueError, match="increasing"):
         is_gross_substitutes(fn)
 

@@ -291,7 +291,7 @@ def test_firing_witness_is_the_largest_kept_set():
     values = tuple(Fraction(v) for v in (0, 3, 3, 4))
     m = Market(
         workers,
-        (("f", SetFunction(workers, values)),),
+        (("f", SetFunction.from_values(workers, values)),),
         Profile.from_dict(workers, ("f",), {w: {"f": "0"} for w in workers}),
     )
     o = Outcome.build(Matching.from_dict(workers, {"w1": "f", "w2": "f"}), {"w1": 2, "w2": 2})

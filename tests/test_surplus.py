@@ -141,7 +141,7 @@ def test_exclusions_match_rebuilt_markets():
                     if sub >> b & 1:
                         mask |= 1 << keep_idx[b]
                 vals.append(fn.values[mask])
-            firms.append((name, SetFunction(keep, tuple(vals))))
+            firms.append((name, SetFunction.from_values(keep, tuple(vals))))
         entries = {
             w: {f: m.disutilities.get(w, f) for f in m.firm_names} for w in keep
         }
@@ -176,7 +176,7 @@ def _zero_cost_market(n: int, minimal_sets: tuple[tuple[str, ...], ...]) -> Mark
         Fraction(int(any(mask & want == want for want in wanted))) for mask in range(1 << n)
     )
     profile = Profile.from_dict(workers, ("f",), {w: {"f": 0} for w in workers})
-    return Market(workers, (("f", SetFunction(workers, values)),), profile)
+    return Market(workers, (("f", SetFunction.from_values(workers, values)),), profile)
 
 
 # (market, canonical hire); the first optimum in mask order is another set
