@@ -137,7 +137,7 @@ def test_necessity_json_reports_exhibited_outcome(capsys):
 
 
 # sha256 of `gen` output, recorded while tables were still built and dumped
-# through Fractions and json.dumps; the integer builders must keep every byte
+# through Fractions and json.dumps; the integer tables must keep every byte
 PINNED_GEN = {
     "additive 12 2 --seed 1": "cb2d6677af501e7ceb5f164142310c6d565d3d3a753c3188ace44e70e24f0bfa",
     "budget_additive 10 3 --seed 1": "463afe4ddb085dbde58d9aee88da5a2488acee8e471d70b5f4ee28f4323c7a0e",

@@ -132,7 +132,7 @@ HALVES = {w: Fraction(i % 9, 2) for i, w in enumerate(WIDE)}
     ids=["additive", "unit_demand", "budget_additive"],
 )
 def test_compact_constructors_build_on_integers(build):
-    """At 16 workers each builder peaks near twice the finished table's
+    """At 16 workers each constructor peaks near twice the finished table's
     pointer array: the list it doubles plus the tuple copied from it (2.0 to
     2.1 times, measured). Building the same table through Fractions and
     clearing it afterwards peaked at 9.1 times (additive) and 3.1 times
