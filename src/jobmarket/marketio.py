@@ -28,16 +28,19 @@ Cost: one load parses each distinct rational string once (a generated
 12-worker table holds a few dozen distinct strings among its 4,096
 values) and scales each distinct value once, by the LCM of its table's
 denominators, straight into the table's integer form (`SetFunction.den`
-and `scaled`); no Fraction is built per entry. Table keys in universe
-order (as `dumps_market` writes them) resolve to masks by dict lookup in
-the load's subset key list, which `parse_market` hands on so that
-`market_digest` need not build it again; only keys in another order are
-split and resolved worker by worker, and only a table found at fault is
-walked entry by entry to name its first offender. `dumps_market` and
-`market_digest` write their JSON text straight from the integer tables:
-one text per distinct value of each table, the escaped key heads built
-once per call and shared by every firm, and each table's entries joined
-in one pass; the digest adds one sort of the subset keys per call.
+and `scaled`); no Fraction is built per entry. A table whose keys are
+the load's subset key list in mask order (as `dumps_market` writes them)
+is read in file order after one comparison of the two key lists; the
+subset key list is built once per load and `parse_market` hands it on,
+so that `market_digest` need not build it again. Entries in another
+order resolve to masks by dict lookup in that list, only keys whose ids
+come in another order are split and resolved worker by worker, and only
+a table found at fault is walked entry by entry to name its first
+offender. `dumps_market` and `market_digest` write their JSON text
+straight from the integer tables: one text per distinct value of each
+table, the escaped key heads built once per call and shared by every firm,
+and each table's entries joined in one pass; the digest adds one sort of
+the subset keys per call.
 """
 
 from __future__ import annotations
@@ -118,7 +121,8 @@ def subset_keys(workers: tuple[str, ...]) -> list[str]:
     alone, then the keys below it with ",w_i" appended."""
     keys = [""]
     for w in workers:
-        keys += [w] + [k + "," + w for k in keys[1:]]
+        tail = "," + w
+        keys += [w] + [k + tail for k in keys[1:]]
     return keys
 
 
@@ -157,32 +161,37 @@ class _Load:
         """One firm's table from its {key: value} object, in bulk.
 
         Each distinct value is parsed once and scaled once, by the LCM of
-        the table's distinct denominators; keys resolve to masks through
-        `key_masks`, and only a key in another order is split. When the
-        bulk result shows a refused value or a bad key set, a per-entry
-        pass names the first offender in entry order, with the errors of
-        `SetFunction.from_table`.
+        the table's distinct denominators. Keys that are the subset key
+        list itself, in mask order, are taken in file order; other keys
+        resolve to masks through `key_masks`, and only a key in another
+        order is split. When the bulk result shows a refused value or a
+        bad key set, a per-entry pass names the first offender in entry
+        order, with the errors of `SetFunction.from_table`.
         """
         fracs = self._distinct_values(values, where)
-        size = 1 << len(self.workers)
-        masks = list(map(self.key_masks.get, values))
-        found = set(masks)
-        if None in found:
-            try:
-                masks = [
-                    mask_of(self.index, _key_ids(key)) if m is None else m
-                    for key, m in zip(values, masks)
-                ]
-                found = set(masks)
-            except ValueError:
-                masks = []  # a key that does not resolve: named below
-        if len(masks) != size or len(found) != size:
-            return SetFunction.from_table(
-                self.workers, ((_key_ids(key), fracs[raw]) for key, raw in values.items())
-            )
-        ordered: list = [None] * size
-        for m, raw in zip(masks, values.values()):
-            ordered[m] = raw
+        ordered: Iterable[Any]
+        if list(values) == self.keys:
+            ordered = values.values()
+        else:
+            size = 1 << len(self.workers)
+            masks = list(map(self.key_masks.get, values))
+            found = set(masks)
+            if None in found:
+                try:
+                    masks = [
+                        mask_of(self.index, _key_ids(key)) if m is None else m
+                        for key, m in zip(values, masks)
+                    ]
+                    found = set(masks)
+                except ValueError:
+                    masks = []  # a key that does not resolve: named below
+            if len(masks) != size or len(found) != size:
+                return SetFunction.from_table(
+                    self.workers, ((_key_ids(key), fracs[raw]) for key, raw in values.items())
+                )
+            ordered = [None] * size
+            for m, raw in zip(masks, values.values()):
+                ordered[m] = raw
         den = lcm(*{v.denominator for v in fracs.values()})
         ints = {raw: v.numerator * (den // v.denominator) for raw, v in fracs.items()}
         return SetFunction(self.workers, den, tuple(map(ints.__getitem__, ordered)))

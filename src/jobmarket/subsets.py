@@ -42,20 +42,35 @@ def bit_halves(size: int, bit: int) -> Iterator[tuple[slice, slice]]:
     return ((slice(b, b + bit), slice(b + bit, b + step)) for b in range(0, size, step))
 
 
+def _squeezed_halves(size: int, bit: int) -> Iterator[tuple[slice, slice, slice]]:
+    """`bit_halves` pairs, each with the slice its without-bit entries fill
+    in the half-size table that has `bit` squeezed out: a strided slice
+    lands every `bit`-th entry, a block lands contiguously."""
+    for lo, hi in bit_halves(size, bit):
+        start = lo.start if lo.start < bit else lo.start >> 1
+        yield lo, hi, slice(start, None, bit) if lo.step else slice(start, start + bit)
+
+
 def bit_marginals(vals: Sequence[Any], bit: int) -> tuple[list[Any], list[Any]]:
     """(base, marginal): vals[m] and vals[m | bit] - vals[m] over the masks m
     without `bit`, two lists ascending in m, so each entry sits at m with
-    `bit` squeezed out. Copied and subtracted by `bit_halves` slices: a
-    strided slice lands every `bit`-th entry, a block lands contiguously."""
+    `bit` squeezed out. Copied and subtracted by `bit_halves` slices."""
     half = len(vals) >> 1
     base, marginal = [0] * half, [0] * half
-    for lo, hi in bit_halves(len(vals), bit):
-        start = lo.start if lo.start < bit else lo.start >> 1
-        dst = slice(start, None, bit) if lo.step else slice(start, start + bit)
+    for lo, hi, dst in _squeezed_halves(len(vals), bit):
         without = vals[lo]
         base[dst] = without
         marginal[dst] = map(sub, vals[hi], without)
     return base, marginal
+
+
+def drop_bit(vals: Sequence[Any], bit: int) -> list[Any]:
+    """vals at the masks without `bit`, ascending: the table with `bit`
+    squeezed out, copied by the slices of `bit_marginals`' base."""
+    base = [0] * (len(vals) >> 1)
+    for lo, _, dst in _squeezed_halves(len(vals), bit):
+        base[dst] = vals[lo]
+    return base
 
 
 def subset_sums(weights: Sequence[Any], zero: Any = 0) -> list[Any]:

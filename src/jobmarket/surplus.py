@@ -5,13 +5,26 @@ at the going disutilities:
 
     V_f(S) = max over T subset of S of  [ u_f(T) - sum of d_w(f) over T ].
 
-The table is one `subsets.submask_max` over the raw values, O(n 2^n)
-element steps on slices. "Tight" sets are those achieving their own surplus
-(the raw value equals V_f); the empty set is always tight. The efficient
-matching maximizes the sum of firm surpluses over disjoint pools via a
-dynamic program on (firm suffix, worker pool): layer k holds the best total
-of firms k, k+1, ... on a pool. Assigned sets are always tight, with ties
-broken toward minimum cardinality and then lexicographic worker order.
+"Tight" sets are those achieving their own surplus (the raw value
+u_f - sum of d_w(f) equals V_f); the empty set is always tight. A worker b
+whose marginal raw value is negative on every pool, raw(S + b) < raw(S)
+for all S, is in no tight set, and V_f(S) = V_f(S minus b): any T holding
+b is strictly beaten by T minus b. The table drops such workers one at a
+time, from the top bit down, each tested on the raw table already cut to
+the survivors, so a worker may go only once another has gone; two O(1)
+probes (S empty, S every other survivor) keep most workers without a scan.
+Each drop halves the table. One `subsets.submask_max`, O(k 2^k) element
+steps on slices, runs over the k survivors' table, whose tight masks are
+the firm's, and V_f is spread back to all 2^n pools by one gather through
+each pool's survivors. Private disutilities on [0, ubar] leave most
+workers unprofitable to most firms; with no drop the max is the whole
+table, as under a zero profile.
+
+The efficient matching maximizes the sum of firm surpluses over disjoint
+pools via a dynamic program on (firm suffix, worker pool): layer k holds
+the best total of firms k, k+1, ... on a pool. Assigned sets are always
+tight, with ties broken toward minimum cardinality and then lexicographic
+worker order.
 
 Every split of a pool between firm k and the firms after it runs over
 firm k's tight sets only. A set t that is not tight is dominated by the
@@ -40,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import eq, lt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import (
@@ -56,7 +70,7 @@ from .model import (
 )
 from .setfn import is_submodular
 from .stability import hire_masks
-from .subsets import bit_indices, canonical_key, submask_max, subset_sums
+from .subsets import bit_halves, bit_indices, canonical_key, drop_bit, submask_max, subset_sums
 
 #: brute_force_matching enumerates (m+1)^n assignments; keep it honest but finite.
 BRUTE_FORCE_WORKER_CAP = 8
@@ -77,11 +91,36 @@ class EfficientSolution:
     ties_broken: bool = False
 
 
-def _int_surplus_table(values: Sequence[int], costs: Sequence[int]) -> tuple[list[int], list[bool]]:
-    """V_f and tightness over all masks, in integer arithmetic."""
+def _int_surplus_table(values: Sequence[int], costs: Sequence[int]) -> tuple[list[int], list[int]]:
+    """V_f over all masks and the tight masks ascending, in integer arithmetic.
+
+    A worker that neither probe keeps is decided by one slice comparison
+    that stops at the first S where it pays; a dropped worker is squeezed
+    out of the table (`subsets.drop_bit`). The survivors' masks, ascending,
+    list the survivors' table's positions, and each pool reads its V_f at
+    the position of its survivors.
+    """
+    n = len(costs)
     raw = [v - c for v, c in zip(values, subset_sums(costs))]
-    vf = submask_max(raw)
-    return vf, [r == v for r, v in zip(raw, vf)]
+    cur, kept = raw, []
+    for i in reversed(range(n)):
+        bit, top = 1 << i, len(cur) - 1
+        if (
+            cur[bit] >= cur[0]
+            or cur[top] >= cur[top ^ bit]
+            or not all(all(map(lt, cur[hi], cur[lo])) for lo, hi in bit_halves(len(cur), bit))
+        ):
+            kept.append(i)
+        else:
+            cur = drop_bit(cur, bit)
+    best = submask_max(cur)
+    if len(kept) == n:
+        return best, list(compress(range(len(best)), map(eq, cur, best)))
+    kept.reverse()
+    tight = list(compress(subset_sums([1 << i for i in kept]), map(eq, cur, best)))
+    position = {i: 1 << r for r, i in enumerate(kept)}
+    spread = subset_sums([position.get(i, 0) for i in range(n)])
+    return list(map(best.__getitem__, spread)), tight
 
 
 class MarketSolver:
@@ -106,7 +145,7 @@ class MarketSolver:
         for fn, column in zip(fns, costs):
             vf, tight = _int_surplus_table(fn.scaled_to(self.den), column)
             self.vf.append(vf)
-            self.tight.append(list(compress(range(len(vf)), tight)))
+            self.tight.append(tight)
         # layers[k][s]: best total of firms k, k+1, ... on pool s. Layer 0
         # stays None when it is filled on demand (two or more firms).
         full = market.full_mask
@@ -326,12 +365,11 @@ def check_tight_sets_downward_closed(
         raise ValueError("costs must be nonnegative")
     den, (icosts,) = clear_denominators([u_f], [cost_fr])
     _, tight = _int_surplus_table(u_f.scaled_to(den), icosts)
-    for mask in range(1 << u_f.n):
-        if not tight[mask]:
-            continue
+    tight_set = set(tight)
+    for mask in tight:
         for i in bit_indices(mask):
             child = mask ^ (1 << i)
-            if not tight[child]:
+            if child not in tight_set:
                 return ConditionReport(
                     verdict=False,
                     witness={

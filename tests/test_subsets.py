@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jobmarket.subsets import bit_halves, bit_marginals, submask_max, subset_sums
+from jobmarket.subsets import bit_halves, bit_marginals, drop_bit, submask_max, subset_sums
 
 
 def _submasks(mask):
@@ -54,6 +54,7 @@ def test_bit_marginals_list_the_masks_without_the_bit_ascending(n):
         base, marginal = bit_marginals(vals, bit)
         assert base == [vals[m] for m in without]
         assert marginal == [vals[m | bit] - vals[m] for m in without]
+        assert drop_bit(vals, bit) == base
 
 
 @pytest.mark.parametrize("n", range(9))
