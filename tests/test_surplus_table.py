@@ -129,12 +129,12 @@ def test_no_dominance_scan_when_every_worker_pays_at_once(monkeypatch):
     # zero profile and a strictly increasing table: the probe at the empty
     # pool keeps every worker, so no slice comparison runs
     calls = []
+    real = surplus.bit_halves
 
     def counted(size, bit):
         calls.append(bit)
         return real(size, bit)
 
-    real = surplus.bit_halves
     monkeypatch.setattr(surplus, "bit_halves", counted)
     n = 12
     values = subset_sums(list(range(1, n + 1)))
