@@ -14,11 +14,19 @@ stability: blocked; selftest: any suite failure), 2 bad input, 141 stdout
 closed before the output was written (console entry only). Output is
 deterministic for a fixed input and seed; --json emits a stable schema with
 all rationals as exact strings.
+
+The argument parser is built once per process, on the first call of
+`main`, and reused by every later call in the same process (tests, the
+benchmark, any embedding); a console run calls `main` once either way.
+The parser keeps each command function's name, not the function, and each
+call looks it up in this module, so a function rebound here (a test's
+monkeypatch, a tracer's wrapper) takes effect without a new parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -266,6 +274,7 @@ def cmd_selftest(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jobmarket",
@@ -276,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, func, help_: str, market: bool = True, profile: bool = False):
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
         if market:
             p.add_argument("market", help="market JSON file")
         if profile:
@@ -307,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except ValueError as err:  # bad input; marketio.MarketFormatError is one
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -73,6 +73,16 @@ def drop_bit(vals: Sequence[Any], bit: int) -> list[Any]:
     return base
 
 
+def insert_bit(vals: Sequence[Any], bit: int) -> list[Any]:
+    """The inverse of `drop_bit`: the table twice the size in which both
+    m and m | `bit` read vals at m with `bit` squeezed out, so the new
+    bit changes no value. Copied by the same slices."""
+    out = [0] * (len(vals) << 1)
+    for lo, hi, dst in _squeezed_halves(len(out), bit):
+        out[lo] = out[hi] = vals[dst]
+    return out
+
+
 def subset_sums(weights: Sequence[Any], zero: Any = 0) -> list[Any]:
     """sums[mask] = sum of weights[i] over the bits i of mask, one addition
     per mask: each weight doubles the table, sums[mask | bit i] from mask."""

@@ -10,15 +10,18 @@ u_f - sum of d_w(f) equals V_f); the empty set is always tight. A worker b
 whose marginal raw value is negative on every pool, raw(S + b) < raw(S)
 for all S, is in no tight set, and V_f(S) = V_f(S minus b): any T holding
 b is strictly beaten by T minus b. The table drops such workers one at a
-time, from the top bit down, each tested on the raw table already cut to
-the survivors, so a worker may go only once another has gone; two O(1)
-probes (S empty, S every other survivor) keep most workers without a scan.
-Each drop halves the table. One `subsets.submask_max`, O(k 2^k) element
-steps on slices, runs over the k survivors' table, whose tight masks are
-the firm's, and V_f is spread back to all 2^n pools by one gather through
-each pool's survivors. Private disutilities on [0, ubar] leave most
-workers unprofitable to most firms; with no drop the max is the whole
-table, as under a zero profile.
+time, from the top bit down, each tested on the table already cut to the
+survivors, so a worker may go only once another has gone; two O(1) probes
+(S empty, S every other survivor) keep most workers without a scan. The
+tests read the firm's utility table unscaled: with scale factor f, b pays
+on S exactly when u_f(S + b) - u_f(S) >= ceil(d_b(f) / f). Each drop
+halves the table. The full 2^n table is touched only by these scans and
+squeezes and by spreading V_f back, one slice-copy pass per dropped worker
+(`subsets.insert_bit`); the scaling, the cost sums, the raw table and one
+`subsets.submask_max`, O(k 2^k) element steps on slices, run over the k
+survivors' table, whose tight masks are the firm's. Private disutilities
+on [0, ubar] leave most workers unprofitable to most firms; with no drop
+the max is the whole table, as under a zero profile.
 
 The efficient matching maximizes the sum of firm surpluses over disjoint
 pools via a dynamic program on (firm suffix, worker pool): layer k holds
@@ -52,8 +55,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import eq, lt
+from itertools import compress, repeat
+from operator import eq, lt, mul, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import (
@@ -70,7 +73,15 @@ from .model import (
 )
 from .setfn import is_submodular
 from .stability import hire_masks
-from .subsets import bit_halves, bit_indices, canonical_key, drop_bit, submask_max, subset_sums
+from .subsets import (
+    bit_halves,
+    bit_indices,
+    canonical_key,
+    drop_bit,
+    insert_bit,
+    submask_max,
+    subset_sums,
+)
 
 #: brute_force_matching enumerates (m+1)^n assignments; keep it honest but finite.
 BRUTE_FORCE_WORKER_CAP = 8
@@ -91,36 +102,49 @@ class EfficientSolution:
     ties_broken: bool = False
 
 
-def _int_surplus_table(values: Sequence[int], costs: Sequence[int]) -> tuple[list[int], list[int]]:
-    """V_f over all masks and the tight masks ascending, in integer arithmetic.
+def _int_surplus_table(
+    values: Sequence[int], factor: int, costs: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """V_f over all masks and the tight masks ascending, in integer
+    arithmetic, for the utility table `values` times `factor` at `costs`.
 
-    A worker that neither probe keeps is decided by one slice comparison
-    that stops at the first S where it pays; a dropped worker is squeezed
-    out of the table (`subsets.drop_bit`). The survivors' masks, ascending,
-    list the survivors' table's positions, and each pool reads its V_f at
-    the position of its survivors.
+    Worker b pays on S when factor * (u(S + b) - u(S)) >= c_b, that is when
+    u(S + b) - u(S) >= ceil(c_b / factor), so the drop tests run on the
+    unscaled table. A worker that neither probe keeps is decided by one
+    slice comparison that stops at the first S where it pays; a dropped
+    worker is squeezed out of the table (`subsets.drop_bit`). Only the
+    survivors' table is scaled, has its cost sums subtracted and is maxed;
+    the survivors' masks, ascending, list its positions, and V_f is spread
+    back by re-inserting each dropped bit (`subsets.insert_bit`).
     """
     n = len(costs)
-    raw = [v - c for v, c in zip(values, subset_sums(costs))]
-    cur, kept = raw, []
+    cur, kept, dropped = values, [], []
     for i in reversed(range(n)):
         bit, top = 1 << i, len(cur) - 1
+        need = -(-costs[i] // factor)
         if (
-            cur[bit] >= cur[0]
-            or cur[top] >= cur[top ^ bit]
-            or not all(all(map(lt, cur[hi], cur[lo])) for lo, hi in bit_halves(len(cur), bit))
+            cur[bit] - cur[0] >= need
+            or cur[top] - cur[top ^ bit] >= need
+            or not all(
+                all(map(lt, map(sub, cur[hi], cur[lo]), repeat(need)))
+                for lo, hi in bit_halves(len(cur), bit)
+            )
         ):
             kept.append(i)
         else:
             cur = drop_bit(cur, bit)
-    best = submask_max(cur)
-    if len(kept) == n:
-        return best, list(compress(range(len(best)), map(eq, cur, best)))
+            dropped.append(i)
     kept.reverse()
-    tight = list(compress(subset_sums([1 << i for i in kept]), map(eq, cur, best)))
-    position = {i: 1 << r for r, i in enumerate(kept)}
-    spread = subset_sums([position.get(i, 0) for i in range(n)])
-    return list(map(best.__getitem__, spread)), tight
+    if factor != 1:
+        cur = list(map(mul, cur, repeat(factor)))
+    raw = list(map(sub, cur, subset_sums([costs[i] for i in kept])))
+    best = submask_max(raw)
+    masks = subset_sums([1 << i for i in kept]) if dropped else range(len(raw))
+    tight = list(compress(masks, map(eq, raw, best)))
+    # ascending, so every bit below the one re-inserted is already back
+    for i in reversed(dropped):
+        best = insert_bit(best, 1 << i)
+    return best, tight
 
 
 class MarketSolver:
@@ -143,7 +167,7 @@ class MarketSolver:
         # each firm's tight masks, ascending; their values are in self.vf
         self.tight: list[list[int]] = []
         for fn, column in zip(fns, costs):
-            vf, tight = _int_surplus_table(fn.scaled_to(self.den), column)
+            vf, tight = _int_surplus_table(fn.scaled, self.den // fn.den, column)
             self.vf.append(vf)
             self.tight.append(tight)
         # layers[k][s]: best total of firms k, k+1, ... on pool s. Layer 0
@@ -364,7 +388,7 @@ def check_tight_sets_downward_closed(
     if any(c < 0 for c in cost_fr):
         raise ValueError("costs must be nonnegative")
     den, (icosts,) = clear_denominators([u_f], [cost_fr])
-    _, tight = _int_surplus_table(u_f.scaled_to(den), icosts)
+    _, tight = _int_surplus_table(u_f.scaled, den // u_f.den, icosts)
     tight_set = set(tight)
     for mask in tight:
         for i in bit_indices(mask):

@@ -60,6 +60,45 @@ def test_golden_transcripts(capsys, golden, expected_rc, argv):
     assert out == GOLDEN.joinpath(golden).read_text()
 
 
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once per process; a flag, a default or an error
+    in one call must not leak into the next."""
+    assert cli.build_parser() is cli.build_parser()
+    sequence = [
+        (None, ["vcg", DATA / "all_or_nothing.json", "--json"]),
+        ("vcg_all_or_nothing.txt", ["vcg", DATA / "all_or_nothing.json"]),
+        (None, ["gen", "additive", "three", "2"]),
+        ("classify_plateau.txt", ["classify", DATA / "plateau.json"]),
+        ("necessity_tie_dodger.txt", ["necessity", DATA / "tie_dodger.json", "--firm", "f1"]),
+        ("gen_additive.txt", ["gen", "additive", "3", "2", "--seed", "5"]),
+        (None, ["selftest", "--trials", "2"]),
+    ]
+
+    def one_pass():
+        results = []
+        for _, argv in sequence:
+            try:
+                results.append(run_cli(capsys, *argv))
+            except SystemExit as exc:
+                results.append((exc.code, *capsys.readouterr()))
+        return results
+
+    first = one_pass()
+    assert one_pass() == first
+    for (golden, _), (rc, out, err) in zip(sequence, first):
+        if golden is not None:
+            assert out == GOLDEN.joinpath(golden).read_text()
+            assert err == ""
+    assert json.loads(first[0][1])["command"] == "vcg"
+    assert [rc for rc, _, _ in first] == [1, 1, 2, 0, 0, 0, 0]
+    rc, out, err = first[2]
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: jobmarket gen") and "invalid int value: 'three'" in err
+    # selftest's defaults (seed 0, grid 6) hold after gen's --seed 5
+    report = cli.selftest_mod.run(2, 0, 6)
+    assert first[6] == (0, "".join(line + "\n" for line in report.lines()), "")
+
+
 def test_classify_json(capsys):
     rc, out, _ = run_cli(capsys, "classify", DATA / "budget_vs_additive.json", "--json")
     assert rc == 0

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from jobmarket.subsets import bit_halves, bit_marginals, drop_bit, submask_max, subset_sums
+from jobmarket.subsets import (
+    bit_halves,
+    bit_marginals,
+    drop_bit,
+    insert_bit,
+    submask_max,
+    subset_sums,
+)
 
 
 def _submasks(mask):
@@ -55,6 +62,19 @@ def test_bit_marginals_list_the_masks_without_the_bit_ascending(n):
         assert base == [vals[m] for m in without]
         assert marginal == [vals[m | bit] - vals[m] for m in without]
         assert drop_bit(vals, bit) == base
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_insert_bit_is_the_inverse_of_drop_bit(n):
+    rng = random.Random(300 + n)
+    vals = [rng.randint(-50, 50) for _ in range(1 << n)]
+    for i in range(n + 1):
+        bit = 1 << i
+        low = bit - 1
+        out = insert_bit(vals, bit)
+        # m and m | bit both read vals at m with bit squeezed out
+        assert out == [vals[m & low | (m >> 1) & ~low] for m in range(2 << n)]
+        assert drop_bit(out, bit) == vals
 
 
 @pytest.mark.parametrize("n", range(9))

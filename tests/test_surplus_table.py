@@ -2,9 +2,11 @@
 
 The kernel drops every worker whose marginal raw value is negative on
 every pool of the workers left, runs the submask max on the survivors'
-table only and spreads it back. The reference here is the plain full
-computation: the raw table over all 2^n masks, its submask max and the
-masks where the two agree. Every case is deterministic.
+table only and spreads it back. It takes the utility table unscaled with
+the factor that scales it, and tests each worker on the unscaled table.
+The reference here is the plain full computation: the scaled raw table
+over all 2^n masks, its submask max and the masks where the two agree.
+Every case is deterministic.
 """
 
 import random
@@ -12,18 +14,18 @@ import random
 import pytest
 
 import jobmarket.surplus as surplus
-from jobmarket.subsets import submask_max, subset_sums
+from jobmarket.subsets import drop_bit, submask_max, subset_sums
 from jobmarket.surplus import _int_surplus_table
 
 
-def _reference(values, costs):
-    raw = [v - c for v, c in zip(values, subset_sums(costs))]
+def _reference(values, costs, factor=1):
+    raw = [v * factor - c for v, c in zip(values, subset_sums(costs))]
     vf = submask_max(raw)
     return vf, [mask for mask, (r, v) in enumerate(zip(raw, vf)) if r == v]
 
 
 def _check(values, costs):
-    got = _int_surplus_table(values, costs)
+    got = _int_surplus_table(values, 1, costs)
     assert got == _reference(values, costs)
     return got
 
@@ -138,9 +140,96 @@ def test_no_dominance_scan_when_every_worker_pays_at_once(monkeypatch):
     monkeypatch.setattr(surplus, "bit_halves", counted)
     n = 12
     values = subset_sums(list(range(1, n + 1)))
-    _, tight = _int_surplus_table(values, [0] * n)
+    _, tight = _int_surplus_table(values, 1, [0] * n)
     assert len(tight) == 1 << n
     assert calls == []
     # the counter sees the scan when a worker does need one
     _check(*_single_bump(4, 3, 0b0101, 6))
     assert calls
+
+
+def _submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def _reference_drops(values, factor, costs):
+    """The workers the rule drops, top bit first, found on the full scaled
+    raw table: b goes when raw(S + b) < raw(S) on every pool S of the
+    workers still in."""
+    n = len(costs)
+    raw = [v * factor - c for v, c in zip(values, subset_sums(costs))]
+    alive, dropped = (1 << n) - 1, []
+    for b in reversed(range(n)):
+        rest = alive ^ 1 << b
+        if all(raw[s | 1 << b] < raw[s] for s in _submasks(rest)):
+            alive = rest
+            dropped.append(b)
+    return dropped
+
+
+def _check_scaled(monkeypatch, values, factor, costs):
+    """The kernel at `factor` against the scaled reference, and the workers
+    it squeezes out against the rule's."""
+    dropped = []
+
+    def counted(vals, bit):
+        dropped.append(bit.bit_length() - 1)
+        return drop_bit(vals, bit)
+
+    monkeypatch.setattr(surplus, "drop_bit", counted)
+    got = _int_surplus_table(values, factor, costs)
+    assert got == _reference(values, costs, factor)
+    assert dropped == _reference_drops(values, factor, costs)
+    return got
+
+
+FACTORS = (1, 2, 3, 7)
+
+
+@pytest.mark.parametrize("factor", FACTORS)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_scaled_table_keeps_the_worker_whose_marginal_meets_its_cost(monkeypatch, n, factor):
+    # b's best marginal is k unscaled, k * factor scaled: at cost
+    # k * factor the tie keeps b while the pool's workers are in, and at
+    # k * factor + 1 the rule drops b
+    for k in (1, 5):
+        for b in sorted({0, n // 2, n - 1}):
+            for name, pool in _pools(n, b):
+                for cost in (k * factor - 1, k * factor, k * factor + 1):
+                    values, costs = _single_bump(n, b, pool, cost)
+                    values[pool | 1 << b] = k
+                    _, tight = _check_scaled(monkeypatch, values, factor, costs)
+                    hired = pool | 1 << b
+                    paid = sum(costs[i] for i in range(n) if pool >> i & 1)
+                    assert (hired in tight) == (cost <= k * factor - paid), (name, b, cost)
+
+
+@pytest.mark.parametrize("factor", FACTORS)
+@pytest.mark.parametrize("n", range(0, 9))
+def test_scaled_random_tables_match_the_full_reference(monkeypatch, n, factor):
+    rng = random.Random(2000 + 10 * n + factor)
+    for trial in range(18):
+        # non-monotone tables give negative marginals; costs sit on either
+        # side of a multiple of the factor
+        kind = ("non-monotone", "additive", "plateau")[trial % 3]
+        values = _random_table(rng, n, kind)
+        costs = [max(0, rng.randint(0, 12) * factor + rng.choice((-1, 0, 1))) for _ in range(n)]
+        _check_scaled(monkeypatch, values, factor, costs)
+
+
+@pytest.mark.parametrize("factor", FACTORS)
+@pytest.mark.parametrize("n", range(0, 9))
+def test_scaled_table_every_or_no_worker_dropped(monkeypatch, n, factor):
+    values = subset_sums(list(range(1, n + 1)))
+    # each worker adds i + 1 unscaled, (i + 1) * factor scaled
+    vf, tight = _check_scaled(monkeypatch, values, factor, [(n + 1) * factor] * n)
+    assert tight == [0] and vf == [0] * (1 << n)
+    vf, tight = _check_scaled(monkeypatch, values, factor, [(i + 1) * factor for i in range(n)])
+    assert tight == list(range(1 << n)) and vf == [0] * (1 << n)
+    vf, tight = _check_scaled(monkeypatch, values, factor, [0] * n)
+    assert tight == list(range(1 << n)) and vf == [v * factor for v in values]
