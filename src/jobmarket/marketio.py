@@ -328,10 +328,15 @@ def _parse_profile(
         raise MarketFormatError("disutilities: expected an object keyed by worker")
     entries: dict[str, dict[str, Fraction]] = {}
     for w, row in obj.items():
+        if not isinstance(w, str):
+            raise MarketFormatError(f"disutilities: worker key {w!r} is not a string")
         if not isinstance(row, Mapping):
             raise MarketFormatError(f"disutilities[{w!r}]: expected an object keyed by firm")
-        entries[str(w)] = {
-            str(f): _parse_memo(memo, v, f"disutilities[{w!r}][{f!r}]") for f, v in row.items()
+        for f in row:
+            if not isinstance(f, str):
+                raise MarketFormatError(f"disutilities[{w!r}]: firm key {f!r} is not a string")
+        entries[w] = {
+            f: _parse_memo(memo, v, f"disutilities[{w!r}][{f!r}]") for f, v in row.items()
         }
     try:
         return Profile.from_dict(workers, firms, entries)

@@ -44,7 +44,7 @@ from .setfn import (
     is_weak_substitutes,
 )
 from .stability import hire_masks, outcome_payoffs
-from .subsets import bit_indices
+from .subsets import bit_indices, subset_sums
 from .surplus import MarketSolver
 from .pivot import VcgResult, check_ir, check_outcome_sir, pivot_outcome, vcg
 
@@ -188,10 +188,7 @@ def construct_ir_violation(
 
 def _restricted(fn: SetFunction, keep: tuple[str, ...]) -> SetFunction:
     """The same utility on a sub-universe (values read off the full table)."""
-    masks = [0]
-    for w in keep:
-        bit = 1 << fn.index[w]
-        masks += [mask | bit for mask in masks]
+    masks = subset_sums([1 << fn.index[w] for w in keep])
     return SetFunction(tuple(keep), fn.den, tuple(map(fn.scaled.__getitem__, masks)))
 
 

@@ -224,24 +224,6 @@ def _strong_substitutes_scan(h: SetFunction) -> ConditionReport:
     return ConditionReport(verdict=True)
 
 
-def check_submodularity_equivalence(h: SetFunction) -> ConditionReport:
-    """is_submodular and the exhaustive strong-substitutes scan must agree."""
-    sub = is_submodular(h)
-    strong = _strong_substitutes_scan(h)
-    if sub.verdict == strong.verdict:
-        return ConditionReport(verdict=True, details=f"both {sub.verdict}")
-    return ConditionReport(
-        verdict=False,
-        witness={
-            "submodular": sub.verdict,
-            "strong_substitutes": strong.verdict,
-            "submodular_witness": sub.witness,
-            "strong_substitutes_witness": strong.witness,
-        },
-        details="checkers disagree",
-    )
-
-
 def demand_set(
     h: SetFunction, prices: Mapping[str, RationalLike]
 ) -> set[frozenset[str]]:
@@ -295,7 +277,7 @@ def is_gross_substitutes(h: SetFunction) -> ConditionReport:
     """
     if not h.is_monotone():
         raise ValueError("gross-substitutes test requires a weakly increasing table")
-    if _local_exchange_holds(h):
+    if _submodular_holds(h) and _exchange_triples_hold(h):
         return ConditionReport(verdict=True)
     return _witnessed(_gross_substitutes_scan(h), "gross substitutes")
 
@@ -334,11 +316,6 @@ def classify(h: SetFunction) -> Optional[dict[str, ConditionReport]]:
         "strong_substitutes": _witnessed(_strong_substitutes_scan(h), "strong substitutes"),
         "gross_substitutes": _witnessed(_gross_substitutes_scan(h), "gross substitutes"),
     }
-
-
-def _local_exchange_holds(h: SetFunction) -> bool:
-    """The two local inequalities of is_gross_substitutes, at every X."""
-    return _submodular_holds(h) and _exchange_triples_hold(h)
 
 
 def _exchange_triples_hold(h: SetFunction) -> bool:

@@ -83,7 +83,7 @@ from .subsets import (
     subset_sums,
 )
 
-#: brute_force_matching enumerates (m+1)^n assignments; keep it honest but finite.
+#: brute_force_total enumerates (m+1)^n assignments; keep it honest but finite.
 BRUTE_FORCE_WORKER_CAP = 8
 BRUTE_FORCE_FIRM_CAP = 4
 
@@ -92,14 +92,13 @@ BRUTE_FORCE_FIRM_CAP = 4
 class EfficientSolution:
     """An efficient matching and its total surplus.
 
-    ties_broken is set by the dynamic program when some firm had several
-    optimal tight pools (the canonical rule then picked one); the
-    brute-force path always reports False there.
+    ties_broken is set when some firm had several optimal tight pools (the
+    canonical rule then picked one).
     """
 
     matching: Matching
     total: Fraction
-    ties_broken: bool = False
+    ties_broken: bool
 
 
 def _int_surplus_table(
@@ -259,32 +258,12 @@ def max_surplus_excluding(
     return solver.value_excluding_mask(mask)
 
 
-def _canonical_best_subset(values: Sequence[int], costs: Sequence[int], pool: int) -> int:
-    """Min-cardinality, lexicographically first argmax of raw value within pool."""
-    best_raw: Optional[int] = None
-    best_key = None
-    best_t = 0
-    t = pool
-    while True:
-        raw = values[t]
-        for i in bit_indices(t):
-            raw -= costs[i]
-        key = canonical_key(t)
-        if best_raw is None or raw > best_raw or (raw == best_raw and key < best_key):
-            best_raw, best_key, best_t = raw, key, t
-        if t == 0:
-            break
-        t = (t - 1) & pool
-    return best_t
-
-
-def brute_force_matching(m: Market, u: Optional[Profile] = None) -> EfficientSolution:
-    """Exhaustive oracle over all (m+1)^n worker-to-firm assignments.
+def brute_force_total(m: Market, u: Optional[Profile] = None) -> Fraction:
+    """Best total surplus by exhaustive search over all (m+1)^n
+    worker-to-firm assignments.
 
     Independent of the dynamic program on purpose: it enumerates raw
-    assignments recursively and keeps the best total. Only the total is
-    canonical; the returned matching shrinks each firm's pool to its best
-    raw subset but does not canonicalize across ties between assignments.
+    assignments recursively and keeps the best total.
     """
     profile = m.require_profile(u)
     validate_profile(m, profile)
@@ -299,18 +278,16 @@ def brute_force_matching(m: Market, u: Optional[Profile] = None) -> EfficientSol
     tables = [fn.scaled_to(den) for _, fn in m.firms]
 
     best_total = 0  # empty assignment is always feasible
-    best_pools: list[int] = [0] * nfirms
     pools = [0] * nfirms
 
     def recurse(i: int, cost_acc: int) -> None:
-        nonlocal best_total, best_pools
+        nonlocal best_total
         if i == n:
             total = -cost_acc
             for j in range(nfirms):
                 total += tables[j][pools[j]]
             if total > best_total:
                 best_total = total
-                best_pools = pools.copy()
             return
         recurse(i + 1, cost_acc)  # unmatched
         bit = 1 << i
@@ -320,14 +297,7 @@ def brute_force_matching(m: Market, u: Optional[Profile] = None) -> EfficientSol
             pools[j] ^= bit
 
     recurse(0, 0)
-    assignment: dict[str, Optional[str]] = {w: None for w in m.workers}
-    for j, (name, _) in enumerate(m.firms):
-        hired = _canonical_best_subset(tables[j], costs[j], best_pools[j])
-        for i in bit_indices(hired):
-            assignment[m.workers[i]] = name
-    return EfficientSolution(
-        Matching.from_dict(m.workers, assignment), Fraction(best_total, den), False
-    )
+    return Fraction(best_total, den)
 
 
 def check_marginal_product_order(

@@ -28,7 +28,7 @@ from jobmarket.pivot import (
     vcg,
 )
 from jobmarket.setfn import (
-    check_submodularity_equivalence,
+    _strong_substitutes_scan,
     demand_set,
     is_gross_substitutes,
     is_strong_substitutes,
@@ -37,7 +37,7 @@ from jobmarket.setfn import (
 )
 from jobmarket.stability import find_block, find_weak_block, is_stable
 from jobmarket.surplus import (
-    brute_force_matching,
+    brute_force_total,
     check_marginal_product_order,
     check_tight_sets_downward_closed,
     efficient_matching,
@@ -224,8 +224,7 @@ def test_criterion_08_solver_against_exhaustive_search(criterion, corpus_b):
         largest = (0, 0)
         for m in corpus_b:
             fast = efficient_matching(m)
-            slow = brute_force_matching(m)
-            assert fast.total == slow.total
+            assert fast.total == brute_force_total(m)
             largest = max(largest, (len(m.workers), len(m.firms)))
         assert len(corpus_b) >= 500
         assert largest == (8, 4)
@@ -258,7 +257,7 @@ def test_criterion_09_order_closure_equivalence(criterion, corpus_a, corpus_b):
             ):
                 continue
             fn = SetFunction.from_values(workers3, tuple(F(v) for v in table))
-            assert check_submodularity_equivalence(fn).verdict
+            assert is_submodular(fn).verdict == _strong_substitutes_scan(fn).verdict
             exhaustive += 1
         rng = random.Random("equivalence")
         for _ in range(1000):
@@ -271,7 +270,8 @@ def test_criterion_09_order_closure_equivalence(criterion, corpus_a, corpus_b):
                     vals[mask ^ (1 << i)] for i in range(n) if mask >> i & 1
                 )
                 vals[mask] = below + rng.choice(bumps)
-            assert check_submodularity_equivalence(SetFunction.from_values(ws, tuple(vals))).verdict
+            fn = SetFunction.from_values(ws, tuple(vals))
+            assert is_submodular(fn).verdict == _strong_substitutes_scan(fn).verdict
         note(
             f"order on {len(markets)} markets, closure premise held {premise_held} times, "
             f"equivalence on {exhaustive} exhaustive + 1000 random tables"

@@ -323,7 +323,8 @@ def test_gross_substitutes_matches_the_exchange_scan(fn):
 @example(COMPLEMENTS)
 @example(BUDGET_CAPPED)
 def test_local_exchange_test_matches_the_scan_off_the_monotone_tables(fn):
-    assert setfn._local_exchange_holds(fn) == setfn._gross_substitutes_scan(fn).verdict
+    local = setfn._submodular_holds(fn) and setfn._exchange_triples_hold(fn)
+    assert local == setfn._gross_substitutes_scan(fn).verdict
 
 
 @PROPERTY_SETTINGS
@@ -334,7 +335,8 @@ def test_local_exchange_test_matches_the_scan_off_the_monotone_tables(fn):
 def test_triple_test_matches_the_per_ordering_loop(fn):
     triples = _ref_exchange_triples(fn)
     assert setfn._exchange_triples_hold(fn) == triples
-    assert setfn._local_exchange_holds(fn) == (_ref_submodular(fn).verdict and triples)
+    local = setfn._submodular_holds(fn) and setfn._exchange_triples_hold(fn)
+    assert local == (_ref_submodular(fn).verdict and triples)
 
 
 @PROPERTY_SETTINGS
@@ -445,20 +447,6 @@ def test_scaled_table_clears_the_common_denominator(fn):
     den = lcm(*(v.denominator for v in fn.values))
     assert fn.scaled == tuple(int(v * den) for v in fn.values)
     assert all(isinstance(v, int) for v in fn.scaled)
-
-
-def test_equivalence_check_reports_planted_disagreement(monkeypatch):
-    fn = plateau_table()
-    assert setfn.check_submodularity_equivalence(fn).verdict
-    monkeypatch.setattr(
-        setfn, "_strong_substitutes_scan", lambda h: ConditionReport(verdict=True)
-    )
-    report = setfn.check_submodularity_equivalence(fn)
-    assert not report.verdict
-    assert report.details == "checkers disagree"
-    assert report.witness["submodular"] is False
-    assert report.witness["strong_substitutes"] is True
-    assert report.witness["strong_substitutes_witness"] is None
 
 
 def test_false_verdicts_without_a_witness_are_internal_errors(monkeypatch):

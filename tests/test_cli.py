@@ -233,7 +233,7 @@ def test_selftest_json(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert payload["ok"] is True
-    assert len(payload["suites"]) == 9
+    assert len(payload["suites"]) == 8
 
 
 def test_selftest_failure_exits_one(capsys, monkeypatch):

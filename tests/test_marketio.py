@@ -226,6 +226,30 @@ def test_parse_profile_strays():
         parse_profile({"w1": {"f9": "1"}}, ("w1",), ("f1",))
 
 
+def test_profile_refuses_non_string_keys():
+    # str() would load {1: {7: "0"}} as worker "1" at firm "7", and let an
+    # integer key and its string spelling collapse into one row
+    obj = {
+        "workers": ["1", "w1"],
+        "firms": [{"name": "7", "utility": {"type": "additive", "values": {"1": "1"}}}],
+    }
+    cases = [
+        ({1: {7: "0"}, "w1": {"7": "0"}}, "disutilities: worker key 1 is not a string"),
+        ({"1": {"7": "0"}, "w1": {7: "0"}}, "disutilities['w1']: firm key 7 is not a string"),
+        ({1: {"7": "0"}, "1": {"7": "1"}, "w1": {"7": "0"}}, "disutilities: worker key 1 is not a string"),
+    ]
+    for profile, message in cases:
+        obj["disutilities"] = profile
+        with pytest.raises(MarketFormatError) as exc:
+            parse_market(obj)
+        assert str(exc.value) == message
+        with pytest.raises(MarketFormatError) as exc:
+            parse_profile(profile, ("1", "w1"), ("7",))
+        assert str(exc.value) == message
+    obj["disutilities"] = {"1": {"7": "1"}, "w1": {"7": "0"}}
+    assert parse_market(obj).disutilities.get("1", "7") == 1
+
+
 def test_serialize_market_roundtrips_exactly():
     for m in (all_or_nothing_market(), budget_vs_additive_market("1/4", "1/4")):
         again = parse_market(serialize_market(m))

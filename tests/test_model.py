@@ -19,7 +19,7 @@ from jobmarket.model import (
     as_fraction,
     validate_profile,
 )
-from jobmarket.surplus import brute_force_matching, efficient_matching
+from jobmarket.surplus import brute_force_total, efficient_matching
 
 
 def test_as_fraction_accepts_exact_forms():
@@ -285,7 +285,7 @@ def test_validate_profile_flags_negative_entries_only(capsys, tmp_path):
         {"w1": {"f1": "99", "f2": 0}, "w2": {"f1": 0, "f2": 0}},
     )
     validate_profile(m, high)
-    assert efficient_matching(m, high).total == brute_force_matching(m, high).total == 7
+    assert efficient_matching(m, high).total == brute_force_total(m, high) == 7
     path = tmp_path / "high.json"
     path.write_text(dumps_market(Market(m.workers, m.firms, high)))
     assert cli.main(["solve", str(path)]) == 2

@@ -200,6 +200,23 @@ def test_exhibited_certificates_with_other_firms_present():
     assert not check_outcome_sir(m, cert.outcome, cert.profile).verdict
 
 
+def test_exhibited_certificate_matches_the_workers_left_over():
+    # the tie-dodging table on w1-w3, with w4 adding nothing to it, and a
+    # second firm that values w4: the exhibited matching hands w1-w3 to f1
+    # and solves the sub-market of w4 and f2 on its own
+    workers = ("w1", "w2", "w3", "w4")
+    f1 = SetFunction.from_values(
+        workers, tuple(TIE_DODGER.values[mask & 7] for mask in range(16))
+    )
+    f2 = SetFunction.additive(workers, {"w4": 1, "w1": Fraction(1, 2)})
+    m = Market(workers, (("f1", f1), ("f2", f2)), None)
+    cert = demonstrate_sir_violation(m, "f1")
+    assert not cert.canonical
+    assert cert.outcome.matching.to_dict() == {"w1": "f1", "w2": "f1", "w3": "f1", "w4": "f2"}
+    assert cert.summary["firing_gain"] == "1"
+    assert not check_outcome_sir(m, cert.outcome, cert.profile).verdict
+
+
 def test_demonstrate_rejects_well_behaved_firms():
     additive = _zero_cost_market(SetFunction.additive(("a", "b"), {"a": 1, "b": 2}))
     with pytest.raises(ValueError, match="weak substitutes"):

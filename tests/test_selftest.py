@@ -11,7 +11,6 @@ import jobmarket.surplus as surplus
 SUITE_NAMES = (
     "oracle_equivalence",
     "marginal_product_order",
-    "submodularity_equivalence",
     "tight_sets_downward_closed",
     "truthful_dominance",
     "ir_iff_weak_substitutes",
@@ -80,7 +79,6 @@ def test_detects_corrupted_classifier(monkeypatch):
     report = selftest.run(trials=40, seed=1)
     assert not report.ok
     failing = {s.name for s in report.suites if not s.ok}
-    assert "submodularity_equivalence" in failing
     assert "valuation_chain" in failing
     lines = report.lines()
     assert any(line.startswith("FAIL") for line in lines)
@@ -96,6 +94,24 @@ def test_detects_disagreeing_gross_substitutes_scan(monkeypatch):
     report = selftest.run(trials=20, seed=1)
     suite = next(s for s in report.suites if s.name == "valuation_chain")
     assert any("disagrees with the scan" in f for f in suite.failures)
+
+
+def test_detects_passing_strong_substitutes_scan(monkeypatch):
+    """A strong-substitutes scan that passes every table must contradict
+    the submodularity verdict on the tables that are not submodular."""
+    from jobmarket.model import ConditionReport
+
+    monkeypatch.setattr(
+        setfn, "_strong_substitutes_scan", lambda h: ConditionReport(verdict=True)
+    )
+    report = selftest.run(trials=40, seed=1)
+    assert [s.name for s in report.suites if not s.ok] == ["valuation_chain"]
+    suite = report.suites[SUITE_NAMES.index("valuation_chain")]
+    assert suite.failures
+    for line in suite.failures:
+        assert line.endswith(
+            ": strong substitutes: the verdict is false but the exhaustive scan finds no violation"
+        )
 
 
 def test_detects_corrupted_solver(monkeypatch):
