@@ -13,14 +13,22 @@ Exit codes: 0 success, 1 the checked property fails (vcg: IR or SIR false;
 stability: blocked; selftest: any suite failure), 2 bad input, 141 stdout
 closed before the output was written (console entry only). Output is
 deterministic for a fixed input and seed; --json emits a stable schema with
-all rationals as exact strings.
+all rationals as exact strings. `gen` always writes a market file, which is
+JSON, and takes no --json.
+
+The five market commands share one envelope, built in `main`: it loads the
+market, calls the body `(args, market) -> (code, lines, payload)`, then
+prints `market <digest>` before the lines, or the payload with `command`
+and `market` keys under --json. The digest comes after the body, so a body
+that refuses its input (exit 2) prints nothing and costs no digest.
 
 The argument parser is built once per process, on the first call of
 `main`, and reused by every later call in the same process (tests, the
 benchmark, any embedding); a console run calls `main` once either way.
 The parser keeps each command function's name, not the function, and each
 call looks it up in this module, so a function rebound here (a test's
-monkeypatch, a tracer's wrapper) takes effect without a new parser.
+monkeypatch, a tracer's wrapper) takes effect without a new parser, and
+`cmd_gen` and `cmd_selftest` keep the reference the dead-names test needs.
 """
 
 from __future__ import annotations
@@ -77,12 +85,6 @@ def _emit(args, lines: list[str], payload: dict) -> None:
             print(line)
 
 
-def _load(args) -> tuple[Market, list[str]]:
-    """The market and its subset keys, built once for the load and the digest."""
-    keys: list[str] = []
-    return load_market(args.market, keys), keys
-
-
 def _profile_for(args, m: Market) -> Optional[Profile]:
     """The --profile file, else the embedded one, refused outside [0, ubar].
 
@@ -102,10 +104,8 @@ def _profile_for(args, m: Market) -> Optional[Profile]:
     return profile
 
 
-def cmd_classify(args) -> int:
-    m, keys = _load(args)
-    digest = market_digest(m, keys)
-    lines = [f"market {digest}"]
+def cmd_classify(args, m: Market) -> tuple[int, list[str], dict]:
+    lines = []
     firms_out = []
     for name, fn in m.firms:
         checks = classify(fn)
@@ -120,45 +120,43 @@ def cmd_classify(args) -> int:
                 if not r.verdict:
                     lines.append(f"  {k} witness: {_fmt_witness(r.witness)}")
         else:
+            smaller, larger = fn.first_monotonicity_violation()
+            entry["monotone_witness"] = witness = {
+                "smaller_set": list(fn.members(smaller)),
+                "larger_set": list(fn.members(larger)),
+                "value_smaller": str(fn.value(smaller)),
+                "value_larger": str(fn.value(larger)),
+            }
             lines.append(
                 f"firm {name}: monotone=no (substitute classes need a weakly increasing table)"
             )
+            lines.append(f"  monotone witness: {_fmt_witness(witness)}")
         firms_out.append(entry)
-    _emit(args, lines, {"command": "classify", "market": digest, "firms": firms_out})
-    return 0
+    return 0, lines, {"firms": firms_out}
 
 
-def cmd_solve(args) -> int:
-    m, keys = _load(args)
+def cmd_solve(args, m: Market) -> tuple[int, list[str], dict]:
     sol = efficient_matching(m, _profile_for(args, m))
-    digest = market_digest(m, keys)
     assign = " ".join(
         f"{w}->{f if f is not None else '-'}" for w, f in sol.matching.assignment
     )
     lines = [
-        f"market {digest}",
         f"total_surplus {sol.total}",
         f"matching {assign}".rstrip(),
         f"ties_broken {_fmt_value(sol.ties_broken)}",
     ]
-    payload = {
-        "command": "solve",
-        "market": digest,
+    return 0, lines, {
         "total_surplus": str(sol.total),
         "matching": sol.matching.to_dict(),
         "ties_broken": sol.ties_broken,
     }
-    _emit(args, lines, payload)
-    return 0
 
 
-def cmd_vcg(args) -> int:
-    m, keys = _load(args)
+def cmd_vcg(args, m: Market) -> tuple[int, list[str], dict]:
     r = vcg(m, _profile_for(args, m))
     ir = check_ir(r)
     sir = check_sir(r)
-    digest = market_digest(m, keys)
-    lines = [f"market {digest}", f"total_surplus {r.total}"]
+    lines = [f"total_surplus {r.total}"]
     for w, f in r.outcome.matching.assignment:
         firm = f if f is not None else "-"
         lines.append(
@@ -172,25 +170,20 @@ def cmd_vcg(args) -> int:
     lines.append(f"firing_proof {_fmt_value(sir.verdict)}")
     if not sir.verdict:
         lines.append(f"  witness: {_fmt_witness(sir.witness)}")
-    payload = {
-        "command": "vcg",
-        "market": digest,
+    return (0 if ir.verdict and sir.verdict else 1), lines, {
         "result": r.to_dict(),
         "individually_rational": _cond_dict(ir),
         "firing_proof": _cond_dict(sir),
     }
-    _emit(args, lines, payload)
-    return 0 if ir.verdict and sir.verdict else 1
 
 
-def cmd_stability(args) -> int:
-    m, keys = _load(args)
+def cmd_stability(args, m: Market) -> tuple[int, list[str], dict]:
     profile = _profile_for(args, m)
     r = vcg(m, profile)
     block = find_block(m, r.outcome, profile)
-    weak = find_weak_block(m, r.outcome, profile)
-    digest = market_digest(m, keys)
-    lines = [f"market {digest}", f"stable {_fmt_value(block is None)}"]
+    # a weak block is a block, so only a blocked outcome can have one
+    weak = None if block is None else find_weak_block(m, r.outcome, profile)
+    lines = [f"stable {_fmt_value(block is None)}"]
     if block is not None:
         pay = " ".join(f"{w}={p}" for w, p in block.payments)
         lines.append(
@@ -203,27 +196,20 @@ def cmd_stability(args) -> int:
             f"  weak block: firm={weak.firm} coalition={_fmt_value(list(weak.coalition))} "
             f"slack={weak.slack}"
         )
-    payload = {
-        "command": "stability",
-        "market": digest,
+    return (0 if block is None else 1), lines, {
         "stable": block is None,
         "block": block.to_dict() if block is not None else None,
         "weakly_stable": weak is None,
         "weak_block": weak.to_dict() if weak is not None else None,
     }
-    _emit(args, lines, payload)
-    return 0 if block is None else 1
 
 
-def cmd_necessity(args) -> int:
-    m, keys = _load(args)
+def cmd_necessity(args, m: Market) -> tuple[int, list[str], dict]:
     fn = m.utility(args.firm)
-    digest = market_digest(m, keys)
-    lines = [f"market {digest}", f"firm {args.firm}"]
-    payload: dict = {"command": "necessity", "market": digest, "firm": args.firm}
+    lines = [f"firm {args.firm}"]
+    payload: dict = {"firm": args.firm, "sir": None, "ir": None}
     if find_submodularity_violation(fn) is None:
         lines.append("submodular: no SIR construction")
-        payload["sir"] = None
     else:
         cert = demonstrate_sir_violation(m, args.firm)
         wl, wk = cert.pair
@@ -241,7 +227,6 @@ def cmd_necessity(args) -> int:
         payload["sir"] = cert.to_dict()
     if find_ws_violation(fn) is None:
         lines.append("weak substitutes: no IR construction")
-        payload["ir"] = None
     else:
         cert = demonstrate_ir_violation(m, args.firm)
         lines.append(
@@ -250,8 +235,7 @@ def cmd_necessity(args) -> int:
         )
         lines.extend(_profile_lines(cert.profile))
         payload["ir"] = cert.to_dict()
-    _emit(args, lines, payload)
-    return 0
+    return 0, lines, payload
 
 
 def _profile_lines(profile: Profile) -> list[str]:
@@ -292,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--profile", help="disutility JSON file (overrides embedded matrix)"
             )
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        if name != "gen":  # gen always writes a market file, which is JSON
+            p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         return p
 
     add("classify", cmd_classify, "valuation class verdicts per firm")
@@ -316,7 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()[args.func](args)
+        if "market" not in args:
+            return globals()[args.func](args)
+        keys: list[str] = []
+        m = load_market(args.market, keys)
+        code, lines, payload = globals()[args.func](args, m)
+        digest = market_digest(m, keys)
+        _emit(args, [f"market {digest}", *lines],
+              {"command": args.command, "market": digest, **payload})
+        return code
     except ValueError as err:  # bad input; marketio.MarketFormatError is one
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -170,7 +170,7 @@ class SetFunction:
                     continue
                 if vals[s | bit] < vs:
                     return (s, s | bit)
-        return None
+        raise RuntimeError("monotonicity: the kernel finds a drop but the ordered walk does not")
 
     def is_monotone(self) -> bool:
         return self.first_monotonicity_violation() is None

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import jobmarket.cli as cli
-from jobmarket.marketio import parse_market
+from jobmarket.marketio import load_market, market_digest, parse_market
 from jobmarket.model import SetFunction
 from jobmarket.selftest import SelftestReport, SuiteResult
 
@@ -173,6 +173,91 @@ def test_necessity_json_reports_exhibited_outcome(capsys):
     assert sir["pair"] == ["w1", "w2"]
     assert sir["outcome"]["matching"] == {"w1": "f1", "w2": "f1", "w3": "f1"}
     assert sir["outcome"]["salaries"] == {"w1": "2", "w2": "2", "w3": "0"}
+
+
+MARKET_COMMANDS = [
+    ["classify", DATA / "plateau.json"],
+    ["solve", DATA / "budget_vs_additive.json"],
+    ["vcg", DATA / "all_or_nothing.json"],
+    ["stability", DATA / "budget_vs_additive.json", "--profile", DATA / "high_profile.json"],
+    ["necessity", DATA / "tie_dodger.json", "--firm", "f1"],
+]
+
+
+@pytest.mark.parametrize("argv", MARKET_COMMANDS, ids=[a[0] for a in MARKET_COMMANDS])
+def test_every_market_command_shares_the_envelope(capsys, argv):
+    digest = market_digest(load_market(str(argv[1])))
+    rc, out, err = run_cli(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert (payload["command"], payload["market"], err) == (argv[0], digest, "")
+    rc_text, out, err = run_cli(capsys, *argv)
+    assert (rc_text, err) == (rc, "")
+    assert out.splitlines()[0] == f"market {digest}"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_refusing_body_prints_nothing_and_skips_the_digest(
+    capsys, tmp_path, monkeypatch, json_flag
+):
+    edited = _with_disutilities(tmp_path, "budget_vs_additive.json", ABOVE_UBAR)
+    costs = tmp_path / "costs.json"
+    costs.write_text(json.dumps(json.loads(edited.read_text())["disutilities"]))
+    digests = []
+    monkeypatch.setattr(cli, "market_digest", lambda *a: digests.append(a))
+    for argv in (
+        ["necessity", DATA / "plateau.json", "--firm", "nope"],
+        ["vcg", DATA / "budget_vs_additive.json", "--profile", costs],
+    ):
+        rc, out, err = run_cli(capsys, *argv, *json_flag)
+        assert (rc, out, digests) == (2, "", [])
+        assert err.startswith("error:")
+
+
+def test_gen_takes_no_json_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "additive", "3", "1", "--json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --json" in err
+
+
+@pytest.mark.parametrize(
+    "profile,scans",
+    [([], 0), (["--profile", DATA / "high_profile.json"], 1)],
+    ids=["stable", "blocked"],
+)
+def test_stability_scans_for_a_weak_block_only_after_a_block(capsys, monkeypatch, profile, scans):
+    argv = ["stability", DATA / "budget_vs_additive.json", *profile]
+    expected = [run_cli(capsys, *argv, *flag) for flag in ([], ["--json"])]
+    find_weak_block = cli.find_weak_block
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return find_weak_block(*args)
+
+    monkeypatch.setattr(cli, "find_weak_block", spy)
+    for flag, before in zip(([], ["--json"]), expected):
+        calls.clear()
+        assert run_cli(capsys, *argv, *flag) == before
+        assert len(calls) == scans
+    # the blocked outcome is still weakly stable: the scan ran and found none
+    assert "weakly_stable yes" in expected[0][1]
+
+
+def test_non_monotone_witness_rechecks_from_the_table(capsys):
+    rc, out, _ = run_cli(capsys, "classify", DATA / "non_monotone.json", "--json")
+    assert rc == 0
+    (entry,) = json.loads(out)["firms"]
+    assert entry["monotone"] is False
+    witness = entry["monotone_witness"]
+    fn = load_market(str(DATA / "non_monotone.json")).utility("f")
+    smaller, larger = set(witness["smaller_set"]), set(witness["larger_set"])
+    assert smaller < larger and len(larger - smaller) == 1
+    assert witness["value_smaller"] == str(fn.subset_value(smaller))
+    assert witness["value_larger"] == str(fn.subset_value(larger))
+    assert fn.subset_value(larger) < fn.subset_value(smaller)
 
 
 # sha256 of `gen` output, recorded while tables were still built and dumped

@@ -1,5 +1,6 @@
 """Data-layer checks: set functions, profiles, markets, matchings, outcomes."""
 
+import operator
 import random
 import sys
 import tracemalloc
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import jobmarket.cli as cli
+import jobmarket.model as model
 from jobmarket.marketio import dumps_market
 from jobmarket.model import (
     Market,
@@ -154,6 +156,15 @@ def test_first_monotonicity_violation_found():
     assert smaller & larger == smaller and smaller != larger
     assert fn.values[smaller] > fn.values[larger]
     assert not fn.is_monotone()
+
+
+def test_a_drop_the_walk_cannot_find_raises(monkeypatch):
+    # with >= in the kernel a flat step counts as a drop; the ordered walk
+    # finds no strict one, and a disagreement must not read as monotone
+    monkeypatch.setattr(model, "gt", operator.ge)
+    fn = SetFunction.from_values(("a", "b"), [0, 1, 1, 1])
+    with pytest.raises(RuntimeError, match="monotonicity"):
+        fn.is_monotone()
 
 
 def test_monotone_table_has_no_violation():
