@@ -109,8 +109,9 @@ def cmd_classify(args, m: Market) -> tuple[int, list[str], dict]:
     firms_out = []
     for name, fn in m.firms:
         checks = classify(fn)
-        entry: dict = {"firm": name, "monotone": checks is not None}
-        if checks is not None:
+        monotone = checks.pop("monotone")
+        entry: dict = {"firm": name, "monotone": monotone.verdict}
+        if monotone.verdict:
             flags = " ".join(
                 f"{k}={_fmt_value(r.verdict)}" for k, r in checks.items()
             )
@@ -120,17 +121,11 @@ def cmd_classify(args, m: Market) -> tuple[int, list[str], dict]:
                 if not r.verdict:
                     lines.append(f"  {k} witness: {_fmt_witness(r.witness)}")
         else:
-            smaller, larger = fn.first_monotonicity_violation()
-            entry["monotone_witness"] = witness = {
-                "smaller_set": list(fn.members(smaller)),
-                "larger_set": list(fn.members(larger)),
-                "value_smaller": str(fn.value(smaller)),
-                "value_larger": str(fn.value(larger)),
-            }
+            entry["monotone_witness"] = monotone.witness
             lines.append(
                 f"firm {name}: monotone=no (substitute classes need a weakly increasing table)"
             )
-            lines.append(f"  monotone witness: {_fmt_witness(witness)}")
+            lines.append(f"  monotone witness: {_fmt_witness(monotone.witness)}")
         firms_out.append(entry)
     return 0, lines, {"firms": firms_out}
 

@@ -235,7 +235,7 @@ def _parse_utility(spec: Any, load: _Load, firm: str) -> SetFunction:
         raise MarketFormatError(f"{where}: expected an object")
     kind = spec.get("type")
     known = {"table", "additive", "budget_additive", "unit_demand"}
-    if kind not in known:
+    if not isinstance(kind, str) or kind not in known:
         raise MarketFormatError(f"{where}: unknown type {kind!r}, expected one of {sorted(known)}")
     values = spec.get("values")
     if values is None:

@@ -286,16 +286,19 @@ def construct_sir_violation(
     )
 
 
-def _refuse_non_monotone(fn: SetFunction, firm: str) -> None:
+def _refuse_non_monotone(m: Market) -> None:
     """After a failed construction, blame a decreasing table, not the code.
 
-    The constructions assume a weakly increasing utility; monotonicity is
-    checked only once one has failed, so monotone inputs pay nothing.
+    The constructions assume weakly increasing utilities, the target's and
+    every co-firm's: the 0/ubar profile steers a worker away from a firm
+    only if ubar bounds that firm's table. Monotonicity is checked only
+    once a construction has failed, so monotone inputs pay nothing.
     """
-    if not fn.is_monotone():
-        raise ValueError(
-            f"firm {firm}: monotone=no (the constructions need a weakly increasing table)"
-        )
+    for name, fn in m.firms:
+        if not fn.is_monotone():
+            raise ValueError(
+                f"firm {name}: monotone=no (the constructions need a weakly increasing table)"
+            )
 
 
 def demonstrate_ir_violation(m: Market, firm: str) -> AdversarialProfile:
@@ -307,7 +310,7 @@ def demonstrate_ir_violation(m: Market, firm: str) -> AdversarialProfile:
     try:
         return construct_ir_violation(m, firm, witness)
     except ConstructionError:
-        _refuse_non_monotone(fn, firm)
+        _refuse_non_monotone(m)
         raise
 
 
@@ -345,7 +348,7 @@ def demonstrate_sir_violation(m: Market, firm: str) -> AdversarialProfile:
             last = err
     if not tried:
         raise ValueError(f"utility of firm {firm!r} is submodular")
-    _refuse_non_monotone(fn, firm)
+    _refuse_non_monotone(m)
     raise ConstructionError(
         f"none of the {tried} violating triples verified; last failure: {last}"
     )

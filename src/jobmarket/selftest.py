@@ -2,9 +2,14 @@
 
 Each suite re-derives something two independent ways (dynamic program vs
 exhaustive search, checker vs checker, guarantee direction vs constructed
-counterexample) and records any disagreement. All randomness flows from
-one seed, so a failure line is reproducible by rerunning with the same
-arguments.
+counterexample), records any disagreement and counts what it saw. A
+corpus entry is (label, market, profiles): the label is the `gen` line
+that rebuilds the market (`gen additive 4 2 --seed 123`), and profiles[0]
+is the market's own profile. Every failure line starts with that label,
+followed by the profile's entries when the failure is on another profile,
+so it reproduces on its own. `run` draws trial t from its own rng, seeded
+by (seed, t); the acceptance criteria run the same suites on their own
+corpora.
 
 Checks call into sibling modules through their module objects on purpose:
 the test suite swaps implementations out to confirm the self-test actually
@@ -13,8 +18,9 @@ catches corrupted results.
 
 from __future__ import annotations
 
+import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import jobmarket.necessity as necessity
@@ -23,9 +29,9 @@ import jobmarket.stability as stability
 import jobmarket.surplus as surplus
 import jobmarket.pivot as pivot
 
-from .model import Market
+from .model import Market, Profile
 
-Corpus = list[tuple[str, Market]]
+Corpus = list[tuple[str, Market, tuple[Profile, ...]]]
 
 
 @dataclass(frozen=True)
@@ -33,6 +39,7 @@ class SuiteResult:
     name: str
     checked: int
     failures: tuple[str, ...]
+    counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -73,15 +80,29 @@ class SelftestReport:
                     "name": s.name,
                     "checked": s.checked,
                     "failures": list(s.failures),
+                    "counts": dict(s.counts),
                 }
                 for s in self.suites
             ],
         }
 
 
+def _generated(kind: str, n: int, nfirms: int, seed: int) -> tuple[str, Market]:
+    """A generated market and its label, the `gen` line that rebuilds it."""
+    return f"gen {kind} {n} {nfirms} --seed {seed}", necessity.generate(kind, n, nfirms, seed)
+
+
+def _at(label: str, profiles: tuple[Profile, ...], k: int) -> str:
+    """A failure line's head: the gen line, then profile k's entries unless
+    it is the market's own (k = 0), as a --profile file would hold them."""
+    if k == 0:
+        return label
+    return f"{label} profile {json.dumps(profiles[k].to_dict(), separators=(',', ':'))}"
+
+
 def _oracle_equivalence(corpus: Corpus) -> SuiteResult:
     failures = []
-    for label, m in corpus:
+    for label, m, _ in corpus:
         fast = surplus.efficient_matching(m)
         slow = surplus.brute_force_total(m)
         if fast.total != slow:
@@ -93,7 +114,7 @@ def _oracle_equivalence(corpus: Corpus) -> SuiteResult:
 
 def _marginal_product_order(corpus: Corpus) -> SuiteResult:
     failures = []
-    for label, m in corpus:
+    for label, m, _ in corpus:
         report = surplus.check_marginal_product_order(m)
         if not report.verdict:
             failures.append(f"{label}: {report.witness}")
@@ -102,67 +123,95 @@ def _marginal_product_order(corpus: Corpus) -> SuiteResult:
 
 def _tight_sets_closed(corpus: Corpus) -> SuiteResult:
     failures = []
-    checked = 0
-    for label, m in corpus:
-        profile = m.disutilities
+    checked = held = 0
+    for label, m, _ in corpus:
         for name, fn in m.firms:
             checked += 1
-            costs = dict(zip(m.workers, profile.column(name)))
+            costs = dict(zip(m.workers, m.disutilities.column(name)))
             report = surplus.check_tight_sets_downward_closed(fn, costs)
             if not report.verdict:
-                failures.append(f"{label}/{name}: {report.witness}")
-    return SuiteResult("tight_sets_downward_closed", checked, tuple(failures))
+                failures.append(f"{label}: {name}: {report.witness}")
+            elif report.details == "premise holds":
+                held += 1
+    return SuiteResult(
+        "tight_sets_downward_closed", checked, tuple(failures), {"premise_held": held}
+    )
 
 
 def _truthful_dominance(corpus: Corpus, grid: int) -> SuiteResult:
     failures = []
     checked = 0
-    for label, m in corpus:
+    for label, m, _ in corpus:
         for w in m.workers:
             checked += 1
             report = pivot.check_strategy_proofness(m, w, grid)
             if not report.verdict:
-                failures.append(f"{label}/{w}: {report.witness}")
+                failures.append(f"{label}: {w}: {report.witness}")
     return SuiteResult("truthful_dominance", checked, tuple(failures))
 
 
-def _ir_iff_weak_substitutes(corpus: Corpus, rng: random.Random) -> SuiteResult:
+def _ir_iff_weak_substitutes(corpus: Corpus) -> SuiteResult:
+    """Markets of weak-substitutes firms are rational on every profile; each
+    other firm gets a certificate on which its pivot payoff is negative."""
     failures = []
-    for label, m in corpus:
+    rational = built = 0
+    for label, m, profiles in corpus:
         bad = [name for name, fn in m.firms if not setfn.is_weak_substitutes(fn).verdict]
         if not bad:
-            for profile in (m.disutilities, necessity.quarter_grid_profile(rng, m)):
+            rational += 1
+            for k, profile in enumerate(profiles):
                 report = pivot.check_ir(pivot.vcg(m, profile))
                 if not report.verdict:
-                    failures.append(f"{label}: all firms weak-substitutes yet {report.witness}")
-        else:
+                    failures.append(
+                        f"{_at(label, profiles, k)}: all firms weak-substitutes yet {report.witness}"
+                    )
+        for name in bad:
             try:
-                necessity.demonstrate_ir_violation(m, bad[0])
+                cert = necessity.demonstrate_ir_violation(m, name)
             except Exception as err:  # noqa: BLE001 - any escape is a finding
-                failures.append(f"{label}/{bad[0]}: no certificate ({err})")
-    return SuiteResult("ir_iff_weak_substitutes", len(corpus), tuple(failures))
+                failures.append(f"{label}: {name}: no certificate ({err})")
+                continue
+            r = pivot.vcg(m, cert.profile)
+            if pivot.check_ir(r).verdict or r.firm_payoff(name) >= 0:
+                failures.append(f"{label}: {name}: certificate does not replay")
+            else:
+                built += 1
+    counts = {"rational_markets": rational, "violations": built}
+    return SuiteResult("ir_iff_weak_substitutes", len(corpus), tuple(failures), counts)
 
 
-def _sir_iff_submodular(corpus: Corpus, rng: random.Random) -> SuiteResult:
+def _sir_iff_submodular(corpus: Corpus) -> SuiteResult:
+    """Markets of submodular firms are firing-proof on every profile; each
+    other firm gets a certificate whose outcome is not, and a canonical one
+    replays on the solver's own outcome."""
     failures = []
-    for label, m in corpus:
+    proof = canonical = exhibited = 0
+    for label, m, profiles in corpus:
         bad = [name for name, fn in m.firms if not setfn.is_submodular(fn).verdict]
         if not bad:
-            for profile in (m.disutilities, necessity.quarter_grid_profile(rng, m)):
+            proof += 1
+            for k, profile in enumerate(profiles):
                 report = pivot.check_sir(pivot.vcg(m, profile))
                 if not report.verdict:
-                    failures.append(f"{label}: all firms submodular yet {report.witness}")
-        else:
+                    failures.append(
+                        f"{_at(label, profiles, k)}: all firms submodular yet {report.witness}"
+                    )
+        for name in bad:
             try:
-                cert = necessity.demonstrate_sir_violation(m, bad[0])
+                cert = necessity.demonstrate_sir_violation(m, name)
             except Exception as err:  # noqa: BLE001 - any escape is a finding
-                failures.append(f"{label}/{bad[0]}: no certificate ({err})")
+                failures.append(f"{label}: {name}: no certificate ({err})")
                 continue
             if pivot.check_outcome_sir(m, cert.outcome, cert.profile).verdict:
-                failures.append(f"{label}/{bad[0]}: certificate outcome is firing-proof")
-            elif cert.canonical and pivot.check_sir(pivot.vcg(m, cert.profile)).verdict:
-                failures.append(f"{label}/{bad[0]}: canonical certificate does not replay")
-    return SuiteResult("sir_iff_submodular", len(corpus), tuple(failures))
+                failures.append(f"{label}: {name}: certificate outcome is firing-proof")
+            elif not cert.canonical:
+                exhibited += 1
+            elif pivot.check_sir(pivot.vcg(m, cert.profile)).verdict:
+                failures.append(f"{label}: {name}: canonical certificate does not replay")
+            else:
+                canonical += 1
+    counts = {"firing_proof_markets": proof, "canonical": canonical, "exhibited": exhibited}
+    return SuiteResult("sir_iff_submodular", len(corpus), tuple(failures), counts)
 
 
 def _valuation_chain(corpus: Corpus) -> SuiteResult:
@@ -171,23 +220,25 @@ def _valuation_chain(corpus: Corpus) -> SuiteResult:
     Also replays the chain that `classify` runs against the independent
     checks: each of its four reports must equal, verdict and witness, the
     standalone weak-substitutes scan, `is_submodular` and the exhaustive
-    strong- and gross-substitutes scans. The chain takes weak substitutes
-    from submodularity; the standalone scan does not. `is_submodular`
-    decides on the same slice kernel as the chain, so the chain's
-    submodular verdict is also checked against the ordered pair walk.
+    strong- and gross-substitutes scans, and its gross report must equal
+    `is_gross_substitutes`. The chain takes weak substitutes from
+    submodularity; the standalone scan does not. `is_submodular` decides
+    on the same slice kernel as the chain, so the chain's submodular
+    verdict is also checked against the ordered pair walk. The counts are
+    the standalone checks' verdicts.
     """
     failures = []
-    checked = 0
-    for label, m in corpus:
+    checked = gross = sub = weak = 0
+    for label, m, _ in corpus:
         for name, fn in m.firms:
             checked += 1
-            where = f"{label}/{name}"
+            where = f"{label}: {name}"
             try:
                 chain = setfn.classify(fn)
             except RuntimeError as err:
                 failures.append(f"{where}: {err}")
                 continue
-            if chain is None:
+            if not chain["monotone"].verdict:
                 failures.append(f"{where}: classify finds the table not monotone")
                 continue
             oracles = {
@@ -199,6 +250,11 @@ def _valuation_chain(corpus: Corpus) -> SuiteResult:
             for cls, report in oracles.items():
                 if chain[cls] != report:
                     failures.append(f"{where}: the chain's {cls} disagrees with the scan")
+            local = setfn.is_gross_substitutes(fn)
+            if chain["gross_substitutes"] != local:
+                failures.append(
+                    f"{where}: the chain's gross_substitutes disagrees with the local test"
+                )
             walked = next(setfn._submodularity_violations(fn), None) is None
             if chain["submodular"].verdict != walked:
                 failures.append(f"{where}: the chain's submodular disagrees with the pair walk")
@@ -207,7 +263,11 @@ def _valuation_chain(corpus: Corpus) -> SuiteResult:
                     failures.append(f"{where}: submodular but not weak-substitutes")
             elif oracles["gross_substitutes"].verdict:
                 failures.append(f"{where}: gross-substitutes but not submodular")
-    return SuiteResult("valuation_chain", checked, tuple(failures))
+            gross += local.verdict
+            sub += oracles["submodular"].verdict
+            weak += oracles["weak_substitutes"].verdict
+    counts = {"gross_substitutes": gross, "submodular": sub, "weak_substitutes": weak}
+    return SuiteResult("valuation_chain", checked, tuple(failures), counts)
 
 
 def _block_is_sound(m: Market, r: pivot.VcgResult, block) -> bool:
@@ -230,7 +290,7 @@ def _stability_agreement(corpus: Corpus) -> SuiteResult:
     firms leave the pivot outcome unblocked.
     """
     failures = []
-    for label, m in corpus:
+    for label, m, _ in corpus:
         r = pivot.vcg(m)
         stable = stability.is_stable(m, r.outcome)
         sir = pivot.check_sir(r)
@@ -256,25 +316,21 @@ def run(trials: int = 200, seed: int = 0, grid: int = 6) -> SelftestReport:
         raise ValueError("trials must be nonnegative")
     if grid < 1:
         raise ValueError("grid density must be at least 1")
-    rng = random.Random(f"selftest:{seed}")
     corpus: Corpus = []
     for t in range(trials):
+        rng = random.Random(f"selftest:{seed}:{t}")
         kind = necessity.GENERATOR_KINDS[t % len(necessity.GENERATOR_KINDS)]
-        n = rng.randint(1, 5)
-        nfirms = rng.randint(1, 3)
-        s = rng.randint(0, 10**6)
-        corpus.append(
-            (f"{kind}(n={n},m={nfirms},seed={s})", necessity.generate(kind, n, nfirms, s))
-        )
-    small = [(label, m) for label, m in corpus if len(m.firms) <= 2]
+        label, m = _generated(kind, rng.randint(1, 5), rng.randint(1, 3), rng.randint(0, 10**6))
+        corpus.append((label, m, (m.disutilities, necessity.quarter_grid_profile(rng, m))))
+    small = [entry for entry in corpus if len(entry[1].firms) <= 2]
     truthful = (small or corpus)[: max(1, trials // 10)]
     suites = (
         _oracle_equivalence(corpus),
         _marginal_product_order(corpus),
         _tight_sets_closed(corpus),
         _truthful_dominance(truthful, grid),
-        _ir_iff_weak_substitutes(corpus, rng),
-        _sir_iff_submodular(corpus, rng),
+        _ir_iff_weak_substitutes(corpus),
+        _sir_iff_submodular(corpus),
         _valuation_chain(corpus),
         _stability_agreement(corpus),
     )

@@ -22,9 +22,10 @@ number of 2^(n-1) and 2^(n-2) lists at a time. After a false verdict the
 ordered walks (`_submodularity_violations`, the strong and gross scans)
 find the witness.
 
-`classify` decides all four classes of a monotone table as one chain
-(gross substitutes => submodular = strong substitutes => weak
-substitutes), which is what the `classify` command runs. Per table: one
+`classify` reports monotonicity, with the first drop as witness, then
+decides all four classes of a monotone table as one chain (gross
+substitutes => submodular = strong substitutes => weak substitutes),
+which is what the `classify` command runs. Per table: one
 monotonicity scan and the submodularity kernel, O(n^2 2^n) element steps
 on slices; on a submodular table, the exchange kernel's C(n,3) 2^(n-3)
 element steps; on any other, the ordered pair walk to the first violation
@@ -282,35 +283,46 @@ def is_gross_substitutes(h: SetFunction) -> ConditionReport:
     return _witnessed(_gross_substitutes_scan(h), "gross substitutes")
 
 
-def classify(h: SetFunction) -> Optional[dict[str, ConditionReport]]:
-    """The four substitute-class reports of a weakly increasing table, by name.
+def classify(h: SetFunction) -> dict[str, ConditionReport]:
+    """The monotonicity report of a table, then its four substitute-class
+    reports, by name.
 
-    Decided as one chain, gross substitutes => submodular = strong
-    substitutes => weak substitutes, with the monotonicity scan and the
+    A table that is not weakly increasing gets only the first, with its
+    first drop (`SetFunction.first_monotonicity_violation`) as witness.
+    Otherwise the classes are decided as one chain, gross substitutes =>
+    submodular = strong substitutes => weak substitutes, with the
     submodularity kernel run once. Without a submodularity violation the
     middle classes hold, weak substitutes follows by telescoping (this
     rests on h(empty) = 0), and gross substitutes needs only the
     three-element local inequality. With one, strong and gross substitutes
     fail, and every false verdict gets the witness its standalone check
     would report. The standalone checks stay the independent oracles.
-
-    None for a table that is not weakly increasing.
     """
-    if not h.is_monotone():
-        return None
+    drop = h.first_monotonicity_violation()
+    if drop is not None:
+        smaller, larger = drop
+        witness = {
+            "smaller_set": list(h.members(smaller)),
+            "larger_set": list(h.members(larger)),
+            "value_smaller": str(h.value(smaller)),
+            "value_larger": str(h.value(larger)),
+        }
+        return {"monotone": ConditionReport(verdict=False, witness=witness)}
+    holds = ConditionReport(verdict=True)
     hit = _first_submodularity_violation(h)
     if hit is None:
-        holds = ConditionReport(verdict=True)
         gross = holds
         if not _exchange_triples_hold(h):
             gross = _witnessed(_gross_substitutes_scan(h), "gross substitutes")
         return {
+            "monotone": holds,
             "weak_substitutes": holds,
             "submodular": holds,
             "strong_substitutes": holds,
             "gross_substitutes": gross,
         }
     return {
+        "monotone": holds,
         "weak_substitutes": is_weak_substitutes(h),
         "submodular": _submodularity_report(h, hit),
         "strong_substitutes": _witnessed(_strong_substitutes_scan(h), "strong substitutes"),

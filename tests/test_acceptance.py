@@ -1,9 +1,11 @@
 """End-to-end acceptance checklist.
 
-Eleven numbered criteria: five pin worked examples exactly, six sweep seeded
-corpora through both directions of every engine-level guarantee. Each one
-reports through the ``criterion`` fixture, so the run ends with a PASS/FAIL
-line per criterion. All comparisons are exact rational equality.
+Eleven numbered criteria: five pin worked examples exactly, six run the
+self-test suites (`jobmarket.selftest`) on seeded corpora, the one copy of
+each engine-level cross-check, and assert that no suite fails and that
+each saw enough. Each one reports through the ``criterion`` fixture, so
+the run ends with a PASS/FAIL line per criterion. All comparisons are exact
+rational equality.
 """
 
 import itertools
@@ -12,21 +14,10 @@ from fractions import Fraction
 
 import pytest
 
+import jobmarket.selftest as selftest
 from jobmarket.model import Profile, SetFunction
-from jobmarket.necessity import (
-    GENERATOR_KINDS,
-    construct_ir_violation,
-    demonstrate_sir_violation,
-    find_ws_violation,
-    generate,
-)
-from jobmarket.pivot import (
-    check_ir,
-    check_outcome_sir,
-    check_sir,
-    check_strategy_proofness,
-    vcg,
-)
+from jobmarket.necessity import GENERATOR_KINDS
+from jobmarket.pivot import check_ir, check_sir, vcg
 from jobmarket.setfn import (
     _strong_substitutes_scan,
     demand_set,
@@ -36,13 +27,7 @@ from jobmarket.setfn import (
     is_weak_substitutes,
 )
 from jobmarket.stability import find_block, find_weak_block, is_stable
-from jobmarket.surplus import (
-    brute_force_total,
-    check_marginal_product_order,
-    check_tight_sets_downward_closed,
-    efficient_matching,
-    max_surplus_excluding,
-)
+from jobmarket.surplus import efficient_matching, max_surplus_excluding
 from worked_examples import (
     all_or_nothing_market,
     budget_vs_additive_market,
@@ -50,6 +35,14 @@ from worked_examples import (
 )
 
 F = Fraction
+
+
+def _passes(result: selftest.SuiteResult) -> dict[str, int]:
+    """The suite's counts, once it has no failure line; else its first
+    line, which names the market, heads the criterion's report."""
+    failures = result.failures
+    assert not failures, f"{failures[0]} (of {len(failures)} failures)"
+    return result.counts
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +53,9 @@ def corpus_a():
     out = []
     for t in range(500):
         kind = GENERATOR_KINDS[t % len(GENERATOR_KINDS)]
-        m = generate(kind, rng.randint(1, 6), rng.randint(1, 3), rng.randint(0, 10**6))
+        label, m = selftest._generated(
+            kind, rng.randint(1, 6), rng.randint(1, 3), rng.randint(0, 10**6)
+        )
         top = m.ubar
         grid = [top * F(i, 6) for i in range(7)] if top > 0 else [F(0)]
         profiles = [m.disutilities]
@@ -70,7 +65,7 @@ def corpus_a():
                 w: {f: prng.choice(grid) for f in m.firm_names} for w in m.workers
             }
             profiles.append(Profile.from_dict(m.workers, m.firm_names, entries))
-        out.append((m, profiles))
+        out.append((label, m, tuple(profiles)))
     return out
 
 
@@ -84,10 +79,9 @@ def corpus_b():
         n = rng.choices(range(1, 9), weights=(5, 5, 5, 5, 4, 3, 2, 1))[0]
         nf = rng.choices(range(1, 5), weights=(4, 3, 2, 1))[0]
         kind = GENERATOR_KINDS[t % len(GENERATOR_KINDS)]
-        out.append(generate(kind, n, nf, rng.randint(0, 10**6)))
-    for j in range(3):
-        out.append(generate("random_monotone", 8, 4, 1000 + j))
-    return out
+        out.append(selftest._generated(kind, n, nf, rng.randint(0, 10**6)))
+    out += [selftest._generated("random_monotone", 8, 4, 1000 + j) for j in range(3)]
+    return [(label, m, (m.disutilities,)) for label, m in out]
 
 
 def test_criterion_01_all_or_nothing_payments(criterion):
@@ -175,43 +169,17 @@ def test_criterion_05_demand_sets_and_gross_substitutes(criterion):
 
 def test_criterion_06_rationality_iff_weak_substitutes(criterion, corpus_a):
     with criterion(6) as note:
-        rational = constructed = 0
-        for m, profiles in corpus_a:
-            bad = [n for n, fn in m.firms if not is_weak_substitutes(fn).verdict]
-            if not bad:
-                rational += 1
-                for profile in profiles:
-                    assert check_ir(vcg(m, profile)).verdict
-            else:
-                for name in bad:
-                    subset = find_ws_violation(m.utility(name))
-                    cert = construct_ir_violation(m, name, subset)
-                    r = vcg(m, cert.profile)
-                    assert not check_ir(r).verdict
-                    assert r.firm_payoff(name) < 0
-                    constructed += 1
-        assert rational >= 50 and constructed >= 50
-        note(f"{rational} markets rational on 6 profiles each, {constructed} violations built")
+        counts = _passes(selftest._ir_iff_weak_substitutes(corpus_a))
+        rational, built = counts["rational_markets"], counts["violations"]
+        assert rational >= 50 and built >= 50
+        note(f"{rational} markets rational on 6 profiles each, {built} violations built")
 
 
 def test_criterion_07_firing_proof_iff_submodular(criterion, corpus_a):
     with criterion(7) as note:
-        proof = canonical = exhibited = 0
-        for m, profiles in corpus_a:
-            bad = [n for n, fn in m.firms if not is_submodular(fn).verdict]
-            if not bad:
-                proof += 1
-                for profile in profiles:
-                    assert check_sir(vcg(m, profile)).verdict
-            else:
-                for name in bad:
-                    cert = demonstrate_sir_violation(m, name)
-                    assert not check_outcome_sir(m, cert.outcome, cert.profile).verdict
-                    if cert.canonical:
-                        assert not check_sir(vcg(m, cert.profile)).verdict
-                        canonical += 1
-                    else:
-                        exhibited += 1
+        counts = _passes(selftest._sir_iff_submodular(corpus_a))
+        proof = counts["firing_proof_markets"]
+        canonical, exhibited = counts["canonical"], counts["exhibited"]
         assert proof >= 50 and canonical + exhibited >= 50
         note(
             f"{proof} markets firing-proof on 6 profiles each, "
@@ -221,11 +189,8 @@ def test_criterion_07_firing_proof_iff_submodular(criterion, corpus_a):
 
 def test_criterion_08_solver_against_exhaustive_search(criterion, corpus_b):
     with criterion(8) as note:
-        largest = (0, 0)
-        for m in corpus_b:
-            fast = efficient_matching(m)
-            assert fast.total == brute_force_total(m)
-            largest = max(largest, (len(m.workers), len(m.firms)))
+        _passes(selftest._oracle_equivalence(corpus_b))
+        largest = max((len(m.workers), len(m.firms)) for _, m, _ in corpus_b)
         assert len(corpus_b) >= 500
         assert largest == (8, 4)
         note(f"{len(corpus_b)} markets agree exactly, up to {largest[0]} workers")
@@ -233,17 +198,9 @@ def test_criterion_08_solver_against_exhaustive_search(criterion, corpus_b):
 
 def test_criterion_09_order_closure_equivalence(criterion, corpus_a, corpus_b):
     with criterion(9) as note:
-        markets = [m for m, _ in corpus_a] + list(corpus_b)
-        for m in markets:
-            assert check_marginal_product_order(m).verdict
-        premise_held = 0
-        for m, _ in corpus_a:
-            for name, fn in m.firms:
-                costs = {w: m.disutilities.get(w, name) for w in m.workers}
-                report = check_tight_sets_downward_closed(fn, costs)
-                assert report.verdict
-                if report.details == "premise holds":
-                    premise_held += 1
+        markets = corpus_a + corpus_b
+        _passes(selftest._marginal_product_order(markets))
+        premise_held = _passes(selftest._tight_sets_closed(corpus_a))["premise_held"]
         assert premise_held >= 100
         exhaustive = 0
         workers3 = ("w1", "w2", "w3")
@@ -281,37 +238,23 @@ def test_criterion_09_order_closure_equivalence(criterion, corpus_a, corpus_b):
 def test_criterion_10_truthful_dominance_on_grid(criterion, corpus_a):
     with criterion(10) as note:
         ranked = sorted(
-            (m for m, _ in corpus_a),
-            key=lambda m: 7 ** len(m.firms) * max(1, len(m.workers)),
+            corpus_a, key=lambda entry: 7 ** len(entry[1].firms) * max(1, len(entry[1].workers))
         )
-        checked_workers = 0
-        for m in ranked[:100]:
-            for w in m.workers:
-                assert check_strategy_proofness(m, w, 6).verdict
-                checked_workers += 1
-        note(f"100 markets, {checked_workers} workers truthful against the k=6 grid")
+        result = selftest._truthful_dominance(ranked[:100], 6)
+        _passes(result)
+        note(f"100 markets, {result.checked} workers truthful against the k=6 grid")
 
 
 def test_criterion_11_valuation_chain(criterion, corpus_a):
     with criterion(11) as note:
-        gs = subm = ws = total = 0
-        for m, _ in corpus_a:
-            for _, fn in m.firms:
-                total += 1
-                g = is_gross_substitutes(fn).verdict
-                s = is_submodular(fn).verdict
-                w = is_weak_substitutes(fn).verdict
-                gs += g
-                subm += s
-                ws += w
-                if g:
-                    assert s
-                if s:
-                    assert w
+        result = selftest._valuation_chain(corpus_a)
+        gs, subm, ws = (
+            _passes(result)[k] for k in ("gross_substitutes", "submodular", "weak_substitutes")
+        )
         plateau = plateau_table()
         assert is_weak_substitutes(plateau).verdict
         assert not is_submodular(plateau).verdict
         strict = budget_vs_additive_market().utility("f1")
         assert is_submodular(strict).verdict
         assert not is_gross_substitutes(strict).verdict
-        note(f"{gs} GS <= {subm} submodular <= {ws} weak-substitutes of {total} firms")
+        note(f"{gs} GS <= {subm} submodular <= {ws} weak-substitutes of {result.checked} firms")

@@ -348,8 +348,9 @@ def test_triple_test_matches_the_per_ordering_loop(fn):
 def test_classify_matches_the_standalone_checks(fn):
     chain = setfn.classify(fn)
     assert list(chain) == [
-        "weak_substitutes", "submodular", "strong_substitutes", "gross_substitutes"
+        "monotone", "weak_substitutes", "submodular", "strong_substitutes", "gross_substitutes"
     ]
+    assert chain["monotone"] == ConditionReport(verdict=True)
     assert chain["weak_substitutes"] == setfn.is_weak_substitutes(fn)
     assert chain["submodular"] == setfn.is_submodular(fn)
     assert chain["strong_substitutes"] == setfn.is_strong_substitutes(fn)
@@ -357,8 +358,14 @@ def test_classify_matches_the_standalone_checks(fn):
 
 
 def test_classify_leaves_non_monotone_tables_unclassified():
-    assert not ONE_UNIT_DROP.is_monotone()
-    assert setfn.classify(ONE_UNIT_DROP) is None
+    smaller, larger = ONE_UNIT_DROP.first_monotonicity_violation()
+    witness = {
+        "smaller_set": list(ONE_UNIT_DROP.members(smaller)),
+        "larger_set": list(ONE_UNIT_DROP.members(larger)),
+        "value_smaller": str(ONE_UNIT_DROP.value(smaller)),
+        "value_larger": str(ONE_UNIT_DROP.value(larger)),
+    }
+    assert setfn.classify(ONE_UNIT_DROP) == {"monotone": ConditionReport(False, witness)}
 
 
 @PROPERTY_SETTINGS

@@ -365,6 +365,26 @@ def test_necessity_refuses_non_monotone_firm(capsys):
     assert err == "error: firm f: monotone=no (the constructions need a weakly increasing table)\n"
 
 
+def test_necessity_names_a_non_monotone_co_firm(capsys, tmp_path):
+    # f1 is monotone and not submodular; f2({w1,w2}) = 10 exceeds ubar =
+    # f2(W) = 2, so no 0/ubar profile keeps f2 off {w1,w2}
+    values = {
+        "f1": ["0", "0", "1", "1", "0", "0", "1", "3/2"],
+        "f2": ["0", "1/2", "1", "10", "1/2", "3/2", "3/2", "2"],
+    }
+    keys = ["", "w1", "w2", "w1,w2", "w3", "w1,w3", "w2,w3", "w1,w2,w3"]
+    firms = [
+        {"name": f, "utility": {"type": "table", "values": dict(zip(keys, v))}}
+        for f, v in values.items()
+    ]
+    path = tmp_path / "cofirm.json"
+    path.write_text(json.dumps({"workers": ["w1", "w2", "w3"], "firms": firms}))
+    rc, out, err = run_cli(capsys, "necessity", path, "--firm", "f1")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: firm f2: monotone=no (the constructions need a weakly increasing table)\n"
+
+
 def test_deeply_nested_json_exits_two(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)

@@ -148,6 +148,14 @@ def test_parse_market_family_utilities():
             "unknown type",
         ),
         (
+            lambda o: o["firms"][0]["utility"].update(type=["table"]),
+            r"unknown type \['table'\]",
+        ),
+        (
+            lambda o: o["firms"][0]["utility"].update(type={"table": 1}),
+            r"unknown type \{'table': 1\}",
+        ),
+        (
             lambda o: o["firms"][0]["utility"].pop("values"),
             "missing 'values'",
         ),

@@ -280,6 +280,19 @@ def test_demonstrations_refuse_non_monotone_tables():
         assert not isinstance(err.value, ConstructionError)
 
 
+def test_demonstrations_name_a_non_monotone_co_firm():
+    # f1 is monotone; f2 drops from {w1} (3) to {w1,w2} (2), so ubar = 2 does
+    # not bound it and the 0/ubar profile cannot steer w1 away from f2
+    ws = ("w1", "w2")
+    f1 = SetFunction.from_values(ws, tuple(map(Fraction, (0, 0, 0, 2))))
+    f2 = SetFunction.from_values(ws, tuple(map(Fraction, (0, 3, 1, 2))))
+    zero = Profile.from_dict(ws, ("f1", "f2"), {w: {"f1": 0, "f2": 0} for w in ws})
+    m = Market(ws, (("f1", f1), ("f2", f2)), zero)
+    with pytest.raises(ValueError, match="^firm f2: monotone=no ") as err:
+        demonstrate_ir_violation(m, "f1")
+    assert not isinstance(err.value, ConstructionError)
+
+
 def test_construction_error_on_monotone_table_propagates(monkeypatch):
     def failing(*args):
         raise ConstructionError("planted")

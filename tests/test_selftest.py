@@ -1,12 +1,17 @@
 """The self-test must pass on healthy code and fail on corrupted code."""
 
 import dataclasses
+import json
 
 import pytest
 
+import jobmarket.necessity as necessity
+import jobmarket.pivot as pivot
 import jobmarket.selftest as selftest
 import jobmarket.setfn as setfn
 import jobmarket.surplus as surplus
+from jobmarket.marketio import market_digest, parse_profile
+from jobmarket.model import ConditionReport
 
 SUITE_NAMES = (
     "oracle_equivalence",
@@ -66,6 +71,68 @@ def test_to_dict_shape():
     assert d["seed"] == 1 and d["trials"] == 5 and d["grid"] == 6
     assert [s["name"] for s in d["suites"]] == list(SUITE_NAMES)
     assert all(s["failures"] == [] for s in d["suites"])
+    counts = {s["name"]: s["counts"] for s in d["suites"]}
+    assert set(counts["valuation_chain"]) == {
+        "gross_substitutes", "submodular", "weak_substitutes"
+    }
+    assert set(counts["sir_iff_submodular"]) == {
+        "firing_proof_markets", "canonical", "exhibited"
+    }
+
+
+def test_every_failing_firm_gets_a_certificate():
+    m = necessity.generate("random_monotone", 3, 2, 0)
+    corpus = [("gen random_monotone 3 2 --seed 0", m, (m.disutilities,))]
+    assert not any(setfn.is_weak_substitutes(fn).verdict for _, fn in m.firms)
+    ir = selftest._ir_iff_weak_substitutes(corpus)
+    assert ir.failures == ()
+    assert ir.counts == {"rational_markets": 0, "violations": 2}
+
+
+def _rebuilt(label):
+    word, kind, n, nfirms, flag, seed = label.split()
+    assert (word, flag) == ("gen", "--seed")
+    return necessity.generate(kind, int(n), int(nfirms), int(seed))
+
+
+def test_failure_lines_reproduce_market_and_profile(monkeypatch):
+    """A failure line starts with the gen line that rebuilds its market;
+    one on a profile other than the market's own prints that profile."""
+    forced = ConditionReport(False, {"forced": "yes"})
+    ordered = []
+
+    def order(m, u=None):
+        ordered.append(market_digest(m))
+        return forced
+
+    real_check_ir = pivot.check_ir
+    refused = []
+
+    def check_ir(r):
+        if r.profile == r.market.disutilities:
+            return real_check_ir(r)
+        refused.append((market_digest(r.market), r.profile))
+        return forced
+
+    monkeypatch.setattr(surplus, "check_marginal_product_order", order)
+    monkeypatch.setattr(pivot, "check_ir", check_ir)
+    suites = {s.name: s for s in selftest.run(trials=12, seed=5).suites}
+    lines = suites["marginal_product_order"].failures
+    assert len(lines) == len(ordered) == 12
+    for line, digest in zip(lines, ordered):
+        label, witness = line.split(": ", 1)
+        assert witness == "{'forced': 'yes'}"
+        assert market_digest(_rebuilt(label)) == digest
+    lines = suites["ir_iff_weak_substitutes"].failures
+    assert lines
+    for line in lines:
+        head, witness = line.split(": ", 1)
+        assert witness == "all firms weak-substitutes yet {'forced': 'yes'}"
+        label, entries = head.split(" profile ")
+        m = _rebuilt(label)
+        profile = parse_profile(json.loads(entries), m.workers, m.firm_names)
+        assert profile != m.disutilities
+        assert (market_digest(m), profile) in refused
 
 
 def test_detects_corrupted_classifier(monkeypatch):
@@ -87,8 +154,6 @@ def test_detects_corrupted_classifier(monkeypatch):
 
 def test_detects_disagreeing_gross_substitutes_scan(monkeypatch):
     """A scan that fails every table must contradict the local test."""
-    from jobmarket.model import ConditionReport
-
     forced = ConditionReport(False, {"forced": "yes"})
     monkeypatch.setattr(setfn, "_gross_substitutes_scan", lambda h: forced)
     report = selftest.run(trials=20, seed=1)
@@ -99,8 +164,6 @@ def test_detects_disagreeing_gross_substitutes_scan(monkeypatch):
 def test_detects_passing_strong_substitutes_scan(monkeypatch):
     """A strong-substitutes scan that passes every table must contradict
     the submodularity verdict on the tables that are not submodular."""
-    from jobmarket.model import ConditionReport
-
     monkeypatch.setattr(
         setfn, "_strong_substitutes_scan", lambda h: ConditionReport(verdict=True)
     )
@@ -129,8 +192,6 @@ def test_detects_corrupted_solver(monkeypatch):
 
 
 def test_failure_lines_are_truncated(monkeypatch):
-    from jobmarket.model import ConditionReport
-
     monkeypatch.setattr(
         surplus,
         "check_marginal_product_order",
