@@ -19,7 +19,8 @@ required, keys are comma-joined worker ids), "additive", "budget_additive"
 (extra "budget" key), "unit_demand" (the last three default missing
 workers to 0).
 "disutilities" is optional; a profile can be supplied separately. A profile
-file is the bare {worker: {firm: rational-string}} mapping.
+file is the bare {worker: {firm: rational-string}} mapping. An object that
+names a key twice is refused, in either file.
 
 Every rational, string or integer, is refused past 100 characters (or
 digits) before any arithmetic runs, and so is an exponent past 100.
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
@@ -344,12 +346,23 @@ def _parse_profile(
         raise MarketFormatError(f"disutilities: {exc}") from None
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object, refused when it names a key twice (json keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise MarketFormatError(f"duplicate key {key!r}")
+    return obj
+
+
 def _read_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise MarketFormatError(f"cannot read {path}: {exc}") from None
+    except MarketFormatError as exc:
+        raise MarketFormatError(f"{path}: {exc}") from None
     except ValueError as exc:
         # malformed JSON, bytes that are not UTF-8, or an integer past the
         # interpreter's digit limit

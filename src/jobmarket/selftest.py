@@ -2,7 +2,8 @@
 
 Each suite re-derives something two independent ways (dynamic program vs
 exhaustive search, checker vs checker, guarantee direction vs constructed
-counterexample), records any disagreement and counts what it saw. A
+counterexample), records any disagreement and counts what it saw; two
+entry points of one decider are never compared with each other. A
 corpus entry is (label, market, profiles): the label is the `gen` line
 that rebuilds the market (`gen additive 4 2 --seed 123`), and profiles[0]
 is the market's own profile. Every failure line starts with that label,
@@ -220,12 +221,13 @@ def _valuation_chain(corpus: Corpus) -> SuiteResult:
     Also replays the chain that `classify` runs against the independent
     checks: each of its four reports must equal, verdict and witness, the
     standalone weak-substitutes scan, `is_submodular` and the exhaustive
-    strong- and gross-substitutes scans, and its gross report must equal
-    `is_gross_substitutes`. The chain takes weak substitutes from
-    submodularity; the standalone scan does not. `is_submodular` decides
-    on the same slice kernel as the chain, so the chain's submodular
-    verdict is also checked against the ordered pair walk. The counts are
-    the standalone checks' verdicts.
+    strong- and gross-substitutes scans. The chain takes weak substitutes
+    from submodularity; the standalone scan does not. `is_submodular`
+    decides on the same slice kernel as the chain, so the chain's
+    submodular verdict is also checked against the ordered pair walk.
+    `is_strong_substitutes` and `is_gross_substitutes` call the chain's
+    own deciders, so they are not compared with it. The counts are the
+    independent checks' verdicts.
     """
     failures = []
     checked = gross = sub = weak = 0
@@ -250,11 +252,6 @@ def _valuation_chain(corpus: Corpus) -> SuiteResult:
             for cls, report in oracles.items():
                 if chain[cls] != report:
                     failures.append(f"{where}: the chain's {cls} disagrees with the scan")
-            local = setfn.is_gross_substitutes(fn)
-            if chain["gross_substitutes"] != local:
-                failures.append(
-                    f"{where}: the chain's gross_substitutes disagrees with the local test"
-                )
             walked = next(setfn._submodularity_violations(fn), None) is None
             if chain["submodular"].verdict != walked:
                 failures.append(f"{where}: the chain's submodular disagrees with the pair walk")
@@ -263,7 +260,7 @@ def _valuation_chain(corpus: Corpus) -> SuiteResult:
                     failures.append(f"{where}: submodular but not weak-substitutes")
             elif oracles["gross_substitutes"].verdict:
                 failures.append(f"{where}: gross-substitutes but not submodular")
-            gross += local.verdict
+            gross += oracles["gross_substitutes"].verdict
             sub += oracles["submodular"].verdict
             weak += oracles["weak_substitutes"].verdict
     counts = {"gross_substitutes": gross, "submodular": sub, "weak_substitutes": weak}
@@ -284,7 +281,8 @@ def _block_is_sound(m: Market, r: pivot.VcgResult, block) -> bool:
 
 
 def _stability_agreement(corpus: Corpus) -> SuiteResult:
-    """Stable implies firing-proof implies rational; blocks re-verify.
+    """Stable (`find_block` finds none) implies firing-proof implies
+    rational; blocks re-verify.
 
     Also samples the cited direction that markets of gross-substitutes
     firms leave the pivot outcome unblocked.
@@ -292,16 +290,13 @@ def _stability_agreement(corpus: Corpus) -> SuiteResult:
     failures = []
     for label, m, _ in corpus:
         r = pivot.vcg(m)
-        stable = stability.is_stable(m, r.outcome)
+        block = stability.find_block(m, r.outcome)
         sir = pivot.check_sir(r)
         ir = pivot.check_ir(r)
-        if stable.verdict and not sir.verdict:
+        if block is None and not sir.verdict:
             failures.append(f"{label}: stable yet a firm wants to fire: {sir.witness}")
         if sir.verdict and not ir.verdict:
             failures.append(f"{label}: firing-proof yet not individually rational")
-        block = stability.find_block(m, r.outcome)
-        if (block is None) != stable.verdict:
-            failures.append(f"{label}: is_stable disagrees with find_block")
         if block is not None:
             if not _block_is_sound(m, r, block):
                 failures.append(f"{label}: block fails substitution: {block.to_dict()}")

@@ -11,7 +11,8 @@ and witnesses are read off the same integer table: a sum x of scaled
 values is reported as Fraction(x, den). Two classes are decided by a
 cheaper equivalent condition than the one they are defined by: strong
 substitutes by submodularity, gross substitutes by the local exchange
-test. Their exhaustive scans run only after a false verdict, to locate the
+test, each by one decider that `classify` and its standalone check share.
+Their exhaustive scans run only after a false verdict, to locate the
 canonical witness, and as independent oracles for the cross-checks.
 
 Submodularity and the three-element exchange inequality are decided on
@@ -78,6 +79,9 @@ def is_weak_substitutes(h: SetFunction) -> ConditionReport:
     return ConditionReport(verdict=True)
 
 
+PairHit = Optional[tuple[int, int, int]]
+
+
 def _submodularity_violations(h: SetFunction) -> Iterator[tuple[int, int, int]]:
     """Every (base mask, i, j), i < j, with h(S+i) + h(S+j) < h(S+i+j) + h(S).
 
@@ -121,9 +125,7 @@ def _submodular_holds(h: SetFunction) -> bool:
     return True
 
 
-def _first_submodularity_violation(
-    h: SetFunction,
-) -> Optional[tuple[int, int, int]]:
+def _first_submodularity_violation(h: SetFunction) -> PairHit:
     """First (base mask, i, j) with h(S+i) + h(S+j) < h(S+i+j) + h(S).
 
     The slice kernel decides; only a table that fails it runs the ordered
@@ -150,9 +152,7 @@ def is_submodular(h: SetFunction) -> ConditionReport:
     return _submodularity_report(h, _first_submodularity_violation(h))
 
 
-def _submodularity_report(
-    h: SetFunction, hit: Optional[tuple[int, int, int]]
-) -> ConditionReport:
+def _submodularity_report(h: SetFunction, hit: PairHit) -> ConditionReport:
     """is_submodular's report on the first violation `hit` (None: none)."""
     if hit is None:
         return ConditionReport(verdict=True)
@@ -186,10 +186,16 @@ def is_strong_substitutes(h: SetFunction) -> ConditionReport:
     The condition is equivalent to submodularity: S' = {i, j} is the
     adjacent-pair inequality, and telescoping h(S) - h(S minus S') over
     the members of S' gives the converse. The verdict therefore costs the
-    submodularity kernel's O(n^2 2^n) element steps on slices; only a
-    false one runs the O(3^n) scan for the witness.
+    submodularity kernel's O(n^2 2^n) element steps on slices; a false one
+    runs the ordered pair walk to its first violation, then the O(3^n)
+    scan for the witness.
     """
-    if _submodular_holds(h):
+    return _strong_substitutes(h, _first_submodularity_violation(h))
+
+
+def _strong_substitutes(h: SetFunction, hit: PairHit) -> ConditionReport:
+    """The strong-substitutes verdict on the first pair violation `hit`."""
+    if hit is None:
         return ConditionReport(verdict=True)
     return _witnessed(_strong_substitutes_scan(h), "strong substitutes")
 
@@ -272,13 +278,20 @@ def is_gross_substitutes(h: SetFunction) -> ConditionReport:
     once per unordered triple by the exchange kernel, C(n,3) 2^(n-3)
     element steps on slices. Only a false verdict runs the O(n^2 4^n)
     pairwise scan, which reports the first violating (S, T, w) in scan
-    order.
+    order; a table that fails the first inequality runs the ordered pair
+    walk to its first violation before it.
 
     Non-monotone tables are rejected.
     """
     if not h.is_monotone():
         raise ValueError("gross-substitutes test requires a weakly increasing table")
-    if _submodular_holds(h) and _exchange_triples_hold(h):
+    return _gross_substitutes(h, _first_submodularity_violation(h))
+
+
+def _gross_substitutes(h: SetFunction, hit: PairHit) -> ConditionReport:
+    """The gross-substitutes verdict of a monotone table, on the first pair
+    violation `hit`."""
+    if hit is None and _exchange_triples_hold(h):
         return ConditionReport(verdict=True)
     return _witnessed(_gross_substitutes_scan(h), "gross substitutes")
 
@@ -295,8 +308,8 @@ def classify(h: SetFunction) -> dict[str, ConditionReport]:
     middle classes hold, weak substitutes follows by telescoping (this
     rests on h(empty) = 0), and gross substitutes needs only the
     three-element local inequality. With one, strong and gross substitutes
-    fail, and every false verdict gets the witness its standalone check
-    would report. The standalone checks stay the independent oracles.
+    fail, and every false verdict gets its standalone check's witness: the
+    strong and gross verdicts come from the deciders those checks call.
     """
     drop = h.first_monotonicity_violation()
     if drop is not None:
@@ -310,23 +323,12 @@ def classify(h: SetFunction) -> dict[str, ConditionReport]:
         return {"monotone": ConditionReport(verdict=False, witness=witness)}
     holds = ConditionReport(verdict=True)
     hit = _first_submodularity_violation(h)
-    if hit is None:
-        gross = holds
-        if not _exchange_triples_hold(h):
-            gross = _witnessed(_gross_substitutes_scan(h), "gross substitutes")
-        return {
-            "monotone": holds,
-            "weak_substitutes": holds,
-            "submodular": holds,
-            "strong_substitutes": holds,
-            "gross_substitutes": gross,
-        }
     return {
         "monotone": holds,
-        "weak_substitutes": is_weak_substitutes(h),
+        "weak_substitutes": holds if hit is None else is_weak_substitutes(h),
         "submodular": _submodularity_report(h, hit),
-        "strong_substitutes": _witnessed(_strong_substitutes_scan(h), "strong substitutes"),
-        "gross_substitutes": _witnessed(_gross_substitutes_scan(h), "gross substitutes"),
+        "strong_substitutes": _strong_substitutes(h, hit),
+        "gross_substitutes": _gross_substitutes(h, hit),
     }
 
 

@@ -9,7 +9,8 @@ The constructed deviation gives the firm half the slack and splits the
 other half equally among the coalition's workers, so every member is
 strictly better off. S = empty set is allowed (it catches firms running
 a deficit); the scan order is firms as declared, then subsets in
-ascending bit-pattern order, so the reported block is canonical.
+ascending bit-pattern order, so the reported block is canonical. An
+outcome is stable iff `find_block` returns None; a block is the witness.
 
 Firing is the same inequality inside the firm's own hires: a hired
 worker's disutility plus payoff is their salary, so on a kept set S it
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .model import ConditionReport, Market, Matching, Outcome, Profile, clear_denominators
+from .model import Market, Matching, Outcome, Profile, clear_denominators
 from .subsets import bit_indices, subset_sums
 
 
@@ -170,18 +171,3 @@ def find_weak_block(
     hires = hire_masks(m, o.matching)
     allowed = {name: hires[name] | hires[None] for name in m.firm_names}
     return _scan_for_block(m, profile, payoffs, allowed)
-
-
-def is_stable(m: Market, o: Outcome, u: Optional[Profile] = None) -> ConditionReport:
-    """True iff no firm-coalition pair blocks the outcome."""
-    block = find_block(m, o, u)
-    if block is None:
-        return ConditionReport(verdict=True)
-    return ConditionReport(
-        verdict=False,
-        witness=block.to_dict(),
-        details=(
-            f"firm {block.firm} and {list(block.coalition)} improve "
-            f"on the outcome with slack {block.slack}"
-        ),
-    )

@@ -26,7 +26,7 @@ from jobmarket.setfn import (
     is_submodular,
     is_weak_substitutes,
 )
-from jobmarket.stability import find_block, find_weak_block, is_stable
+from jobmarket.stability import find_block, find_weak_block
 from jobmarket.surplus import efficient_matching, max_surplus_excluding
 from worked_examples import (
     all_or_nothing_market,
@@ -126,7 +126,6 @@ def test_criterion_03_low_disutility_regime(criterion):
         assert r.worker_payoff("w3") == F(3, 2)
         assert check_ir(r).verdict and check_sir(r).verdict
         assert find_block(m, r.outcome) is None
-        assert is_stable(m, r.outcome).verdict
         note("surplus 7/2, pinned payoffs, outcome is stable")
 
 
@@ -144,7 +143,6 @@ def test_criterion_04_high_disutility_regime(criterion):
         assert block.firm == "f1" and block.coalition == ("w3",)
         assert dict(block.payments) == {"w3": F(5, 4)}
         assert block.slack == F(1, 2)
-        assert not is_stable(m, r.outcome).verdict
         assert find_weak_block(m, r.outcome) is None
         assert check_sir(r).verdict
         note("block (f1, {w3}) with slack 1/2, weakly stable, firing-proof")

@@ -357,6 +357,20 @@ def test_classify_matches_the_standalone_checks(fn):
     assert chain["gross_substitutes"] == setfn.is_gross_substitutes(fn)
 
 
+def test_classify_and_the_standalone_checks_share_each_decider(monkeypatch):
+    forced = {}
+    for cls in ("strong_substitutes", "gross_substitutes"):
+        forced[cls] = ConditionReport(False, {"decider": cls})
+        monkeypatch.setattr(setfn, f"_{cls}", lambda h, hit, report=forced[cls]: report)
+    fn = BUDGET_CAPPED
+    chain = setfn.classify(fn)
+    for cls, check in (
+        ("strong_substitutes", setfn.is_strong_substitutes),
+        ("gross_substitutes", setfn.is_gross_substitutes),
+    ):
+        assert chain[cls] == check(fn) == forced[cls]
+
+
 def test_classify_leaves_non_monotone_tables_unclassified():
     smaller, larger = ONE_UNIT_DROP.first_monotonicity_violation()
     witness = {

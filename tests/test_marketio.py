@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -302,6 +303,32 @@ def test_load_market_bad_file(tmp_path):
         load_market(str(path))
     with pytest.raises(MarketFormatError):
         load_market(str(tmp_path / "absent.json"))
+
+
+@pytest.mark.parametrize(
+    "name, text, key",
+    [
+        ("m.json", '{"workers": ["a"], "firms": [{"name": "f", "utility": {"type": "table", '
+         '"values": {"": "0", "a": "1", "a": "5"}}}]}', "a"),
+        ("m.json", '{"workers": ["a"], "firms": [{"name": "f", "utility": '
+         '{"type": "additive", "values": {"a": "1", "a": "5"}}}]}', "a"),
+        ("m.json", '{"workers": ["a"], "firms": [{"name": "f", "utility": {"type": "additive", '
+         '"values": {"a": "1"}}}], "disutilities": {"a": {"f": "0", "f": "1"}}}', "f"),
+        ("p.json", '{"w1": {"f1": "1", "f1": "0"}, "w2": {"f1": "0"}}', "f1"),
+        ("p.json", '{"w1": {"f1": "1"}, "w2": {"f1": "0"}, "w1": {"f1": "0"}}', "w1"),
+    ],
+    ids=["table key", "per-worker value key", "embedded profile entry", "profile entry",
+         "profile row"],
+)
+def test_json_files_refuse_a_duplicate_key(tmp_path, name, text, key):
+    # json keeps the last of two equal keys, so each of these loaded silently
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(MarketFormatError, match=f"^{re.escape(str(path))}: duplicate key '{key}'$"):
+        if name == "m.json":
+            load_market(str(path))
+        else:
+            load_profile(str(path), parse_market(GOOD))
 
 
 def test_integer_cap_matches_string_cap():

@@ -9,9 +9,11 @@ import jobmarket.necessity as necessity
 import jobmarket.pivot as pivot
 import jobmarket.selftest as selftest
 import jobmarket.setfn as setfn
+import jobmarket.stability as stability
 import jobmarket.surplus as surplus
 from jobmarket.marketio import market_digest, parse_profile
 from jobmarket.model import ConditionReport
+from worked_examples import plateau_market
 
 SUITE_NAMES = (
     "oracle_equivalence",
@@ -175,6 +177,39 @@ def test_detects_passing_strong_substitutes_scan(monkeypatch):
         assert line.endswith(
             ": strong substitutes: the verdict is false but the exhaustive scan finds no violation"
         )
+
+
+def _spy(monkeypatch, module, name):
+    """Count the calls of module.name, which still runs."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_valuation_chain_runs_the_gross_scan_twice_on_a_failing_table(monkeypatch):
+    """A monotone table that is not submodular needs the gross scan twice:
+    for the chain's witness and as the oracle."""
+    calls = _spy(monkeypatch, setfn, "_gross_substitutes_scan")
+    m = plateau_market()
+    result = selftest._valuation_chain([("plateau", m, (m.disutilities,))])
+    assert result.ok and result.counts["gross_substitutes"] == 0
+    assert len(calls) == 2
+
+
+def test_stability_suite_runs_find_block_once_per_market(monkeypatch):
+    calls = _spy(monkeypatch, stability, "find_block")
+    corpus = [
+        (label, m, (m.disutilities,))
+        for label, m in (selftest._generated("random_monotone", 3, 2, seed) for seed in range(4))
+    ]
+    assert selftest._stability_agreement(corpus).ok
+    assert len(calls) == len(corpus)
 
 
 def test_detects_corrupted_solver(monkeypatch):
