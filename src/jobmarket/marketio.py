@@ -6,42 +6,48 @@ Market file shape:
       "workers": ["w1", "w2"],
       "firms": [
         {"name": "f1",
-         "utility": {"type": "table",
-                     "values": {"": "0", "w1": "0", "w2": "0", "w1,w2": "10"}}}
+         "utility": {"type": "table", "values": ["0", "0", "0", "10"]}}
       ],
       "disutilities": {"w1": {"f1": "3"}, "w2": {"f1": "4"}}
     }
 
 Worker ids are distinct, nonempty and hold no comma, so every table key
 splits back into its ids. Rationals are exact strings ("3", "3/4", "0.25")
-or JSON integers; floats are rejected. Utility types: "table" (every subset
-required, keys are comma-joined worker ids), "additive", "budget_additive"
-(extra "budget" key), "unit_demand" (the last three default missing
-workers to 0).
+or JSON integers; floats are rejected. Utility types: "table", "additive",
+"budget_additive" (extra "budget" key), "unit_demand" (the last three
+default missing workers to 0). A table has two spellings. An array of
+exactly 2^n values in mask order: entry i is the value of the set
+{worker k : bit k of i is set}, so ["0", "0", "0", "10"] above gives
+{w1, w2} the value 10; this is what `dumps_market` writes. Or an object
+keyed by subset, every subset required, each key the comma-joined ids of
+its members in any order: {"": "0", "w1": "0", "w2": "0", "w1,w2": "10"}.
 "disutilities" is optional; a profile can be supplied separately. A profile
 file is the bare {worker: {firm: rational-string}} mapping. An object that
 names a key twice is refused, in either file.
 
 Every rational, string or integer, is refused past 100 characters (or
-digits) before any arithmetic runs, and so is an exponent past 100.
+digits) before any arithmetic runs, and so is an exponent past 100. An
+array of the wrong length is refused before any entry is parsed.
 
 Cost: one load parses each distinct rational string once (a generated
 12-worker table holds a few dozen distinct strings among its 4,096
 values) and scales each distinct value once, by the LCM of its table's
 denominators, straight into the table's integer form (`SetFunction.den`
-and `scaled`); no Fraction is built per entry. A table whose keys are
-the load's subset key list in mask order (as `dumps_market` writes them)
-is read in file order after one comparison of the two key lists; the
-subset key list is built once per load and `parse_market` hands it on,
-so that `market_digest` need not build it again. Entries in another
-order resolve to masks by dict lookup in that list, only keys whose ids
-come in another order are split and resolved worker by worker, and only
-a table found at fault is walked entry by entry to name its first
-offender. `dumps_market` and `market_digest` write their JSON text
-straight from the integer tables: one text per distinct value of each
-table, the escaped key heads built once per call and shared by every firm,
-and each table's entries joined in one pass; the digest adds one sort of
-the subset keys per call.
+and `scaled`); no Fraction is built per entry. Both spellings share that
+step; an array is already in mask order, and JSON reads it without the
+per-object duplicate-key check. A keyed table whose keys are the load's
+subset key list in mask order is read in file order after one comparison
+of the two key lists; the subset key list is built once per load and
+`parse_market` hands it on, so that `market_digest` need not build it
+again. Keys in another order resolve to masks by dict lookup in that
+list, only keys whose ids come in another order are split and resolved
+worker by worker, and only a table found at fault is walked entry by
+entry to name its first offender. `dumps_market` and `market_digest`
+write their JSON text straight from the integer tables, one text per
+distinct value of each table. The digest hashes the keyed canonical form,
+not the array text `dumps_market` writes, so both spellings of a market
+share one digest; its escaped key heads are built once per call and
+shared by every firm, and it adds one sort of the subset keys per call.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Collection, Iterable, Mapping, Optional
 
 from .model import (
     Market,
@@ -159,64 +165,88 @@ class _Load:
     def index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.workers)}
 
-    def table(self, values: Mapping, where: str) -> SetFunction:
-        """One firm's table from its {key: value} object, in bulk.
+    def positional(self, values: list, where: str) -> SetFunction:
+        """One firm's table from its array in mask order: entry i is the
+        value of the set whose members are the set bits of i. The length
+        is checked before any entry is parsed; a refused entry is named by
+        its index and its subset key."""
+        size = 1 << len(self.workers)
+        if len(values) != size:
+            raise MarketFormatError(
+                f"{where}: table 'values' holds {len(values)} entries, expected 2^{len(self.workers)}"
+                f" = {size}, one per subset in mask order"
+            )
+        entries = ((f"{where} values[{i}] ({self.keys[i]!r})", raw) for i, raw in enumerate(values))
+        return self._set_function(values, entries)
 
-        Each distinct value is parsed once and scaled once, by the LCM of
-        the table's distinct denominators. Keys that are the subset key
-        list itself, in mask order, are taken in file order; other keys
-        resolve to masks through `key_masks`, and only a key in another
-        order is split. When the bulk result shows a refused value or a
-        bad key set, a per-entry pass names the first offender in entry
-        order, with the errors of `SetFunction.from_table`.
+    def keyed(self, values: Mapping, where: str) -> SetFunction:
+        """One firm's table from its {key: value} object, put into mask order.
+
+        Keys that are the subset key list itself, in mask order, are taken
+        in file order; other keys resolve to masks through `key_masks`, and
+        only a key in another order is split. A key set that does not
+        resolve to every subset once has its values parsed first, then
+        `SetFunction.from_table` names the first bad key in entry order.
         """
-        fracs = self._distinct_values(values, where)
-        ordered: Iterable[Any]
+        entries = ((f"{where}[{key!r}]", raw) for key, raw in values.items())
         if list(values) == self.keys:
-            ordered = values.values()
-        else:
-            size = 1 << len(self.workers)
-            masks = list(map(self.key_masks.get, values))
-            found = set(masks)
-            if None in found:
-                try:
-                    masks = [
-                        mask_of(self.index, _key_ids(key)) if m is None else m
-                        for key, m in zip(values, masks)
-                    ]
-                    found = set(masks)
-                except ValueError:
-                    masks = []  # a key that does not resolve: named below
-            if len(masks) != size or len(found) != size:
-                return SetFunction.from_table(
-                    self.workers, ((_key_ids(key), fracs[raw]) for key, raw in values.items())
-                )
-            ordered = [None] * size
-            for m, raw in zip(masks, values.values()):
-                ordered[m] = raw
+            return self._set_function(values.values(), entries)
+        size = 1 << len(self.workers)
+        masks = list(map(self.key_masks.get, values))
+        found = set(masks)
+        if None in found:
+            try:
+                masks = [
+                    mask_of(self.index, _key_ids(key)) if m is None else m
+                    for key, m in zip(values, masks)
+                ]
+                found = set(masks)
+            except ValueError:
+                masks = []  # a key that does not resolve: named below
+        if len(masks) != size or len(found) != size:
+            fracs = self._distinct_values(values.values(), entries)
+            return SetFunction.from_table(
+                self.workers, ((_key_ids(key), fracs[raw]) for key, raw in values.items())
+            )
+        ordered: list[Any] = [None] * size
+        for m, raw in zip(masks, values.values()):
+            ordered[m] = raw
+        return self._set_function(ordered, entries)
+
+    def _set_function(
+        self, ordered: Collection[Any], entries: Iterable[tuple[str, Any]]
+    ) -> SetFunction:
+        """The bulk step of both spellings, on values in mask order: each
+        distinct value is parsed once and scaled once, by the LCM of the
+        table's distinct denominators. `entries` pairs each value as
+        written with its label, in file order; it is walked only to name a
+        refused value."""
+        fracs = self._distinct_values(ordered, entries)
         den = lcm(*{v.denominator for v in fracs.values()})
         ints = {raw: v.numerator * (den // v.denominator) for raw, v in fracs.items()}
         return SetFunction(self.workers, den, tuple(map(ints.__getitem__, ordered)))
 
-    def _distinct_values(self, values: Mapping, where: str) -> dict[Any, Fraction]:
+    def _distinct_values(
+        self, raws: Collection[Any], entries: Iterable[tuple[str, Any]]
+    ) -> dict[Any, Fraction]:
         """{distinct value as written: Fraction}, strings from the load's memo.
 
         A string equals only strings, so only a non-string can hide another
         entry from the set (True == 1 == 1.0 hash alike); a table holding
         one has every non-string entry checked. A refused or unhashable
-        value is named by a second, per-entry pass.
+        value is named by a second, per-entry pass over `entries`.
         """
         memo = self.rationals
         try:
-            distinct = set(values.values())
+            distinct = set(raws)
             if any(type(raw) is not str for raw in distinct):
-                for raw in values.values():
+                for raw in raws:
                     if type(raw) is not str:
-                        parse_rational(raw, where)
-            return {raw: _parse_memo(memo, raw, where) for raw in distinct}
+                        parse_rational(raw)
+            return {raw: _parse_memo(memo, raw, "") for raw in distinct}
         except (MarketFormatError, TypeError):  # TypeError: an unhashable value
-            for key, raw in values.items():
-                _parse_memo(memo, raw, f"{where}[{key!r}]")
+            for label, raw in entries:
+                _parse_memo(memo, raw, label)
             raise
 
 
@@ -248,9 +278,14 @@ def _parse_utility(spec: Any, load: _Load, firm: str) -> SetFunction:
         raise MarketFormatError(f"{where}: unexpected key {sorted(extra)[0]!r}")
     try:
         if kind == "table":
+            if isinstance(values, list):
+                return load.positional(values, where)
             if not isinstance(values, Mapping):
-                raise MarketFormatError(f"{where}: table 'values' must be an object")
-            return load.table(values, where)
+                raise MarketFormatError(
+                    f"{where}: table 'values' must be an array in mask order"
+                    " or an object keyed by subset"
+                )
+            return load.keyed(values, where)
         per = _parse_value_map(values, where, memo)
         unknown = set(per) - set(workers)
         if unknown:
@@ -412,25 +447,23 @@ def _entries(heads: list[str], texts: Iterable[str]) -> str:
 
 
 def dumps_market(m: Market) -> str:
-    """Canonical JSON text: explicit tables with keys in universe order,
+    """Canonical JSON text: explicit tables as arrays in mask order,
     rationals as strings, laid out by json.dumps(..., indent=2) rules.
 
-    Written straight from the integer tables: the escaped key heads of the
-    table lines are built once and shared by every firm, each distinct
-    value of a table is turned into text once, and each table's text is
-    copied only into the final join.
+    Written straight from the integer tables: each distinct value of a
+    table is turned into text once, and each table's text is copied only
+    into the final join. This is not the text `market_digest` hashes,
+    which keys every value by its subset.
     """
-    pad = "\n" + "  " * 5
-    heads = [f'",{pad}"{k}": "' for k in _escaped_keys(m.workers, subset_keys(m.workers))]
-    heads[0] = heads[0][2:]  # no separator before the first entry
+    sep = '",\n' + "  " * 5 + '"'
     parts = ['{\n  "workers": ', _layout(list(map(_quote, m.workers)), 1, "[]"), ',\n  "firms": [']
     for k, (name, fn) in enumerate(m.firms):
         parts.append(
             f'{"," if k else ""}\n    {{\n      "name": {_quote(name)},\n      "utility": {{'
-            '\n        "type": "table",\n        "values": {'
+            '\n        "type": "table",\n        "values": [\n          "'
         )
-        parts.append(_entries(heads, _value_texts(fn)))
-        parts.append('"\n        }\n      }\n    }')
+        parts.append(sep.join(_value_texts(fn)))
+        parts.append('"\n        ]\n      }\n    }')
     parts.append("\n  ]" if m.firms else "]")
     if m.disutilities is not None:
         rows = [
@@ -448,14 +481,17 @@ def _object(items: Mapping[str, str]) -> str:
 
 
 def market_digest(m: Market, keys: Optional[list[str]] = None) -> str:
-    """Stable content hash of the canonical serialization.
+    """Stable content hash of the keyed canonical serialization.
 
-    The sha256 of the compact, key-sorted JSON of what `dumps_market`
-    writes (json.dumps(..., sort_keys=True, separators=(",", ":"))), built
-    from the integer tables: the subset keys are sorted once, as json
-    sorts them, before escaping. The blob is hashed piece by piece, one
-    table at a time, so no copy of it is ever whole. `keys`, when given,
-    must be `subset_keys(m.workers)`, as a load hands it on.
+    The sha256 of the compact, key-sorted JSON of the market with every
+    table written as an object keyed by subset (json.dumps(...,
+    sort_keys=True, separators=(",", ":"))). That is not the array form
+    `dumps_market` writes, so a market has one digest whichever spelling
+    its file uses. Built from the integer tables: the subset keys are
+    sorted once, as json sorts them, before escaping. The blob is hashed
+    piece by piece, one table at a time, so no copy of it is ever whole.
+    `keys`, when given, must be `subset_keys(m.workers)`, as a load hands
+    it on.
     """
     if keys is None:
         keys = subset_keys(m.workers)

@@ -285,7 +285,8 @@ def _stability_agreement(corpus: Corpus) -> SuiteResult:
     rational; blocks re-verify.
 
     Also samples the cited direction that markets of gross-substitutes
-    firms leave the pivot outcome unblocked.
+    firms leave the pivot outcome unblocked. A blocked market asks for the
+    firms' gross-substitutes verdicts only, so no witness scan runs.
     """
     failures = []
     for label, m, _ in corpus:
@@ -300,7 +301,10 @@ def _stability_agreement(corpus: Corpus) -> SuiteResult:
         if block is not None:
             if not _block_is_sound(m, r, block):
                 failures.append(f"{label}: block fails substitution: {block.to_dict()}")
-            if all(setfn.is_gross_substitutes(fn).verdict for _, fn in m.firms):
+            if all(
+                setfn._gross_substitutes_holds(fn, setfn._first_submodularity_violation(fn))
+                for _, fn in m.firms
+            ):
                 failures.append(f"{label}: gross-substitutes firms yet blocked")
     return SuiteResult("stability", len(corpus), tuple(failures))
 

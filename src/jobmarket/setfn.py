@@ -288,10 +288,16 @@ def is_gross_substitutes(h: SetFunction) -> ConditionReport:
     return _gross_substitutes(h, _first_submodularity_violation(h))
 
 
+def _gross_substitutes_holds(h: SetFunction, hit: PairHit) -> bool:
+    """The gross-substitutes verdict of a monotone table, without a
+    witness: no first pair violation `hit`, then the exchange kernel."""
+    return hit is None and _exchange_triples_hold(h)
+
+
 def _gross_substitutes(h: SetFunction, hit: PairHit) -> ConditionReport:
-    """The gross-substitutes verdict of a monotone table, on the first pair
+    """The gross-substitutes report of a monotone table, on the first pair
     violation `hit`."""
-    if hit is None and _exchange_triples_hold(h):
+    if _gross_substitutes_holds(h, hit):
         return ConditionReport(verdict=True)
     return _witnessed(_gross_substitutes_scan(h), "gross substitutes")
 

@@ -5,7 +5,9 @@ adding one JSON node, and one market command, drawn at random, runs in
 process on the result. It must return 0 or 1 (a verdict) or 2 (refused
 input); any exception but SystemExit is a failure. The cases come from
 fixed seeds, and a failure line holds the command and the file text it
-ran on.
+ran on. Each market is fuzzed in both table spellings: as `dumps_market`
+writes it (arrays in mask order, which also get one entry more, one
+fewer, or a `values` that is no array) and as its keyed twin.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ import json
 import random
 
 import jobmarket.cli as cli
-from jobmarket.marketio import dumps_market
+from jobmarket.marketio import dumps_market, subset_keys
 from jobmarket.necessity import GENERATOR_KINDS, generate
 
 # the last three are valid rationals, so that a mutated file also gets past
@@ -26,11 +28,37 @@ CASES_PER_SEED = 700
 
 
 def _base_markets() -> list[dict]:
+    """Small generated markets as `dumps_market` writes them."""
     return [
         json.loads(dumps_market(generate(kind, n, firms, seed)))
         for seed, kind in enumerate(GENERATOR_KINDS)
         for n, firms in ((2, 1), (3, 2))
     ]
+
+
+def _keyed_twin(doc: dict) -> dict:
+    """The market with every table array written as an object keyed by subset."""
+    doc = copy.deepcopy(doc)
+    keys = subset_keys(tuple(doc["workers"]))
+    for firm in doc["firms"]:
+        firm["utility"]["values"] = dict(zip(keys, firm["utility"]["values"]))
+    return doc
+
+
+def _resized(rng: random.Random, doc: dict) -> dict:
+    """A copy of doc whose first table array has one entry more, one
+    fewer, or is replaced by a value that is no array."""
+    doc = copy.deepcopy(doc)
+    utility = doc["firms"][0]["utility"]
+    values = utility["values"]
+    op = rng.choice(("more", "fewer", "no array"))
+    if op == "more":
+        values.insert(rng.randrange(len(values) + 1), copy.deepcopy(rng.choice(ATOMS)))
+    elif op == "fewer":
+        del values[rng.randrange(len(values))]
+    else:
+        utility["values"] = copy.deepcopy(rng.choice([a for a in ATOMS if type(a) is not list]))
+    return doc
 
 
 def _paths(node, path=()):
@@ -92,7 +120,8 @@ def _commands(market: str, profile: str, mutate_profile: bool, json_mode: bool):
 
 def _failures(seed: int, tmp_path) -> list[str]:
     rng = random.Random(f"fuzz:{seed}")
-    bases = _base_markets()
+    arrays = _base_markets()
+    bases = arrays + [_keyed_twin(doc) for doc in arrays]
     market, profile = tmp_path / "m.json", tmp_path / "p.json"
     failures = []
     for _ in range(CASES_PER_SEED):
@@ -100,7 +129,10 @@ def _failures(seed: int, tmp_path) -> list[str]:
         mutate_profile = rng.random() < 0.3
         doc = base["disutilities"] if mutate_profile else base
         texts = [json.dumps(base), json.dumps(base["disutilities"])]
-        texts[mutate_profile] = json.dumps(_mutated(rng, doc))
+        if not mutate_profile and base in arrays and rng.random() < 0.2:
+            texts[0] = json.dumps(_resized(rng, base))
+        else:
+            texts[mutate_profile] = json.dumps(_mutated(rng, doc))
         market.write_text(texts[0])
         profile.write_text(texts[1])
         argv = rng.choice(_commands(str(market), str(profile), mutate_profile, rng.random() < 0.5))
@@ -117,7 +149,7 @@ def test_mutated_inputs_end_in_an_exit_code(tmp_path):
 
 def test_text_level_duplicate_key_exits_2(tmp_path):
     market, profile = tmp_path / "m.json", tmp_path / "p.json"
-    for base in _base_markets():
+    for base in map(_keyed_twin, _base_markets()):
         profile.write_text(json.dumps(base["disutilities"]))
         text = json.dumps(base)
         # the first key of the first table or value map, named again

@@ -1,12 +1,15 @@
 """JSON ingestion, serialization, and digests."""
 
 import hashlib
+import itertools
 import json
 import re
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
+import jobmarket.cli as cli
+import jobmarket.marketio as marketio
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -50,18 +53,26 @@ PINNED_FILES = {
 
 
 def serialize_market(m: Market) -> dict:
-    """Canonical JSON form: explicit tables keyed in universe order,
-    rationals as strings. `dumps_market` writes its json.dumps(indent=2)
-    text and `market_digest` hashes its sorted compact text, both without
-    building it; this is their oracle."""
-    keys = subset_keys(m.workers)
+    """What `dumps_market` writes: explicit tables as arrays in mask order,
+    rationals as strings. Its oracle is json.dumps(indent=2) of this."""
     firms = [
-        {"name": name, "utility": {"type": "table", "values": dict(zip(keys, map(str, fn.values)))}}
+        {"name": name, "utility": {"type": "table", "values": list(map(str, fn.values))}}
         for name, fn in m.firms
     ]
     out: dict = {"workers": list(m.workers), "firms": firms}
     if m.disutilities is not None:
         out["disutilities"] = m.disutilities.to_dict()
+    return out
+
+
+def serialize_keyed(m: Market) -> dict:
+    """The keyed canonical form: explicit tables keyed in universe order,
+    rationals as strings. `market_digest` hashes its sorted compact text
+    without building it; this is its oracle."""
+    out = serialize_market(m)
+    keys = subset_keys(m.workers)
+    for firm in out["firms"]:
+        firm["utility"]["values"] = dict(zip(keys, firm["utility"]["values"]))
     return out
 
 
@@ -260,8 +271,11 @@ def test_profile_refuses_non_string_keys():
 
 
 def test_serialize_market_roundtrips_exactly():
-    for m in (all_or_nothing_market(), budget_vs_additive_market("1/4", "1/4")):
-        again = parse_market(serialize_market(m))
+    for m, serialize in itertools.product(
+        (all_or_nothing_market(), budget_vs_additive_market("1/4", "1/4")),
+        (serialize_market, serialize_keyed),
+    ):
+        again = parse_market(serialize(m))
         assert again.workers == m.workers
         assert again.firm_names == m.firm_names
         for name in m.firm_names:
@@ -362,6 +376,7 @@ def test_subset_keys_join_members_in_universe_order():
 @given(markets(max_n=5, max_m=3))
 def test_dump_parse_roundtrip(m):
     again = parse_market(json.loads(dumps_market(m)))
+    assert again == m
     assert market_digest(again) == market_digest(m)
     assert [fn.values for _, fn in again.firms] == [fn.values for _, fn in m.firms]
     assert again.disutilities == m.disutilities
@@ -370,7 +385,7 @@ def test_dump_parse_roundtrip(m):
 @PROPERTY_SETTINGS
 @given(st.data(), markets(max_n=5, max_m=2))
 def test_key_order_does_not_change_masks(data, m):
-    obj = serialize_market(m)
+    obj = serialize_keyed(m)
     for firm in obj["firms"]:
         respelled = {}
         for key, value in data.draw(st.permutations(list(firm["utility"]["values"].items()))):
@@ -608,7 +623,7 @@ def odd_markets(draw) -> Market:
 
 
 def _oracle_digest(m: Market) -> str:
-    blob = json.dumps(serialize_market(m), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(serialize_keyed(m), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -623,7 +638,7 @@ def _oracle_digest(m: Market) -> str:
 def test_market_digest_matches_sorted_json_dumps(m):
     assert market_digest(m) == _oracle_digest(m)
     keys = subset_keys(m.workers)
-    tables = [firm["utility"]["values"] for firm in serialize_market(m)["firms"]]
+    tables = [firm["utility"]["values"] for firm in serialize_keyed(m)["firms"]]
     assert tables == [dict(zip(keys, map(str, fn.values))) for _, fn in m.firms]
 
 
@@ -661,3 +676,113 @@ def test_digest_takes_the_loads_key_list(tmp_path):
     loaded = load_market(str(path), keys)
     assert keys == subset_keys(m.workers)
     assert market_digest(loaded, keys) == market_digest(loaded) == market_digest(m)
+
+
+# ---- the array spelling beside the keyed one -------------------------------
+
+GOOD_ARRAY = {
+    "workers": ["w1", "w2", "w3"],
+    "firms": [
+        {"name": "f1", "utility": {"type": "table", "values": ["0", "1", "1", "2", "1", "2", "2", "3"]}}
+    ],
+}
+
+
+def _assert_spellings_agree(m: Market) -> None:
+    arrays = parse_market(json.loads(dumps_market(m)))
+    keyed = parse_market(serialize_keyed(m))
+    assert arrays == keyed == m
+    assert market_digest(arrays) == market_digest(keyed) == market_digest(m)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_both_spellings_load_alike_on_every_generator_kind(kind):
+    for n, firms in ((0, 1), (1, 2), (4, 3), (7, 2)):
+        _assert_spellings_agree(generate(kind, n, firms, seed=4))
+
+
+@PROPERTY_SETTINGS
+@given(odd_markets())
+@example(Market(('q"', "b\\", "é"), (("f", SetFunction.additive(('q"', "b\\", "é"), {"é": "1/3"})),)))
+def test_both_spellings_load_alike_on_odd_ids(m):
+    _assert_spellings_agree(m)
+
+
+@pytest.mark.parametrize(
+    "values", [["0", "1e5000", "1"], ["0", "1e5000", "1", "2", "1", "2", "2", "3", "4"], []]
+)
+def test_wrong_length_array_is_refused_before_any_entry(monkeypatch, values):
+    parsed = []
+    monkeypatch.setattr(marketio, "parse_rational", lambda *a: parsed.append(a))
+    monkeypatch.setattr(marketio, "_parse_memo", lambda *a: parsed.append(a))
+    obj = json.loads(json.dumps(GOOD_ARRAY))
+    obj["firms"][0]["utility"]["values"] = values
+    with pytest.raises(MarketFormatError) as exc:
+        parse_market(obj)
+    assert str(exc.value) == (
+        f"firm 'f1' utility: table 'values' holds {len(values)} entries, expected 2^3 = 8,"
+        " one per subset in mask order"
+    )
+    assert parsed == []
+
+
+@pytest.mark.parametrize(
+    "index, entry, message",
+    [
+        (5, "x", " values[5] ('w1,w3'): bad rational 'x' (Invalid literal for Fraction: 'x')"),
+        (5, True, " values[5] ('w1,w3'): expected a rational string, got True"),
+        (3, 1.5, " values[3] ('w1,w2'): expected a rational string, got 1.5"),
+        (7, None, " values[7] ('w1,w2,w3'): expected a rational string, got NoneType"),
+        (4, ["1"], " values[4] ('w3'): expected a rational string, got list"),
+        (6, {"a": "1"}, " values[6] ('w2,w3'): expected a rational string, got dict"),
+        (2, "1e5000", " values[2] ('w2'): exponent of '1e5000' exceeds 100"),
+        (0, "1", ": empty set must map to 0, got 1"),
+    ],
+)
+def test_bad_array_entries_exit_2_named_by_index_and_key(capsys, tmp_path, index, entry, message):
+    obj = json.loads(json.dumps(GOOD_ARRAY))
+    obj["firms"][0]["utility"]["values"][index] = entry
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    rc = cli.main(["classify", str(path)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == f"error: firm 'f1' utility{message}\n"
+
+
+def test_a_true_after_a_one_in_an_array_is_still_a_bool():
+    obj = json.loads(json.dumps(GOOD_ARRAY))
+    obj["firms"][0]["utility"]["values"][1:3] = [1, True]
+    with pytest.raises(MarketFormatError) as exc:
+        parse_market(obj)
+    assert str(exc.value) == "firm 'f1' utility values[2] ('w2'): expected a rational string, got True"
+
+
+@pytest.mark.parametrize("values", ["0,1,1,2,1,2,2,3", 7, True])
+def test_table_values_of_neither_form_exit_2(capsys, tmp_path, values):
+    obj = json.loads(json.dumps(GOOD_ARRAY))
+    obj["firms"][0]["utility"]["values"] = values
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    rc = cli.main(["vcg", str(path)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == (
+        "error: firm 'f1' utility: table 'values' must be an array in mask order"
+        " or an object keyed by subset\n"
+    )
+
+
+def test_array_and_keyed_files_give_byte_identical_commands(capsys, tmp_path):
+    m = generate("random_monotone", 5, 2, seed=6)
+    arrays, keyed = tmp_path / "arrays.json", tmp_path / "keyed.json"
+    arrays.write_text(dumps_market(m))
+    keyed.write_text(json.dumps(serialize_keyed(m)))
+    assert json.loads(arrays.read_text()) != json.loads(keyed.read_text())
+    for argv in (["classify"], ["solve"], ["vcg"], ["stability"], ["necessity", "--firm", "f2"]):
+        for tail in ([], ["--json"]):
+            outputs = []
+            for path in (arrays, keyed):
+                rc = cli.main([argv[0], str(path), *argv[1:], *tail])
+                outputs.append((rc, capsys.readouterr()))
+            assert outputs[0] == outputs[1], argv + tail

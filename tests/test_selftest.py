@@ -202,6 +202,26 @@ def test_valuation_chain_runs_the_gross_scan_twice_on_a_failing_table(monkeypatc
     assert len(calls) == 2
 
 
+def test_stability_suite_runs_no_gross_witness_scan(monkeypatch):
+    """The suite needs only the firms' gross-substitutes verdicts; the
+    O(n^2 4^n) witness scan runs for the valuation chain alone."""
+    calls = _spy(monkeypatch, setfn, "_gross_substitutes_scan")
+    suite_calls = []
+    real = selftest._stability_agreement
+
+    def counted(corpus):
+        before = len(calls)
+        result = real(corpus)
+        suite_calls.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(selftest, "_stability_agreement", counted)
+    report = selftest.run(trials=200, seed=3)
+    assert report.ok
+    assert suite_calls == [0]
+    assert calls  # the valuation chain still runs the scan as its oracle
+
+
 def test_stability_suite_runs_find_block_once_per_market(monkeypatch):
     calls = _spy(monkeypatch, stability, "find_block")
     corpus = [
