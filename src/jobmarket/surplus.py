@@ -32,17 +32,25 @@ worker order.
 Every split of a pool between firm k and the firms after it runs over
 firm k's tight sets only. A set t that is not tight is dominated by the
 tight set t* inside it that achieves V_f(t), because layer k+1 is monotone
-in the pool; so every optimum, and every tie, lies on tight sets. Only the
-layers that are read get built:
+in the pool; so every optimum, and every tie, lies on tight sets. The
+join of the last two firms may run over either one's tight list: both V
+tables are monotone, so the same argument holds from either side.
 
 * the last firm's layer is its own surplus table, since V_f is monotone
   in the pool and V_f(empty) = 0;
-* a middle layer is pushed from a copy of layer k+1 (the empty hire):
-  each nonempty tight t lifts every pool r outside t to r | t, which is
-  the sum over tight t of 2^(n-|t|) steps, at most 3^n;
-* layer 0 is computed per requested pool, one pass over firm 0's tight
-  list each, and memoized. Pivot payments ask for n+1 pools: W and each
-  W minus w;
+* every other layer is a join, built in one of two forms. Pushed, it is
+  a copy of layer k+1 (the empty hire) in which each nonempty tight t
+  lifts every pool r outside t to r | t: the sum over tight t of
+  2^(n-|t|) steps, at most 3^n. As a memo, it is filled per pool asked
+  for, one pass over the tight list each;
+* the plan (`_plan_joins`) picks form and side by exact step counts once
+  the surplus tables exist. Layer 0 is a memo: pivot payments ask it for
+  n+1 pools, W and each W minus w. A layer that R pools may be asked of
+  is a memo when R |T| steps are fewer than its push, and then asks at
+  most R |T| pools of the next; once one layer is pushed, every later
+  one is, since a push reads every pool. A zero profile makes every set
+  tight, and the plan pushes every middle layer; 0/ubar profiles leave
+  the target firm a few tight sets and the joins around it memos;
 * the canonical matching takes one pass over each firm's tight list.
 
 All arithmetic runs on integers after clearing denominators once per solve
@@ -146,6 +154,79 @@ def _int_surplus_table(
     return best, tight
 
 
+def _push_steps(tight: Sequence[int], size: int) -> int:
+    """Steps of a join pushed over `tight`: 2^(n-|t|) per nonempty t."""
+    return sum([size >> t.bit_count() for t in tight]) - size
+
+
+def _plan_joins(n: int, tight: Sequence[Sequence[int]]) -> list[tuple[str, int, int]]:
+    """(form, side, steps) for each join F_k, k = 0 to m - 2, layer 0 first.
+
+    "memo" fills the layer per pool asked for and "push" builds its whole
+    table; side is the firm whose tight list the join runs over, and steps
+    what that costs. Layer 0 is asked for n + 1 pools (W and each W minus
+    w), and a memo that may be asked for R pools costs R |T| steps and asks
+    at most that many of the next layer, never more than 2^n. Layer 0 is
+    always a memo. A later layer is pushed when its push steps are no more
+    than a memo's, and so is every layer after a pushed one, which reads
+    all of the next. The last join may run over either firm's list: a memo
+    takes the shorter, a push the one with fewer steps; a tie keeps firm k.
+    """
+    size, last = 1 << n, len(tight) - 2
+    plan, reads, form = [], min(size, n + 1), "memo"
+    for k in range(last + 1):
+        side = k + 1 if k == last and len(tight[k + 1]) < len(tight[k]) else k
+        steps = reads * len(tight[side])
+        if k:
+            push_side, push = k, _push_steps(tight[k], size)
+            if k == last:
+                other = _push_steps(tight[k + 1], size)
+                if other < push:
+                    push_side, push = k + 1, other
+            if form == "push" or push <= steps:
+                form, side, steps = "push", push_side, push
+        plan.append((form, side, steps))
+        reads = min(size, steps)
+    return plan
+
+
+class _PoolJoin(dict):
+    """A join filled per pool asked for, one pass over the tight list each."""
+
+    __slots__ = ("v", "tight", "nxt")
+
+    def __init__(self, v: Sequence[int], tight: Sequence[int], nxt) -> None:
+        self.v, self.tight, self.nxt = v, tight, nxt
+
+    def __missing__(self, pool: int) -> int:
+        v, nxt = self.v, self.nxt
+        # the tight sets inside the pool; the empty set is always one
+        best = self[pool] = max([v[t] + nxt[pool ^ t] for t in self.tight if t & pool == t])
+        return best
+
+
+def _join(v: Sequence[int], tight: Sequence[int], nxt, form: str):
+    """max over t in `tight` inside s of v[t] + nxt[s ^ t], on every pool s:
+    a `_PoolJoin`, or for "push" the whole table, where each nonempty t
+    lifts every pool r outside t to r | t."""
+    if form == "memo":
+        return _PoolJoin(v, tight, nxt)
+    full = len(nxt) - 1
+    layer = list(nxt)  # the empty hire, first in the tight list
+    for t in tight[1:]:
+        value = v[t]
+        rest = full ^ t
+        r = rest
+        while True:
+            cand = value + nxt[r]
+            if cand > layer[r | t]:
+                layer[r | t] = cand
+            if r == 0:
+                break
+            r = (r - 1) & rest
+    return layer
+
+
 class MarketSolver:
     """One denominator-cleared solve of a (market, profile) pair.
 
@@ -169,43 +250,24 @@ class MarketSolver:
             vf, tight = _int_surplus_table(fn.scaled, self.den // fn.den, column)
             self.vf.append(vf)
             self.tight.append(tight)
-        # layers[k][s]: best total of firms k, k+1, ... on pool s. Layer 0
-        # stays None when it is filled on demand (two or more firms).
-        full = market.full_mask
-        layers: list[Optional[Sequence[int]]] = [None] * nfirms + [[0] * (full + 1)]
+        # layers[k][s]: best total of firms k, k+1, ... on pool s, built
+        # from the last firm up; a memo layer fills s when it is read
+        layers: list[Sequence[int]] = [[0] * (market.full_mask + 1)]
         if nfirms:
-            layers[nfirms - 1] = self.vf[-1]
-        for k in range(nfirms - 2, 0, -1):
-            vfk, nxt = self.vf[k], layers[k + 1]
-            layer = list(nxt)  # the empty hire, first in the tight list
-            for t in self.tight[k][1:]:
-                v = vfk[t]
-                rest = full ^ t
-                r = rest
-                while True:
-                    cand = v + nxt[r]
-                    if cand > layer[r | t]:
-                        layer[r | t] = cand
-                    if r == 0:
-                        break
-                    r = (r - 1) & rest
-            layers[k] = layer
+            layers.append(self.vf[-1])
+        self._plan = _plan_joins(market.n, self.tight)
+        for k in reversed(range(nfirms - 1)):
+            form, side, _ = self._plan[k]
+            # the last join run over the last firm's list reads firm k's V
+            nxt = layers[-1] if side == k else self.vf[k]
+            layers.append(_join(self.vf[side], self.tight[side], nxt, form))
+        layers.reverse()
         self._layers = layers
-        self._top: dict[int, int] = {}
         self._solution: Optional[EfficientSolution] = None
 
     def scaled_value_on(self, available_mask: int) -> int:
         """value_on(available_mask) times den, as an exact integer."""
-        top = self._layers[0]
-        if top is not None:
-            return top[available_mask]
-        best = self._top.get(available_mask)
-        if best is None:
-            vf0, nxt, pool = self.vf[0], self._layers[1], available_mask
-            # firm 0's tight sets inside the pool; the empty set is always one
-            best = max([vf0[t] + nxt[pool ^ t] for t in self.tight[0] if t & pool == t])
-            self._top[available_mask] = best
-        return best
+        return self._layers[0][available_mask]
 
     def total(self) -> Fraction:
         return self.value_on(self.market.full_mask)

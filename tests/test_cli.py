@@ -60,6 +60,22 @@ def test_golden_transcripts(capsys, golden, expected_rc, argv):
     assert out == GOLDEN.joinpath(golden).read_text()
 
 
+def test_necessity_golden_on_a_generated_three_firm_market(capsys, tmp_path):
+    """0/ubar profiles leave the target firm a few tight sets and each
+    co-firm all of its own: the regime where the solve's joins switch
+    between a pushed table and per-pool passes."""
+    rc, text, _ = run_cli(capsys, "gen", "random_monotone", "10", "3", "--seed", "102")
+    assert rc == 0
+    path = tmp_path / "market.json"
+    path.write_text(text)
+    outs = []
+    for firm in ("f1", "f2", "f3"):
+        rc, out, err = run_cli(capsys, "necessity", path, "--firm", firm)
+        assert (rc, err) == (0, "")
+        outs.append(out)
+    assert "".join(outs) == GOLDEN.joinpath("necessity_random_monotone_10_3.txt").read_text()
+
+
 def test_one_parser_serves_every_call(capsys):
     """The parser is built once per process; a flag, a default or an error
     in one call must not leak into the next."""

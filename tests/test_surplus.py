@@ -10,11 +10,12 @@ from typing import Optional
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jobmarket.cli as cli
 from jobmarket.marketio import dumps_market
 from jobmarket.model import Market, Matching, Profile, SetFunction, SizeLimitError
-from jobmarket.necessity import generate
+from jobmarket.necessity import GENERATOR_KINDS, adversarial_profile, generate
 from jobmarket.subsets import bit_indices, canonical_key, mask_of
 from jobmarket.surplus import (
     MarketSolver,
@@ -24,7 +25,7 @@ from jobmarket.surplus import (
     efficient_matching,
     max_surplus_excluding,
 )
-from market_strategies import markets
+from market_strategies import markets, sizes
 from worked_examples import (
     all_or_nothing_market,
     budget_vs_additive_market,
@@ -332,9 +333,7 @@ def _reference_solve(m: Market) -> tuple[list[Fraction], dict, bool]:
     return [Fraction(v, den) for v in dp[0]], matching, ties
 
 
-@PROPERTY_SETTINGS
-@given(markets())
-def test_lazy_program_matches_full_table_reference(m):
+def _assert_matches_reference(m: Market) -> MarketSolver:
     top, matching, ties = _reference_solve(m)
     solver = MarketSolver(m)
     sol = solver.solution()
@@ -344,6 +343,94 @@ def test_lazy_program_matches_full_table_reference(m):
     for mask in range(1 << m.n):
         assert solver.value_on(mask) == top[mask]
         assert solver.value_excluding_mask(mask) == top[m.full_mask & ~mask]
+    return solver
+
+
+@PROPERTY_SETTINGS
+@given(markets())
+def test_lazy_program_matches_full_table_reference(m):
+    _assert_matches_reference(m)
+
+
+@st.composite
+def steered_markets(draw) -> Market:
+    """A generated market under a 0/ubar profile from `adversarial_profile`:
+    the target firm keeps the few tight sets of its inside workers and each
+    co-firm all sets of the rest, the lopsided lists of the necessity
+    constructions, where the joins switch form and side."""
+    m = draw(
+        st.builds(
+            generate,
+            st.sampled_from(GENERATOR_KINDS),
+            sizes(6, 4),
+            st.integers(2, 4),
+            st.integers(0, 10**6),
+        )
+    )
+    firm = draw(st.sampled_from(m.firm_names))
+    inside = bit_indices(draw(st.integers(0, m.full_mask)))
+    profile = adversarial_profile(m, firm, [m.workers[i] for i in inside])
+    return Market(m.workers, m.firms, profile)
+
+
+@PROPERTY_SETTINGS
+@given(steered_markets())
+def test_steered_program_matches_full_table_reference(m):
+    _assert_matches_reference(m)
+
+
+def _priced(kind: str, n: int, nfirms: int, free: dict[str, str]) -> Market:
+    """A generated market where each firm pays 0 for the workers listed
+    for it (`free[firm]`, ids as a string) and ubar for everyone else."""
+    m = generate(kind, n, nfirms, 0)
+    entries = {
+        w: {f: (Fraction(0) if w in free.get(f, "").split() else m.ubar) for f in m.firm_names}
+        for w in m.workers
+    }
+    return Market(m.workers, m.firms, Profile.from_dict(m.workers, m.firm_names, entries))
+
+
+def _steered(kind: str, n: int, nfirms: int, firm: str, inside: str) -> Market:
+    m = generate(kind, n, nfirms, 0)
+    return Market(m.workers, m.firms, adversarial_profile(m, firm, inside.split()))
+
+
+# (market, (form, side) per join, layer 0 first), one case per form and side
+PLANNED_JOINS = {
+    "layer_1_memo": (_steered("additive", 6, 3, "f1", ""), [("memo", 0), ("memo", 1)]),
+    "plain_push": (_steered("additive", 6, 3, "f2", "w1 w2"), [("memo", 0), ("push", 1)]),
+    "last_join_pushed_from_last_firm": (
+        _steered("unit_demand", 6, 3, "f3", "w1 w4"),
+        [("memo", 0), ("push", 2)],
+    ),
+    "layer_0_over_firm_1": (
+        _steered("budget_additive", 6, 2, "f2", "w1"),
+        [("memo", 1)],
+    ),
+    "memo_reads_memo": (
+        _priced("additive", 6, 4, {"f2": "w1", "f3": "w2 w3", "f4": "w1 w2 w3 w4 w5 w6"}),
+        [("memo", 0), ("memo", 1), ("memo", 2)],
+    ),
+    "last_join_memo_over_last_firm": (
+        _priced("additive", 6, 4, {"f2": "w1", "f3": "w2 w3 w4", "f4": "w5"}),
+        [("memo", 0), ("memo", 1), ("memo", 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("m, forms", PLANNED_JOINS.values(), ids=PLANNED_JOINS.keys())
+def test_each_join_form_matches_full_table_reference(m, forms):
+    solver = _assert_matches_reference(m)
+    assert [(form, side) for form, side, _ in solver._plan] == forms
+
+
+def test_zero_profile_keeps_the_push():
+    m = generate("additive", 11, 3, 1)
+    zero = {w: {f: 0 for f in m.firm_names} for w in m.workers}
+    solver = MarketSolver(m, Profile.from_dict(m.workers, m.firm_names, zero))
+    assert [len(t) for t in solver.tight] == [1 << 11] * 3
+    # every set is tight: one push from firm 1, 3^11 - 2^11 steps
+    assert solver._plan == [("memo", 0, 12 << 11), ("push", 1, 3**11 - 2**11)]
 
 
 @PROPERTY_SETTINGS
