@@ -30,7 +30,7 @@ import jobmarket.stability as stability
 import jobmarket.surplus as surplus
 import jobmarket.pivot as pivot
 
-from .model import Market, Profile
+from .model import Market, Profile, SetFunction
 
 Corpus = list[tuple[str, Market, tuple[Profile, ...]]]
 
@@ -280,6 +280,13 @@ def _block_is_sound(m: Market, r: pivot.VcgResult, block) -> bool:
     return all(c >= 0 for c in conds) and any(c > 0 for c in conds)
 
 
+def _gross_substitutes_verdict(fn: SetFunction) -> bool:
+    """`classify`'s gross-substitutes verdict on a monotone table, without
+    the witness scan."""
+    core = setfn._interacting_table(fn.scaled)
+    return setfn._gross_substitutes_holds(setfn._first_submodularity_violation(fn, core), core)
+
+
 def _stability_agreement(corpus: Corpus) -> SuiteResult:
     """Stable (`find_block` finds none) implies firing-proof implies
     rational; blocks re-verify.
@@ -301,10 +308,7 @@ def _stability_agreement(corpus: Corpus) -> SuiteResult:
         if block is not None:
             if not _block_is_sound(m, r, block):
                 failures.append(f"{label}: block fails substitution: {block.to_dict()}")
-            if all(
-                setfn._gross_substitutes_holds(fn, setfn._first_submodularity_violation(fn))
-                for _, fn in m.firms
-            ):
+            if all(_gross_substitutes_verdict(fn) for _, fn in m.firms):
                 failures.append(f"{label}: gross-substitutes firms yet blocked")
     return SuiteResult("stability", len(corpus), tuple(failures))
 

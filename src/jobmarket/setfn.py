@@ -19,31 +19,51 @@ Submodularity and the three-element exchange inequality are decided on
 per-bit slice kernels, as the monotonicity scan is: marginal and
 interaction tables built from `subsets.bit_halves` slices, compared slice
 against slice with no mask arithmetic per element. They hold a constant
-number of 2^(n-1) and 2^(n-2) lists at a time. After a false verdict the
+number of 2^(k-1) and 2^(k-2) lists at a time. After a false verdict the
 ordered walks (`_submodularity_violations`, the strong and gross scans)
-find the witness.
+find the witness on the full table.
+
+Both kernels run on the table's interacting workers only. A worker i is
+modular when its marginal d_i(S) = h(S+i) - h(S) is one constant c_i on
+every S without i: every worker of an additive table, and any worker the
+firm values at 0. With i modular, h(S) = h(S - i) + c_i for S holding i,
+so `_interacting_table` squeezes i out and loses nothing the kernels read:
+- every interaction q_ij(X) = d_i(X+j) - d_i(X) of a pair holding i is 0,
+  and q_jk(X+i) = q_jk(X) for every other pair, so h is submodular iff
+  the table without i is;
+- given submodularity, a triple holding i has interactions 0, 0 and
+  q_jk <= 0, whose maximum is reached twice, so a submodular h passes the
+  triple test iff the table without i does. The premise is needed: with
+  q_jk > 0 the triple fails on h and is gone from the smaller table.
+With k the number of workers left, the interacting ones, each kernel runs
+on 2^k entries. Finding them costs two reads per worker, d_i(empty)
+against d_i(N-i), which are equal for every modular worker (and on a
+submodular table, where d_i does not rise, only for those); a worker that
+passes goes after a slice comparison of d_i with that value, which stops
+at the first slice that differs.
 
 `classify` reports monotonicity, with the first drop as witness, then
 decides all four classes of a monotone table as one chain (gross
 substitutes => submodular = strong substitutes => weak substitutes),
 which is what the `classify` command runs. Per table: one
-monotonicity scan and the submodularity kernel, O(n^2 2^n) element steps
-on slices; on a submodular table, the exchange kernel's C(n,3) 2^(n-3)
-element steps; on any other, the ordered pair walk to the first violation
-and the O(n 2^n) weak-substitutes scan. The strong and gross witness scans
-run only after a false verdict. Deriving weak substitutes from
-submodularity (telescope the marginals down to the empty set) rests on
-h(empty) = 0, which SetFunction enforces.
+monotonicity scan, the O(n) probes and the submodularity kernel, O(k^2
+2^k) element steps on slices; on a submodular table, the exchange
+kernel's C(k,3) 2^(k-3) element steps; on any other, the ordered pair
+walk to the first violation and the O(n 2^n) weak-substitutes scan. The
+strong and gross witness scans run only after a false verdict. Deriving
+weak substitutes from submodularity (telescope the marginals down to the
+empty set) rests on h(empty) = 0, which SetFunction enforces.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import lt
-from typing import Iterator, Mapping, Optional
+from itertools import repeat
+from operator import eq, lt, sub
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import ConditionReport, RationalLike, SetFunction, as_fraction, clear_denominators
-from .subsets import bit_halves, bit_indices, bit_marginals, subset_sums
+from .subsets import bit_halves, bit_indices, bit_marginals, drop_bit, subset_sums
 
 
 def _witnessed(report: ConditionReport, condition: str) -> ConditionReport:
@@ -104,8 +124,34 @@ def _submodularity_violations(h: SetFunction) -> Iterator[tuple[int, int, int]]:
                     yield (base, i, j)
 
 
-def _submodular_holds(h: SetFunction) -> bool:
-    """The adjacent-pair inequality at every S and i < j, on slices.
+def _interacting_table(vals: Sequence[int]) -> Sequence[int]:
+    """`vals` with every modular worker squeezed out: the table over the
+    workers that interact, which both kernels decide on (see the module
+    docstring). `vals` itself when no worker is modular.
+
+    Workers go from the top bit down, so the lower bits keep their
+    positions. Worker i is probed in O(1), d_i(empty) against d_i(N-i) on
+    the table cut so far. One that passes goes only if d_i is that value
+    on every set, by a slice comparison that stops at the first set where
+    it is not (a table that is not submodular can pass the probe), and is
+    then squeezed out (`subsets.drop_bit`). Dropping a modular worker
+    leaves every other marginal list the same, so modularity on the cut
+    table is modularity on `vals`.
+    """
+    for i in reversed(range(len(vals).bit_length() - 1)):
+        bit, top = 1 << i, len(vals) - 1
+        c = vals[bit] - vals[0]
+        if vals[top] - vals[top ^ bit] == c and all(
+            all(map(eq, map(sub, vals[hi], vals[lo]), repeat(c)))
+            for lo, hi in bit_halves(len(vals), bit)
+        ):
+            vals = drop_bit(vals, bit)
+    return vals
+
+
+def _submodular_holds(vals: Sequence[int]) -> bool:
+    """The adjacent-pair inequality at every S and i < j of the table
+    `vals`, on slices.
 
     It says that worker i's marginal d_i(S) = h(S+i) - h(S) does not rise
     when a higher worker j joins S. For each i, d_i is one list over the
@@ -113,11 +159,11 @@ def _submodular_holds(h: SetFunction) -> bool:
     comparisons on it: n(n-1)/2 2^(n-2) element steps in all, one marginal
     table of 2^(n-1) entries held at a time.
     """
-    vals = h.scaled
+    n = len(vals).bit_length() - 1
     half = len(vals) >> 1
-    for i in range(h.n):
+    for i in range(n):
         _, d = bit_marginals(vals, 1 << i)
-        for j in range(i + 1, h.n):
+        for j in range(i + 1, n):
             # worker j sits at bit j - 1 of d's index
             halves = bit_halves(half, 1 << j - 1)
             if any(any(map(lt, d[lo], d[hi])) for lo, hi in halves):
@@ -125,13 +171,16 @@ def _submodular_holds(h: SetFunction) -> bool:
     return True
 
 
-def _first_submodularity_violation(h: SetFunction) -> PairHit:
+def _first_submodularity_violation(
+    h: SetFunction, core: Optional[Sequence[int]] = None
+) -> PairHit:
     """First (base mask, i, j) with h(S+i) + h(S+j) < h(S+i+j) + h(S).
 
-    The slice kernel decides; only a table that fails it runs the ordered
-    walk, whose first hit is the witness.
+    The slice kernel decides on `core`, h's `_interacting_table` (built
+    here when not given); only a table that fails it runs the ordered walk
+    on h, whose first hit is the witness.
     """
-    if _submodular_holds(h):
+    if _submodular_holds(_interacting_table(h.scaled) if core is None else core):
         return None
     hit = next(_submodularity_violations(h), None)
     if hit is None:
@@ -142,8 +191,8 @@ def _first_submodularity_violation(h: SetFunction) -> PairHit:
 
 
 def is_submodular(h: SetFunction) -> ConditionReport:
-    """Diminishing marginals; checked in the adjacent-pair form, O(n^2 2^n)
-    element steps on slices.
+    """Diminishing marginals; checked in the adjacent-pair form, O(n) probes
+    and O(k^2 2^k) element steps on slices, k the interacting workers.
 
     A violation at base S with workers w, w' is reported in nested form:
     w's marginal on the smaller set S+w is strictly below its marginal on
@@ -186,9 +235,9 @@ def is_strong_substitutes(h: SetFunction) -> ConditionReport:
     The condition is equivalent to submodularity: S' = {i, j} is the
     adjacent-pair inequality, and telescoping h(S) - h(S minus S') over
     the members of S' gives the converse. The verdict therefore costs the
-    submodularity kernel's O(n^2 2^n) element steps on slices; a false one
-    runs the ordered pair walk to its first violation, then the O(3^n)
-    scan for the witness.
+    submodularity kernel's O(k^2 2^k) element steps on slices, k the
+    interacting workers; a false one runs the ordered pair walk to its
+    first violation, then the O(3^n) scan for the witness.
     """
     return _strong_substitutes(h, _first_submodularity_violation(h))
 
@@ -273,9 +322,10 @@ def is_gross_substitutes(h: SetFunction) -> ConditionReport:
         h(X+i+j) + h(X) <= h(X+i) + h(X+j)
         h(X+i+j) + h(X+k) <= max(h(X+i+k) + h(X+j), h(X+j+k) + h(X+i)).
 
-    The verdict comes from that local test. The first inequality is the
-    submodularity kernel; the second, symmetric in i and j, is checked
-    once per unordered triple by the exchange kernel, C(n,3) 2^(n-3)
+    The verdict comes from that local test, on the table over the k
+    workers that interact (`_interacting_table`). The first inequality is
+    the submodularity kernel; the second, symmetric in i and j, is checked
+    once per unordered triple by the exchange kernel, C(k,3) 2^(k-3)
     element steps on slices. Only a false verdict runs the O(n^2 4^n)
     pairwise scan, which reports the first violating (S, T, w) in scan
     order; a table that fails the first inequality runs the ordered pair
@@ -285,19 +335,22 @@ def is_gross_substitutes(h: SetFunction) -> ConditionReport:
     """
     if not h.is_monotone():
         raise ValueError("gross-substitutes test requires a weakly increasing table")
-    return _gross_substitutes(h, _first_submodularity_violation(h))
+    core = _interacting_table(h.scaled)
+    return _gross_substitutes(h, _first_submodularity_violation(h, core), core)
 
 
-def _gross_substitutes_holds(h: SetFunction, hit: PairHit) -> bool:
+def _gross_substitutes_holds(hit: PairHit, core: Sequence[int]) -> bool:
     """The gross-substitutes verdict of a monotone table, without a
-    witness: no first pair violation `hit`, then the exchange kernel."""
-    return hit is None and _exchange_triples_hold(h)
+    witness: no first pair violation `hit`, then the exchange kernel on
+    the table's `_interacting_table` `core`, whose triples answer for the
+    whole table only behind that submodular verdict."""
+    return hit is None and _exchange_triples_hold(core)
 
 
-def _gross_substitutes(h: SetFunction, hit: PairHit) -> ConditionReport:
+def _gross_substitutes(h: SetFunction, hit: PairHit, core: Sequence[int]) -> ConditionReport:
     """The gross-substitutes report of a monotone table, on the first pair
-    violation `hit`."""
-    if _gross_substitutes_holds(h, hit):
+    violation `hit` and the interacting table `core`."""
+    if _gross_substitutes_holds(hit, core):
         return ConditionReport(verdict=True)
     return _witnessed(_gross_substitutes_scan(h), "gross substitutes")
 
@@ -310,12 +363,15 @@ def classify(h: SetFunction) -> dict[str, ConditionReport]:
     first drop (`SetFunction.first_monotonicity_violation`) as witness.
     Otherwise the classes are decided as one chain, gross substitutes =>
     submodular = strong substitutes => weak substitutes, with the
-    submodularity kernel run once. Without a submodularity violation the
-    middle classes hold, weak substitutes follows by telescoping (this
-    rests on h(empty) = 0), and gross substitutes needs only the
-    three-element local inequality. With one, strong and gross substitutes
-    fail, and every false verdict gets its standalone check's witness: the
-    strong and gross verdicts come from the deciders those checks call.
+    submodularity kernel run once. Both kernels run on one table, h with
+    its modular workers squeezed out (`_interacting_table`): a submodular
+    verdict there is h's, and so, behind it, is the triple test's. Without
+    a submodularity violation the middle classes hold, weak substitutes
+    follows by telescoping (this rests on h(empty) = 0), and gross
+    substitutes needs only the three-element local inequality. With one,
+    strong and gross substitutes fail, and every false verdict gets its
+    standalone check's witness: the strong and gross verdicts come from
+    the deciders those checks call.
     """
     drop = h.first_monotonicity_violation()
     if drop is not None:
@@ -328,18 +384,20 @@ def classify(h: SetFunction) -> dict[str, ConditionReport]:
         }
         return {"monotone": ConditionReport(verdict=False, witness=witness)}
     holds = ConditionReport(verdict=True)
-    hit = _first_submodularity_violation(h)
+    core = _interacting_table(h.scaled)
+    hit = _first_submodularity_violation(h, core)
     return {
         "monotone": holds,
         "weak_substitutes": holds if hit is None else is_weak_substitutes(h),
         "submodular": _submodularity_report(h, hit),
         "strong_substitutes": _strong_substitutes(h, hit),
-        "gross_substitutes": _gross_substitutes(h, hit),
+        "gross_substitutes": _gross_substitutes(h, hit, core),
     }
 
 
-def _exchange_triples_hold(h: SetFunction) -> bool:
-    """The three-element local inequality, once per X and triple i < j < k.
+def _exchange_triples_hold(vals: Sequence[int]) -> bool:
+    """The three-element local inequality of the table `vals`, once per X
+    and triple i < j < k.
 
     Of the three sums h(X+i+j) + h(X+k), h(X+i+k) + h(X+j) and
     h(X+j+k) + h(X+i), each must be at most the larger of the other two,
@@ -353,9 +411,14 @@ def _exchange_triples_hold(h: SetFunction) -> bool:
     each j between i and k is one zip over `bit_halves` slices of them,
     with no mask arithmetic per element: C(n,3) 2^(n-3) element steps.
     Held at a time: two tables of 2^(n-1) entries and three of 2^(n-2).
+
+    This is the test on any table, submodular or not. The deciders hand it
+    the `_interacting_table` only behind a submodular verdict, where a
+    triple that holds a modular worker always passes: on h(S) = [w1 in S]
+    + [w2, w3 in S] it fails at X = empty, while the table without w1 has
+    no triple at all.
     """
-    vals = h.scaled
-    n = h.n
+    n = len(vals).bit_length() - 1
     quarter = len(vals) >> 2
     for i in range(n - 2):
         without_i, d_i = bit_marginals(vals, 1 << i)

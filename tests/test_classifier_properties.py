@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import jobmarket.setfn as setfn
 from jobmarket.model import ConditionReport, SetFunction
-from jobmarket.subsets import bit_indices
+from jobmarket.necessity import generate
+from jobmarket.subsets import bit_indices, insert_bit
 from worked_examples import budget_vs_additive_market, plateau_table
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -323,7 +324,7 @@ def test_gross_substitutes_matches_the_exchange_scan(fn):
 @example(COMPLEMENTS)
 @example(BUDGET_CAPPED)
 def test_local_exchange_test_matches_the_scan_off_the_monotone_tables(fn):
-    local = setfn._submodular_holds(fn) and setfn._exchange_triples_hold(fn)
+    local = setfn._submodular_holds(fn.scaled) and setfn._exchange_triples_hold(fn.scaled)
     assert local == setfn._gross_substitutes_scan(fn).verdict
 
 
@@ -334,8 +335,8 @@ def test_local_exchange_test_matches_the_scan_off_the_monotone_tables(fn):
 @example(BUDGET_CAPPED)
 def test_triple_test_matches_the_per_ordering_loop(fn):
     triples = _ref_exchange_triples(fn)
-    assert setfn._exchange_triples_hold(fn) == triples
-    local = setfn._submodular_holds(fn) and setfn._exchange_triples_hold(fn)
+    assert setfn._exchange_triples_hold(fn.scaled) == triples
+    local = setfn._submodular_holds(fn.scaled) and setfn._exchange_triples_hold(fn.scaled)
     assert local == (_ref_submodular(fn).verdict and triples)
 
 
@@ -367,7 +368,7 @@ def test_classify_and_the_standalone_checks_share_each_decider(monkeypatch):
     forced = {}
     for cls in ("strong_substitutes", "gross_substitutes"):
         forced[cls] = ConditionReport(False, {"decider": cls})
-        monkeypatch.setattr(setfn, f"_{cls}", lambda h, hit, report=forced[cls]: report)
+        monkeypatch.setattr(setfn, f"_{cls}", lambda h, hit, *core, report=forced[cls]: report)
     fn = BUDGET_CAPPED
     chain = setfn.classify(fn)
     for cls, check in (
@@ -427,7 +428,7 @@ def dropped_tables(draw, max_n: int = 9) -> SetFunction:
 @example(BUDGET_CAPPED)
 def test_submodularity_kernel_matches_the_ordered_walk(fn):
     reference = _ref_submodular(fn)
-    assert setfn._submodular_holds(fn) == reference.verdict
+    assert setfn._submodular_holds(fn.scaled) == reference.verdict
     assert setfn._first_submodularity_violation(fn) == next(
         setfn._submodularity_violations(fn), None
     )
@@ -456,7 +457,163 @@ def test_kernels_find_a_violation_planted_at_any_pair(n):
                 walk = list(setfn._submodularity_violations(fn))
                 assert walk == ([] if bump == 1 else [(0, i, j)])
                 assert setfn._first_submodularity_violation(fn) == next(iter(walk), None)
-                assert not setfn._exchange_triples_hold(fn)
+                assert not setfn._exchange_triples_hold(fn.scaled)
+
+
+# ---- modular workers ------------------------------------------------------------
+
+# w1 is modular (it adds 1 to every set that holds it), w2 and w3 are
+# complements: the table is not submodular, and the triple at X = empty has
+# interactions 0, 0 and 1, a unique maximum, while the table without w1 has
+# no triple
+MODULAR_BESIDE_COMPLEMENTS = SetFunction.from_values(
+    ("w1", "w2", "w3"), tuple(Fraction(v) for v in (0, 1, 0, 1, 0, 1, 1, 2))
+)
+# d_w1 is 1 at the empty set and at {w2, w3} but 2 at {w2}: the O(1) probe
+# passes for w1 (and for w2), which still interact
+PROBE_PASSING_NON_MODULAR = SetFunction.from_values(
+    ("w1", "w2", "w3"), tuple(Fraction(v) for v in (0, 1, 1, 3, 1, 2, 2, 3))
+)
+# 2|S| raised by 1 at {w1, w2, w3}: the probe passes for w1, w2 and w3, and
+# d_w2 differs from 2 only on sets holding w1, which the second of w2's
+# two strided slice pairs holds
+LATE_SLICE_NON_MODULAR = SetFunction.from_values(
+    ("w1", "w2", "w3", "w4"),
+    tuple(Fraction(2 * m.bit_count() + (m == 7)) for m in range(16)),
+)
+small_table = st.one_of(
+    monotone_tables(4),
+    assignment_tables(4),
+    perturbed_assignment_tables(4),
+    coverage_tables(4),
+    arbitrary_tables(4),
+)
+
+
+@st.composite
+def modular_planted_tables(draw) -> SetFunction:
+    """A table of any kind on up to 4 workers, with 0-3 modular workers
+    inserted at drawn bits: each adds one drawn constant, 0 or of either
+    sign, to every set that holds it."""
+    vals = list(draw(small_table).values)
+    for _ in range(draw(st.integers(0, 3))):
+        bit = 1 << draw(st.integers(0, len(vals).bit_length() - 1))
+        c = draw(_rationals(draw, st.integers(-2, 3)))
+        vals = [v + c if m & bit else v for m, v in enumerate(insert_bit(vals, bit))]
+    return SetFunction.from_values(_universe(len(vals).bit_length() - 1), tuple(vals))
+
+
+def _ref_modular_mask(h: SetFunction) -> int:
+    """The workers whose marginal is one value on every set without them."""
+    mask = 0
+    for i in range(h.n):
+        bit = 1 << i
+        if len({h.values[s | bit] - h.values[s] for s in range(1 << h.n) if not s & bit}) == 1:
+            mask |= bit
+    return mask
+
+
+@PROPERTY_SETTINGS
+@given(modular_planted_tables())
+@example(MODULAR_BESIDE_COMPLEMENTS)
+@example(PROBE_PASSING_NON_MODULAR)
+@example(LATE_SLICE_NON_MODULAR)
+def test_modular_workers_change_no_verdict_or_witness(fn):
+    modular = _ref_modular_mask(fn)
+    core = setfn._interacting_table(fn.scaled)
+    assert list(core) == [v for m, v in enumerate(fn.scaled) if not m & modular]
+    hit = setfn._first_submodularity_violation(fn)
+    assert hit == setfn._first_submodularity_violation(fn, core)
+    assert hit == next(setfn._submodularity_violations(fn), None)
+    assert setfn.is_submodular(fn) == _ref_submodular(fn)
+    # the full-table triple test keeps its meaning on any table
+    assert setfn._exchange_triples_hold(fn.scaled) == _ref_exchange_triples(fn)
+    assert setfn._gross_substitutes_holds(hit, core) == setfn._gross_substitutes_scan(fn).verdict
+    chain = setfn.classify(fn)
+    if not fn.is_monotone():
+        assert list(chain) == ["monotone"]
+        return
+    for cls, scan in (
+        ("strong_substitutes", setfn._strong_substitutes_scan),
+        ("gross_substitutes", setfn._gross_substitutes_scan),
+    ):
+        report = scan(fn)
+        assert (chain[cls].verdict, chain[cls].witness) == (report.verdict, report.witness)
+
+
+def test_the_triple_reduction_needs_a_submodular_table():
+    fn = MODULAR_BESIDE_COMPLEMENTS
+    core = setfn._interacting_table(fn.scaled)
+    assert list(core) == [0, 0, 0, 1]
+    assert setfn._exchange_triples_hold(core)
+    assert not setfn._exchange_triples_hold(fn.scaled)
+    hit = setfn._first_submodularity_violation(fn)
+    assert hit == (0, 1, 2)
+    assert not setfn._gross_substitutes_holds(hit, core)
+    assert setfn.classify(fn)["gross_substitutes"] == setfn._gross_substitutes_scan(fn)
+
+
+BOTH_KERNELS = ("_submodular_holds", "_exchange_triples_hold")
+
+
+def _kernel_inputs(monkeypatch) -> list[tuple[str, int]]:
+    """(kernel, table size) of every kernel call from here on."""
+    calls = []
+    for name in BOTH_KERNELS:
+        def spy(vals, kernel=getattr(setfn, name), name=name):
+            calls.append((name, len(vals)))
+            return kernel(vals)
+
+        monkeypatch.setattr(setfn, name, spy)
+    return calls
+
+
+def test_an_additive_table_hands_the_kernels_one_entry(monkeypatch):
+    # the table of `jobmarket gen additive 12 1`
+    fn = generate("additive", 12, 1).utility("f1")
+    calls = _kernel_inputs(monkeypatch)
+    chain = setfn.classify(fn)
+    assert all(report.verdict for report in chain.values())
+    assert calls == [(name, 1) for name in BOTH_KERNELS]
+
+
+@pytest.mark.parametrize("zeros", (0, 1, 3, 5))
+def test_zero_valued_unit_demand_workers_leave_the_kernels(monkeypatch, zeros):
+    n = 9
+    values = {f"w{i}": (i if i > zeros else 0) for i in range(1, n + 1)}
+    fn = SetFunction.unit_demand(_universe(n), values)
+    calls = _kernel_inputs(monkeypatch)
+    assert setfn.classify(fn)["gross_substitutes"].verdict
+    assert calls == [(name, 1 << (n - zeros)) for name in BOTH_KERNELS]
+
+
+@pytest.mark.parametrize(
+    "fn, passing",
+    ((PROBE_PASSING_NON_MODULAR, (0, 1)), (LATE_SLICE_NON_MODULAR, (0, 1, 2))),
+)
+def test_a_passed_probe_is_confirmed_before_a_worker_goes(monkeypatch, fn, passing):
+    vals = fn.scaled
+    for i in passing:
+        bit, top = 1 << i, len(vals) - 1
+        assert vals[bit] - vals[0] == vals[top] - vals[top ^ bit]
+    assert _ref_modular_mask(fn) == 0
+    calls = _kernel_inputs(monkeypatch)
+    chain = setfn.classify(fn)
+    assert calls == [("_submodular_holds", len(vals))]
+    assert chain["submodular"] == _ref_submodular(fn)
+    assert not chain["submodular"].verdict
+
+
+@pytest.mark.parametrize(
+    "spec", (("budget_additive", 8, 2, 104), ("random_submodular", 8, 2, 105))
+)
+def test_a_table_without_modular_workers_passes_whole(monkeypatch, spec):
+    fn = generate(*spec).utility("f1")
+    assert _ref_modular_mask(fn) == 0
+    assert setfn._interacting_table(fn.scaled) is fn.scaled
+    calls = _kernel_inputs(monkeypatch)
+    assert setfn.classify(fn)["submodular"].verdict
+    assert calls == [(name, 1 << fn.n) for name in BOTH_KERNELS]
 
 
 @PROPERTY_SETTINGS
