@@ -298,10 +298,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if "market" not in args:
             return globals()[args.func](args)
-        keys: list[str] = []
-        m = load_market(args.market, keys)
+        m = load_market(args.market)
         code, lines, payload = globals()[args.func](args, m)
-        digest = market_digest(m, keys)
+        digest = market_digest(m)
         _emit(args, [f"market {digest}", *lines],
               {"command": args.command, "market": digest, **payload})
         return code

@@ -34,20 +34,18 @@ Cost: one load parses each distinct rational string once (a generated
 values) and scales each distinct value once, by the LCM of its table's
 denominators, straight into the table's integer form (`SetFunction.den`
 and `scaled`); no Fraction is built per entry. Both spellings share that
-step; an array is already in mask order, and JSON reads it without the
-per-object duplicate-key check. A keyed table whose keys are the load's
-subset key list in mask order is read in file order after one comparison
-of the two key lists; the subset key list is built once per load and
-`parse_market` hands it on, so that `market_digest` need not build it
-again. Keys in another order resolve to masks by dict lookup in that
-list, only keys whose ids come in another order are split and resolved
-worker by worker, and only a table found at fault is walked entry by
-entry to name its first offender. `dumps_market` and `market_digest`
-write their JSON text straight from the integer tables, one text per
-distinct value of each table. The digest hashes the keyed canonical form,
-not the array text `dumps_market` writes, so both spellings of a market
-share one digest; its escaped key heads are built once per call and
-shared by every firm, and it adds one sort of the subset keys per call.
+step; an array is already in mask order, needs no subset key, and JSON
+reads it without the per-object duplicate-key check. A keyed table whose
+keys are the load's subset key list in mask order is read in file order
+after one comparison of the two key lists. Keys in another order resolve
+to masks by dict lookup in that list, only keys whose ids come in
+another order are split and resolved worker by worker, and only a table
+found at fault is walked entry by entry to name its first offender.
+`dumps_market` writes its JSON text straight from the integer tables,
+one text per distinct value of each table, and `market_digest` is the
+sha256 of that same text: the digest of a market is the `sha256sum` of
+the file `gen` writes for it. Both spellings of a table load to the same
+integer tables, so they share one digest.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from typing import Any, Collection, Iterable, Mapping, Optional
+from typing import Any, Collection, Iterable, Mapping
 
 from .model import (
     Market,
@@ -153,7 +151,8 @@ class _Load:
 
     @cached_property
     def keys(self) -> list[str]:
-        """`subset_keys` of the universe, built once per load."""
+        """`subset_keys` of the universe, built at most once per load: for
+        a keyed table, or to name a refused array entry."""
         return subset_keys(self.workers)
 
     @cached_property
@@ -304,12 +303,8 @@ def _parse_utility(spec: Any, load: _Load, firm: str) -> SetFunction:
         raise MarketFormatError(f"{where}: {exc}") from None
 
 
-def parse_market(obj: Any, keys: Optional[list[str]] = None) -> Market:
-    """Build a Market from a parsed JSON object.
-
-    A `keys` list is extended with the load's `subset_keys`, built once for
-    resolving table keys, so that `market_digest` can take them over.
-    """
+def parse_market(obj: Any) -> Market:
+    """Build a Market from a parsed JSON object."""
     if not isinstance(obj, Mapping):
         raise MarketFormatError("market: expected a JSON object")
     extra = set(obj) - {"workers", "firms", "disutilities"}
@@ -341,8 +336,6 @@ def parse_market(obj: Any, keys: Optional[list[str]] = None) -> Market:
         if extra:
             raise MarketFormatError(f"firm {fobj['name']!r}: unexpected key {sorted(extra)[0]!r}")
         firms.append((fobj["name"], _parse_utility(fobj.get("utility"), load, fobj["name"])))
-    if keys is not None:
-        keys.extend(load.keys)
     dis_raw = obj.get("disutilities")
     profile = None
     if dis_raw is not None:
@@ -406,9 +399,9 @@ def _read_json(path: str) -> Any:
         raise MarketFormatError(f"{path}: JSON nested too deeply") from None
 
 
-def load_market(path: str, keys: Optional[list[str]] = None) -> Market:
-    """The market in a JSON file; `keys` as for `parse_market`."""
-    return parse_market(_read_json(path), keys)
+def load_market(path: str) -> Market:
+    """The market in a JSON file."""
+    return parse_market(_read_json(path))
 
 
 def load_profile(path: str, market: Market) -> Profile:
@@ -421,14 +414,6 @@ def _value_texts(fn: SetFunction) -> list[str]:
     return list(map(text.__getitem__, fn.scaled))
 
 
-def _escaped_keys(workers: tuple[str, ...], keys: list[str]) -> list[str]:
-    """Each subset key as json escapes it, inner text only. Escaping works
-    per character and leaves commas alone, so the keys of the escaped ids
-    are the escaped keys; ids that need none share `keys` itself."""
-    ids = tuple(_quote(w)[1:-1] for w in workers)
-    return keys if ids == workers else subset_keys(ids)
-
-
 def _layout(items: list[str], depth: int, brackets: str = "{}") -> str:
     """A JSON container at `depth` as json.dumps(..., indent=2) lays it out,
     from its items already encoded for depth + 1."""
@@ -438,23 +423,19 @@ def _layout(items: list[str], depth: int, brackets: str = "{}") -> str:
     return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
 
 
-def _entries(heads: list[str], texts: Iterable[str]) -> str:
-    """heads[0] + texts[0] + heads[1] + texts[1] + ..., by one join."""
-    parts = [""] * (2 * len(heads))
-    parts[::2] = heads
-    parts[1::2] = texts
-    return "".join(parts)
-
-
 def dumps_market(m: Market) -> str:
     """Canonical JSON text: explicit tables as arrays in mask order,
     rationals as strings, laid out by json.dumps(..., indent=2) rules.
+    `market_digest` hashes this text."""
+    return _canonical_text(m)
 
-    Written straight from the integer tables: each distinct value of a
-    table is turned into text once, and each table's text is copied only
-    into the final join. This is not the text `market_digest` hashes,
-    which keys every value by its subset.
-    """
+
+def _canonical_text(m: Market) -> str:
+    """The text of `dumps_market`, written straight from the integer
+    tables: each distinct value of a table is turned into text once, and
+    each table's text is copied only into the final join. It is a function
+    of its own so that `bench/spans.py`, which books `dumps_market` as the
+    dump layer, does not book the digest there too."""
     sep = '",\n' + "  " * 5 + '"'
     parts = ['{\n  "workers": ', _layout(list(map(_quote, m.workers)), 1, "[]"), ',\n  "firms": [']
     for k, (name, fn) in enumerate(m.firms):
@@ -475,43 +456,8 @@ def dumps_market(m: Market) -> str:
     return "".join(parts)
 
 
-def _object(items: Mapping[str, str]) -> str:
-    """Compact JSON object of already-encoded values, keys sorted."""
-    return "{" + ",".join(f"{_quote(k)}:{v}" for k, v in sorted(items.items())) + "}"
-
-
-def market_digest(m: Market, keys: Optional[list[str]] = None) -> str:
-    """Stable content hash of the keyed canonical serialization.
-
-    The sha256 of the compact, key-sorted JSON of the market with every
-    table written as an object keyed by subset (json.dumps(...,
-    sort_keys=True, separators=(",", ":"))). That is not the array form
-    `dumps_market` writes, so a market has one digest whichever spelling
-    its file uses. Built from the integer tables: the subset keys are
-    sorted once, as json sorts them, before escaping. The blob is hashed
-    piece by piece, one table at a time, so no copy of it is ever whole.
-    `keys`, when given, must be `subset_keys(m.workers)`, as a load hands
-    it on.
-    """
-    if keys is None:
-        keys = subset_keys(m.workers)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    escaped = _escaped_keys(m.workers, keys)
-    heads = [f'","{escaped[s]}":"' for s in order]
-    heads[0] = heads[0][2:]  # no separator before the first entry
-    # the top-level keys in sorted order: disutilities, firms, workers
-    blob = hashlib.sha256(b"{")
-    if m.disutilities is not None:
-        rows = m.disutilities.to_dict().items()
-        profile = _object({w: _object({f: _quote(d) for f, d in row.items()}) for w, row in rows})
-        blob.update(f'"disutilities":{profile},'.encode())
-    blob.update(b'"firms":[')
-    for k, (name, fn) in enumerate(m.firms):
-        texts = _value_texts(fn)
-        values = _entries(heads, map(texts.__getitem__, order))
-        sep = "," if k else ""
-        blob.update(f'{sep}{{"name":{_quote(name)},"utility":{{"type":"table","values":{{'.encode())
-        blob.update(values.encode())
-        blob.update(b'"}}}')
-    blob.update(f'],"workers":[{",".join(map(_quote, m.workers))}]}}'.encode())
-    return blob.hexdigest()
+def market_digest(m: Market) -> str:
+    """Stable content hash: the sha256 of the canonical text
+    `dumps_market` writes, so `sha256sum` of a `gen` file reproduces it.
+    The text is pure ASCII, so its bytes do not depend on an encoding."""
+    return hashlib.sha256(_canonical_text(m).encode()).hexdigest()

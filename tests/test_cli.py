@@ -277,9 +277,10 @@ def test_non_monotone_witness_rechecks_from_the_table(capsys):
 
 
 # sha256 of `gen` output, re-pinned when `gen` began to write tables as
-# arrays in mask order; each loads to the market, and the digest, of the
-# keyed text pinned before, which was recorded while tables were still built
-# and dumped through Fractions and json.dumps
+# arrays in mask order; each loads to the market of the keyed text pinned
+# before, which was recorded while tables were still built and dumped
+# through Fractions and json.dumps. The market digest is the sha256 of that
+# same text, so each file, loaded, digests to its own pin.
 PINNED_GEN = {
     "additive 12 2 --seed 1": "da16d203114e044a799a3516efd0d8453d5b05b335b132e7895baafddaa98ae5",
     "budget_additive 10 3 --seed 1": "82f8142cfd139ca406f8712ebec65e250dbd6e0bfe1b1b56ff379ea54f3f6323",
@@ -299,6 +300,7 @@ def test_gen_output_is_pinned(capsys, spec):
     rc, out, err = run_cli(capsys, "gen", *spec.split())
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_GEN[spec]
+    assert market_digest(parse_market(json.loads(out))) == PINNED_GEN[spec]
 
 
 def test_commands_never_build_a_whole_values_view(capsys, tmp_path, monkeypatch):

@@ -34,21 +34,21 @@ from worked_examples import all_or_nothing_market, budget_vs_additive_market
 DATA = Path(__file__).parent / "data"
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
-# sha256 of the canonical serialization, recorded before the loader moved to
-# memoized parsing and dict-resolved keys; every later change must keep them.
+# sha256 of the canonical text `dumps_market` writes, which the digest hashes;
+# every later change must keep them.
 PINNED_GENERATED = {
-    "additive": "829fd2d68a74e33a6bcc153c745683a6b34e6c3784641a92ce56354c50b3e699",
-    "budget_additive": "62235d11feb7d9b1f7100f4842784031964c796830673cc0060d03b75c2022b3",
-    "random_monotone": "31313b4a09674395347e7505be1f3c9928f8fb69926b7ebd4b05454873598616",
-    "random_submodular": "ae611ffa040fd2f82be8fab27636cfea4aa1143bc0e6c16059e6fd06bb966cf7",
-    "unit_demand": "1098a1c200deffa67c8314861522d0ca71a517a08766516be6fb80673212a492",
+    "additive": "e7552b789f0f0a4d36f723648a7a1f6a5802826a5310f60f8f776fbf2be900eb",
+    "budget_additive": "81383b6e9d0f459fe1aa81ae0423090f6e76c959213200c645f9eda964f7735a",
+    "random_monotone": "495722084c15e77282bbc616cb0552b17a545d646f43dab4ef49569e298be459",
+    "random_submodular": "49eab08d912b4e8fe719552bc80140a43066f1e84fcd299bf7351c2519934922",
+    "unit_demand": "4ad6e571e01a126769764c2a73887cade0a566fdb468440aeab6dee793348226",
 }
 PINNED_FILES = {
-    "all_or_nothing.json": "c8c4be9c3df11d90a03fdd384cfe4db4153093b25ed2e1031cd07ade102484a4",
-    "budget_vs_additive.json": "dff0b1062e530bb0f0e96e620a736615218a1c97698771fbbaa1a249b1fcc584",
-    "non_monotone.json": "42724ddd4bd6f47707ad6897ae8dbf16cbda74b36d4ba864a47b31ee1c3329cd",
-    "plateau.json": "4beb4fb65686527667f1af61f75e467d544e9609c4751396e20d9be88cc63201",
-    "tie_dodger.json": "f10dc78b731fc2dd489764a0e30bfd5531f637bce119328340a0ba6609df506b",
+    "all_or_nothing.json": "1af969abdaa454e694a3d3fbc4d37cf91722b1810517a94f959e776cf892923e",
+    "budget_vs_additive.json": "4af8a904497f2beaf9e4a29cdea3cc807e95ec8eaae6bcac6c8e9afe940309ad",
+    "non_monotone.json": "3d900150bb1042ea68c9b5ffabd5adee838f8fffde0faf2091db7f813036011f",
+    "plateau.json": "2cbd2817b286628279532d362aa2cb1a80a9ba48213f4790ba39c04ea5156558",
+    "tie_dodger.json": "8070ebab11cd8f737a35dfc3921f5293806738cd9c9d8e66c8dcc579dbc6377b",
 }
 
 
@@ -66,9 +66,9 @@ def serialize_market(m: Market) -> dict:
 
 
 def serialize_keyed(m: Market) -> dict:
-    """The keyed canonical form: explicit tables keyed in universe order,
-    rationals as strings. `market_digest` hashes its sorted compact text
-    without building it; this is its oracle."""
+    """The market with every table as an object keyed by subset, keys in
+    universe order, rationals as strings: the second spelling a file may
+    use, to load beside the arrays of `serialize_market`."""
     out = serialize_market(m)
     keys = subset_keys(m.workers)
     for firm in out["firms"]:
@@ -597,7 +597,7 @@ def test_bulk_table_loader_matches_per_entry_reference(case):
         assert all(type(v) is int for v in fn.scaled)
 
 
-# ---- the digest against json.dumps of the canonical form -----------------------
+# ---- the dump and the digest against json.dumps of the canonical form --------
 
 ODD_TEXT = st.text(
     alphabet=st.sampled_from(" !#\"\\a\u00e9\u2603\x01\x7f-"), min_size=1, max_size=3
@@ -622,9 +622,12 @@ def odd_markets(draw) -> Market:
     return Market(workers, firms, profile)
 
 
+def _oracle_dump(m: Market) -> str:
+    return json.dumps(serialize_market(m), indent=2) + "\n"
+
+
 def _oracle_digest(m: Market) -> str:
-    blob = json.dumps(serialize_keyed(m), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_oracle_dump(m).encode("utf-8")).hexdigest()
 
 
 @PROPERTY_SETTINGS
@@ -635,15 +638,12 @@ def _oracle_digest(m: Market) -> str:
         (("f", SetFunction.additive(("a", "a b", 'a"', "a!"), {"a": "1/2", "a!": 3})),),
     )
 )
-def test_market_digest_matches_sorted_json_dumps(m):
+def test_market_digest_is_the_sha256_of_indented_json_dumps(m):
     assert market_digest(m) == _oracle_digest(m)
+    # and the keyed spelling the loader tests write keys each value by its subset
     keys = subset_keys(m.workers)
     tables = [firm["utility"]["values"] for firm in serialize_keyed(m)["firms"]]
     assert tables == [dict(zip(keys, map(str, fn.values))) for _, fn in m.firms]
-
-
-def _oracle_dump(m: Market) -> str:
-    return json.dumps(serialize_market(m), indent=2) + "\n"
 
 
 @PROPERTY_SETTINGS
@@ -666,16 +666,6 @@ def test_generated_dump_matches_indented_json_dumps(kind):
     for n, firms in ((0, 0), (0, 2), (1, 1), (3, 0), (7, 3)):
         m = generate(kind, n, firms, seed=2)
         assert dumps_market(m) == _oracle_dump(m)
-
-
-def test_digest_takes_the_loads_key_list(tmp_path):
-    m = generate("random_monotone", 5, 2, seed=3)
-    path = tmp_path / "m.json"
-    path.write_text(dumps_market(m))
-    keys: list[str] = []
-    loaded = load_market(str(path), keys)
-    assert keys == subset_keys(m.workers)
-    assert market_digest(loaded, keys) == market_digest(loaded) == market_digest(m)
 
 
 # ---- the array spelling beside the keyed one -------------------------------
@@ -771,6 +761,23 @@ def test_table_values_of_neither_form_exit_2(capsys, tmp_path, values):
         "error: firm 'f1' utility: table 'values' must be an array in mask order"
         " or an object keyed by subset\n"
     )
+
+
+def test_array_files_build_no_subset_keys(capsys, tmp_path, monkeypatch):
+    """Array tables are read by mask, and the digest hashes the dumped
+    arrays, so no command on a `gen` file needs the 2^n subset keys."""
+    path = tmp_path / "m.json"
+    path.write_text(dumps_market(generate("random_monotone", 6, 2, seed=1)))
+
+    def refuse(workers):
+        raise AssertionError(f"subset keys built for {workers}")
+
+    monkeypatch.setattr(marketio, "subset_keys", refuse)
+    for command in ("vcg", "classify"):
+        rc = cli.main([command, str(path), "--json"])
+        captured = capsys.readouterr()
+        assert rc in (0, 1) and captured.err == "", command
+        assert json.loads(captured.out)["command"] == command
 
 
 def test_array_and_keyed_files_give_byte_identical_commands(capsys, tmp_path):
