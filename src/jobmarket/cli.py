@@ -29,6 +29,10 @@ The parser keeps each command function's name, not the function, and each
 call looks it up in this module, so a function rebound here (a test's
 monkeypatch, a tracer's wrapper) takes effect without a new parser, and
 `cmd_gen` and `cmd_selftest` keep the reference the dead-names test needs.
+
+`cmd_selftest` imports `selftest` when it runs, not at the top of this
+module: the self-test loads `oracles`, the slow cross-checks, and none of
+the five market commands loads either.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import selftest as selftest_mod
 from .marketio import dumps_market, load_market, load_profile, market_digest
 from .model import ConditionReport, Market, Profile
 from .necessity import (
@@ -248,7 +251,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    report = selftest_mod.run(args.trials, args.seed, args.grid)
+    from . import selftest  # loads the oracles, which no market command needs
+
+    report = selftest.run(args.trials, args.seed, args.grid)
     _emit(args, report.lines(), {"command": "selftest", **report.to_dict()})
     return 0 if report.ok else 1
 

@@ -27,7 +27,10 @@ names a key twice is refused, in either file.
 
 Every rational, string or integer, is refused past 100 characters (or
 digits) before any arithmetic runs, and so is an exponent past 100. An
-array of the wrong length is refused before any entry is parsed.
+array of the wrong length is refused before any entry is parsed. A market
+past `model.WORKER_CAP` workers, or whose firms' tables would hold more
+than `model.ENTRY_CAP` entries in all (m firms times 2^n), is refused
+before any table is built.
 
 Cost: one load parses each distinct rational string once (a generated
 12-worker table holds a few dozen distinct strings among its 4,096
@@ -56,7 +59,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
-from math import lcm
 from typing import Any, Collection, Iterable, Mapping
 
 from .model import (
@@ -65,7 +67,9 @@ from .model import (
     SetFunction,
     SizeLimitError,
     as_fraction,
+    check_entry_cap,
     check_worker_cap,
+    clear_denominators,
 )
 from .subsets import mask_of
 
@@ -217,12 +221,12 @@ class _Load:
     ) -> SetFunction:
         """The bulk step of both spellings, on values in mask order: each
         distinct value is parsed once and scaled once, by the LCM of the
-        table's distinct denominators. `entries` pairs each value as
-        written with its label, in file order; it is walked only to name a
-        refused value."""
+        table's distinct denominators (`model.clear_denominators`).
+        `entries` pairs each value as written with its label, in file
+        order; it is walked only to name a refused value."""
         fracs = self._distinct_values(ordered, entries)
-        den = lcm(*{v.denominator for v in fracs.values()})
-        ints = {raw: v.numerator * (den // v.denominator) for raw, v in fracs.items()}
+        den, (cleared,) = clear_denominators((), [list(fracs.values())])
+        ints = dict(zip(fracs, cleared))
         return SetFunction(self.workers, den, tuple(map(ints.__getitem__, ordered)))
 
     def _distinct_values(
@@ -327,6 +331,7 @@ def parse_market(obj: Any) -> Market:
     firms_raw = obj.get("firms")
     if not isinstance(firms_raw, list):
         raise MarketFormatError("market: 'firms' must be a list")
+    check_entry_cap(len(firms_raw), len(workers))
     load = _Load(workers)
     firms = []
     for k, fobj in enumerate(firms_raw):

@@ -28,6 +28,10 @@ from .subsets import bit_halves, mask_of, members, subset_sums
 #: Hard cap on universe size; tables are dense with 2^n entries.
 WORKER_CAP = 20
 
+#: Hard cap on a market's table entries, m firms times 2^n each; an entry
+#: costs tens of bytes once its table is built.
+ENTRY_CAP = 1 << 24
+
 RationalLike = Union[Fraction, int, str]
 
 
@@ -39,6 +43,17 @@ def check_worker_cap(n: int) -> None:
     """Refuse a universe of n workers before any 2^n table is allocated."""
     if n > WORKER_CAP:
         raise SizeLimitError(f"universe of {n} workers exceeds cap of {WORKER_CAP}")
+
+
+def check_entry_cap(nfirms: int, n: int) -> None:
+    """Refuse nfirms tables over n workers (at most the worker cap) before
+    any of them is built."""
+    entries = nfirms << n
+    if entries > ENTRY_CAP:
+        raise SizeLimitError(
+            f"{nfirms} firms over {n} workers need {entries} table entries,"
+            f" which exceeds cap of {ENTRY_CAP}"
+        )
 
 
 def as_fraction(x: RationalLike) -> Fraction:

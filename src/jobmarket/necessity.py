@@ -37,7 +37,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .model import Market, Matching, Outcome, Profile, SetFunction, check_worker_cap
+from .model import (
+    Market,
+    Matching,
+    Outcome,
+    Profile,
+    SetFunction,
+    check_entry_cap,
+    check_worker_cap,
+)
 from .setfn import (
     _first_submodularity_violation,
     _submodularity_violations,
@@ -441,6 +449,7 @@ def generate(kind: str, n: int, m: int, seed: int = 0) -> Market:
     if n < 0 or m < 0:
         raise ValueError("worker and firm counts must be nonnegative")
     check_worker_cap(n)
+    check_entry_cap(m, n)
     rng = random.Random(f"{kind}:{n}:{m}:{seed}")
     workers = tuple(f"w{i}" for i in range(1, n + 1))
     make = _FAMILIES[kind]

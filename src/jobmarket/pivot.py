@@ -13,13 +13,16 @@ program as the efficient matching, so a full result costs one solve.
 Firing-proofness is blocking inside a firm's own hires (for a hired worker,
 disutility plus payoff is salary), so `check_outcome_sir` runs the walk of
 `stability.deviations` on each firm's hires: O(2^|hires|) additions.
+
+Strategy-proofness, the pivot rule's other guarantee, is not checked on a
+command's path: `oracles.check_strategy_proofness` re-solves the market
+under a grid of one worker's misreports, for the self-test and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from .model import ConditionReport, Market, Matching, Outcome, Profile
@@ -171,56 +174,3 @@ def check_outcome_sir(
                 details=f"firm {name} gains {gain} by keeping only {kept}",
             )
     return ConditionReport(verdict=True)
-
-
-def check_strategy_proofness(
-    m: Market, worker: str, k: int = 6, u: Optional[Profile] = None
-) -> ConditionReport:
-    """No grid misreport of one worker's disutilities beats truth-telling.
-
-    The worker's reported row ranges over {0, ubar/k, ..., ubar}^m; their
-    realized payoff under a misreport uses the true disutility at whatever
-    firm the mechanism then assigns. Everyone else reports truthfully.
-    """
-    if k < 1:
-        raise ValueError("grid density k must be at least 1")
-    if worker not in m.worker_index:
-        raise ValueError(f"unknown worker {worker!r}")
-    truth = MarketSolver(m, u)
-    profile = truth.profile
-    wi = m.worker_index[worker]
-    excl = truth.value_excluding_mask(1 << wi)
-    truthful = truth.total() - excl
-    true_row = profile.row(worker)
-    top = m.ubar
-    if top == 0:
-        grid: tuple[Fraction, ...] = (Fraction(0),)
-    else:
-        grid = tuple(top * Fraction(i, k) for i in range(k + 1))
-    checked = 0
-    for combo in product(grid, repeat=len(m.firms)):
-        if combo == true_row:
-            continue
-        checked += 1
-        shifted = MarketSolver(m, profile.with_row(worker, combo))
-        sol = shifted.solution()
-        firm = sol.matching.firm_of(worker)
-        if firm is None:
-            payoff = Fraction(0)
-        else:
-            j = m.firm_names.index(firm)
-            payoff = shifted.total() - excl + combo[j] - true_row[j]
-        if payoff > truthful:
-            return ConditionReport(
-                verdict=False,
-                witness={
-                    "worker": worker,
-                    "report": {f: str(combo[j]) for j, f in enumerate(m.firm_names)},
-                    "payoff": str(payoff),
-                    "truthful_payoff": str(truthful),
-                },
-                details=f"worker {worker} gains {payoff - truthful} by misreporting",
-            )
-    return ConditionReport(
-        verdict=True, details=f"checked {checked} grid misreports (k={k})"
-    )

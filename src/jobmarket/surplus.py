@@ -56,7 +56,9 @@ tables are monotone, so the same argument holds from either side.
 All arithmetic runs on integers after clearing denominators once per solve
 (`model.clear_denominators`); exactness is preserved and results are converted
 back to Fraction. Any nonnegative profile that fits the market is solved;
-the [0, ubar] box is a policy of the solving commands (see cli).
+the [0, ubar] box is a policy of the solving commands (see cli). The slow
+cross-checks of this program (exhaustive search, the marginal-product
+order, tight-set closure) live in `oracles`, which no command loads.
 """
 
 from __future__ import annotations
@@ -65,22 +67,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import eq, lt, mul, sub
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .model import (
-    ConditionReport,
-    Market,
-    Matching,
-    Profile,
-    RationalLike,
-    SetFunction,
-    SizeLimitError,
-    as_fraction,
-    clear_denominators,
-    validate_profile,
-)
-from .setfn import is_submodular
-from .stability import hire_masks
+from .model import Market, Matching, Profile, clear_denominators, validate_profile
 from .subsets import (
     bit_halves,
     bit_indices,
@@ -90,10 +79,6 @@ from .subsets import (
     submask_max,
     subset_sums,
 )
-
-#: brute_force_total enumerates (m+1)^n assignments; keep it honest but finite.
-BRUTE_FORCE_WORKER_CAP = 8
-BRUTE_FORCE_FIRM_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -304,134 +289,3 @@ class MarketSolver:
 
 def efficient_matching(m: Market, u: Optional[Profile] = None) -> EfficientSolution:
     return MarketSolver(m, u).solution()
-
-
-def max_surplus_excluding(
-    m: Market, u: Optional[Profile] = None, excluded: Iterable[str] = ()
-) -> Fraction:
-    """Best total surplus once the excluded workers leave the market."""
-    solver = MarketSolver(m, u)
-    index = m.worker_index
-    mask = 0
-    for w in excluded:
-        if w not in index:
-            raise ValueError(f"unknown worker {w!r}")
-        mask |= 1 << index[w]
-    return solver.value_excluding_mask(mask)
-
-
-def brute_force_total(m: Market, u: Optional[Profile] = None) -> Fraction:
-    """Best total surplus by exhaustive search over all (m+1)^n
-    worker-to-firm assignments.
-
-    Independent of the dynamic program on purpose: it enumerates raw
-    assignments recursively and keeps the best total.
-    """
-    profile = m.require_profile(u)
-    validate_profile(m, profile)
-    n = m.n
-    nfirms = len(m.firms)
-    if n > BRUTE_FORCE_WORKER_CAP:
-        raise SizeLimitError(f"brute force capped at {BRUTE_FORCE_WORKER_CAP} workers")
-    if nfirms > BRUTE_FORCE_FIRM_CAP:
-        raise SizeLimitError(f"brute force capped at {BRUTE_FORCE_FIRM_CAP} firms")
-    columns = [profile.column(name) for name, _ in m.firms]
-    den, costs = clear_denominators([fn for _, fn in m.firms], columns)
-    tables = [fn.scaled_to(den) for _, fn in m.firms]
-
-    best_total = 0  # empty assignment is always feasible
-    pools = [0] * nfirms
-
-    def recurse(i: int, cost_acc: int) -> None:
-        nonlocal best_total
-        if i == n:
-            total = -cost_acc
-            for j in range(nfirms):
-                total += tables[j][pools[j]]
-            if total > best_total:
-                best_total = total
-            return
-        recurse(i + 1, cost_acc)  # unmatched
-        bit = 1 << i
-        for j in range(nfirms):
-            pools[j] |= bit
-            recurse(i + 1, cost_acc + costs[j][i])
-            pools[j] ^= bit
-
-    recurse(0, 0)
-    return Fraction(best_total, den)
-
-
-def check_marginal_product_order(
-    m: Market, u: Optional[Profile] = None
-) -> ConditionReport:
-    """Group marginal products at market level never exceed the firm level.
-
-    For the canonical efficient matching and every firm f with assigned set
-    A, every S inside A must satisfy
-
-        V(W) - V(W minus S)  <=  V_f(A) - V_f(A minus S).
-    """
-    solver = MarketSolver(m, u)
-    sol = solver.solution()
-    full = solver.scaled_value_on(m.full_mask)
-    hires = hire_masks(m, sol.matching)
-    for k, (name, _) in enumerate(m.firms):
-        amask = hires[name]
-        vfk = solver.vf[k]
-        sub = amask
-        while True:
-            lhs_num = full - solver.scaled_value_on(m.full_mask & ~sub)
-            rhs_num = vfk[amask] - vfk[amask ^ sub]
-            if lhs_num > rhs_num:
-                return ConditionReport(
-                    verdict=False,
-                    witness={
-                        "firm": name,
-                        "removed": [m.workers[i] for i in bit_indices(sub)],
-                        "market_marginal": str(Fraction(lhs_num, solver.den)),
-                        "firm_marginal": str(Fraction(rhs_num, solver.den)),
-                    },
-                    details="market-level marginal product exceeds the firm-level one",
-                )
-            if sub == 0:
-                break
-            sub = (sub - 1) & amask
-    return ConditionReport(verdict=True)
-
-
-def check_tight_sets_downward_closed(
-    u_f: SetFunction, costs: Mapping[str, RationalLike]
-) -> ConditionReport:
-    """Under a submodular utility, subsets of tight sets are tight.
-
-    When the premise fails the verdict is trivially true and the details
-    carry a "premise false" flag.
-    """
-    premise = is_submodular(u_f)
-    if not premise.verdict:
-        return ConditionReport(
-            verdict=True, details="premise false: utility is not submodular"
-        )
-    missing = [w for w in u_f.universe if w not in costs]
-    if missing:
-        raise ValueError(f"cost missing for worker {missing[0]!r}")
-    cost_fr = [as_fraction(costs[w]) for w in u_f.universe]
-    if any(c < 0 for c in cost_fr):
-        raise ValueError("costs must be nonnegative")
-    den, (icosts,) = clear_denominators([u_f], [cost_fr])
-    _, tight = _int_surplus_table(u_f.scaled, den // u_f.den, icosts)
-    tight_set = set(tight)
-    for mask in tight:
-        for i in bit_indices(mask):
-            child = mask ^ (1 << i)
-            if child not in tight_set:
-                return ConditionReport(
-                    verdict=False,
-                    witness={
-                        "tight_set": list(u_f.members(mask)),
-                        "subset": list(u_f.members(child)),
-                    },
-                    details="a subset of a tight set is not tight",
-                )
-    return ConditionReport(verdict=True, details="premise holds")

@@ -27,7 +27,8 @@ from jobmarket.setfn import (
     is_weak_substitutes,
 )
 from jobmarket.stability import find_block, find_weak_block
-from jobmarket.surplus import efficient_matching, max_surplus_excluding
+from jobmarket.surplus import efficient_matching
+from solver_queries import max_surplus_excluding
 from worked_examples import (
     all_or_nothing_market,
     budget_vs_additive_market,

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import jobmarket.cli as cli
+import jobmarket.selftest as selftest
 from jobmarket.marketio import load_market, market_digest, parse_market
-from jobmarket.model import SetFunction
+from jobmarket.model import ENTRY_CAP, SetFunction, SizeLimitError
+from jobmarket.necessity import generate
 from jobmarket.selftest import SelftestReport, SuiteResult
 
 DATA = Path(__file__).parent / "data"
@@ -111,7 +113,7 @@ def test_one_parser_serves_every_call(capsys):
     assert (rc, out) == (2, "")
     assert err.startswith("usage: jobmarket gen") and "invalid int value: 'three'" in err
     # selftest's defaults (seed 0, grid 6) hold after gen's --seed 5
-    report = cli.selftest_mod.run(2, 0, 6)
+    report = selftest.run(2, 0, 6)
     assert first[6] == (0, "".join(line + "\n" for line in report.lines()), "")
 
 
@@ -348,7 +350,7 @@ def test_selftest_failure_exits_one(capsys, monkeypatch):
         grid=6,
         suites=(SuiteResult("oracle_equivalence", 1, ("totals diverged",)),),
     )
-    monkeypatch.setattr(cli.selftest_mod, "run", lambda *a: broken)
+    monkeypatch.setattr(selftest, "run", lambda *a: broken)
     rc, out, _ = run_cli(capsys, "selftest", "--trials", "1")
     assert rc == 1
     assert "FAIL oracle_equivalence" in out
@@ -531,6 +533,49 @@ def test_gen_refuses_oversized_universe(capsys):
     assert "40 workers exceeds cap of 20" in err
 
 
+@pytest.fixture
+def no_table_built(monkeypatch):
+    """Every way to build a SetFunction fails the test instead."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("a table was built before the refusal")
+
+    monkeypatch.setattr(SetFunction, "__post_init__", built)
+    for name in ("from_values", "from_table", "additive", "budget_additive", "unit_demand"):
+        monkeypatch.setattr(SetFunction, name, classmethod(built))
+
+
+# 17 firms over 20 workers: 17 * 2^20 table entries, one firm past the cap
+OVER_ENTRY_CAP = (20, 17)
+ENTRY_CAP_MESSAGE = f"17 firms over 20 workers need {17 << 20} table entries, which exceeds cap of {ENTRY_CAP}"
+
+
+def test_market_over_the_entry_cap_exits_two_before_any_table(capsys, tmp_path, no_table_built):
+    n, nfirms = OVER_ENTRY_CAP
+    workers = [f"w{i}" for i in range(n)]
+    market = {
+        "workers": workers,
+        "firms": [
+            {"name": f"f{j}", "utility": {"type": "additive", "values": {"w0": "1"}}}
+            for j in range(nfirms)
+        ],
+    }
+    with pytest.raises(SizeLimitError, match=ENTRY_CAP_MESSAGE):
+        parse_market(market)
+    path = tmp_path / "many_firms.json"
+    path.write_text(json.dumps(market))
+    rc, out, err = run_cli(capsys, "classify", path)
+    assert (rc, out, err) == (2, "", f"error: {ENTRY_CAP_MESSAGE}\n")
+
+
+def test_gen_refuses_a_market_over_the_entry_cap_before_any_table(capsys, no_table_built):
+    n, nfirms = OVER_ENTRY_CAP
+    with pytest.raises(SizeLimitError, match=ENTRY_CAP_MESSAGE):
+        generate("additive", n, nfirms)
+    rc, out, err = run_cli(capsys, "gen", "additive", n, nfirms)
+    assert (rc, out, err) == (2, "", f"error: {ENTRY_CAP_MESSAGE}\n")
+
+
 def _with_disutilities(tmp_path, name, entries):
     """A copy of a data market with some embedded disutilities replaced."""
     market = json.loads((DATA / name).read_text())
@@ -611,3 +656,44 @@ def test_closed_stdout_exits_141_without_traceback(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+# prints the jobmarket modules a command leaves loaded, after the command
+LOADED_PROBE = """
+import contextlib, io, sys
+import jobmarket.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(name for name in sys.modules if name.startswith("jobmarket")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", DATA / "budget_vs_additive.json"],
+        ["solve", DATA / "budget_vs_additive.json"],
+        ["vcg", DATA / "budget_vs_additive.json"],
+        ["stability", DATA / "budget_vs_additive.json"],
+        ["necessity", DATA / "plateau.json", "--firm", "f"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_market_commands_load_no_oracle(argv):
+    """The oracles and the self-test that runs them stay off every market
+    command's path: a fresh interpreter never imports either."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, *map(str, argv)],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stderr == ""
+    code, *loaded = proc.stdout.split()
+    assert code in ("0", "1")
+    assert "jobmarket.surplus" in loaded
+    assert "jobmarket.selftest" not in loaded
+    assert "jobmarket.oracles" not in loaded

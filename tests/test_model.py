@@ -21,7 +21,8 @@ from jobmarket.model import (
     as_fraction,
     validate_profile,
 )
-from jobmarket.surplus import brute_force_total, efficient_matching
+from jobmarket.oracles import brute_force_total
+from jobmarket.surplus import efficient_matching
 
 
 def test_as_fraction_accepts_exact_forms():
@@ -193,6 +194,14 @@ def test_constructors_refuse_oversized_universe_before_allocating(build):
     names = tuple(f"w{i}" for i in range(40))
     with pytest.raises(SizeLimitError, match="40 workers exceeds cap"):
         build(names)
+
+
+def test_entry_cap_counts_every_firm_table():
+    model.check_entry_cap(16, 20)
+    model.check_entry_cap(model.ENTRY_CAP, 0)
+    for nfirms, n in ((17, 20), (model.ENTRY_CAP + 1, 0), (1 << 5, 20)):
+        with pytest.raises(SizeLimitError, match=f"{nfirms} firms over {n} workers"):
+            model.check_entry_cap(nfirms, n)
 
 
 def test_profile_from_dict_and_accessors():

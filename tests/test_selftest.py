@@ -6,6 +6,7 @@ import json
 import pytest
 
 import jobmarket.necessity as necessity
+import jobmarket.oracles as oracles
 import jobmarket.pivot as pivot
 import jobmarket.selftest as selftest
 import jobmarket.setfn as setfn
@@ -116,7 +117,7 @@ def test_failure_lines_reproduce_market_and_profile(monkeypatch):
         refused.append((market_digest(r.market), r.profile))
         return forced
 
-    monkeypatch.setattr(surplus, "check_marginal_product_order", order)
+    monkeypatch.setattr(oracles, "check_marginal_product_order", order)
     monkeypatch.setattr(pivot, "check_ir", check_ir)
     suites = {s.name: s for s in selftest.run(trials=12, seed=5).suites}
     lines = suites["marginal_product_order"].failures
@@ -246,9 +247,44 @@ def test_detects_corrupted_solver(monkeypatch):
     assert "oracle_equivalence" in failing
 
 
+def _off_by_one(real):
+    def wrong(*args, **kwargs):
+        return real(*args, **kwargs) + 1
+
+    return wrong
+
+
+def _flipped(real):
+    def wrong(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return dataclasses.replace(report, verdict=not report.verdict, witness={"planted": "yes"})
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "name, suite, plant",
+    [
+        pytest.param(name, suite, plant, id=name)
+        for name, suite, plant in (
+            ("brute_force_total", "oracle_equivalence", _off_by_one),
+            ("check_marginal_product_order", "marginal_product_order", _flipped),
+            ("check_tight_sets_downward_closed", "tight_sets_downward_closed", _flipped),
+            ("check_strategy_proofness", "truthful_dominance", _flipped),
+        )
+    ],
+)
+def test_detects_a_wrong_oracle(monkeypatch, name, suite, plant):
+    """A wrong answer planted in one oracle fails the one suite that reads it."""
+    monkeypatch.setattr(oracles, name, plant(getattr(oracles, name)))
+    report = selftest.run(trials=12, seed=1)
+    assert [s.name for s in report.suites if not s.ok] == [suite]
+    assert report.lines()[-1].startswith("SELF-TEST FAILED")
+
+
 def test_failure_lines_are_truncated(monkeypatch):
     monkeypatch.setattr(
-        surplus,
+        oracles,
         "check_marginal_product_order",
         lambda m, u=None: ConditionReport(False, {"forced": "yes"}),
     )

@@ -16,16 +16,15 @@ import jobmarket.cli as cli
 from jobmarket.marketio import dumps_market
 from jobmarket.model import Market, Matching, Profile, SetFunction, SizeLimitError
 from jobmarket.necessity import GENERATOR_KINDS, adversarial_profile, generate
-from jobmarket.subsets import bit_indices, canonical_key, mask_of
-from jobmarket.surplus import (
-    MarketSolver,
+from jobmarket.oracles import (
     brute_force_total,
     check_marginal_product_order,
     check_tight_sets_downward_closed,
-    efficient_matching,
-    max_surplus_excluding,
 )
+from jobmarket.subsets import bit_indices, canonical_key, mask_of
+from jobmarket.surplus import MarketSolver, efficient_matching
 from market_strategies import markets, sizes
+from solver_queries import max_surplus_excluding
 from worked_examples import (
     all_or_nothing_market,
     budget_vs_additive_market,

@@ -13,11 +13,11 @@ from jobmarket.pivot import (
     check_outcome_ir,
     check_outcome_sir,
     check_sir,
-    check_strategy_proofness,
     vcg,
 )
+from jobmarket.oracles import check_strategy_proofness
 from jobmarket.stability import outcome_payoffs
-from jobmarket.surplus import max_surplus_excluding
+from solver_queries import max_surplus_excluding
 from worked_examples import (
     all_or_nothing_market,
     budget_vs_additive_market,
