@@ -14,9 +14,9 @@ corpora.
 
 The slow side of each comparison, where it is not a scan of `setfn`,
 comes from `oracles`: exhaustive search, the marginal-product order,
-tight-set closure and the misreport grid. This module and the tests are
-the only ones that load it; the command line imports this module only
-when `selftest` runs.
+tight-set closure, the misreport grid and the exhaustive strong- and
+gross-substitutes scans. This module and the tests are the only ones that
+load it; the command line imports this module only when `selftest` runs.
 
 Checks call into sibling modules through their module objects on purpose:
 the test suite swaps implementations out to confirm the self-test actually
@@ -37,7 +37,7 @@ import jobmarket.stability as stability
 import jobmarket.surplus as surplus
 import jobmarket.pivot as pivot
 
-from .model import Market, Profile, SetFunction
+from .model import Market, Profile
 
 Corpus = list[tuple[str, Market, tuple[Profile, ...]]]
 
@@ -224,18 +224,21 @@ def _valuation_chain(corpus: Corpus) -> SuiteResult:
     """Gross substitutes <= submodular <= weak substitutes, firm by firm.
 
     Also replays the chain that `classify` runs against the independent
-    checks: each of its four reports must equal, verdict and witness, the
-    standalone weak-substitutes scan, `is_submodular` and the exhaustive
-    strong- and gross-substitutes scans. The chain takes weak substitutes
-    from submodularity; the standalone scan does not. `is_submodular`
-    decides on the same slice kernel as the chain, so the chain's
-    submodular verdict is also checked against the ordered pair walk.
+    checks: its weak-substitutes and submodular reports must equal, verdict
+    and witness, the standalone weak-substitutes scan and `is_submodular`,
+    and its strong and gross verdicts those of the exhaustive scans in
+    `oracles`, whose first violations in scan order need not be the local
+    ones the chain reports. The chain takes weak substitutes from
+    submodularity; the standalone scan does not. `is_submodular` decides
+    on the same slice kernel as the chain, so the chain's submodular
+    verdict is also checked against the ordered pair walk.
     `is_strong_substitutes` and `is_gross_substitutes` call the chain's
     own deciders, so they are not compared with it. The counts are the
     independent checks' verdicts.
     """
     failures = []
     checked = gross = sub = weak = 0
+    same_witness = ("weak_substitutes", "submodular")
     for label, m, _ in corpus:
         for name, fn in m.firms:
             checked += 1
@@ -248,26 +251,29 @@ def _valuation_chain(corpus: Corpus) -> SuiteResult:
             if not chain["monotone"].verdict:
                 failures.append(f"{where}: classify finds the table not monotone")
                 continue
-            oracles = {
+            checks = {
                 "weak_substitutes": setfn.is_weak_substitutes(fn),
                 "submodular": setfn.is_submodular(fn),
-                "strong_substitutes": setfn._strong_substitutes_scan(fn),
-                "gross_substitutes": setfn._gross_substitutes_scan(fn),
+                "strong_substitutes": oracles.strong_substitutes_scan(fn),
+                "gross_substitutes": oracles.gross_substitutes_scan(fn),
             }
-            for cls, report in oracles.items():
-                if chain[cls] != report:
+            for cls, report in checks.items():
+                same = chain[cls] == report if cls in same_witness else (
+                    chain[cls].verdict == report.verdict
+                )
+                if not same:
                     failures.append(f"{where}: the chain's {cls} disagrees with the scan")
             walked = next(setfn._submodularity_violations(fn), None) is None
             if chain["submodular"].verdict != walked:
                 failures.append(f"{where}: the chain's submodular disagrees with the pair walk")
-            if oracles["submodular"].verdict:
-                if not oracles["weak_substitutes"].verdict:
+            if checks["submodular"].verdict:
+                if not checks["weak_substitutes"].verdict:
                     failures.append(f"{where}: submodular but not weak-substitutes")
-            elif oracles["gross_substitutes"].verdict:
+            elif checks["gross_substitutes"].verdict:
                 failures.append(f"{where}: gross-substitutes but not submodular")
-            gross += oracles["gross_substitutes"].verdict
-            sub += oracles["submodular"].verdict
-            weak += oracles["weak_substitutes"].verdict
+            gross += checks["gross_substitutes"].verdict
+            sub += checks["submodular"].verdict
+            weak += checks["weak_substitutes"].verdict
     counts = {"gross_substitutes": gross, "submodular": sub, "weak_substitutes": weak}
     return SuiteResult("valuation_chain", checked, tuple(failures), counts)
 
@@ -285,20 +291,12 @@ def _block_is_sound(m: Market, r: pivot.VcgResult, block) -> bool:
     return all(c >= 0 for c in conds) and any(c > 0 for c in conds)
 
 
-def _gross_substitutes_verdict(fn: SetFunction) -> bool:
-    """`classify`'s gross-substitutes verdict on a monotone table, without
-    the witness scan."""
-    core = setfn._interacting_table(fn.scaled)
-    return setfn._gross_substitutes_holds(setfn._first_submodularity_violation(fn, core), core)
-
-
 def _stability_agreement(corpus: Corpus) -> SuiteResult:
     """Stable (`find_block` finds none) implies firing-proof implies
     rational; blocks re-verify.
 
     Also samples the cited direction that markets of gross-substitutes
-    firms leave the pivot outcome unblocked. A blocked market asks for the
-    firms' gross-substitutes verdicts only, so no witness scan runs.
+    firms leave the pivot outcome unblocked.
     """
     failures = []
     for label, m, _ in corpus:
@@ -313,7 +311,7 @@ def _stability_agreement(corpus: Corpus) -> SuiteResult:
         if block is not None:
             if not _block_is_sound(m, r, block):
                 failures.append(f"{label}: block fails substitution: {block.to_dict()}")
-            if all(_gross_substitutes_verdict(fn) for _, fn in m.firms):
+            if all(setfn.is_gross_substitutes(fn).verdict for _, fn in m.firms):
                 failures.append(f"{label}: gross-substitutes firms yet blocked")
     return SuiteResult("stability", len(corpus), tuple(failures))
 

@@ -1,10 +1,10 @@
 """Valuation-class checks for set functions: substitutes conditions, demand.
 
 Every checker returns a ConditionReport whose witness, when the verdict is
-false, contains the exact sets and values of the first violated inequality
-in scan order (subsets ascending by bit pattern, workers ascending by
-index). Witnesses are plain dicts with rationals rendered as strings so
-they can be re-checked and serialized as-is.
+false, holds the exact sets and values of one violated inequality, in the
+form of the condition's definition, so that it can be re-checked on the
+table alone. Witnesses are plain dicts with rationals rendered as strings
+so they can be serialized as-is.
 
 Verdicts are decided on the table's integer form (`SetFunction.scaled`),
 and witnesses are read off the same integer table: a sum x of scaled
@@ -12,16 +12,29 @@ values is reported as Fraction(x, den). Two classes are decided by a
 cheaper equivalent condition than the one they are defined by: strong
 substitutes by submodularity, gross substitutes by the local exchange
 test, each by one decider that `classify` and its standalone check share.
-Their exhaustive scans run only after a false verdict, to locate the
-canonical witness, and as independent oracles for the cross-checks.
+Each false verdict is witnessed by the local violation its decider found:
+- A pair violation (B, i, j), i < j, the first in scan order (base masks
+  ascending, then i, then j): h(B+i) + h(B+j) < h(B+i+j) + h(B). It is the
+  submodularity witness as it stands. With S = B+i+j it is also the strong
+  one, S' = {i, j} removed from S, and the gross one, w = i moved from S to
+  T = B, where no swap exists: each inequality is the pair's, rearranged.
+- On a submodular table, the first triple i < j < k the exchange kernel
+  fails. One walk over X within N - {i, j, k}, ascending, at most 2^(n-3)
+  steps, finds the least X where one of the three sums h(X+a+b) + h(X+c)
+  is the strict maximum. Then (S, T, w) = (X+a+b, X+c, the lower of a and
+  b) loses value: moving w alone and swapping it against c give the other
+  two sums. The exchange is re-checked on the table before it is returned.
+The defining conditions range over pairs of sets, 3^n for strong and 4^n
+for gross substitutes; their exhaustive scans are cross-checks in
+`oracles`, and no checker here runs one.
 
 Submodularity and the three-element exchange inequality are decided on
 per-bit slice kernels, as the monotonicity scan is: marginal and
 interaction tables built from `subsets.bit_halves` slices, compared slice
 against slice with no mask arithmetic per element. They hold a constant
 number of 2^(k-1) and 2^(k-2) lists at a time. After a false verdict the
-ordered walks (`_submodularity_violations`, the strong and gross scans)
-find the witness on the full table.
+ordered pair walk (`_submodularity_violations`) or the triple's X walk
+finds the witness on the full table.
 
 Both kernels run on the table's interacting workers only. A worker i is
 modular when its marginal d_i(S) = h(S+i) - h(S) is one constant c_i on
@@ -40,7 +53,11 @@ on 2^k entries. Finding them costs two reads per worker, d_i(empty)
 against d_i(N-i), which are equal for every modular worker (and on a
 submodular table, where d_i does not rise, only for those); a worker that
 passes goes after a slice comparison of d_i with that value, which stops
-at the first slice that differs.
+at the first slice that differs. On a submodular table the exchange
+kernel's first failing triple is the same on either table, since a triple
+holding a modular worker passes and the squeeze keeps the workers' order;
+its X walk runs on the full table, where the least X holds no modular
+worker.
 
 `classify` reports monotonicity, with the first drop as witness, then
 decides all four classes of a monotone table as one chain (gross
@@ -48,11 +65,11 @@ substitutes => submodular = strong substitutes => weak substitutes),
 which is what the `classify` command runs. Per table: one
 monotonicity scan, the O(n) probes and the submodularity kernel, O(k^2
 2^k) element steps on slices; on a submodular table, the exchange
-kernel's C(k,3) 2^(k-3) element steps; on any other, the ordered pair
-walk to the first violation and the O(n 2^n) weak-substitutes scan. The
-strong and gross witness scans run only after a false verdict. Deriving
-weak substitutes from submodularity (telescope the marginals down to the
-empty set) rests on h(empty) = 0, which SetFunction enforces.
+kernel's C(k,3) 2^(k-3) element steps, and the 2^(n-3) X walk after a
+false verdict; on any other, the ordered pair walk to the first violation
+and the O(n 2^n) weak-substitutes scan. Deriving weak substitutes from
+submodularity (telescope the marginals down to the empty set) rests on
+h(empty) = 0, which SetFunction enforces.
 """
 
 from __future__ import annotations
@@ -64,15 +81,6 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import ConditionReport, RationalLike, SetFunction, as_fraction, clear_denominators
 from .subsets import bit_halves, bit_indices, bit_marginals, drop_bit, subset_sums
-
-
-def _witnessed(report: ConditionReport, condition: str) -> ConditionReport:
-    """The exhaustive scan's report after a false verdict; it must find one."""
-    if report.verdict:
-        raise RuntimeError(
-            f"{condition}: the verdict is false but the exhaustive scan finds no violation"
-        )
-    return report
 
 
 def is_weak_substitutes(h: SetFunction) -> ConditionReport:
@@ -124,10 +132,11 @@ def _submodularity_violations(h: SetFunction) -> Iterator[tuple[int, int, int]]:
                     yield (base, i, j)
 
 
-def _interacting_table(vals: Sequence[int]) -> Sequence[int]:
+def _interacting_table(vals: Sequence[int]) -> tuple[Sequence[int], list[int]]:
     """`vals` with every modular worker squeezed out: the table over the
     workers that interact, which both kernels decide on (see the module
-    docstring). `vals` itself when no worker is modular.
+    docstring), and those workers' indices in `vals`, ascending. `vals`
+    itself when no worker is modular.
 
     Workers go from the top bit down, so the lower bits keep their
     positions. Worker i is probed in O(1), d_i(empty) against d_i(N-i) on
@@ -138,7 +147,9 @@ def _interacting_table(vals: Sequence[int]) -> Sequence[int]:
     leaves every other marginal list the same, so modularity on the cut
     table is modularity on `vals`.
     """
-    for i in reversed(range(len(vals).bit_length() - 1)):
+    n = len(vals).bit_length() - 1
+    kept = list(range(n))
+    for i in reversed(range(n)):
         bit, top = 1 << i, len(vals) - 1
         c = vals[bit] - vals[0]
         if vals[top] - vals[top ^ bit] == c and all(
@@ -146,7 +157,8 @@ def _interacting_table(vals: Sequence[int]) -> Sequence[int]:
             for lo, hi in bit_halves(len(vals), bit)
         ):
             vals = drop_bit(vals, bit)
-    return vals
+            del kept[i]
+    return vals, kept
 
 
 def _submodular_holds(vals: Sequence[int]) -> bool:
@@ -180,7 +192,7 @@ def _first_submodularity_violation(
     here when not given); only a table that fails it runs the ordered walk
     on h, whose first hit is the witness.
     """
-    if _submodular_holds(_interacting_table(h.scaled) if core is None else core):
+    if _submodular_holds(_interacting_table(h.scaled)[0] if core is None else core):
         return None
     hit = next(_submodularity_violations(h), None)
     if hit is None:
@@ -228,56 +240,36 @@ def _submodularity_report(h: SetFunction, hit: PairHit) -> ConditionReport:
 def is_strong_substitutes(h: SetFunction) -> ConditionReport:
     """h(S) - h(S minus S') >= sum over w in S' of the w-marginal at S.
 
-    S' ranges over all nonempty subsets of S, S itself included (at S'=S
-    this is exactly the weak-substitutes inequality, which is what makes
-    this condition the stronger one).
-
-    The condition is equivalent to submodularity: S' = {i, j} is the
-    adjacent-pair inequality, and telescoping h(S) - h(S minus S') over
-    the members of S' gives the converse. The verdict therefore costs the
-    submodularity kernel's O(k^2 2^k) element steps on slices, k the
-    interacting workers; a false one runs the ordered pair walk to its
-    first violation, then the O(3^n) scan for the witness.
+    S' ranges over all nonempty subsets of S, S itself included. The
+    condition is equivalent to submodularity (S' = {i, j} is the
+    adjacent-pair inequality; telescoping gives the converse), so it is
+    decided and witnessed by the first pair violation.
     """
     return _strong_substitutes(h, _first_submodularity_violation(h))
 
 
 def _strong_substitutes(h: SetFunction, hit: PairHit) -> ConditionReport:
-    """The strong-substitutes verdict on the first pair violation `hit`."""
+    """The strong-substitutes report on the first pair violation `hit`
+    (B, i, j): S' = {i, j} removed from S = B+i+j, whose drop
+    h(S) - h(B) is below the marginal sum 2 h(S) - h(B+j) - h(B+i)."""
     if hit is None:
         return ConditionReport(verdict=True)
-    return _witnessed(_strong_substitutes_scan(h), "strong substitutes")
-
-
-def _strong_substitutes_scan(h: SetFunction) -> ConditionReport:
-    """The defining inequality over every pair S' within S, directly.
-
-    Sets ascending, then removed submasks ascending, which gives the
-    canonical witness.
-    """
+    base, i, j = hit
+    removed = 1 << i | 1 << j
+    s = base | removed
     vals = h.scaled
-    for mask in range(1, 1 << h.n):
-        vs = vals[mask]
-        # marginal sums over the submasks visited so far
-        acc = {0: 0}
-        sub = 0
-        while sub != mask:
-            sub = (sub - mask) & mask
-            low = sub & -sub
-            total = acc[sub] = acc[sub ^ low] + vs - vals[mask ^ low]
-            drop = vs - vals[mask ^ sub]
-            if drop < total:
-                return ConditionReport(
-                    verdict=False,
-                    witness={
-                        "set": list(h.members(mask)),
-                        "removed": list(h.members(sub)),
-                        "value_drop": str(Fraction(drop, h.den)),
-                        "marginal_sum": str(Fraction(total, h.den)),
-                    },
-                    details="removing a group costs less than its members' marginals",
-                )
-    return ConditionReport(verdict=True)
+    drop = vals[s] - vals[base]
+    total = 2 * vals[s] - vals[s ^ 1 << i] - vals[s ^ 1 << j]
+    return ConditionReport(
+        verdict=False,
+        witness={
+            "set": list(h.members(s)),
+            "removed": list(h.members(removed)),
+            "value_drop": str(Fraction(drop, h.den)),
+            "marginal_sum": str(Fraction(total, h.den)),
+        },
+        details="removing a group costs less than its members' marginals",
+    )
 
 
 def demand_set(
@@ -322,37 +314,80 @@ def is_gross_substitutes(h: SetFunction) -> ConditionReport:
         h(X+i+j) + h(X) <= h(X+i) + h(X+j)
         h(X+i+j) + h(X+k) <= max(h(X+i+k) + h(X+j), h(X+j+k) + h(X+i)).
 
-    The verdict comes from that local test, on the table over the k
-    workers that interact (`_interacting_table`). The first inequality is
-    the submodularity kernel; the second, symmetric in i and j, is checked
-    once per unordered triple by the exchange kernel, C(k,3) 2^(k-3)
-    element steps on slices. Only a false verdict runs the O(n^2 4^n)
-    pairwise scan, which reports the first violating (S, T, w) in scan
-    order; a table that fails the first inequality runs the ordered pair
-    walk to its first violation before it.
+    The first is the submodularity kernel, the second the exchange kernel,
+    on the table over the interacting workers; a false verdict reports the
+    (S, T, w) of the local violation found (see the module docstring).
 
     Non-monotone tables are rejected.
     """
     if not h.is_monotone():
         raise ValueError("gross-substitutes test requires a weakly increasing table")
-    core = _interacting_table(h.scaled)
-    return _gross_substitutes(h, _first_submodularity_violation(h, core), core)
+    core, kept = _interacting_table(h.scaled)
+    return _gross_substitutes(h, _first_submodularity_violation(h, core), core, kept)
 
 
-def _gross_substitutes_holds(hit: PairHit, core: Sequence[int]) -> bool:
-    """The gross-substitutes verdict of a monotone table, without a
-    witness: no first pair violation `hit`, then the exchange kernel on
-    the table's `_interacting_table` `core`, whose triples answer for the
-    whole table only behind that submodular verdict."""
-    return hit is None and _exchange_triples_hold(core)
-
-
-def _gross_substitutes(h: SetFunction, hit: PairHit, core: Sequence[int]) -> ConditionReport:
+def _gross_substitutes(
+    h: SetFunction, hit: PairHit, core: Sequence[int], kept: Sequence[int]
+) -> ConditionReport:
     """The gross-substitutes report of a monotone table, on the first pair
-    violation `hit` and the interacting table `core`."""
-    if _gross_substitutes_holds(hit, core):
+    violation `hit` and the interacting table `core` over the workers
+    `kept`, whose first failing triple answers for the whole table only
+    behind a submodular verdict."""
+    if hit is not None:
+        base, i, j = hit
+        return _exchange_report(h, base | 1 << i | 1 << j, base, i)
+    triple = _first_exchange_violation(core)
+    if triple is None:
         return ConditionReport(verdict=True)
-    return _witnessed(_gross_substitutes_scan(h), "gross substitutes")
+    return _exchange_report(h, *_triple_exchange(h.scaled, *(kept[c] for c in triple)))
+
+
+def _triple_exchange(vals: Sequence[int], i: int, j: int, k: int) -> tuple[int, int, int]:
+    """(S, T, w) for the triple i < j < k at the least X within N - {i,
+    j, k} where one of the three sums is the strict maximum: its pair
+    a < b with X is S, its lone worker c with X is T, and w = a."""
+    bi, bj, bk = 1 << i, 1 << j, 1 << k
+    splits = ((bi, bj, bk), (bi, bk, bj), (bj, bk, bi))  # (a, b, c), a < b
+    rest = (len(vals) - 1) ^ bi ^ bj ^ bk
+    x = 0
+    while True:
+        sums = [vals[x | a | b] + vals[x | c] for a, b, c in splits]
+        top = max(sums)
+        if sums.count(top) == 1:
+            a, b, c = splits[sums.index(top)]
+            return x | a | b, x | c, a.bit_length() - 1
+        if x == rest:
+            raise RuntimeError(
+                "gross substitutes: the exchange kernel names a triple that holds at every X"
+            )
+        x = (x - rest) & rest
+
+
+def _exchange_report(h: SetFunction, s: int, t: int, i: int) -> ConditionReport:
+    """The gross-substitutes report on moving worker i from S = `s` to
+    T = `t`, re-checked on the table: no move or swap may reach
+    h(S) + h(T)."""
+    vals = h.scaled
+    bi = 1 << i
+    combined = vals[s] + vals[t]
+    # bj = 0 moves w alone; any other bj swaps it against that worker of T
+    best = max(
+        vals[(s ^ bi) | bj] + vals[(t | bi) ^ bj]
+        for bj in (0, *(1 << j for j in bit_indices(t & ~s)))
+    )
+    if not (s & bi and not t & bi and best < combined):
+        raise RuntimeError("gross substitutes: the reported exchange does not lose value")
+    return ConditionReport(
+        verdict=False,
+        witness={
+            "set_a": list(h.members(s)),
+            "set_b": list(h.members(t)),
+            "worker": h.universe[i],
+            "combined_value": str(Fraction(combined, h.den)),
+            "best_exchange": str(Fraction(best, h.den)),
+        },
+        details="local exchange loses value; not gross substitutes",
+    )
 
 
 def classify(h: SetFunction) -> dict[str, ConditionReport]:
@@ -369,9 +404,9 @@ def classify(h: SetFunction) -> dict[str, ConditionReport]:
     a submodularity violation the middle classes hold, weak substitutes
     follows by telescoping (this rests on h(empty) = 0), and gross
     substitutes needs only the three-element local inequality. With one,
-    strong and gross substitutes fail, and every false verdict gets its
-    standalone check's witness: the strong and gross verdicts come from
-    the deciders those checks call.
+    strong and gross substitutes fail, witnessed by that violation. The
+    strong and gross reports come from the deciders their standalone checks
+    call.
     """
     drop = h.first_monotonicity_violation()
     if drop is not None:
@@ -384,20 +419,21 @@ def classify(h: SetFunction) -> dict[str, ConditionReport]:
         }
         return {"monotone": ConditionReport(verdict=False, witness=witness)}
     holds = ConditionReport(verdict=True)
-    core = _interacting_table(h.scaled)
+    core, kept = _interacting_table(h.scaled)
     hit = _first_submodularity_violation(h, core)
     return {
         "monotone": holds,
         "weak_substitutes": holds if hit is None else is_weak_substitutes(h),
         "submodular": _submodularity_report(h, hit),
         "strong_substitutes": _strong_substitutes(h, hit),
-        "gross_substitutes": _gross_substitutes(h, hit, core),
+        "gross_substitutes": _gross_substitutes(h, hit, core, kept),
     }
 
 
-def _exchange_triples_hold(vals: Sequence[int]) -> bool:
-    """The three-element local inequality of the table `vals`, once per X
-    and triple i < j < k.
+def _first_exchange_violation(vals: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """The first triple i < j < k of the table `vals` that fails the
+    three-element local inequality at some X, pairs (i, k) ascending and
+    then j; None when every triple holds.
 
     Of the three sums h(X+i+j) + h(X+k), h(X+i+k) + h(X+j) and
     h(X+j+k) + h(X+i), each must be at most the larger of the other two,
@@ -435,53 +471,10 @@ def _exchange_triples_hold(vals: Sequence[int]) -> bool:
                         # the larger of x, y must be matched by z, or x = y >= z
                         if x < y:
                             if z != y:
-                                return False
+                                return i, j, k
                         elif x > y:
                             if z != x:
-                                return False
+                                return i, j, k
                         elif z > x:
-                            return False
-    return True
-
-
-def _gross_substitutes_scan(h: SetFunction) -> ConditionReport:
-    """The exchange inequality at every (S, T, w), directly.
-
-    S ascending, then T ascending, then w by index: the first violation
-    found is the canonical witness.
-    """
-    vals = h.scaled
-    n = h.n
-    size = 1 << n
-    for s in range(size):
-        for t in range(size):
-            diff = s & ~t
-            if not diff:
-                continue
-            lhs = vals[s] + vals[t]
-            for i in bit_indices(diff):
-                bi = 1 << i
-                best = vals[s ^ bi] + vals[t | bi]
-                if best >= lhs:
-                    continue
-                for j in bit_indices(t & ~s):
-                    bj = 1 << j
-                    cand = vals[(s ^ bi) | bj] + vals[(t | bi) ^ bj]
-                    if cand > best:
-                        best = cand
-                        if best >= lhs:
-                            break
-                if best < lhs:
-                    # no break was taken, so best is the maximum over all w'
-                    return ConditionReport(
-                        verdict=False,
-                        witness={
-                            "set_a": list(h.members(s)),
-                            "set_b": list(h.members(t)),
-                            "worker": h.universe[i],
-                            "combined_value": str(Fraction(lhs, h.den)),
-                            "best_exchange": str(Fraction(best, h.den)),
-                        },
-                        details="local exchange loses value; not gross substitutes",
-                    )
-    return ConditionReport(verdict=True)
+                            return i, j, k
+    return None

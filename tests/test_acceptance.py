@@ -17,9 +17,9 @@ import pytest
 import jobmarket.selftest as selftest
 from jobmarket.model import Profile, SetFunction
 from jobmarket.necessity import GENERATOR_KINDS
+from jobmarket.oracles import strong_substitutes_scan
 from jobmarket.pivot import check_ir, check_sir, vcg
 from jobmarket.setfn import (
-    _strong_substitutes_scan,
     demand_set,
     is_gross_substitutes,
     is_strong_substitutes,
@@ -213,7 +213,7 @@ def test_criterion_09_order_closure_equivalence(criterion, corpus_a, corpus_b):
             ):
                 continue
             fn = SetFunction.from_values(workers3, tuple(F(v) for v in table))
-            assert is_submodular(fn).verdict == _strong_substitutes_scan(fn).verdict
+            assert is_submodular(fn).verdict == strong_substitutes_scan(fn).verdict
             exhaustive += 1
         rng = random.Random("equivalence")
         for _ in range(1000):
@@ -227,7 +227,7 @@ def test_criterion_09_order_closure_equivalence(criterion, corpus_a, corpus_b):
                 )
                 vals[mask] = below + rng.choice(bumps)
             fn = SetFunction.from_values(ws, tuple(vals))
-            assert is_submodular(fn).verdict == _strong_substitutes_scan(fn).verdict
+            assert is_submodular(fn).verdict == strong_substitutes_scan(fn).verdict
         note(
             f"order on {len(markets)} markets, closure premise held {premise_held} times, "
             f"equivalence on {exhaustive} exhaustive + 1000 random tables"

@@ -2,20 +2,26 @@
 
 The classifiers decide on the table's integer form and, for strong and
 gross substitutes, on a cheaper equivalent condition. Each is compared
-here with an independent computation: the exhaustive scans that locate the
-canonical witnesses, and Fraction references written out below in the
-shape of the definitions. Reports must agree in verdict, witness and
-details, on monotone and non-monotone tables with mixed denominators.
+here with an independent computation: the exhaustive scans of `oracles`,
+and Fraction references written out below in the shape of the
+definitions. Monotonicity, weak-substitutes and submodularity reports must
+agree with their references in verdict, witness and details, on monotone
+and non-monotone tables with mixed denominators. Strong and gross
+verdicts must agree with the scans, and their reports with references
+that name the local violation the deciders find; every false one is also
+re-checked in Fraction arithmetic against its class's definition.
 """
 
 from fractions import Fraction
 from math import lcm
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jobmarket.oracles as oracles
 import jobmarket.setfn as setfn
 from jobmarket.model import ConditionReport, SetFunction
 from jobmarket.necessity import generate
@@ -200,7 +206,9 @@ def _ref_weak_substitutes(h: SetFunction) -> ConditionReport:
     return ConditionReport(verdict=True)
 
 
-def _ref_submodular(h: SetFunction) -> ConditionReport:
+def _ref_first_pair(h: SetFunction) -> Optional[tuple[int, int, int]]:
+    """The first (B, i, j), i < j, with h(B+i) + h(B+j) < h(B+i+j) + h(B):
+    B ascending, then i, then j."""
     vals = h.values
     for base in range(1 << h.n):
         for i in range(h.n):
@@ -209,18 +217,28 @@ def _ref_submodular(h: SetFunction) -> ConditionReport:
                 if base & (bi | bj):
                     continue
                 if vals[base | bi] + vals[base | bj] < vals[base | bi | bj] + vals[base]:
-                    return ConditionReport(
-                        verdict=False,
-                        witness={
-                            "smaller_set": list(h.members(base | bi)),
-                            "larger_set": list(h.members(base | bi | bj)),
-                            "worker": h.universe[i],
-                            "marginal_smaller": str(vals[base | bi] - vals[base]),
-                            "marginal_larger": str(vals[base | bi | bj] - vals[base | bj]),
-                        },
-                        details="a worker's marginal grows when the set grows",
-                    )
-    return ConditionReport(verdict=True)
+                    return base, i, j
+    return None
+
+
+def _ref_submodular(h: SetFunction) -> ConditionReport:
+    hit = _ref_first_pair(h)
+    if hit is None:
+        return ConditionReport(verdict=True)
+    base, i, j = hit
+    bi, bj = 1 << i, 1 << j
+    vals = h.values
+    return ConditionReport(
+        verdict=False,
+        witness={
+            "smaller_set": list(h.members(base | bi)),
+            "larger_set": list(h.members(base | bi | bj)),
+            "worker": h.universe[i],
+            "marginal_smaller": str(vals[base | bi] - vals[base]),
+            "marginal_larger": str(vals[base | bi | bj] - vals[base | bj]),
+        },
+        details="a worker's marginal grows when the set grows",
+    )
 
 
 def _ref_strong_substitutes(h: SetFunction) -> ConditionReport:
@@ -272,6 +290,113 @@ def _ref_gross_substitutes_scan(h: SetFunction) -> ConditionReport:
     return ConditionReport(verdict=True)
 
 
+def _ref_first_triple(h: SetFunction) -> Optional[tuple[int, int, int, int]]:
+    """(i, j, k, X): the first triple i < j < k, pairs (i, k) ascending and
+    then j, whose three sums h(X+i+j) + h(X+k), h(X+i+k) + h(X+j) and
+    h(X+j+k) + h(X+i) have a strict maximum at some X, and the least such X."""
+    vals = h.scaled
+    for i in range(h.n):
+        for k in range(i + 2, h.n):
+            for j in range(i + 1, k):
+                bi, bj, bk = 1 << i, 1 << j, 1 << k
+                for x in range(1 << h.n):
+                    if x & (bi | bj | bk):
+                        continue
+                    sums = [
+                        vals[x | bi | bj] + vals[x | bk],
+                        vals[x | bi | bk] + vals[x | bj],
+                        vals[x | bj | bk] + vals[x | bi],
+                    ]
+                    if sums.count(max(sums)) == 1:
+                        return i, j, k, x
+    return None
+
+
+def _ref_local_strong(h: SetFunction) -> ConditionReport:
+    """The strong-substitutes report on the first pair violation (B, i, j):
+    S' = {i, j} removed from S = B+i+j."""
+    hit = _ref_first_pair(h)
+    if hit is None:
+        return ConditionReport(verdict=True)
+    base, i, j = hit
+    removed = 1 << i | 1 << j
+    s = base | removed
+    return ConditionReport(
+        verdict=False,
+        witness={
+            "set": list(h.members(s)),
+            "removed": list(h.members(removed)),
+            "value_drop": str(h.values[s] - h.values[base]),
+            "marginal_sum": str(_marginal_sum(h, s, removed)),
+        },
+        details="removing a group costs less than its members' marginals",
+    )
+
+
+def _ref_local_gross(h: SetFunction) -> ConditionReport:
+    """The gross-substitutes report on the first pair violation (B, i, j):
+    w = i moved from S = B+i+j to T = B. On a submodular table, on the
+    first failing triple at its least X: the strict maximum
+    h(X+a+b) + h(X+c) names S = X+a+b, T = X+c and w = a < b, and the
+    other two sums are the move of w and its swap against c."""
+    vals = h.values
+    hit = _ref_first_pair(h)
+    if hit is not None:
+        base, i, j = hit
+        bi, bj = 1 << i, 1 << j
+        s, t, w = base | bi | bj, base, i
+        combined, best = vals[s] + vals[t], vals[base | bi] + vals[base | bj]
+    else:
+        triple = _ref_first_triple(h)
+        if triple is None:
+            return ConditionReport(verdict=True)
+        i, j, k, x = triple
+        bi, bj, bk = 1 << i, 1 << j, 1 << k
+        sums = sorted(
+            (vals[x | a | b] + vals[x | c], x | a | b, x | c, w)
+            for a, b, c, w in ((bi, bj, bk, i), (bi, bk, bj, i), (bj, bk, bi, j))
+        )
+        (combined, s, t, w), best = sums[2], sums[1][0]
+    return ConditionReport(
+        verdict=False,
+        witness={
+            "set_a": list(h.members(s)),
+            "set_b": list(h.members(t)),
+            "worker": h.universe[w],
+            "combined_value": str(combined),
+            "best_exchange": str(best),
+        },
+        details="local exchange loses value; not gross substitutes",
+    )
+
+
+def _recheck(h: SetFunction, report: ConditionReport) -> None:
+    """A report's verdict against its witness, re-checked in Fraction
+    arithmetic from the table's values by the definition of its class
+    (strong substitutes when the witness removes a set, else gross)."""
+    if report.verdict:
+        assert report.witness is None
+        return
+    wit, vals = report.witness, h.values
+    if "removed" in wit:
+        s, r = h.mask_of(wit["set"]), h.mask_of(wit["removed"])
+        assert r and r & ~s == 0
+        drop, total = vals[s] - vals[s ^ r], _marginal_sum(h, s, r)
+        assert (Fraction(wit["value_drop"]), Fraction(wit["marginal_sum"])) == (drop, total)
+        assert drop < total
+        return
+    s, t = h.mask_of(wit["set_a"]), h.mask_of(wit["set_b"])
+    bw = 1 << h.universe.index(wit["worker"])
+    assert s & bw and not t & bw
+    # move w alone, or swap it against any worker of T outside S
+    exchanges = [vals[s ^ bw] + vals[t | bw]] + [
+        vals[s ^ bw | 1 << j] + vals[(t | bw) ^ 1 << j] for j in bit_indices(t & ~s)
+    ]
+    combined, best = vals[s] + vals[t], max(exchanges)
+    assert (Fraction(wit["combined_value"]), Fraction(wit["best_exchange"])) == (combined, best)
+    assert best < combined
+
+
 def _ref_exchange_triples(h: SetFunction) -> bool:
     """The three-element local inequality, once per unordered pair {i, j}
     and every k outside X + i + j: each ordering of a triple on its own."""
@@ -315,8 +440,11 @@ ONE_UNIT_DROP = SetFunction.from_values(("w1", "w2"), (Fraction(0), Fraction(2),
 @example(TRIPLE_UNIQUE_MAX)
 def test_gross_substitutes_matches_the_exchange_scan(fn):
     report = setfn.is_gross_substitutes(fn)
-    assert report == setfn._gross_substitutes_scan(fn)
-    assert report == _ref_gross_substitutes_scan(fn)
+    scan = oracles.gross_substitutes_scan(fn)
+    assert report.verdict == scan.verdict
+    assert scan == _ref_gross_substitutes_scan(fn)
+    assert report == _ref_local_gross(fn)
+    _recheck(fn, report)
 
 
 @PROPERTY_SETTINGS
@@ -324,8 +452,9 @@ def test_gross_substitutes_matches_the_exchange_scan(fn):
 @example(COMPLEMENTS)
 @example(BUDGET_CAPPED)
 def test_local_exchange_test_matches_the_scan_off_the_monotone_tables(fn):
-    local = setfn._submodular_holds(fn.scaled) and setfn._exchange_triples_hold(fn.scaled)
-    assert local == setfn._gross_substitutes_scan(fn).verdict
+    submodular = setfn._submodular_holds(fn.scaled)
+    local = submodular and setfn._first_exchange_violation(fn.scaled) is None
+    assert local == oracles.gross_substitutes_scan(fn).verdict
 
 
 @PROPERTY_SETTINGS
@@ -335,8 +464,11 @@ def test_local_exchange_test_matches_the_scan_off_the_monotone_tables(fn):
 @example(BUDGET_CAPPED)
 def test_triple_test_matches_the_per_ordering_loop(fn):
     triples = _ref_exchange_triples(fn)
-    assert setfn._exchange_triples_hold(fn.scaled) == triples
-    local = setfn._submodular_holds(fn.scaled) and setfn._exchange_triples_hold(fn.scaled)
+    first = setfn._first_exchange_violation(fn.scaled)
+    assert (first is None) == triples
+    reference = _ref_first_triple(fn)
+    assert first == (None if reference is None else reference[:3])
+    local = setfn._submodular_holds(fn.scaled) and first is None
     assert local == (_ref_submodular(fn).verdict and triples)
 
 
@@ -356,12 +488,36 @@ def test_classify_matches_the_standalone_checks(fn):
     assert chain["submodular"] == setfn.is_submodular(fn)
     # the exhaustive scans, not the deciders classify shares with the
     # standalone checks
-    for cls, scan in (
-        ("strong_substitutes", setfn._strong_substitutes_scan),
-        ("gross_substitutes", setfn._gross_substitutes_scan),
+    for cls, scan, reference in (
+        ("strong_substitutes", oracles.strong_substitutes_scan, _ref_local_strong),
+        ("gross_substitutes", oracles.gross_substitutes_scan, _ref_local_gross),
     ):
-        report = scan(fn)
-        assert (chain[cls].verdict, chain[cls].witness) == (report.verdict, report.witness)
+        assert chain[cls].verdict == scan(fn).verdict
+        assert chain[cls] == reference(fn)
+        _recheck(fn, chain[cls])
+
+
+@PROPERTY_SETTINGS
+@given(monotone_table)
+@example(plateau_table())
+@example(COMPLEMENTS)
+def test_a_pair_violation_witnesses_all_three_classes(fn):
+    """On a table that is not submodular, the submodular, strong and gross
+    witnesses name one (B, i, j)."""
+    chain = setfn.classify(fn)
+    if chain["submodular"].verdict:
+        return
+    sub, strong, gross = (
+        chain[cls].witness for cls in ("submodular", "strong_substitutes", "gross_substitutes")
+    )
+    i = fn.index[sub["worker"]]
+    pair = fn.mask_of(sub["larger_set"])
+    j = (pair & ~fn.mask_of(sub["smaller_set"])).bit_length() - 1
+    base = pair ^ 1 << i ^ 1 << j
+    assert fn.mask_of(sub["smaller_set"]) == base | 1 << i and i < j
+    assert (fn.mask_of(strong["set"]), fn.mask_of(strong["removed"])) == (pair, 1 << i | 1 << j)
+    assert (fn.mask_of(gross["set_a"]), fn.mask_of(gross["set_b"])) == (pair, base)
+    assert gross["worker"] == sub["worker"]
 
 
 def test_classify_and_the_standalone_checks_share_each_decider(monkeypatch):
@@ -392,9 +548,12 @@ def test_classify_leaves_non_monotone_tables_unclassified():
 @PROPERTY_SETTINGS
 @given(any_table)
 def test_strong_substitutes_matches_the_exhaustive_scans(fn):
-    scan = setfn._strong_substitutes_scan(fn)
-    assert setfn.is_strong_substitutes(fn) == scan
+    scan = oracles.strong_substitutes_scan(fn)
+    report = setfn.is_strong_substitutes(fn)
+    assert report.verdict == scan.verdict
     assert scan == _ref_strong_substitutes(fn)
+    assert report == _ref_local_strong(fn)
+    _recheck(fn, report)
 
 
 @PROPERTY_SETTINGS
@@ -457,7 +616,8 @@ def test_kernels_find_a_violation_planted_at_any_pair(n):
                 walk = list(setfn._submodularity_violations(fn))
                 assert walk == ([] if bump == 1 else [(0, i, j)])
                 assert setfn._first_submodularity_violation(fn) == next(iter(walk), None)
-                assert not setfn._exchange_triples_hold(fn.scaled)
+                assert setfn._first_exchange_violation(fn.scaled) is not None
+                _recheck(fn, setfn.classify(fn)["gross_substitutes"])
 
 
 # ---- modular workers ------------------------------------------------------------
@@ -520,40 +680,55 @@ def _ref_modular_mask(h: SetFunction) -> int:
 @example(LATE_SLICE_NON_MODULAR)
 def test_modular_workers_change_no_verdict_or_witness(fn):
     modular = _ref_modular_mask(fn)
-    core = setfn._interacting_table(fn.scaled)
+    core, kept = setfn._interacting_table(fn.scaled)
     assert list(core) == [v for m, v in enumerate(fn.scaled) if not m & modular]
+    assert kept == [i for i in range(fn.n) if not modular >> i & 1]
     hit = setfn._first_submodularity_violation(fn)
     assert hit == setfn._first_submodularity_violation(fn, core)
     assert hit == next(setfn._submodularity_violations(fn), None)
     assert setfn.is_submodular(fn) == _ref_submodular(fn)
     # the full-table triple test keeps its meaning on any table
-    assert setfn._exchange_triples_hold(fn.scaled) == _ref_exchange_triples(fn)
-    assert setfn._gross_substitutes_holds(hit, core) == setfn._gross_substitutes_scan(fn).verdict
+    assert (setfn._first_exchange_violation(fn.scaled) is None) == _ref_exchange_triples(fn)
+    gross = hit is None and setfn._first_exchange_violation(core) is None
+    assert gross == oracles.gross_substitutes_scan(fn).verdict
     chain = setfn.classify(fn)
     if not fn.is_monotone():
         assert list(chain) == ["monotone"]
         return
     for cls, scan in (
-        ("strong_substitutes", setfn._strong_substitutes_scan),
-        ("gross_substitutes", setfn._gross_substitutes_scan),
+        ("strong_substitutes", oracles.strong_substitutes_scan),
+        ("gross_substitutes", oracles.gross_substitutes_scan),
     ):
-        report = scan(fn)
-        assert (chain[cls].verdict, chain[cls].witness) == (report.verdict, report.witness)
+        assert chain[cls].verdict == scan(fn).verdict
+        _recheck(fn, chain[cls])
+    # the kernels on the whole table, every worker kept, give every witness
+    # the same sets: the triple a cut table names maps back through `kept`
+    whole = (fn.scaled, list(range(fn.n)))
+    with mock.patch.object(setfn, "_interacting_table", lambda vals: whole):
+        assert setfn.classify(fn) == chain
 
 
 def test_the_triple_reduction_needs_a_submodular_table():
     fn = MODULAR_BESIDE_COMPLEMENTS
-    core = setfn._interacting_table(fn.scaled)
-    assert list(core) == [0, 0, 0, 1]
-    assert setfn._exchange_triples_hold(core)
-    assert not setfn._exchange_triples_hold(fn.scaled)
+    core, kept = setfn._interacting_table(fn.scaled)
+    assert (list(core), kept) == ([0, 0, 0, 1], [1, 2])
+    assert setfn._first_exchange_violation(core) is None
+    assert setfn._first_exchange_violation(fn.scaled) == (0, 1, 2)
     hit = setfn._first_submodularity_violation(fn)
     assert hit == (0, 1, 2)
-    assert not setfn._gross_substitutes_holds(hit, core)
-    assert setfn.classify(fn)["gross_substitutes"] == setfn._gross_substitutes_scan(fn)
+    # the pair violation (empty, w2, w3) witnesses the false verdict
+    gross = setfn.classify(fn)["gross_substitutes"]
+    assert gross.witness == {
+        "set_a": ["w2", "w3"],
+        "set_b": [],
+        "worker": "w2",
+        "combined_value": "1",
+        "best_exchange": "0",
+    }
+    assert gross == oracles.gross_substitutes_scan(fn)
 
 
-BOTH_KERNELS = ("_submodular_holds", "_exchange_triples_hold")
+BOTH_KERNELS = ("_submodular_holds", "_first_exchange_violation")
 
 
 def _kernel_inputs(monkeypatch) -> list[tuple[str, int]]:
@@ -610,7 +785,8 @@ def test_a_passed_probe_is_confirmed_before_a_worker_goes(monkeypatch, fn, passi
 def test_a_table_without_modular_workers_passes_whole(monkeypatch, spec):
     fn = generate(*spec).utility("f1")
     assert _ref_modular_mask(fn) == 0
-    assert setfn._interacting_table(fn.scaled) is fn.scaled
+    core, kept = setfn._interacting_table(fn.scaled)
+    assert core is fn.scaled and kept == list(range(fn.n))
     calls = _kernel_inputs(monkeypatch)
     assert setfn.classify(fn)["submodular"].verdict
     assert calls == [(name, 1 << fn.n) for name in BOTH_KERNELS]
@@ -634,10 +810,22 @@ def test_scaled_table_clears_the_common_denominator(fn):
 
 
 def test_false_verdicts_without_a_witness_are_internal_errors(monkeypatch):
-    passing = ConditionReport(verdict=True)
-    monkeypatch.setattr(setfn, "_strong_substitutes_scan", lambda h: passing)
-    monkeypatch.setattr(setfn, "_gross_substitutes_scan", lambda h: passing)
-    with pytest.raises(RuntimeError, match="strong substitutes"):
-        setfn.is_strong_substitutes(plateau_table())
-    with pytest.raises(RuntimeError, match="gross substitutes"):
-        setfn.is_gross_substitutes(budget_vs_additive_market().utility("f1"))
+    """A kernel that names a violation the table does not have, or a walk
+    that reports an exchange that does not lose, is an internal error."""
+    # gross substitutes, and no worker is modular
+    fn = SetFunction.unit_demand(_universe(4), {"w1": 1, "w2": 2, "w3": 3, "w4": 4})
+    assert setfn._interacting_table(fn.scaled)[1] == [0, 1, 2, 3]
+    with monkeypatch.context() as patch:
+        # (w1, w2, w3): every sum is 3 + h(X + w4), at every X
+        patch.setattr(setfn, "_first_exchange_violation", lambda vals: (0, 1, 2))
+        for check in (setfn.classify, setfn.is_gross_substitutes):
+            with pytest.raises(RuntimeError, match="names a triple that holds at every X"):
+                check(fn)
+        # moving w1 from {w1, w2} to {w3} keeps 2 + 3
+        patch.setattr(setfn, "_triple_exchange", lambda vals, i, j, k: (0b011, 0b100, 0))
+        with pytest.raises(RuntimeError, match="the reported exchange does not lose value"):
+            setfn.classify(fn)
+    monkeypatch.setattr(setfn, "_submodular_holds", lambda vals: False)
+    for check in (setfn.classify, setfn.is_strong_substitutes):
+        with pytest.raises(RuntimeError, match="the ordered walk does not"):
+            check(fn)

@@ -158,7 +158,7 @@ def test_detects_corrupted_classifier(monkeypatch):
 def test_detects_disagreeing_gross_substitutes_scan(monkeypatch):
     """A scan that fails every table must contradict the local test."""
     forced = ConditionReport(False, {"forced": "yes"})
-    monkeypatch.setattr(setfn, "_gross_substitutes_scan", lambda h: forced)
+    monkeypatch.setattr(oracles, "gross_substitutes_scan", lambda h: forced)
     report = selftest.run(trials=20, seed=1)
     suite = next(s for s in report.suites if s.name == "valuation_chain")
     assert any("disagrees with the scan" in f for f in suite.failures)
@@ -168,16 +168,14 @@ def test_detects_passing_strong_substitutes_scan(monkeypatch):
     """A strong-substitutes scan that passes every table must contradict
     the submodularity verdict on the tables that are not submodular."""
     monkeypatch.setattr(
-        setfn, "_strong_substitutes_scan", lambda h: ConditionReport(verdict=True)
+        oracles, "strong_substitutes_scan", lambda h: ConditionReport(verdict=True)
     )
     report = selftest.run(trials=40, seed=1)
     assert [s.name for s in report.suites if not s.ok] == ["valuation_chain"]
     suite = report.suites[SUITE_NAMES.index("valuation_chain")]
     assert suite.failures
     for line in suite.failures:
-        assert line.endswith(
-            ": strong substitutes: the verdict is false but the exhaustive scan finds no violation"
-        )
+        assert line.endswith(": the chain's strong_substitutes disagrees with the scan")
 
 
 def _spy(monkeypatch, module, name):
@@ -193,20 +191,20 @@ def _spy(monkeypatch, module, name):
     return calls
 
 
-def test_valuation_chain_runs_the_gross_scan_twice_on_a_failing_table(monkeypatch):
-    """A monotone table that is not submodular needs the gross scan twice:
-    for the chain's witness and as the oracle."""
-    calls = _spy(monkeypatch, setfn, "_gross_substitutes_scan")
+def test_valuation_chain_runs_the_gross_scan_once_on_a_failing_table(monkeypatch):
+    """A monotone table that is not submodular runs the gross scan once,
+    as the oracle: the chain's witness is its pair violation."""
+    calls = _spy(monkeypatch, oracles, "gross_substitutes_scan")
     m = plateau_market()
     result = selftest._valuation_chain([("plateau", m, (m.disutilities,))])
     assert result.ok and result.counts["gross_substitutes"] == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_stability_suite_runs_no_gross_witness_scan(monkeypatch):
     """The suite needs only the firms' gross-substitutes verdicts; the
-    O(n^2 4^n) witness scan runs for the valuation chain alone."""
-    calls = _spy(monkeypatch, setfn, "_gross_substitutes_scan")
+    O(n^2 4^n) scan runs for the valuation chain alone."""
+    calls = _spy(monkeypatch, oracles, "gross_substitutes_scan")
     suite_calls = []
     real = selftest._stability_agreement
 
@@ -271,6 +269,8 @@ def _flipped(real):
             ("check_marginal_product_order", "marginal_product_order", _flipped),
             ("check_tight_sets_downward_closed", "tight_sets_downward_closed", _flipped),
             ("check_strategy_proofness", "truthful_dominance", _flipped),
+            ("strong_substitutes_scan", "valuation_chain", _flipped),
+            ("gross_substitutes_scan", "valuation_chain", _flipped),
         )
     ],
 )

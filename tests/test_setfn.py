@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from jobmarket.model import SetFunction
 from jobmarket.necessity import generate
+from jobmarket.oracles import strong_substitutes_scan
 from jobmarket.setfn import (
-    _strong_substitutes_scan,
     classify,
     demand_set,
     is_gross_substitutes,
@@ -122,7 +122,7 @@ def test_equivalence_of_submodular_and_strong_substitutes():
     rng = random.Random(13)
     for _ in range(120):
         fn = _random_monotone(rng, rng.randint(1, 5))
-        assert is_submodular(fn).verdict == _strong_substitutes_scan(fn).verdict
+        assert is_submodular(fn).verdict == strong_substitutes_scan(fn).verdict
 
 
 def test_chain_on_generated_families():
