@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import gt
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .subsets import bit_halves, mask_of, members, subset_sums
+from .subsets import lane_tops, lanes_without, mask_of, members, pack_lanes, subset_sums
 
 #: Hard cap on universe size; tables are dense with 2^n entries.
 WORKER_CAP = 20
@@ -169,13 +168,20 @@ class SetFunction:
 
         Scans subsets in ascending mask order, added worker in index order;
         adjacent pairs suffice because monotonicity failures compose along
-        one-element chains. The verdict compares `bit_halves` slices at C
-        speed; only a table that drops somewhere runs the ordered walk.
+        one-element chains. The verdict is a shift, a subtraction and a
+        mask per bit b, big-int operations on the table packed into lanes
+        (`subsets.pack_lanes`); only a table that drops somewhere runs the
+        ordered walk.
         """
         vals = self.scaled
         n = self.n
-        halves = (h for i in range(n) for h in bit_halves(len(vals), 1 << i))
-        if not any(any(map(gt, vals[lo], vals[hi])) for lo, hi in halves):
+        packed, width = pack_lanes(vals, 1)
+        bias = lane_tops(width, len(vals))
+        # lane m: vals[m | 2^b] - vals[m] + 2^(width-1), top bit set iff no drop
+        if all(
+            ((packed >> (width << b)) + bias - packed) & tops == tops
+            for b, tops in lanes_without(width, n)
+        ):
             return None
         for s in range(1 << n):
             vs = vals[s]

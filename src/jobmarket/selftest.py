@@ -230,7 +230,7 @@ def _valuation_chain(corpus: Corpus) -> SuiteResult:
     `oracles`, whose first violations in scan order need not be the local
     ones the chain reports. The chain takes weak substitutes from
     submodularity; the standalone scan does not. `is_submodular` decides
-    on the same slice kernel as the chain, so the chain's submodular
+    on the same packed kernel as the chain, so the chain's submodular
     verdict is also checked against the ordered pair walk.
     `is_strong_substitutes` and `is_gross_substitutes` call the chain's
     own deciders, so they are not compared with it. The counts are the

@@ -28,13 +28,16 @@ The defining conditions range over pairs of sets, 3^n for strong and 4^n
 for gross substitutes; their exhaustive scans are cross-checks in
 `oracles`, and no checker here runs one.
 
-Submodularity and the three-element exchange inequality are decided on
-per-bit slice kernels, as the monotonicity scan is: marginal and
-interaction tables built from `subsets.bit_halves` slices, compared slice
-against slice with no mask arithmetic per element. They hold a constant
-number of 2^(k-1) and 2^(k-2) lists at a time. After a false verdict the
-ordered pair walk (`_submodularity_violations`) or the triple's X walk
-finds the witness on the full table.
+Submodularity and the three-element exchange inequality are decided, as
+monotonicity is, on the table packed into one int of fixed-width lanes
+(`subsets.pack_lanes`): a marginal or an interaction over every set at
+once is a shift and a subtraction of big ints, in C, and a comparison is
+the top bit of each lane once 2^(width-1) is added. The cost is counted
+in big-int operations on the 2^k * width bits of the table: about 4 per
+pair of workers, and 16 per triple. Each kernel holds about a dozen
+packed ints and the k masks of `subsets.lanes_without` at a time. After
+a false verdict the ordered pair walk (`_submodularity_violations`) or
+the triple's X walk finds the witness on the full table.
 
 Both kernels run on the table's interacting workers only. A worker i is
 modular when its marginal d_i(S) = h(S+i) - h(S) is one constant c_i on
@@ -62,25 +65,34 @@ worker.
 `classify` reports monotonicity, with the first drop as witness, then
 decides all four classes of a monotone table as one chain (gross
 substitutes => submodular = strong substitutes => weak substitutes),
-which is what the `classify` command runs. Per table: one
-monotonicity scan, the O(n) probes and the submodularity kernel, O(k^2
-2^k) element steps on slices; on a submodular table, the exchange
-kernel's C(k,3) 2^(k-3) element steps, and the 2^(n-3) X walk after a
-false verdict; on any other, the ordered pair walk to the first violation
-and the O(n 2^n) weak-substitutes scan. Deriving weak substitutes from
-submodularity (telescope the marginals down to the empty set) rests on
-h(empty) = 0, which SetFunction enforces.
+which is what the `classify` command runs. Per table: the monotonicity
+kernel, n big-int subtractions (one per worker) on the packed 2^n table,
+the O(n) probes and the submodularity kernel, k(k-1)/2 pairs of a few
+big-int operations on the packed 2^k table; on a submodular table, the
+exchange kernel's C(k,3) triples of about 16, and the 2^(n-3) X walk
+after a false verdict; on any other, the ordered pair walk to the first
+violation and the O(n 2^n) weak-substitutes scan. Deriving weak
+substitutes from submodularity (telescope the marginals down to the
+empty set) rests on h(empty) = 0, which SetFunction enforces.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from operator import eq, lt, sub
+from operator import eq, sub
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import ConditionReport, RationalLike, SetFunction, as_fraction, clear_denominators
-from .subsets import bit_halves, bit_indices, bit_marginals, drop_bit, subset_sums
+from .subsets import (
+    bit_halves,
+    bit_indices,
+    drop_bit,
+    lane_tops,
+    lanes_without,
+    pack_lanes,
+    subset_sums,
+)
 
 
 def is_weak_substitutes(h: SetFunction) -> ConditionReport:
@@ -163,22 +175,29 @@ def _interacting_table(vals: Sequence[int]) -> tuple[Sequence[int], list[int]]:
 
 def _submodular_holds(vals: Sequence[int]) -> bool:
     """The adjacent-pair inequality at every S and i < j of the table
-    `vals`, on slices.
+    `vals`, on the table packed into lanes (`subsets.pack_lanes`).
 
     It says that worker i's marginal d_i(S) = h(S+i) - h(S) does not rise
-    when a higher worker j joins S. For each i, d_i is one list over the
-    masks without i, and each higher j is one `bit_halves` pass of C-speed
-    comparisons on it: n(n-1)/2 2^(n-2) element steps in all, one marginal
-    table of 2^(n-1) entries held at a time.
+    when a higher worker j joins S: q_ij(S) = d_i(S+j) - d_i(S) <= 0. For
+    each i, d_i is one packed int; each higher j is a shift, a subtraction
+    and a mask of it, about 4 big-int operations per pair. The pairs go i
+    descending, so a table that fails at a high i builds only the masks
+    (`subsets.lanes_without`) of the bits from i up. Held at a time: the
+    packed table, d_i and those masks.
     """
     n = len(vals).bit_length() - 1
-    half = len(vals) >> 1
-    for i in range(n):
-        _, d = bit_marginals(vals, 1 << i)
+    packed, width = pack_lanes(vals, 2)
+    bias = lane_tops(width, len(vals))
+    tops = {}
+    for i, without_i in lanes_without(width, n):  # i descending
+        tops[i] = without_i
+        # lane m: d_i(m) + 2^(width-1)
+        d = (packed >> (width << i)) + bias - packed
+        lifted = d + bias
         for j in range(i + 1, n):
-            # worker j sits at bit j - 1 of d's index
-            halves = bit_halves(half, 1 << j - 1)
-            if any(any(map(lt, d[lo], d[hi])) for lo, hi in halves):
+            # lane m: d_i(m) - d_i(m + 2^j) + 2^(width-1), top bit set iff q_ij(m) <= 0
+            without = without_i & tops[j]
+            if (lifted - (d >> (width << j))) & without != without:
                 return False
     return True
 
@@ -188,7 +207,7 @@ def _first_submodularity_violation(
 ) -> PairHit:
     """First (base mask, i, j) with h(S+i) + h(S+j) < h(S+i+j) + h(S).
 
-    The slice kernel decides on `core`, h's `_interacting_table` (built
+    The packed kernel decides on `core`, h's `_interacting_table` (built
     here when not given); only a table that fails it runs the ordered walk
     on h, whose first hit is the witness.
     """
@@ -204,7 +223,8 @@ def _first_submodularity_violation(
 
 def is_submodular(h: SetFunction) -> ConditionReport:
     """Diminishing marginals; checked in the adjacent-pair form, O(n) probes
-    and O(k^2 2^k) element steps on slices, k the interacting workers.
+    and O(k^2) big-int operations on the packed 2^k table, k the
+    interacting workers.
 
     A violation at base S with workers w, w' is reported in nested form:
     w's marginal on the smaller set S+w is strictly below its marginal on
@@ -439,14 +459,23 @@ def _first_exchange_violation(vals: Sequence[int]) -> Optional[tuple[int, int, i
     h(X+j+k) + h(X+i), each must be at most the larger of the other two,
     that is, their maximum must be reached at least twice. Less 2 h(X) and
     the three singleton marginals, the sums are the interactions
-    q_ij(X) = h(X+i+j) - h(X+i) - h(X+j) + h(X), q_ik(X) and q_jk(X).
+    x = q_ij(X) = h(X+i+j) - h(X+i) - h(X+j) + h(X), y = q_ik(X) and
+    z = q_jk(X), and the triple fails at X when one of them is above both
+    others: x - y >= 1 and x - z >= 1, or y - x >= 1 and y - z >= 1, or
+    z - x >= 1 and z - y >= 1.
 
-    For each pair i < k, three lists over the masks Y without i and k:
-    d_i(Y), q_ik(Y) = d_i(Y+k) - d_i(Y) and d_k(Y), with d_w the marginal
-    of worker w. Then q_ij(X) = d_i(X+j) - d_i(X) and likewise q_jk(X), so
-    each j between i and k is one zip over `bit_halves` slices of them,
-    with no mask arithmetic per element: C(n,3) 2^(n-3) element steps.
-    Held at a time: two tables of 2^(n-1) entries and three of 2^(n-2).
+    All of it runs on the table packed into lanes (`subsets.pack_lanes`),
+    lane X of each int standing for the set X. For each pair i < k the
+    marginals d_i and d_k (d_w(X) = h(X+w) - h(X)) and q_ik are packed
+    ints; then q_ij(X) = d_i(X+j) - d_i(X) and q_jk(X) = d_k(X+j) - d_k(X),
+    so each j is two shifts and a subtraction or two for each of the six
+    differences above (x - z is the sum of the other two), biased so that
+    a lane's top bit says the difference is >= 1: about 16 big-int
+    operations per triple, in the triple order. Each difference is four
+    table values, two of each sign (in x - y, h(X) and h(X+i) cancel), so
+    it is within twice the table's range, as an interaction is, and the
+    lanes need the submodularity kernel's headroom. Held at a time: about
+    ten packed ints and the n masks of `subsets.lanes_without`.
 
     This is the test on any table, submodular or not. The deciders hand it
     the `_interacting_table` only behind a submodular verdict, where a
@@ -455,26 +484,31 @@ def _first_exchange_violation(vals: Sequence[int]) -> Optional[tuple[int, int, i
     no triple at all.
     """
     n = len(vals).bit_length() - 1
-    quarter = len(vals) >> 2
+    packed, width = pack_lanes(vals, 2)
+    bias = lane_tops(width, len(vals))
+    below = bias - (bias >> width - 1)  # 2^(width-1) - 1 per lane
+    twice = below << 1
+    tops = dict(lanes_without(width, n))
     for i in range(n - 2):
-        without_i, d_i = bit_marginals(vals, 1 << i)
+        d_i = (packed >> (width << i)) + bias - packed  # lane X: d_i(X) + 2^(width-1)
         for k in range(i + 2, n):
-            # over the masks Y without i and k; worker k sits at bit k - 1
-            # of the tables without i, worker j (i < j < k) at bit j - 1 of Y
-            d_ik, q_ik = bit_marginals(d_i, 1 << k - 1)
-            d_ki = bit_marginals(without_i, 1 << k - 1)[1]
+            d_k = (packed >> (width << k)) + bias - packed
+            q_ik = (d_i >> (width << k)) - d_i
+            # lane X of (d_i >> j) less xy is x - y, and of yz less (d_k >> j)
+            # is y - z, each plus 2^(width-1) - 1
+            xy = d_i + q_ik - below
+            yz = q_ik + d_k + below
+            both = tops[i] & tops[k]
             for j in range(i + 1, k):
-                for lo, hi in bit_halves(quarter, 1 << j - 1):
-                    for a0, a1, y, b0, b1 in zip(d_ik[lo], d_ik[hi], q_ik[lo], d_ki[lo], d_ki[hi]):
-                        x = a1 - a0  # q_ij
-                        z = b1 - b0  # q_jk
-                        # the larger of x, y must be matched by z, or x = y >= z
-                        if x < y:
-                            if z != y:
-                                return i, j, k
-                        elif x > y:
-                            if z != x:
-                                return i, j, k
-                        elif z > x:
-                            return i, j, k
+                x_over_y = (d_i >> (width << j)) - xy
+                y_over_z = yz - (d_k >> (width << j))
+                x_over_z = x_over_y + y_over_z - below
+                # twice less a lane's a + 2^(width-1) - 1 is -a + 2^(width-1) - 1
+                unique = (
+                    x_over_y & x_over_z
+                    | (twice - x_over_y) & y_over_z
+                    | (twice - x_over_z) & (twice - y_over_z)
+                )
+                if unique & both & tops[j]:
+                    return i, j, k
     return None

@@ -3,14 +3,30 @@
 Subsets of the universe (w_0, ..., w_{n-1}) are encoded as ints: bit i set
 means w_i is in the subset. The encoding is a bijection between masks
 0..2^n-1 and subsets, which keeps set-function tables flat and cheap.
-Whole-table kernels run one pass per bit over `bit_halves` slices, O(n 2^n)
-element steps in list comprehensions, not one interpreted turn per mask.
+Whole-table passes run per bit over `bit_halves` slices, O(n 2^n) element
+steps in list comprehensions, not one interpreted turn per mask.
+
+The classify kernels go further: `pack_lanes` packs a table into one int
+of fixed-width lanes, lane m holding vals[m] - min(vals), so that one
+big-int operation acts on all 2^n entries at once, in C. Shifting the
+packed int right by `width` * 2^b bits puts the entry at m | 2^b in lane
+m; adding 2^(width-1) per lane (`lane_tops`) to a difference of such ints
+sets a lane's top bit exactly when the lane's value is >= 0, as long as
+the width leaves every lane expression room below that bit (the
+`headroom`); and `lanes_without` masks the top bits of the lanes whose
+mask lacks a bit b. A kernel's cost is then its count of big-int
+operations, each linear in the 2^n * width bits of the table.
 """
 
 from __future__ import annotations
 
+import struct
+from itertools import repeat
 from operator import sub
 from typing import Any, Iterable, Iterator, Sequence
+
+_BYTE_VALUES = bytes(range(256))
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # little-endian standard sizes
 
 
 def mask_of(universe_index: dict[str, int], workers: Iterable[str]) -> int:
@@ -51,22 +67,9 @@ def _squeezed_halves(size: int, bit: int) -> Iterator[tuple[slice, slice, slice]
         yield lo, hi, slice(start, None, bit) if lo.step else slice(start, start + bit)
 
 
-def bit_marginals(vals: Sequence[Any], bit: int) -> tuple[list[Any], list[Any]]:
-    """(base, marginal): vals[m] and vals[m | bit] - vals[m] over the masks m
-    without `bit`, two lists ascending in m, so each entry sits at m with
-    `bit` squeezed out. Copied and subtracted by `bit_halves` slices."""
-    half = len(vals) >> 1
-    base, marginal = [0] * half, [0] * half
-    for lo, hi, dst in _squeezed_halves(len(vals), bit):
-        without = vals[lo]
-        base[dst] = without
-        marginal[dst] = map(sub, vals[hi], without)
-    return base, marginal
-
-
 def drop_bit(vals: Sequence[Any], bit: int) -> list[Any]:
     """vals at the masks without `bit`, ascending: the table with `bit`
-    squeezed out, copied by the slices of `bit_marginals`' base."""
+    squeezed out, copied by `bit_halves` slices."""
     base = [0] * (len(vals) >> 1)
     for lo, _, dst in _squeezed_halves(len(vals), bit):
         base[dst] = vals[lo]
@@ -117,3 +120,55 @@ def bit_indices(mask: int) -> tuple[int, ...]:
 def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """Tie-break key: cardinality first, then lexicographic by worker index."""
     return (mask.bit_count(), bit_indices(mask))
+
+
+def pack_lanes(vals: Sequence[int], headroom: int) -> tuple[int, int]:
+    """(packed, width): the table `vals` as one int, lane m (bits
+    width * m and up) holding vals[m] - min(vals).
+
+    The width is the fewest whole bytes that hold the range max - min
+    with `headroom` bits above it, rounded up to 1, 2, 4 or 8 bytes when
+    it is at most 8. A lane expression within 2^(headroom-1) times the
+    range, plus 2^(width-1) or 2^(width-1) - 1, then stays in
+    [0, 2^width) and carries nothing into its neighbour.
+
+    A table with vals[0] = 0 whose entries all fit in a byte has min 0,
+    and is read as bytes when one `bytes.translate` finds its range fits
+    one-byte lanes, as it does on the generator's tables (h(empty) = 0,
+    small values): no min and max pass, which costs more than the
+    packing. Any other table pays min and max; then `struct.pack` writes
+    lanes of up to 8 bytes, and wider ones are written entry by entry.
+    """
+    try:
+        octets = bytes(vals) if vals[0] == 0 else b""
+    except ValueError:  # an entry outside 0..255
+        octets = b""
+    if octets and not octets.translate(None, _BYTE_VALUES[: 1 << 8 - headroom]):
+        return int.from_bytes(octets, "little"), 8
+    low = min(vals)
+    nbytes = ((max(vals) - low).bit_length() + headroom + 7) >> 3
+    lanes = map(sub, vals, repeat(low)) if low else vals
+    if nbytes > 8:
+        data = b"".join(map(int.to_bytes, lanes, repeat(nbytes), repeat("little")))
+    else:
+        nbytes = 1 << (nbytes - 1).bit_length()
+        data = struct.pack(f"<{len(vals)}{_STRUCT_CODES[nbytes]}", *lanes)
+    return int.from_bytes(data, "little"), nbytes << 3
+
+
+def lane_tops(width: int, size: int) -> int:
+    """The top bit of each of `size` lanes of `width` bits (whole bytes):
+    2^(width-1) per lane. Added to a lane value v with |v| < 2^(width-1),
+    it leaves the lane's top bit set exactly when v >= 0."""
+    return int.from_bytes((bytes((width >> 3) - 1) + b"\x80") * size, "little")
+
+
+def lanes_without(width: int, n: int) -> Iterator[tuple[int, int]]:
+    """(b, tops) for b = n - 1 down to 0: the top bits of the lanes m < 2^n
+    without bit b. The first is the low half of the lanes; each next one
+    is the last xor itself shifted by 2^(b-1) lanes, as 0x00ff gives 0x0f0f."""
+    tops = lane_tops(width, 1 << n >> 1)
+    for b in reversed(range(n)):
+        yield b, tops
+        if b:
+            tops ^= tops << (width << b - 1)

@@ -12,6 +12,7 @@ that name the local violation the deciders find; every false one is also
 re-checked in Fraction arithmetic against its class's definition.
 """
 
+import random
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -618,6 +619,46 @@ def test_kernels_find_a_violation_planted_at_any_pair(n):
                 assert setfn._first_submodularity_violation(fn) == next(iter(walk), None)
                 assert setfn._first_exchange_violation(fn.scaled) is not None
                 _recheck(fn, setfn.classify(fn)["gross_substitutes"])
+
+
+def _monotonicity_agrees(fn: SetFunction) -> bool:
+    return fn.first_monotonicity_violation() == _ref_monotonicity_violation(fn)
+
+
+def _submodularity_agrees(fn: SetFunction) -> bool:
+    return setfn._submodular_holds(fn.scaled) == _ref_submodular(fn).verdict
+
+
+def _exchange_agrees(fn: SetFunction) -> bool:
+    triple = _ref_first_triple(fn)
+    return setfn._first_exchange_violation(fn.scaled) == (triple and triple[:3])
+
+
+@pytest.mark.parametrize("nbytes", (1, 2, 8, 9))
+@pytest.mark.parametrize(
+    "headroom, agrees",
+    ((1, _monotonicity_agrees), (2, _submodularity_agrees), (2, _exchange_agrees)),
+)
+def test_lane_kernels_match_the_references_at_a_lane_width_boundary(nbytes, headroom, agrees):
+    """Each kernel on tables whose range R just fills `nbytes`-byte lanes
+    under its headroom (`subsets.pack_lanes`), or is one more and needs
+    wider lanes. The lane expressions reach their bounds, R for a marginal
+    and 2R for an interaction or a difference of the exchange kernel, on
+    every 0/R table over 3 workers, and on 4- and 5-worker tables that
+    are mostly 0/R. Each table also runs moved down by R but for
+    h(empty) = 0, which packs it with a nonzero minimum."""
+    rng = random.Random(nbytes)
+    for spread in (2 ** (8 * nbytes - headroom) - 1, 2 ** (8 * nbytes - headroom)):
+        tables = [[0] + [spread * (m >> i & 1) for i in range(7)] for m in range(1 << 7)]
+        for n in (4, 5) * 8:
+            draw = (0, spread, spread, rng.randint(0, spread))
+            tables.append([0] + [rng.choice(draw) for _ in range((1 << n) - 1)])
+        for vals in tables:
+            for low in (0, -spread):
+                moved = [0] + [v + low for v in vals[1:]]
+                fn = SetFunction.from_values(_universe(len(vals).bit_length() - 1), moved)
+                assert fn.scaled == tuple(moved)
+                assert agrees(fn), moved
 
 
 # ---- modular workers ------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Data-layer checks: set functions, profiles, markets, matchings, outcomes."""
 
-import operator
 import random
 import sys
 import tracemalloc
@@ -22,6 +21,7 @@ from jobmarket.model import (
     validate_profile,
 )
 from jobmarket.oracles import brute_force_total
+from jobmarket.subsets import lane_tops
 from jobmarket.surplus import efficient_matching
 
 
@@ -160,9 +160,14 @@ def test_first_monotonicity_violation_found():
 
 
 def test_a_drop_the_walk_cannot_find_raises(monkeypatch):
-    # with >= in the kernel a flat step counts as a drop; the ordered walk
-    # finds no strict one, and a disagreement must not read as monotone
-    monkeypatch.setattr(model, "gt", operator.ge)
+    # with a lane bias one lower the kernel reads a flat step as a drop; the
+    # ordered walk finds no strict one, and a disagreement must not read as
+    # monotone
+    def bias_one_lower(width, size):
+        tops = lane_tops(width, size)
+        return tops - (tops >> width - 1)
+
+    monkeypatch.setattr(model, "lane_tops", bias_one_lower)
     fn = SetFunction.from_values(("a", "b"), [0, 1, 1, 1])
     with pytest.raises(RuntimeError, match="monotonicity"):
         fn.is_monotone()

@@ -229,9 +229,10 @@ def test_strong_substitutes_witness_replays():
         assert drop < total
 
 
-# The kernels hold a constant number of 2^(n-1) and 2^(n-2) lists at a
-# time; a cache of every pair's 2^(n-2) interaction table would take
-# C(n,2) / 4 times the table, 22.75 at n = 14.
+# The kernels hold about a dozen packed tables and the n lane masks at a
+# time, each 2^n lanes of a byte or two at the generated tables' ranges,
+# where the list holds an 8-byte pointer per entry; a cache of every
+# pair's interaction table would hold C(n,2) lanes per entry, 91 at n = 14.
 PEAK_TABLE_MULTIPLE = 6
 
 

@@ -1,4 +1,5 @@
-"""The per-bit slice kernels of subsets.py against per-mask references."""
+"""The per-bit slice kernels and the lane packing of subsets.py against
+per-mask references."""
 
 import random
 from fractions import Fraction
@@ -7,9 +8,11 @@ import pytest
 
 from jobmarket.subsets import (
     bit_halves,
-    bit_marginals,
     drop_bit,
     insert_bit,
+    lane_tops,
+    lanes_without,
+    pack_lanes,
     submask_max,
     subset_sums,
 )
@@ -52,19 +55,6 @@ def test_bit_halves_pair_each_mask_with_its_bit_once(n):
 
 
 @pytest.mark.parametrize("n", range(11))
-def test_bit_marginals_list_the_masks_without_the_bit_ascending(n):
-    rng = random.Random(200 + n)
-    vals = [rng.randint(-50, 50) for _ in range(1 << n)]
-    for i in range(n):
-        bit = 1 << i
-        without = [m for m in range(1 << n) if not m & bit]
-        base, marginal = bit_marginals(vals, bit)
-        assert base == [vals[m] for m in without]
-        assert marginal == [vals[m | bit] - vals[m] for m in without]
-        assert drop_bit(vals, bit) == base
-
-
-@pytest.mark.parametrize("n", range(11))
 def test_insert_bit_is_the_inverse_of_drop_bit(n):
     rng = random.Random(300 + n)
     vals = [rng.randint(-50, 50) for _ in range(1 << n)]
@@ -75,6 +65,9 @@ def test_insert_bit_is_the_inverse_of_drop_bit(n):
         # m and m | bit both read vals at m with bit squeezed out
         assert out == [vals[m & low | (m >> 1) & ~low] for m in range(2 << n)]
         assert drop_bit(out, bit) == vals
+        if i < n:
+            # the masks without the bit, ascending
+            assert drop_bit(vals, bit) == [vals[m] for m in range(1 << n) if not m & bit]
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -107,3 +100,43 @@ def test_submask_max_keeps_the_largest_tied_submask(n):
     kept = [vals[max(_submasks(m), key=lambda s: (vals[s], s))] for m in range(1 << n)]
     out = submask_max(vals)
     assert [(v, type(v)) for v in out] == [(v, type(v)) for v in kept]
+
+
+def _unpacked(packed, width, size):
+    return [packed >> width * m & (1 << width) - 1 for m in range(size)]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_each_lane_holds_its_entry_less_the_minimum(n):
+    rng = random.Random(400 + n)
+    size = 1 << n
+    tables = (
+        [0] + [rng.randint(0, 31) for _ in range(size - 1)],  # read as bytes
+        [0] + [rng.randint(0, 255) for _ in range(size - 1)],
+        [rng.randint(-50, 50) for _ in range(size)],
+        [7] * size,
+        [rng.randint(0, 9) for _ in range(size - 1)] + [70_000],
+        [rng.randint(0, 9) for _ in range(size - 1)] + [1 << 40],
+        [rng.randint(-(1 << 70), 1 << 70) for _ in range(size)],  # lanes past 64 bits
+    )
+    for vals in tables:
+        low = min(vals)
+        for headroom in (1, 2, 3):
+            packed, width = pack_lanes(vals, headroom)
+            # the fewest whole bytes above the range and the headroom, up
+            # to 8 of them rounded to a power of two
+            nbytes = -(-((max(vals) - low).bit_length() + headroom) // 8)
+            assert width == 8 * (nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length())
+            assert packed >> width * size == 0
+            assert _unpacked(packed, width, size) == [v - low for v in vals]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_lane_masks_mark_the_top_bit_of_the_chosen_lanes(n):
+    for width in (8, 16, 72):
+        top = 1 << width - 1
+        assert lane_tops(width, 1 << n) == sum(top << width * m for m in range(1 << n))
+        masks = list(lanes_without(width, n))
+        assert [b for b, _ in masks] == list(reversed(range(n)))
+        for b, tops in masks:
+            assert tops == sum(top << width * m for m in range(1 << n) if not m >> b & 1)
