@@ -33,11 +33,14 @@ monotonicity is, on the table packed into one int of fixed-width lanes
 (`subsets.pack_lanes`): a marginal or an interaction over every set at
 once is a shift and a subtraction of big ints, in C, and a comparison is
 the top bit of each lane once 2^(width-1) is added. The cost is counted
-in big-int operations on the 2^k * width bits of the table: about 4 per
-pair of workers, and 16 per triple. Each kernel holds about a dozen
-packed ints and the k masks of `subsets.lanes_without` at a time. After
-a false verdict the ordered pair walk (`_submodularity_violations`) or
-the triple's X walk finds the witness on the full table.
+in big-int operations on the 2^k * width bits of the table: about 5 per
+pair of workers, and 17 per triple. Each kernel holds about a dozen
+packed ints at a time, at most three of them lane masks: the mask of
+the lanes without a pair's or a triple's bits comes from the last one by
+a shift and an xor, as in `subsets.lanes_without`, with the bits walked
+down. After a false verdict the ordered pair walk
+(`_submodularity_violations`) or the triple's X walk finds the witness
+on the full table.
 
 Both kernels run on the table's interacting workers only. A worker i is
 modular when its marginal d_i(S) = h(S+i) - h(S) is one constant c_i on
@@ -69,7 +72,7 @@ which is what the `classify` command runs. Per table: the monotonicity
 kernel, n big-int subtractions (one per worker) on the packed 2^n table,
 the O(n) probes and the submodularity kernel, k(k-1)/2 pairs of a few
 big-int operations on the packed 2^k table; on a submodular table, the
-exchange kernel's C(k,3) triples of about 16, and the 2^(n-3) X walk
+exchange kernel's C(k,3) triples of about 17, and the 2^(n-3) X walk
 after a false verdict; on any other, the ordered pair walk to the first
 violation and the O(n 2^n) weak-substitutes scan. Deriving weak
 substitutes from submodularity (telescope the marginals down to the
@@ -180,25 +183,26 @@ def _submodular_holds(vals: Sequence[int]) -> bool:
     It says that worker i's marginal d_i(S) = h(S+i) - h(S) does not rise
     when a higher worker j joins S: q_ij(S) = d_i(S+j) - d_i(S) <= 0. For
     each i, d_i is one packed int; each higher j is a shift, a subtraction
-    and a mask of it, about 4 big-int operations per pair. The pairs go i
-    descending, so a table that fails at a high i builds only the masks
-    (`subsets.lanes_without`) of the bits from i up. Held at a time: the
-    packed table, d_i and those masks.
+    and a mask of it, and the mask of the lanes without bits i and j
+    comes from that of j + 1 by one shift and one xor, as in
+    `subsets.lanes_without`: about 5 big-int operations per pair. Held at
+    a time: the packed table, d_i and three masks.
     """
     n = len(vals).bit_length() - 1
     packed, width = pack_lanes(vals, 2)
     bias = lane_tops(width, len(vals))
-    tops = {}
-    for i, without_i in lanes_without(width, n):  # i descending
-        tops[i] = without_i
+    tops = lanes_without(width, n)  # i descending
+    half = next(tops, (0, 0))[1]  # lanes without bit n - 1; i = n - 1 has no pair
+    for i, without_i in tops:
         # lane m: d_i(m) + 2^(width-1)
         d = (packed >> (width << i)) + bias - packed
         lifted = d + bias
-        for j in range(i + 1, n):
+        without = without_i & half
+        for j in reversed(range(i + 1, n)):
             # lane m: d_i(m) - d_i(m + 2^j) + 2^(width-1), top bit set iff q_ij(m) <= 0
-            without = without_i & tops[j]
             if (lifted - (d >> (width << j))) & without != without:
                 return False
+            without ^= without << (width << j - 1)  # the lanes without bits i and j - 1
     return True
 
 
@@ -470,12 +474,18 @@ def _first_exchange_violation(vals: Sequence[int]) -> Optional[tuple[int, int, i
     ints; then q_ij(X) = d_i(X+j) - d_i(X) and q_jk(X) = d_k(X+j) - d_k(X),
     so each j is two shifts and a subtraction or two for each of the six
     differences above (x - z is the sum of the other two), biased so that
-    a lane's top bit says the difference is >= 1: about 16 big-int
-    operations per triple, in the triple order. Each difference is four
-    table values, two of each sign (in x - y, h(X) and h(X+i) cancel), so
-    it is within twice the table's range, as an interaction is, and the
-    lanes need the submodularity kernel's headroom. Held at a time: about
-    ten packed ints and the n masks of `subsets.lanes_without`.
+    a lane's top bit says the difference is >= 1: about 17 big-int
+    operations per triple. Each difference is four table values, two of
+    each sign (in x - y, h(X) and h(X+i) cancel), so it is within twice
+    the table's range, as an interaction is, and the lanes need the
+    submodularity kernel's headroom.
+
+    The masks of the lanes without bits i, j and k come, as in
+    `subsets.lanes_without`, each from the last by a shift and an xor,
+    which only runs from a bit down to the next lower one: k and then j
+    go down, and each i runs all its pairs, keeping the last failing
+    triple it meets, the first in the triple order. Held at a time: about
+    a dozen packed ints, two of them masks.
 
     This is the test on any table, submodular or not. The deciders hand it
     the `_interacting_table` only behind a submodular verdict, where a
@@ -488,18 +498,19 @@ def _first_exchange_violation(vals: Sequence[int]) -> Optional[tuple[int, int, i
     bias = lane_tops(width, len(vals))
     below = bias - (bias >> width - 1)  # 2^(width-1) - 1 per lane
     twice = below << 1
-    tops = dict(lanes_without(width, n))
     for i in range(n - 2):
         d_i = (packed >> (width << i)) + bias - packed  # lane X: d_i(X) + 2^(width-1)
-        for k in range(i + 2, n):
+        both = lane_tops(width, len(vals) >> 1, 1 << i)  # the lanes without bits i and n - 1
+        hit = None
+        for k in reversed(range(i + 2, n)):
             d_k = (packed >> (width << k)) + bias - packed
             q_ik = (d_i >> (width << k)) - d_i
             # lane X of (d_i >> j) less xy is x - y, and of yz less (d_k >> j)
             # is y - z, each plus 2^(width-1) - 1
             xy = d_i + q_ik - below
             yz = q_ik + d_k + below
-            both = tops[i] & tops[k]
-            for j in range(i + 1, k):
+            without = both & (both >> (width << k - 1))  # the lanes without bits i, k - 1 and k
+            for j in reversed(range(i + 1, k)):
                 x_over_y = (d_i >> (width << j)) - xy
                 y_over_z = yz - (d_k >> (width << j))
                 x_over_z = x_over_y + y_over_z - below
@@ -509,6 +520,10 @@ def _first_exchange_violation(vals: Sequence[int]) -> Optional[tuple[int, int, i
                     | (twice - x_over_y) & y_over_z
                     | (twice - x_over_z) & (twice - y_over_z)
                 )
-                if unique & both & tops[j]:
-                    return i, j, k
+                if unique & without:
+                    hit = i, j, k
+                without ^= without << (width << j - 1)  # the lanes without bits i, j - 1 and k
+            both ^= both << (width << k - 1)  # the lanes without bits i and k - 1
+        if hit:
+            return hit
     return None

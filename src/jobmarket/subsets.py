@@ -14,19 +14,20 @@ m; adding 2^(width-1) per lane (`lane_tops`) to a difference of such ints
 sets a lane's top bit exactly when the lane's value is >= 0, as long as
 the width leaves every lane expression room below that bit (the
 `headroom`); and `lanes_without` masks the top bits of the lanes whose
-mask lacks a bit b. A kernel's cost is then its count of big-int
-operations, each linear in the 2^n * width bits of the table.
+mask lacks a bit b, each mask from the one for the bit above by a shift
+and an xor, so a kernel that walks the bits down holds one mask at a
+time. A kernel's cost is then its count of big-int operations, each
+linear in the 2^n * width bits of the table.
 """
 
 from __future__ import annotations
 
-import struct
 from itertools import repeat
 from operator import sub
 from typing import Any, Iterable, Iterator, Sequence
 
 _BYTE_VALUES = bytes(range(256))
-_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # little-endian standard sizes
+_PACK_CHUNK = 1 << 12
 
 
 def mask_of(universe_index: dict[str, int], workers: Iterable[str]) -> int:
@@ -127,17 +128,17 @@ def pack_lanes(vals: Sequence[int], headroom: int) -> tuple[int, int]:
     width * m and up) holding vals[m] - min(vals).
 
     The width is the fewest whole bytes that hold the range max - min
-    with `headroom` bits above it, rounded up to 1, 2, 4 or 8 bytes when
-    it is at most 8. A lane expression within 2^(headroom-1) times the
-    range, plus 2^(width-1) or 2^(width-1) - 1, then stays in
-    [0, 2^width) and carries nothing into its neighbour.
+    with `headroom` bits above it. A lane expression within
+    2^(headroom-1) times the range, plus 2^(width-1) or 2^(width-1) - 1,
+    then stays in [0, 2^width) and carries nothing into its neighbour.
 
     A table with vals[0] = 0 whose entries all fit in a byte has min 0,
     and is read as bytes when one `bytes.translate` finds its range fits
     one-byte lanes, as it does on the generator's tables (h(empty) = 0,
     small values): no min and max pass, which costs more than the
-    packing. Any other table pays min and max; then `struct.pack` writes
-    lanes of up to 8 bytes, and wider ones are written entry by entry.
+    packing. Any other table pays min and max, and its lanes are written
+    entry by entry, `_PACK_CHUNK` entries to a bytes object, so the
+    per-entry bytes alive at once stay few at the worker cap.
     """
     try:
         octets = bytes(vals) if vals[0] == 0 else b""
@@ -147,20 +148,25 @@ def pack_lanes(vals: Sequence[int], headroom: int) -> tuple[int, int]:
         return int.from_bytes(octets, "little"), 8
     low = min(vals)
     nbytes = ((max(vals) - low).bit_length() + headroom + 7) >> 3
-    lanes = map(sub, vals, repeat(low)) if low else vals
-    if nbytes > 8:
-        data = b"".join(map(int.to_bytes, lanes, repeat(nbytes), repeat("little")))
-    else:
-        nbytes = 1 << (nbytes - 1).bit_length()
-        data = struct.pack(f"<{len(vals)}{_STRUCT_CODES[nbytes]}", *lanes)
+    chunks = (vals[s : s + _PACK_CHUNK] for s in range(0, len(vals), _PACK_CHUNK))
+    data = b"".join(
+        b"".join(map(int.to_bytes, map(sub, chunk, repeat(low)), repeat(nbytes), repeat("little")))
+        for chunk in chunks
+    )
     return int.from_bytes(data, "little"), nbytes << 3
 
 
-def lane_tops(width: int, size: int) -> int:
+def lane_tops(width: int, size: int, run: int = 0) -> int:
     """The top bit of each of `size` lanes of `width` bits (whole bytes):
     2^(width-1) per lane. Added to a lane value v with |v| < 2^(width-1),
-    it leaves the lane's top bit set exactly when v >= 0."""
-    return int.from_bytes((bytes((width >> 3) - 1) + b"\x80") * size, "little")
+    it leaves the lane's top bit set exactly when v >= 0. With a `run` of
+    2^b, only the lanes m < `size` without bit b: the first `run` lanes of
+    every 2 * `run`."""
+    lane = bytes((width >> 3) - 1) + b"\x80"
+    if run:
+        block = lane * run + bytes(len(lane) * run)
+        return int.from_bytes(block * (size // (run << 1)), "little")
+    return int.from_bytes(lane * size, "little")
 
 
 def lanes_without(width: int, n: int) -> Iterator[tuple[int, int]]:

@@ -229,10 +229,11 @@ def test_strong_substitutes_witness_replays():
         assert drop < total
 
 
-# The kernels hold about a dozen packed tables and the n lane masks at a
-# time, each 2^n lanes of a byte or two at the generated tables' ranges,
-# where the list holds an 8-byte pointer per entry; a cache of every
-# pair's interaction table would hold C(n,2) lanes per entry, 91 at n = 14.
+# The kernels hold about a dozen packed tables at a time, at most three
+# of them lane masks, each 2^n lanes of a byte or two at the generated
+# tables' ranges, where the list holds an 8-byte pointer per entry; a
+# cache of every pair's interaction table would hold C(n,2) lanes per
+# entry, 91 at n = 14.
 PEAK_TABLE_MULTIPLE = 6
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from jobmarket import subsets
 from jobmarket.subsets import (
     bit_halves,
     drop_bit,
@@ -123,12 +124,20 @@ def test_each_lane_holds_its_entry_less_the_minimum(n):
         low = min(vals)
         for headroom in (1, 2, 3):
             packed, width = pack_lanes(vals, headroom)
-            # the fewest whole bytes above the range and the headroom, up
-            # to 8 of them rounded to a power of two
-            nbytes = -(-((max(vals) - low).bit_length() + headroom) // 8)
-            assert width == 8 * (nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length())
+            # the fewest whole bytes above the range and the headroom
+            assert width == 8 * -(-((max(vals) - low).bit_length() + headroom) // 8)
             assert packed >> width * size == 0
             assert _unpacked(packed, width, size) == [v - low for v in vals]
+
+
+def test_lanes_written_in_chunks_join_in_mask_order(monkeypatch):
+    # chunks of 3 entries: tables of 2^n entries end on a short chunk
+    monkeypatch.setattr(subsets, "_PACK_CHUNK", 3)
+    rng = random.Random(7)
+    for n in range(7):
+        vals = [rng.randint(-(1 << 20), 1 << 20) for _ in range(1 << n)]
+        packed, width = pack_lanes(vals, 2)
+        assert _unpacked(packed, width, 1 << n) == [v - min(vals) for v in vals]
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -136,6 +145,10 @@ def test_lane_masks_mark_the_top_bit_of_the_chosen_lanes(n):
     for width in (8, 16, 72):
         top = 1 << width - 1
         assert lane_tops(width, 1 << n) == sum(top << width * m for m in range(1 << n))
+        for b in range(n):
+            assert lane_tops(width, 1 << n, 1 << b) == sum(
+                top << width * m for m in range(1 << n) if not m >> b & 1
+            )
         masks = list(lanes_without(width, n))
         assert [b for b, _ in masks] == list(reversed(range(n)))
         for b, tops in masks:
