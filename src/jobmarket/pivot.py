@@ -12,7 +12,8 @@ program as the efficient matching, so a full result costs one solve.
 
 Firing-proofness is blocking inside a firm's own hires (for a hired worker,
 disutility plus payoff is salary), so `check_outcome_sir` runs the walk of
-`stability.deviations` on each firm's hires: O(2^|hires|) additions.
+`stability.deviations` on each firm's hires, from the largest kept set
+down: a few big-int operations on 2^|hires| packed lanes per firm.
 
 Strategy-proofness, the pivot rule's other guarantee, is not checked on a
 command's path: `oracles.check_strategy_proofness` re-solves the market
@@ -164,7 +165,7 @@ def check_outcome_sir(
         )
     hires = hire_masks(m, o.matching)
     for name, fn in m.firms:
-        hit = max(deviations(m, profile, payoffs, name, hires[name]), default=None)
+        hit = next(deviations(m, profile, payoffs, name, hires[name], descending=True), None)
         if hit is not None:
             keep, gain = hit
             kept = list(fn.members(keep))

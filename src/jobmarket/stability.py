@@ -20,18 +20,23 @@ and `pivot.check_outcome_sir` (own hires) run.
 
 The walk runs on integers: the coalition costs and the firm payoff are
 scaled with the utility table by one common denominator
-(`model.clear_denominators`), so salaries of any denominator are exact,
-and cost sums take one addition per subset (`subsets.subset_sums`).
+(`model.clear_denominators`), so salaries of any denominator are exact.
+It tests every coalition at once, on the table and the coalition cost
+sums packed into lanes of one int each (`subsets.pack_lanes`): a few
+big-int operations per firm and one per member of `allowed`, linear in
+the 2^|allowed| lanes. Only the coalitions it reports are summed one by
+one, to recompute their excess exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Optional
 
 from .model import Market, Matching, Outcome, Profile, clear_denominators
-from .subsets import bit_indices, subset_sums
+from .subsets import bit_indices, pack_lanes, subset_sums
 
 
 @dataclass(frozen=True)
@@ -107,27 +112,62 @@ def deviations(
     payoffs: tuple[dict[str, Fraction], dict[str, Fraction]],
     firm: str,
     allowed: int,
+    descending: bool = False,
 ) -> Iterator[tuple[int, Fraction]]:
-    """Each coalition inside `allowed` that blocks with `firm`, ascending
-    by bit pattern, with its excess (left side minus right side).
+    """Each coalition inside `allowed` that blocks with `firm`, with its
+    excess (left side minus right side): ascending by bit pattern, or
+    descending when `descending` is set.
 
-    Only the table entries visited are rescaled: O(2^|allowed|) additions.
+    The test runs on lanes, lane j for the j-th subset of `allowed` in
+    ascending order: the firm's table (gathered at those subsets first
+    when `allowed` is not every worker) packed by `subsets.pack_lanes`,
+    and the coalition cost sums, built packed by one doubling per member.
+    A cost may be negative, since a payoff under an arbitrary outcome may
+    be, so the sums are raised by the sum of the negative costs to keep
+    each lane at 0 or more. One biased subtraction then sets a lane's top
+    bit exactly when its coalition blocks, and each hit, taken off the top
+    bits, has its excess recomputed exactly.
     """
     firm_payoffs, worker_payoffs = payoffs
     fn = m.utilities[firm]
     column = profile.column(firm)
+    bits = bit_indices(allowed)
+    den, (disutilities, member_payoffs, (have,)) = clear_denominators(
+        [fn],
+        [[column[i] for i in bits], [worker_payoffs[m.workers[i]] for i in bits], (firm_payoffs[firm],)],
+    )
     # a member's cost to the coalition: disutility plus current payoff
-    costs = [column[i] + worker_payoffs[m.workers[i]] for i in bit_indices(allowed)]
-    den, (costs, (have,)) = clear_denominators([fn], [costs, (firm_payoffs[firm],)])
+    costs = list(map(add, disutilities, member_payoffs))
     factor, table = den // fn.den, fn.scaled
-    sub = 0
-    # the j-th cost is that of the j-th subset of `allowed` in ascending order
-    for j, cost in enumerate(subset_sums(costs)):
-        if j:
-            sub = (sub - allowed) & allowed
-        excess = table[sub] * factor - cost - have
-        if excess > 0:
-            yield sub, Fraction(excess, den)
+    subs, vals = range(len(table)), table
+    if allowed != m.full_mask:
+        subs = subset_sums([1 << i for i in bits])
+        vals = list(map(table.__getitem__, subs))
+    # each cost sum plus lift lies in [0, spread], and factor times a
+    # table lane in [0, 2^(width-2)), as pack_lanes sizes the lanes
+    spread = sum(map(abs, costs))
+    lift = spread - sum(costs) >> 1  # the sum of the negative costs, negated
+    packed, width = pack_lanes(vals, 2 + (factor - 1).bit_length(), spread.bit_length() + 2)
+    sums, ones = lift, 1
+    for k, c in enumerate(costs):
+        shift = width << k
+        sums |= (sums + c * ones) << shift
+        ones |= ones << shift
+    # the excess less 1 is factor * (table lane) - (sums lane) + rest; rest
+    # is clamped to [-2^(width-2), 2^(width-2)), past which every lane's
+    # sign is the same, so each biased lane stays in [0, 2^width)
+    low = vals[0] - (packed & (1 << width) - 1)
+    reach = 1 << width - 2
+    rest = max(-reach, min(reach - 1, factor * low + lift - have - 1))
+    hits = (factor * packed + (rest + (reach << 1)) * ones - sums) & ones << width - 1
+    while hits:
+        top = hits.bit_length() if descending else (hits & -hits).bit_length()
+        hits ^= 1 << top - 1
+        j = top // width - 1
+        excess = table[subs[j]] * factor - sum(costs[k] for k in bit_indices(j)) - have
+        if excess <= 0:
+            raise RuntimeError("blocking: a lane blocks but its exact excess does not")
+        yield subs[j], Fraction(excess, den)
 
 
 def _scan_for_block(

@@ -6,18 +6,20 @@ means w_i is in the subset. The encoding is a bijection between masks
 Whole-table passes run per bit over `bit_halves` slices, O(n 2^n) element
 steps in list comprehensions, not one interpreted turn per mask.
 
-The classify kernels go further: `pack_lanes` packs a table into one int
-of fixed-width lanes, lane m holding vals[m] - min(vals), so that one
-big-int operation acts on all 2^n entries at once, in C. Shifting the
-packed int right by `width` * 2^b bits puts the entry at m | 2^b in lane
-m; adding 2^(width-1) per lane (`lane_tops`) to a difference of such ints
-sets a lane's top bit exactly when the lane's value is >= 0, as long as
-the width leaves every lane expression room below that bit (the
-`headroom`); and `lanes_without` masks the top bits of the lanes whose
-mask lacks a bit b, each mask from the one for the bit above by a shift
-and an xor, so a kernel that walks the bits down holds one mask at a
-time. A kernel's cost is then its count of big-int operations, each
-linear in the 2^n * width bits of the table.
+The exact-integer kernels go further: `pack_lanes` packs a table into one
+int of fixed-width lanes, lane m holding vals[m] - min(vals), so that one
+big-int operation acts on all 2^n entries at once, in C. The classify
+kernels (`model`, `setfn`), the surplus tables' drop test (`surplus`) and
+the blocking walk (`stability`) run on it. Shifting the packed int right
+by `width` * 2^b bits puts the entry at m | 2^b in lane m; adding
+2^(width-1) per lane (`lane_tops`) to a difference of such ints sets a
+lane's top bit exactly when the lane's value is >= 0, as long as the
+width leaves every lane expression room below that bit (the `headroom`,
+or a width the caller asks for); and `lanes_without` masks the top bits
+of the lanes whose mask lacks a bit b, each mask from the one for the bit
+above by a shift and an xor, so a kernel that walks the bits down holds
+one mask at a time. A kernel's cost is then its count of big-int
+operations, each linear in the 2^n * width bits of the table.
 """
 
 from __future__ import annotations
@@ -123,31 +125,45 @@ def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), bit_indices(mask))
 
 
-def pack_lanes(vals: Sequence[int], headroom: int) -> tuple[int, int]:
+def pack_lanes(vals: Sequence[int], headroom: int, width: int = 0) -> tuple[int, int]:
     """(packed, width): the table `vals` as one int, lane m (bits
     width * m and up) holding vals[m] - min(vals).
 
     The width is the fewest whole bytes that hold the range max - min
-    with `headroom` bits above it. A lane expression within
-    2^(headroom-1) times the range, plus 2^(width-1) or 2^(width-1) - 1,
-    then stays in [0, 2^width) and carries nothing into its neighbour.
+    with `headroom` bits above it, and at least `width` bits. A lane
+    expression within 2^(headroom-1) times the range, plus 2^(width-1) or
+    2^(width-1) - 1, then stays in [0, 2^width) and carries nothing into
+    its neighbour.
 
     A table with vals[0] = 0 whose entries all fit in a byte has min 0,
-    and is read as bytes when one `bytes.translate` finds its range fits
-    one-byte lanes, as it does on the generator's tables (h(empty) = 0,
-    small values): no min and max pass, which costs more than the
-    packing. Any other table pays min and max, and its lanes are written
-    entry by entry, `_PACK_CHUNK` entries to a bytes object, so the
-    per-entry bytes alive at once stay few at the worker cap.
+    and is read as bytes: one `bytes.translate` per lane width tried
+    finds the fewest bytes its range fits, as it does on the generator's
+    tables (h(empty) = 0, small values), and lanes wider than a byte are
+    spread from the octets by one strided assignment. No min and max
+    pass, which costs more than the packing. Any other table pays min and
+    max, and its lanes are written entry by entry, `_PACK_CHUNK` entries
+    to a bytes object, so the per-entry bytes alive at once stay few at
+    the worker cap.
     """
     try:
         octets = bytes(vals) if vals[0] == 0 else b""
     except ValueError:  # an entry outside 0..255
         octets = b""
-    if octets and not octets.translate(None, _BYTE_VALUES[: 1 << 8 - headroom]):
-        return int.from_bytes(octets, "little"), 8
+    if octets:
+        # the range is max(vals) < 2^8: nbytes-byte lanes hold it when
+        # every entry is below 2^(8 nbytes - headroom)
+        nbytes = max(1, (width + 7) >> 3)
+        while (room := (nbytes << 3) - headroom) < 8 and (
+            room < 0 or octets.translate(None, _BYTE_VALUES[: 1 << room])
+        ):
+            nbytes += 1
+        if nbytes == 1:
+            return int.from_bytes(octets, "little"), 8
+        spread = bytearray(len(octets) * nbytes)
+        spread[::nbytes] = octets
+        return int.from_bytes(spread, "little"), nbytes << 3
     low = min(vals)
-    nbytes = ((max(vals) - low).bit_length() + headroom + 7) >> 3
+    nbytes = max((max(vals) - low).bit_length() + headroom, width) + 7 >> 3
     chunks = (vals[s : s + _PACK_CHUNK] for s in range(0, len(vals), _PACK_CHUNK))
     data = b"".join(
         b"".join(map(int.to_bytes, map(sub, chunk, repeat(low)), repeat(nbytes), repeat("little")))

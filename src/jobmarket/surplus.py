@@ -10,13 +10,16 @@ u_f - sum of d_w(f) equals V_f); the empty set is always tight. A worker b
 whose marginal raw value is negative on every pool, raw(S + b) < raw(S)
 for all S, is in no tight set, and V_f(S) = V_f(S minus b): any T holding
 b is strictly beaten by T minus b. The table drops such workers one at a
-time, from the top bit down, each tested on the table already cut to the
-survivors, so a worker may go only once another has gone; two O(1) probes
-(S empty, S every other survivor) keep most workers without a scan. The
-tests read the firm's utility table unscaled: with scale factor f, b pays
-on S exactly when u_f(S + b) - u_f(S) >= ceil(d_b(f) / f). Each drop
-halves the table. The full 2^n table is touched only by these scans and
-squeezes and by spreading V_f back, one slice-copy pass per dropped worker
+time, from the top bit down, each tested on the pools of the workers still
+in, so a worker may go only once another has gone; two O(1) probes (S
+empty, S every other survivor) keep most workers without a whole-table
+test. The tests read the firm's utility table unscaled: with scale factor
+f, b pays on S exactly when u_f(S + b) - u_f(S) >= ceil(d_b(f) / f). A
+worker that neither probe keeps is tested on every pool at once, on the
+table packed into lanes of one int (`subsets.pack_lanes`): a shift, a
+subtraction and a bias per worker, and an `&` per drop. The full 2^n
+table is touched only by these tests, by one gather of the survivors'
+entries and by spreading V_f back, one slice-copy pass per dropped worker
 (`subsets.insert_bit`); the scaling, the cost sums, the raw table and one
 `subsets.submask_max`, O(k 2^k) element steps on slices, run over the k
 survivors' table, whose tight masks are the firm's. Private disutilities
@@ -66,16 +69,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import eq, lt, mul, sub
+from operator import eq, mul, sub
 from typing import Optional, Sequence
 
 from .model import Market, Matching, Profile, clear_denominators, validate_profile
 from .subsets import (
-    bit_halves,
     bit_indices,
     canonical_key,
-    drop_bit,
     insert_bit,
+    lane_tops,
+    lanes_without,
+    pack_lanes,
     submask_max,
     subset_sums,
 )
@@ -94,48 +98,74 @@ class EfficientSolution:
     ties_broken: bool
 
 
+def _kept_workers(values: Sequence[int], factor: int, costs: Sequence[int]) -> list[int]:
+    """The workers, ascending, that the surplus table of `values` times
+    `factor` at `costs` keeps: from the top bit down, b goes when its
+    marginal raw value is negative on every pool of the workers still in.
+
+    Worker b pays on S when factor * (u(S + b) - u(S)) >= c_b, that is when
+    u(S + b) - u(S) >= need = ceil(c_b / factor), so the tests run on the
+    unscaled table. Two O(1) probes, S empty and S every other worker still
+    in, keep most workers. Any other b is decided on the table packed into
+    lanes (`subsets.pack_lanes`, headroom 2, packed once): lane m of
+    (P >> width * 2^b) - P + (2^(width-1) - need) * ones has its top bit set
+    exactly when b pays on m, and the lanes read are those without b and
+    without every worker already dropped, one `&` per drop of the masks
+    `subsets.lanes_without` yields. A need of 2^(width-2) or more is above
+    every marginal, and drops b outright.
+    """
+    alive, kept, walk = len(values) - 1, [], None
+    for b in reversed(range(len(costs))):
+        bit = 1 << b
+        need = -(-costs[b] // factor)
+        if values[bit] - values[0] >= need or values[alive] - values[alive ^ bit] >= need:
+            kept.append(b)
+            continue
+        if walk is None:
+            packed, width = pack_lanes(values, 2)
+            ones = lane_tops(width, len(values)) >> width - 1
+            live = ones << width - 1  # the lanes without a dropped worker
+            walk = lanes_without(width, len(costs))
+        for c, without in walk:  # the masks come top bit first, one per bit
+            if c == b:
+                break
+        if need < 1 << width - 2 and (
+            (packed >> (width << b)) - packed + ((1 << width - 1) - need) * ones
+        ) & without & live:
+            kept.append(b)
+        else:
+            alive ^= bit
+            live &= without
+    kept.reverse()
+    return kept
+
+
 def _int_surplus_table(
     values: Sequence[int], factor: int, costs: Sequence[int]
 ) -> tuple[list[int], list[int]]:
     """V_f over all masks and the tight masks ascending, in integer
     arithmetic, for the utility table `values` times `factor` at `costs`.
 
-    Worker b pays on S when factor * (u(S + b) - u(S)) >= c_b, that is when
-    u(S + b) - u(S) >= ceil(c_b / factor), so the drop tests run on the
-    unscaled table. A worker that neither probe keeps is decided by one
-    slice comparison that stops at the first S where it pays; a dropped
-    worker is squeezed out of the table (`subsets.drop_bit`). Only the
-    survivors' table is scaled, has its cost sums subtracted and is maxed;
-    the survivors' masks, ascending, list its positions, and V_f is spread
-    back by re-inserting each dropped bit (`subsets.insert_bit`).
+    The workers that `_kept_workers` drops are in no tight set, so only the
+    survivors' table, gathered from `values` at the masks of the kept
+    workers ascending, is scaled, has its cost sums subtracted and is
+    maxed; those masks list its positions, and V_f is spread back by
+    re-inserting each dropped bit (`subsets.insert_bit`).
     """
-    n = len(costs)
-    cur, kept, dropped = values, [], []
-    for i in reversed(range(n)):
-        bit, top = 1 << i, len(cur) - 1
-        need = -(-costs[i] // factor)
-        if (
-            cur[bit] - cur[0] >= need
-            or cur[top] - cur[top ^ bit] >= need
-            or not all(
-                all(map(lt, map(sub, cur[hi], cur[lo]), repeat(need)))
-                for lo, hi in bit_halves(len(cur), bit)
-            )
-        ):
-            kept.append(i)
-        else:
-            cur = drop_bit(cur, bit)
-            dropped.append(i)
-    kept.reverse()
+    kept = _kept_workers(values, factor, costs)
+    cur, masks = values, range(len(values))
+    if len(kept) < len(costs):
+        masks = subset_sums([1 << i for i in kept])
+        cur = list(map(values.__getitem__, masks))
     if factor != 1:
         cur = list(map(mul, cur, repeat(factor)))
     raw = list(map(sub, cur, subset_sums([costs[i] for i in kept])))
     best = submask_max(raw)
-    masks = subset_sums([1 << i for i in kept]) if dropped else range(len(raw))
     tight = list(compress(masks, map(eq, raw, best)))
     # ascending, so every bit below the one re-inserted is already back
-    for i in reversed(dropped):
-        best = insert_bit(best, 1 << i)
+    for i in range(len(costs)):
+        if i not in kept:
+            best = insert_bit(best, 1 << i)
     return best, tight
 
 

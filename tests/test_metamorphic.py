@@ -8,13 +8,19 @@ Each relation follows from the model alone, so it needs no oracle:
   verdicts and witness sets, with every witness value times c, and `vcg`
   the same matching and tie-break flag, with the total, every salary,
   payoff and excluded surplus times c.
+  `find_block` on an outcome with every salary times c gives the same
+  firm and coalition, with the slack and every payment times c. At
+  c = 10^30 the surplus tables' drop test and the blocking walk pack
+  their tables into lanes many bytes wide.
 - **Modular shift.** Add a_{f,w} >= 0 to u_f(S) for each w in S, and the
   same a_{f,w} to w's disutility at f. The surplus of every firm and set is
   unchanged, so `vcg` gives the same matching, total and payoffs, and a
   hired worker's salary rises by a_{f,w} at their firm f. A modular term
   cancels from every inequality the classifiers test, so `classify` gives
   the same verdicts and witness sets; with a >= 0 every table stays
-  monotone.
+  monotone. With each hire's salary raised by the same a_{f,w}, every
+  payoff is unchanged, and so is every excess `find_block` tests: a block
+  exists on the image exactly when one does on the market.
 """
 
 import random
@@ -22,10 +28,11 @@ from fractions import Fraction
 
 import pytest
 
-from jobmarket.model import Market, Profile, SetFunction
+from jobmarket.model import Market, Outcome, Profile, SetFunction
 from jobmarket.necessity import GENERATOR_KINDS, generate
 from jobmarket.pivot import vcg
 from jobmarket.setfn import classify
+from jobmarket.stability import find_block
 from jobmarket.subsets import subset_sums
 
 #: (kind, workers, firms, seed): every kind at 9 to 12 workers
@@ -139,3 +146,63 @@ def test_a_modular_shift_moves_only_the_salaries(spec):
         firm = r.outcome.matching.firm_of(w)
         rise = 0 if firm is None else a[firm_index[firm]][i]
         assert r2.salary(w) == r.salary(w) + rise, w
+
+
+def _outcomes(m: Market) -> list[Outcome]:
+    """The pivot outcome, and its matching with every salary halved, which
+    leaves the hires cheap to raid, so that blocks turn up."""
+    o = vcg(m).outcome
+    halved = {w: s / 2 for w, s in o.salaries}
+    return [o, Outcome.build(o.matching, halved)]
+
+
+def _repriced(o: Outcome, salary) -> Outcome:
+    """o with each worker's salary `salary(worker, firm, s)`."""
+    firms = dict(o.matching.assignment)
+    return Outcome.build(o.matching, {w: salary(w, firms[w], s) for w, s in o.salaries})
+
+
+@pytest.mark.parametrize("spec", MARKETS, ids=_label)
+def test_scaling_multiplies_every_block(spec):
+    m = generate(*spec)
+    rng = random.Random(_label(spec))
+    for c in (Fraction(rng.randint(1, 12), rng.randint(1, 12)), Fraction(10**30)):
+        image = _scaled(m, c)
+        assert vcg(image).outcome == _repriced(vcg(m).outcome, lambda w, f, s: s * c)
+        for o in _outcomes(m):
+            block = find_block(m, o)
+            block2 = find_block(image, _repriced(o, lambda w, f, s: s * c))
+            assert (block is None) == (block2 is None)
+            if block is None:
+                continue
+            assert (block2.firm, block2.coalition) == (block.firm, block.coalition)
+            assert block2.slack == block.slack * c
+            assert block2.payments == tuple((w, p * c) for w, p in block.payments)
+
+
+@pytest.mark.parametrize("spec", MARKETS, ids=_label)
+def test_a_modular_shift_keeps_every_block(spec):
+    m = generate(*spec)
+    rng = random.Random(_label(spec))
+    a = [
+        [Fraction(rng.choice((0, 0, 1, 2, 5)), rng.randint(1, 4)) for _ in m.workers]
+        for _ in m.firms
+    ]
+    image = _shifted(m, a)
+    firm_index = {name: j for j, name in enumerate(m.firm_names)}
+    index = m.worker_index
+
+    def raised(w, f, s):
+        return s if f is None else s + a[firm_index[f]][index[w]]
+
+    assert vcg(image).outcome == _repriced(vcg(m).outcome, raised)
+    for o in _outcomes(m):
+        block = find_block(m, o)
+        block2 = find_block(image, _repriced(o, raised))
+        assert (block is None) == (block2 is None)
+        if block is None:
+            continue
+        assert (block2.firm, block2.coalition, block2.slack) == (
+            block.firm, block.coalition, block.slack,
+        )
+        assert block2.payments == tuple((w, raised(w, block.firm, p)) for w, p in block.payments)

@@ -16,8 +16,10 @@ from jobmarket.model import ConditionReport, Market, Matching, Outcome, Profile,
 from jobmarket.necessity import generate
 from jobmarket.pivot import check_ir, check_outcome_ir, check_outcome_sir, check_sir, vcg
 from jobmarket.setfn import is_gross_substitutes
+from jobmarket.subsets import subset_sums
 from jobmarket.stability import (
     Block,
+    deviations,
     find_block,
     find_weak_block,
     outcome_payoffs,
@@ -290,3 +292,107 @@ def test_firing_witness_is_the_largest_kept_set():
     report = check_outcome_sir(m, o)
     assert report.witness == {"firm": "f", "keep": ["w2"], "improvement": "1"}
     assert report == _reference_sir(m, o)
+
+
+# ---- the packed walk against the per-subset excesses --------------------------
+
+
+def _reference_deviations(m: Market, profile: Profile, payoffs, firm: str, allowed: int):
+    """Every (coalition, excess) inside `allowed` that blocks with `firm`,
+    ascending, in Fraction arithmetic one subset at a time, as
+    `_reference_scan` sums them."""
+    firm_payoffs, worker_payoffs = payoffs
+    fn = m.utility(firm)
+    hits = []
+    for sub in range(allowed + 1):
+        if sub & allowed != sub:
+            continue
+        members = fn.members(sub)
+        cost = sum((profile.get(w, firm) + worker_payoffs[w] for w in members), Fraction(0))
+        excess = fn.value(sub) - cost - firm_payoffs[firm]
+        if excess > 0:
+            hits.append((sub, excess))
+    return hits
+
+
+def _assert_walk_matches(m: Market, profile: Profile, payoffs, firm: str, allowed: int) -> None:
+    expected = _reference_deviations(m, profile, payoffs, firm, allowed)
+    assert list(deviations(m, profile, payoffs, firm, allowed)) == expected
+    # the first hit of each order: find_block's and the firing check's
+    assert list(deviations(m, profile, payoffs, firm, allowed, descending=True)) == expected[::-1]
+
+
+def _one_firm_market(values, profile_rows=None) -> Market:
+    n = len(values).bit_length() - 1
+    workers = tuple(f"w{i}" for i in range(n))
+    rows = profile_rows or [(Fraction(0),)] * n
+    return Market(
+        workers,
+        (("f", SetFunction.from_values(workers, values)),),
+        Profile(workers, ("f",), tuple(tuple(r) for r in rows)),
+    )
+
+
+def _allowed_masks(rng: random.Random, n: int) -> list[int]:
+    """Every worker, a firm's own hires, and those hires with the unmatched."""
+    full = (1 << n) - 1
+    own = rng.randint(0, full)
+    return [full, own, own | rng.randint(0, full) & ~own]
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_walk_matches_the_per_subset_excesses(n):
+    """Costs and firm payoffs of either sign, over denominators the table
+    does not use, so the walk's factor is above 1; tables of either sign
+    with denominators of their own."""
+    rng = random.Random(300 + n)
+    for trial in range(40):
+        table_den = rng.choice((1, 1, 2, 5))
+        values = [Fraction(0)] + [
+            Fraction(rng.randint(-20, 40), table_den) for _ in range((1 << n) - 1)
+        ]
+        rows = [(Fraction(rng.choice((0, 1, 3)), rng.choice((1, 4))),) for _ in range(n)]
+        m = _one_firm_market(values, rows)
+        den = rng.choice((1, 3, 7))
+        worker_payoffs = {w: Fraction(rng.randint(-30, 30), den) for w in m.workers}
+        for have in (Fraction(rng.randint(-40, 40), rng.choice((1, 3))), Fraction(0)):
+            payoffs = ({"f": have}, worker_payoffs)
+            for allowed in _allowed_masks(rng, n):
+                _assert_walk_matches(m, m.disutilities, payoffs, "f", allowed)
+
+
+@pytest.mark.parametrize("nbytes", (1, 2, 8, 9))
+@pytest.mark.parametrize("factor", (1, 3))
+def test_walk_matches_the_per_subset_excesses_at_a_lane_width_boundary(nbytes, factor):
+    """0/R tables and cost sums whose ranges just fill `nbytes`-byte lanes
+    (the table at headroom 2 + bits of factor - 1, the cost sums at 2),
+    or are one more, or twice that less one, which needs wider lanes.
+    The costs take either sign, each table also runs moved down by R but
+    for h(empty) = 0, and the firm payoff puts exact ties and one-unit
+    blocks on chosen subsets, or lies past either end of the lanes."""
+    rng = random.Random(10 * nbytes + factor)
+    headroom = 2 + (factor - 1).bit_length()
+    n = 3
+    fits, sums_fit = (1 << 8 * nbytes - headroom) - 1, (1 << 8 * nbytes - 2) - 1
+    for shift in (0, 1):
+        for spread, sums in ((fits, sums_fit), (fits + 1, sums_fit + 1), (2 * fits + 1, 2 * sums_fit + 1)):
+            for _ in range(12):
+                draw = (0, spread, spread, rng.randint(0, spread))
+                values = [0] + [rng.choice(draw) for _ in range((1 << n) - 1)]
+                if shift:
+                    values = [0] + [v - spread for v in values[1:]]
+                # scaled costs summing to `sums` in absolute value, each of either sign
+                cuts = sorted(rng.randint(0, sums) for _ in range(n - 1))
+                parts = [b - a for a, b in zip([0] + cuts, cuts + [sums])]
+                scaled = [p * rng.choice((1, -1)) for p in parts]
+                m = _one_firm_market([Fraction(v) for v in values])
+                worker_payoffs = {w: Fraction(c, factor) for w, c in zip(m.workers, scaled)}
+                cost_sums = subset_sums(scaled)
+                for allowed in _allowed_masks(rng, n):
+                    target = rng.randint(0, allowed) & allowed
+                    edge = values[target] * factor - cost_sums[target]
+                    haves = [edge, edge - 1, edge + 1]
+                    haves += [(spread + sums + 1) * factor * sign for sign in (1, -1)]
+                    for have in haves:
+                        payoffs = ({"f": Fraction(have, factor)}, worker_payoffs)
+                        _assert_walk_matches(m, m.disutilities, payoffs, "f", allowed)

@@ -130,6 +130,30 @@ def test_each_lane_holds_its_entry_less_the_minimum(n):
             assert _unpacked(packed, width, size) == [v - low for v in vals]
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_lanes_take_the_width_asked_for(n):
+    # the byte path widens its one-byte lanes by a strided copy; a headroom
+    # of 8 bits or more sends no table through one-byte lanes
+    rng = random.Random(500 + n)
+    size = 1 << n
+    tables = (
+        [0] * size,
+        [0] + [rng.randint(0, 15) for _ in range(size - 1)],  # read as bytes
+        [0] + [rng.randint(0, 255) for _ in range(size - 1)],
+        [rng.randint(-50, 50) for _ in range(size)],
+        [rng.randint(-(1 << 70), 1 << 70) for _ in range(size)],
+    )
+    for vals in tables:
+        low = min(vals)
+        for headroom in (1, 2, 4, 8, 10):
+            for floor in (0, 8, 9, 16, 17, 72, 80):
+                packed, width = pack_lanes(vals, headroom, floor)
+                bits = max((max(vals) - low).bit_length() + headroom, floor)
+                assert width == 8 * -(-bits // 8)
+                assert packed >> width * size == 0
+                assert _unpacked(packed, width, size) == [v - low for v in vals]
+
+
 def test_lanes_written_in_chunks_join_in_mask_order(monkeypatch):
     # chunks of 3 entries: tables of 2^n entries end on a short chunk
     monkeypatch.setattr(subsets, "_PACK_CHUNK", 3)

@@ -14,8 +14,8 @@ import random
 import pytest
 
 import jobmarket.surplus as surplus
-from jobmarket.subsets import drop_bit, submask_max, subset_sums
-from jobmarket.surplus import _int_surplus_table
+from jobmarket.subsets import submask_max, subset_sums
+from jobmarket.surplus import _int_surplus_table, _kept_workers
 
 
 def _reference(values, costs, factor=1):
@@ -129,23 +129,23 @@ def test_random_tables_match_the_full_reference(n):
 
 def test_no_dominance_scan_when_every_worker_pays_at_once(monkeypatch):
     # zero profile and a strictly increasing table: the probe at the empty
-    # pool keeps every worker, so no slice comparison runs
+    # pool keeps every worker, so the table is never packed for a lane test
     calls = []
-    real = surplus.bit_halves
+    real = surplus.pack_lanes
 
-    def counted(size, bit):
-        calls.append(bit)
-        return real(size, bit)
+    def counted(vals, headroom, width=0):
+        calls.append(len(vals))
+        return real(vals, headroom, width)
 
-    monkeypatch.setattr(surplus, "bit_halves", counted)
+    monkeypatch.setattr(surplus, "pack_lanes", counted)
     n = 12
     values = subset_sums(list(range(1, n + 1)))
     _, tight = _int_surplus_table(values, 1, [0] * n)
     assert len(tight) == 1 << n
     assert calls == []
-    # the counter sees the scan when a worker does need one
+    # the counter sees the lane test when a worker does need one
     _check(*_single_bump(4, 3, 0b0101, 6))
-    assert calls
+    assert calls == [16]
 
 
 def _submasks(mask):
@@ -174,17 +174,18 @@ def _reference_drops(values, factor, costs):
 
 def _check_scaled(monkeypatch, values, factor, costs):
     """The kernel at `factor` against the scaled reference, and the workers
-    it squeezes out against the rule's."""
-    dropped = []
+    it drops against the rule's."""
+    decided = []
 
-    def counted(vals, bit):
-        dropped.append(bit.bit_length() - 1)
-        return drop_bit(vals, bit)
+    def counted(vals, scale, cs):
+        kept = _kept_workers(vals, scale, cs)
+        decided.append([b for b in reversed(range(len(cs))) if b not in kept])
+        return kept
 
-    monkeypatch.setattr(surplus, "drop_bit", counted)
+    monkeypatch.setattr(surplus, "_kept_workers", counted)
     got = _int_surplus_table(values, factor, costs)
     assert got == _reference(values, costs, factor)
-    assert dropped == _reference_drops(values, factor, costs)
+    assert decided == [_reference_drops(values, factor, costs)]
     return got
 
 
@@ -233,3 +234,39 @@ def test_scaled_table_every_or_no_worker_dropped(monkeypatch, n, factor):
     assert tight == list(range(1 << n)) and vf == [0] * (1 << n)
     vf, tight = _check_scaled(monkeypatch, values, factor, [0] * n)
     assert tight == list(range(1 << n)) and vf == [v * factor for v in values]
+
+
+# ---- the packed drop test at its lane-width boundaries ------------------------
+
+
+@pytest.mark.parametrize("nbytes", (1, 2, 8, 9))
+def test_drop_test_matches_the_reference_at_a_lane_width_boundary(monkeypatch, nbytes):
+    """0/R tables whose range R just fills `nbytes`-byte lanes at the drop
+    test's headroom of 2 bits, or needs wider ones (R one more, or twice
+    that less one), each also moved down by R but for u(empty) = 0, which
+    packs it with a nonzero minimum. A marginal reaches R and -R, and each
+    worker's need sits at, below and above R, at 2^(width-2) and past it,
+    where the kernel drops the worker outright."""
+    rng = random.Random(nbytes)
+    reach = 1 << 8 * nbytes - 2  # 2^(width-2) at the fitting range
+    for spread in (reach - 1, reach, 2 * reach - 1):
+        needs = (0, 1, spread - 1, spread, spread + 1, reach, reach + 1, 2 * reach)
+        for n in (2, 3, 4) * 6:
+            draw = (0, spread, spread, rng.randint(0, spread))
+            values = [0] + [rng.choice(draw) for _ in range((1 << n) - 1)]
+            for low in (0, -spread):
+                moved = [0] + [v + low for v in values[1:]]
+                for factor in (1, 3):
+                    costs = [max(0, rng.choice(needs) * factor - rng.randint(0, factor - 1)) for _ in range(n)]
+                    _check_scaled(monkeypatch, moved, factor, costs)
+
+
+@pytest.mark.parametrize("n", (4, 8, 12))
+def test_worker_paying_only_mid_lattice_is_kept_by_one_lane_test(monkeypatch, n):
+    # u = 10 on the sets of n - 1 workers and 0 elsewhere, every cost 1:
+    # both probes fail for every worker (u(b) - u(empty) = 0 and
+    # u(W) - u(W - b) = -10), but each pays 10 on the sets of n - 2 others
+    values = [10 * (m.bit_count() == n - 1) for m in range(1 << n)]
+    assert _reference_drops(values, 1, [1] * n) == []
+    vf, _ = _check_scaled(monkeypatch, values, 1, [1] * n)
+    assert vf[-1] == max(0, 10 - (n - 1))
