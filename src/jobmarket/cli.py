@@ -19,8 +19,9 @@ JSON, and takes no --json.
 The five market commands share one envelope, built in `main`: it loads the
 market, calls the body `(args, market) -> (code, lines, payload)`, then
 prints `market <digest>` before the lines, or the payload with `command`
-and `market` keys under --json. The digest comes after the body, so a body
-that refuses its input (exit 2) prints nothing and costs no digest.
+and `market` keys under --json. The loader hashes the market as it reads
+it, and `market_digest` after the body hands that digest over; a body that
+refuses its input (exit 2) prints nothing, digest included.
 
 The argument parser is built once per process, on the first call of
 `main`, and reused by every later call in the same process (tests, the

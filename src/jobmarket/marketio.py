@@ -36,19 +36,29 @@ Cost: one load parses each distinct rational string once (a generated
 12-worker table holds a few dozen distinct strings among its 4,096
 values) and scales each distinct value once, by the LCM of its table's
 denominators, straight into the table's integer form (`SetFunction.den`
-and `scaled`); no Fraction is built per entry. Both spellings share that
-step; an array is already in mask order, needs no subset key, and JSON
-reads it without the per-object duplicate-key check. A keyed table whose
-keys are the load's subset key list in mask order is read in file order
-after one comparison of the two key lists. Keys in another order resolve
-to masks by dict lookup in that list, only keys whose ids come in
-another order are split and resolved worker by worker, and only a table
-found at fault is walked entry by entry to name its first offender.
-`dumps_market` writes its JSON text straight from the integer tables,
-one text per distinct value of each table, and `market_digest` is the
-sha256 of that same text: the digest of a market is the `sha256sum` of
-the file `gen` writes for it. Both spellings of a table load to the same
-integer tables, so they share one digest.
+and `scaled`); no Fraction is built per entry. A string already in the
+canonical form `str(Fraction)` writes ("3", "-7/2", as `gen` writes every
+value) is read by `int()` on its "/"-parts and kept only if it prints back
+to itself; any other string goes to `parse_rational`, which alone decides
+refusals. Both spellings share that step; an array is already in mask
+order, needs no subset key, and JSON reads it without the per-object
+duplicate-key check. A keyed table whose keys are the load's subset key
+list in mask order is read in file order after one comparison of the two
+key lists. Keys in another order resolve to masks by dict lookup in that
+list, only keys whose ids come in another order are split and resolved
+worker by worker, and only a table found at fault is walked entry by
+entry to name its first offender.
+
+`dumps_market` writes its JSON text straight from the integer tables, one
+text per distinct value of each table, and the digest is the sha256 of
+that same text: the digest of a market is the `sha256sum` of the file
+`gen` writes for it. `parse_market` hashes it before the file's values
+are dropped, from the texts it has just read: a table whose distinct
+values are all canonical strings is its array as read, any other has
+each distinct value printed once. The text is fed to the hash about
+2^14 values at a time, so it is never held whole. `market_digest` returns
+that digest, or renders a market built any other way. Both spellings of
+a table load to the same integer tables, so they share one digest.
 """
 
 from __future__ import annotations
@@ -59,7 +69,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Collection, Iterable, Mapping
+from math import gcd
+from typing import Any, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import (
     Market,
@@ -76,6 +87,11 @@ from .subsets import mask_of
 
 class MarketFormatError(ValueError):
     """Malformed market or profile input."""
+
+
+# A table's values in mask order, and the text of each distinct value; None
+# when every value is a string that is already its own canonical text.
+_Texts = tuple[Sequence[Any], Optional[dict[Any, str]]]
 
 
 # Caps on a rational, checked before Fraction builds its integers: "1e5000"
@@ -110,8 +126,28 @@ def parse_rational(x: Any, where: str = "value") -> Fraction:
         raise MarketFormatError(f"{where}: bad rational {x!r} ({exc})") from None
 
 
-def _parse_memo(memo: dict[str, Fraction], x: Any, where: str) -> Fraction:
-    """parse_rational, run once per distinct string of one load.
+def _exact_rational(raw: str) -> Optional[Fraction]:
+    """The value of a string that is already its own canonical text
+    (`str(Fraction)`: "3", "-7/2"), read by `int()` on its "/"-parts; None
+    for any other string, which `parse_rational` then reads or refuses.
+    `int()` reads more than the canonical spelling ("+3", " 3", "03", "3_0",
+    and the "1/-2" that Fraction refuses), so the result counts only when
+    it prints back to `raw` exactly."""
+    if len(raw) > _MAX_RATIONAL_CHARS:
+        return None
+    num, slash, den = raw.partition("/")
+    try:
+        value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    except (ValueError, ZeroDivisionError):
+        return None
+    return value if str(value) == raw else None
+
+
+def _parse_memo(
+    memo: dict[str, Fraction], x: Any, where: str, plain: Optional[set[str]] = None
+) -> Fraction:
+    """parse_rational, run once per distinct string of one load. A string
+    that `_exact_rational` reads goes into `plain`, when given.
 
     Only strings are stored: True == 1 and both hash alike, so a memo that
     stored integers would hand a later JSON true the value of an earlier 1
@@ -121,7 +157,12 @@ def _parse_memo(memo: dict[str, Fraction], x: Any, where: str) -> Fraction:
         return parse_rational(x, where)
     value = memo.get(x)
     if value is None:
-        value = memo[x] = parse_rational(x, where)
+        value = _exact_rational(x)
+        if value is None:
+            value = parse_rational(x, where)
+        elif plain is not None:
+            plain.add(x)
+        memo[x] = value
     return value
 
 
@@ -152,6 +193,9 @@ class _Load:
     def __init__(self, workers: tuple[str, ...]) -> None:
         self.workers = workers
         self.rationals: dict[str, Fraction] = {}
+        #: strings of `rationals` that `_exact_rational` read for a table:
+        #: each is its own canonical text
+        self.plain: set[str] = set()
 
     @cached_property
     def keys(self) -> list[str]:
@@ -168,7 +212,7 @@ class _Load:
     def index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.workers)}
 
-    def positional(self, values: list, where: str) -> SetFunction:
+    def positional(self, values: list, where: str) -> tuple[SetFunction, _Texts]:
         """One firm's table from its array in mask order: entry i is the
         value of the set whose members are the set bits of i. The length
         is checked before any entry is parsed; a refused entry is named by
@@ -182,7 +226,7 @@ class _Load:
         entries = ((f"{where} values[{i}] ({self.keys[i]!r})", raw) for i, raw in enumerate(values))
         return self._set_function(values, entries)
 
-    def keyed(self, values: Mapping, where: str) -> SetFunction:
+    def keyed(self, values: Mapping, where: str) -> tuple[SetFunction, Optional[_Texts]]:
         """One firm's table from its {key: value} object, put into mask order.
 
         Keys that are the subset key list itself, in mask order, are taken
@@ -210,7 +254,7 @@ class _Load:
             fracs = self._distinct_values(values.values(), entries)
             return SetFunction.from_table(
                 self.workers, ((_key_ids(key), fracs[raw]) for key, raw in values.items())
-            )
+            ), None
         ordered: list[Any] = [None] * size
         for m, raw in zip(masks, values.values()):
             ordered[m] = raw
@@ -218,16 +262,25 @@ class _Load:
 
     def _set_function(
         self, ordered: Collection[Any], entries: Iterable[tuple[str, Any]]
-    ) -> SetFunction:
+    ) -> tuple[SetFunction, _Texts]:
         """The bulk step of both spellings, on values in mask order: each
         distinct value is parsed once and scaled once, by the LCM of the
         table's distinct denominators (`model.clear_denominators`).
         `entries` pairs each value as written with its label, in file
-        order; it is walked only to name a refused value."""
+        order; it is walked only to name a refused value.
+
+        Also returns the table's texts: the values as read, with no text
+        map when every distinct one is a plain string, else each distinct
+        value printed once."""
         fracs = self._distinct_values(ordered, entries)
         den, (cleared,) = clear_denominators((), [list(fracs.values())])
         ints = dict(zip(fracs, cleared))
-        return SetFunction(self.workers, den, tuple(map(ints.__getitem__, ordered)))
+        fn = SetFunction(self.workers, den, tuple(map(ints.__getitem__, ordered)))
+        ordered = ordered if type(ordered) is list else list(ordered)
+        plain = self.plain
+        if plain.issuperset(fracs):
+            return fn, (ordered, None)
+        return fn, (ordered, {raw: raw if raw in plain else str(v) for raw, v in fracs.items()})
 
     def _distinct_values(
         self, raws: Collection[Any], entries: Iterable[tuple[str, Any]]
@@ -239,14 +292,14 @@ class _Load:
         one has every non-string entry checked. A refused or unhashable
         value is named by a second, per-entry pass over `entries`.
         """
-        memo = self.rationals
+        memo, plain = self.rationals, self.plain
         try:
             distinct = set(raws)
             if any(type(raw) is not str for raw in distinct):
                 for raw in raws:
                     if type(raw) is not str:
                         parse_rational(raw)
-            return {raw: _parse_memo(memo, raw, "") for raw in distinct}
+            return {raw: _parse_memo(memo, raw, "", plain) for raw in distinct}
         except (MarketFormatError, TypeError):  # TypeError: an unhashable value
             for label, raw in entries:
                 _parse_memo(memo, raw, label)
@@ -262,7 +315,9 @@ def _parse_value_map(obj: Any, where: str, memo: dict[str, Fraction]) -> dict[st
     return {w: _parse_memo(memo, v, f"{where}[{w}]") for w, v in obj.items()}
 
 
-def _parse_utility(spec: Any, load: _Load, firm: str) -> SetFunction:
+def _parse_utility(spec: Any, load: _Load, firm: str) -> tuple[SetFunction, Optional[_Texts]]:
+    """The firm's table, and its texts when the file spells it as a table
+    (None for a compact utility)."""
     workers = load.workers
     memo = load.rationals
     where = f"firm {firm!r} utility"
@@ -294,13 +349,14 @@ def _parse_utility(spec: Any, load: _Load, firm: str) -> SetFunction:
         if unknown:
             raise MarketFormatError(f"{where}: unknown worker {sorted(unknown)[0]!r}")
         if kind == "additive":
-            return SetFunction.additive(workers, per)
+            return SetFunction.additive(workers, per), None
         if kind == "unit_demand":
-            return SetFunction.unit_demand(workers, per)
+            return SetFunction.unit_demand(workers, per), None
         budget = spec.get("budget")
         if budget is None:
             raise MarketFormatError(f"{where}: budget_additive requires 'budget'")
-        return SetFunction.budget_additive(workers, _parse_memo(memo, budget, f"{where} budget"), per)
+        budget = _parse_memo(memo, budget, f"{where} budget")
+        return SetFunction.budget_additive(workers, budget, per), None
     except MarketFormatError:
         raise
     except ValueError as exc:
@@ -334,21 +390,28 @@ def parse_market(obj: Any) -> Market:
     check_entry_cap(len(firms_raw), len(workers))
     load = _Load(workers)
     firms = []
+    texts = []
     for k, fobj in enumerate(firms_raw):
         if not isinstance(fobj, Mapping) or not isinstance(fobj.get("name"), str):
             raise MarketFormatError(f"market: firm #{k} needs a string 'name'")
         extra = set(fobj) - {"name", "utility"}
         if extra:
             raise MarketFormatError(f"firm {fobj['name']!r}: unexpected key {sorted(extra)[0]!r}")
-        firms.append((fobj["name"], _parse_utility(fobj.get("utility"), load, fobj["name"])))
+        fn, fn_texts = _parse_utility(fobj.get("utility"), load, fobj["name"])
+        firms.append((fobj["name"], fn))
+        texts.append(fn_texts)
     dis_raw = obj.get("disutilities")
     profile = None
     if dis_raw is not None:
         profile = _parse_profile(dis_raw, workers, tuple(name for name, _ in firms), load.rationals)
     try:
-        return Market(workers, tuple(firms), profile)
+        market = Market(workers, tuple(firms), profile)
     except ValueError as exc:
         raise MarketFormatError(f"market: {exc}") from None
+    # hashed while the texts as read are still alive; `market_digest` reads
+    # it back. Not a field: `dataclasses.replace` would carry it over.
+    market.__dict__[_DIGEST] = _digest(market, texts)
+    return market
 
 
 def parse_profile(obj: Any, workers: tuple[str, ...], firms: tuple[str, ...]) -> Profile:
@@ -413,10 +476,15 @@ def load_profile(path: str, market: Market) -> Profile:
     return parse_profile(_read_json(path), market.workers, market.firm_names)
 
 
-def _value_texts(fn: SetFunction) -> list[str]:
-    """str of each value in mask order, built once per distinct scaled value."""
-    text = {v: str(Fraction(v, fn.den)) for v in set(fn.scaled)}
-    return list(map(text.__getitem__, fn.scaled))
+def _value_texts(fn: SetFunction) -> _Texts:
+    """The table's scaled values, and the text of each distinct one as
+    `str(Fraction(v, den))` prints it, without building the Fraction."""
+    den = fn.den
+    text = {}
+    for v in set(fn.scaled):
+        g = gcd(v, den)
+        text[v] = str(v // g) if g == den else f"{v // g}/{den // g}"
+    return fn.scaled, text
 
 
 def _layout(items: list[str], depth: int, brackets: str = "{}") -> str:
@@ -428,41 +496,64 @@ def _layout(items: list[str], depth: int, brackets: str = "{}") -> str:
     return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
 
 
-def dumps_market(m: Market) -> str:
-    """Canonical JSON text: explicit tables as arrays in mask order,
-    rationals as strings, laid out by json.dumps(..., indent=2) rules.
-    `market_digest` hashes this text."""
-    return _canonical_text(m)
+# Values per piece of the canonical text: a 2^20-entry table is mapped to
+# text, joined and hashed one piece of about 300 KB at a time, never whole.
+_TEXT_CHUNK = 1 << 14
+
+# The `Market.__dict__` key under which `parse_market` leaves the digest.
+_DIGEST = "_marketio_digest"
 
 
-def _canonical_text(m: Market) -> str:
-    """The text of `dumps_market`, written straight from the integer
-    tables: each distinct value of a table is turned into text once, and
-    each table's text is copied only into the final join. It is a function
-    of its own so that `bench/spans.py`, which books `dumps_market` as the
-    dump layer, does not book the digest there too."""
+def _text_pieces(m: Market, texts: Optional[Sequence[Optional[_Texts]]] = None) -> Iterator[str]:
+    """The canonical text of `m` in pieces: explicit tables as arrays in
+    mask order, rationals as strings, laid out by json.dumps(..., indent=2)
+    rules. Firm k's texts are `texts[k]` when given (the loader's), else
+    `_value_texts` of its table; values are mapped to text a chunk at a
+    time, so no table's texts are held whole."""
     sep = '",\n' + "  " * 5 + '"'
-    parts = ['{\n  "workers": ', _layout(list(map(_quote, m.workers)), 1, "[]"), ',\n  "firms": [']
+    yield '{\n  "workers": ' + _layout(list(map(_quote, m.workers)), 1, "[]") + ',\n  "firms": ['
     for k, (name, fn) in enumerate(m.firms):
-        parts.append(
+        yield (
             f'{"," if k else ""}\n    {{\n      "name": {_quote(name)},\n      "utility": {{'
             '\n        "type": "table",\n        "values": [\n          "'
         )
-        parts.append(sep.join(_value_texts(fn)))
-        parts.append('"\n        ]\n      }\n    }')
-    parts.append("\n  ]" if m.firms else "]")
+        values, text = texts[k] if texts is not None and texts[k] is not None else _value_texts(fn)
+        for i in range(0, len(values), _TEXT_CHUNK):
+            if i:
+                yield sep
+            chunk = values if len(values) <= _TEXT_CHUNK else values[i : i + _TEXT_CHUNK]
+            yield sep.join(chunk if text is None else map(text.__getitem__, chunk))
+        yield '"\n        ]\n      }\n    }'
+    yield "\n  ]" if m.firms else "]"
     if m.disutilities is not None:
         rows = [
             f"{_quote(w)}: " + _layout([f"{_quote(f)}: {_quote(d)}" for f, d in row.items()], 2)
             for w, row in m.disutilities.to_dict().items()
         ]
-        parts.append(f',\n  "disutilities": {_layout(rows, 1)}')
-    parts.append("\n}\n")
-    return "".join(parts)
+        yield f',\n  "disutilities": {_layout(rows, 1)}'
+    yield "\n}\n"
+
+
+def dumps_market(m: Market) -> str:
+    """Canonical JSON text, the text `market_digest` hashes. The digest
+    never calls this function, so `bench/spans.py`, which books it as the
+    dump layer, does not book the digest there too."""
+    return "".join(_text_pieces(m))
+
+
+def _digest(m: Market, texts: Optional[Sequence[Optional[_Texts]]] = None) -> str:
+    """sha256 of the canonical text, fed piece by piece. The text is pure
+    ASCII, so its bytes do not depend on an encoding."""
+    h = hashlib.sha256()
+    for piece in _text_pieces(m, texts):
+        h.update(piece.encode())
+    return h.hexdigest()
 
 
 def market_digest(m: Market) -> str:
     """Stable content hash: the sha256 of the canonical text
     `dumps_market` writes, so `sha256sum` of a `gen` file reproduces it.
-    The text is pure ASCII, so its bytes do not depend on an encoding."""
-    return hashlib.sha256(_canonical_text(m).encode()).hexdigest()
+    A market from `parse_market` carries the digest its loader took from
+    the texts it read; any other market is rendered from its tables."""
+    digest = m.__dict__.get(_DIGEST)
+    return digest if digest is not None else _digest(m)

@@ -1,5 +1,6 @@
 """JSON ingestion, serialization, and digests."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -595,6 +596,7 @@ def test_bulk_table_loader_matches_per_entry_reference(case):
         values, den, scaled = _reference_table(obj["workers"], firm["utility"]["values"])
         assert (fn.values, fn.den, fn.scaled) == (values, den, scaled)
         assert all(type(v) is int for v in fn.scaled)
+    assert market_digest(m) == _rendered_digest(m)
 
 
 # ---- the dump and the digest against json.dumps of the canonical form --------
@@ -793,3 +795,202 @@ def test_array_and_keyed_files_give_byte_identical_commands(capsys, tmp_path):
                 rc = cli.main([argv[0], str(path), *argv[1:], *tail])
                 outputs.append((rc, capsys.readouterr()))
             assert outputs[0] == outputs[1], argv + tail
+
+
+# ---- the loader's digest: hashed from the texts it read ---------------------
+
+# Each spelling of a value the loader must hash as its canonical text; the
+# table values below have denominators 1 and 2, so every spelling applies.
+RESPELLINGS = {
+    "canonical": str,
+    "json integer": lambda v: v.numerator if v.denominator == 1 else str(v),
+    "decimal": _decimal,
+    "unreduced": lambda v: f"{2 * v.numerator}/{2 * v.denominator}",
+    "exponent": lambda v: f"{v * 10}e-1",
+    "plus": lambda v: f"+{v}",
+    "space": lambda v: f" {v}",
+    "leading zero": lambda v: f"0{v}",
+}
+
+DIGEST_WORKERS = ("w1", "w2", "w3")
+DIGEST_TABLES = {
+    "f1": ("0", "1", "1/2", "2", "3/2", "5/2", "2", "7/2"),
+    "f2": ("0", "3", "3", "3", "1", "4", "4", "9/2"),
+}
+DIGEST_PROFILE = {
+    "w1": {"f1": "1/2", "f2": "1"},
+    "w2": {"f1": "0", "f2": "3/2"},
+    "w3": {"f1": "2", "f2": "0"},
+}
+
+
+def _rendered_digest(m: Market) -> str:
+    return hashlib.sha256(dumps_market(m).encode()).hexdigest()
+
+
+def _digest_market(profile: bool) -> Market:
+    firms = tuple(
+        (name, SetFunction.from_values(DIGEST_WORKERS, tuple(map(Fraction, values))))
+        for name, values in DIGEST_TABLES.items()
+    )
+    dis = Profile.from_dict(DIGEST_WORKERS, tuple(DIGEST_TABLES), DIGEST_PROFILE) if profile else None
+    return Market(DIGEST_WORKERS, firms, dis)
+
+
+def _respelled_object(m: Market, respell, table: str, every: int) -> dict:
+    """m as a market object with every `every`-th value respelled (the rest
+    canonical) and each table spelled as `table`."""
+
+    def spell(k: int, v: Fraction):
+        return respell(v) if k % every == 0 else str(v)
+
+    obj = serialize_market(m)
+    keys = subset_keys(m.workers)
+    for firm, (_, fn) in zip(obj["firms"], m.firms):
+        values = [spell(k, v) for k, v in enumerate(fn.values)]
+        if table == "positional":
+            firm["utility"]["values"] = values
+            continue
+        pairs = list(zip(keys, values))
+        if table == "keyed reversed":
+            pairs.reverse()
+        elif table == "keyed, one key out of order":
+            pairs[3] = ("w2,w1", pairs[3][1])
+        firm["utility"]["values"] = dict(pairs)
+    if m.disutilities is not None:
+        obj["disutilities"] = {
+            w: {f: spell(k + j, Fraction(d)) for j, (f, d) in enumerate(row.items())}
+            for k, (w, row) in enumerate(m.disutilities.to_dict().items())
+        }
+    return json.loads(json.dumps(obj))
+
+
+@pytest.mark.parametrize("profile", [True, False], ids=["disutilities", "no disutilities"])
+@pytest.mark.parametrize(
+    "table", ["positional", "keyed", "keyed reversed", "keyed, one key out of order"]
+)
+@pytest.mark.parametrize("spelling", sorted(RESPELLINGS))
+def test_loaded_digest_is_the_rendered_digest_for_every_spelling(spelling, table, profile):
+    m = _digest_market(profile)
+    assert subset_keys(DIGEST_WORKERS)[3] == "w1,w2"
+    for every in (1, 2):
+        obj = _respelled_object(m, RESPELLINGS[spelling], table, every)
+        loaded = parse_market(obj)
+        assert loaded == m
+        assert market_digest(loaded) == _rendered_digest(loaded) == market_digest(m)
+
+
+@pytest.mark.parametrize("spelling", sorted(RESPELLINGS))
+def test_loaded_digest_of_compact_utilities_is_the_rendered_digest(spelling):
+    respell = RESPELLINGS[spelling]
+    workers = ("a", "b", "c")
+    values = {"a": Fraction(3, 2), "b": Fraction(2), "c": Fraction(1, 2)}
+    budget = Fraction(5, 2)
+    firms = (
+        ("add", SetFunction.additive(workers, values)),
+        ("unit", SetFunction.unit_demand(workers, values)),
+        ("budget", SetFunction.budget_additive(workers, budget, values)),
+        ("table", SetFunction.additive(workers, {"a": 1, "b": 3})),
+    )
+    m = Market(workers, firms)
+    spelled = {w: respell(v) for w, v in values.items()}
+    obj = json.loads(json.dumps({
+        "workers": list(workers),
+        "firms": [
+            {"name": "add", "utility": {"type": "additive", "values": spelled}},
+            {"name": "unit", "utility": {"type": "unit_demand", "values": spelled}},
+            {"name": "budget", "utility": {
+                "type": "budget_additive", "values": spelled, "budget": respell(budget)}},
+            {"name": "table", "utility": {"type": "table", "values": list(map(str, firms[3][1].values))}},
+        ],
+    }))
+    loaded = parse_market(obj)
+    assert loaded == m
+    assert market_digest(loaded) == _rendered_digest(loaded) == market_digest(m)
+
+
+def test_replaced_market_renders_its_own_digest():
+    """The loader's digest lives beside the fields, not among them, so a
+    market copied by `dataclasses.replace` never carries it over."""
+    loaded = parse_market(json.loads(dumps_market(_digest_market(True))))
+    for changes in (
+        {"firms": loaded.firms[::-1], "disutilities": None},
+        {"firms": ((loaded.firms[0][0], loaded.firms[1][1]), loaded.firms[1])},
+        {"disutilities": None},
+    ):
+        other = dataclasses.replace(loaded, **changes)
+        assert market_digest(other) == _rendered_digest(other) != market_digest(loaded)
+    assert market_digest(dataclasses.replace(loaded)) == market_digest(loaded)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8, 9])
+def test_text_fed_in_chunks_is_the_whole_text(monkeypatch, chunk):
+    """Tables longer than a chunk (8 values here) are joined and hashed
+    piece by piece; the pieces must add up to the one canonical text."""
+    monkeypatch.setattr(marketio, "_TEXT_CHUNK", chunk)
+    m = _digest_market(True)
+    assert dumps_market(m) == _oracle_dump(m)
+    assert market_digest(m) == _oracle_digest(m)
+    for every in (1, 2):
+        loaded = parse_market(_respelled_object(m, RESPELLINGS["plus"], "positional", every))
+        assert market_digest(loaded) == _oracle_digest(m)
+
+
+# every one is refused by, or read exactly by, parse_rational; none is the
+# canonical text of its value, so the int() reading must not keep it
+NOT_CANONICAL = ["+3", " 3", "3_0", "03", "-0", "6/4", "3/1", "٣"]
+REFUSED = ["1/-2", "1/0", "1e101", "abc", "1" * 101]
+
+
+def _outcome(read, raw):
+    try:
+        value = read(raw)
+    except MarketFormatError as exc:
+        return "refused", str(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("raw", NOT_CANONICAL + REFUSED)
+def test_int_reading_gives_exactly_what_parse_rational_gives(raw):
+    label = "firm 'f' utility values[1] ('a')"
+    expected = _outcome(lambda x: parse_rational(x, label), raw)
+    assert expected[0] == ("refused" if raw in REFUSED else Fraction)
+    plain: set = set()
+    assert _outcome(lambda x: marketio._parse_memo({}, x, label, plain), raw) == expected
+    assert plain == set()
+    obj = {"workers": ["a"], "firms": [{"name": "f", "utility": {"type": "table", "values": ["0", raw]}}]}
+    loaded = _outcome(lambda _: parse_market(obj).utility("f").value(1), raw)
+    assert loaded == expected
+
+
+@pytest.mark.parametrize("raw", ["0", "3", "-7", "7/2", "-1/3", "9" * 100])
+def test_canonical_strings_are_read_by_int_and_kept_as_written(raw):
+    plain: set = set()
+    assert marketio._parse_memo({}, raw, "v", plain) == parse_rational(raw)
+    assert plain == {raw}
+
+
+def test_commands_on_a_gen_file_print_no_table_text(capsys, tmp_path, monkeypatch):
+    """vcg and classify on a `gen` file hash the texts the loader read, so
+    no table is printed back to text; a market built in memory still is."""
+    calls = []
+    real = marketio._value_texts
+
+    def counted(fn):
+        calls.append(fn)
+        return real(fn)
+
+    monkeypatch.setattr(marketio, "_value_texts", counted)
+    m = generate("random_monotone", 6, 2, seed=1)
+    path = tmp_path / "m.json"
+    path.write_text(dumps_market(m))
+    assert len(calls) == 2
+    calls.clear()
+    for command in ("vcg", "classify"):
+        rc = cli.main([command, str(path), "--json"])
+        captured = capsys.readouterr()
+        assert rc in (0, 1) and captured.err == "", command
+        assert json.loads(captured.out)["market"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert calls == []
+    assert market_digest(m) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert len(calls) == 2
