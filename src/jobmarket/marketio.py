@@ -54,11 +54,12 @@ text per distinct value of each table, and the digest is the sha256 of
 that same text: the digest of a market is the `sha256sum` of the file
 `gen` writes for it. `parse_market` hashes it before the file's values
 are dropped, from the texts it has just read: a table whose distinct
-values are all canonical strings is its array as read, any other has
-each distinct value printed once. The text is fed to the hash about
-2^14 values at a time, so it is never held whole. `market_digest` returns
-that digest, or renders a market built any other way. Both spellings of
-a table load to the same integer tables, so they share one digest.
+values are all canonical strings is hashed from its values as read, any
+other is printed from its integers as `dumps_market` prints it, each
+distinct value once. The text is fed to the hash about 2^14 values at a
+time, so it is never held whole. `market_digest` returns that digest, or
+renders a market built any other way. Both spellings of a table load to
+the same integer tables, so they share one digest.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import Any, Collection, Iterable, Iterator, Mapping, Optional, Sequence
@@ -89,9 +91,8 @@ class MarketFormatError(ValueError):
     """Malformed market or profile input."""
 
 
-# A table's values in mask order, and the text of each distinct value; None
-# when every value is a string that is already its own canonical text.
-_Texts = tuple[Sequence[Any], Optional[dict[Any, str]]]
+# A table's canonical value texts in mask order, as the loader read them.
+_Texts = Collection[str]
 
 
 # Caps on a rational, checked before Fraction builds its integers: "1e5000"
@@ -212,7 +213,7 @@ class _Load:
     def index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.workers)}
 
-    def positional(self, values: list, where: str) -> tuple[SetFunction, _Texts]:
+    def positional(self, values: list, where: str) -> tuple[SetFunction, Optional[_Texts]]:
         """One firm's table from its array in mask order: entry i is the
         value of the set whose members are the set bits of i. The length
         is checked before any entry is parsed; a refused entry is named by
@@ -262,25 +263,20 @@ class _Load:
 
     def _set_function(
         self, ordered: Collection[Any], entries: Iterable[tuple[str, Any]]
-    ) -> tuple[SetFunction, _Texts]:
+    ) -> tuple[SetFunction, Optional[_Texts]]:
         """The bulk step of both spellings, on values in mask order: each
         distinct value is parsed once and scaled once, by the LCM of the
         table's distinct denominators (`model.clear_denominators`).
         `entries` pairs each value as written with its label, in file
         order; it is walked only to name a refused value.
 
-        Also returns the table's texts: the values as read, with no text
-        map when every distinct one is a plain string, else each distinct
-        value printed once."""
+        Also returns the table's texts: the values as read when every
+        distinct one is a canonical string, else None."""
         fracs = self._distinct_values(ordered, entries)
         den, (cleared,) = clear_denominators((), [list(fracs.values())])
         ints = dict(zip(fracs, cleared))
         fn = SetFunction(self.workers, den, tuple(map(ints.__getitem__, ordered)))
-        ordered = ordered if type(ordered) is list else list(ordered)
-        plain = self.plain
-        if plain.issuperset(fracs):
-            return fn, (ordered, None)
-        return fn, (ordered, {raw: raw if raw in plain else str(v) for raw, v in fracs.items()})
+        return fn, ordered if self.plain.issuperset(fracs) else None
 
     def _distinct_values(
         self, raws: Collection[Any], entries: Iterable[tuple[str, Any]]
@@ -317,7 +313,7 @@ def _parse_value_map(obj: Any, where: str, memo: dict[str, Fraction]) -> dict[st
 
 def _parse_utility(spec: Any, load: _Load, firm: str) -> tuple[SetFunction, Optional[_Texts]]:
     """The firm's table, and its texts when the file spells it as a table
-    (None for a compact utility)."""
+    of canonical strings (None otherwise)."""
     workers = load.workers
     memo = load.rationals
     where = f"firm {firm!r} utility"
@@ -476,7 +472,7 @@ def load_profile(path: str, market: Market) -> Profile:
     return parse_profile(_read_json(path), market.workers, market.firm_names)
 
 
-def _value_texts(fn: SetFunction) -> _Texts:
+def _value_texts(fn: SetFunction) -> tuple[tuple[int, ...], dict[int, str]]:
     """The table's scaled values, and the text of each distinct one as
     `str(Fraction(v, den))` prints it, without building the Fraction."""
     den = fn.den
@@ -508,8 +504,8 @@ def _text_pieces(m: Market, texts: Optional[Sequence[Optional[_Texts]]] = None) 
     """The canonical text of `m` in pieces: explicit tables as arrays in
     mask order, rationals as strings, laid out by json.dumps(..., indent=2)
     rules. Firm k's texts are `texts[k]` when given (the loader's), else
-    `_value_texts` of its table; values are mapped to text a chunk at a
-    time, so no table's texts are held whole."""
+    `_value_texts` of its table; values are walked by one iterator and
+    mapped to text a chunk at a time, so no table's texts are held whole."""
     sep = '",\n' + "  " * 5 + '"'
     yield '{\n  "workers": ' + _layout(list(map(_quote, m.workers)), 1, "[]") + ',\n  "firms": ['
     for k, (name, fn) in enumerate(m.firms):
@@ -517,11 +513,13 @@ def _text_pieces(m: Market, texts: Optional[Sequence[Optional[_Texts]]] = None) 
             f'{"," if k else ""}\n    {{\n      "name": {_quote(name)},\n      "utility": {{'
             '\n        "type": "table",\n        "values": [\n          "'
         )
-        values, text = texts[k] if texts is not None and texts[k] is not None else _value_texts(fn)
+        read = texts[k] if texts is not None else None
+        values, text = (read, None) if read is not None else _value_texts(fn)
+        it = iter(values)
         for i in range(0, len(values), _TEXT_CHUNK):
             if i:
                 yield sep
-            chunk = values if len(values) <= _TEXT_CHUNK else values[i : i + _TEXT_CHUNK]
+            chunk = values if len(values) <= _TEXT_CHUNK else islice(it, _TEXT_CHUNK)
             yield sep.join(chunk if text is None else map(text.__getitem__, chunk))
         yield '"\n        ]\n      }\n    }'
     yield "\n  ]" if m.firms else "]"

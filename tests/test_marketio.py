@@ -926,14 +926,16 @@ def test_replaced_market_renders_its_own_digest():
 @pytest.mark.parametrize("chunk", [1, 3, 8, 9])
 def test_text_fed_in_chunks_is_the_whole_text(monkeypatch, chunk):
     """Tables longer than a chunk (8 values here) are joined and hashed
-    piece by piece; the pieces must add up to the one canonical text."""
+    piece by piece; the pieces must add up to the one canonical text, from
+    the loader's array, its keyed object's values, or printed values."""
     monkeypatch.setattr(marketio, "_TEXT_CHUNK", chunk)
     m = _digest_market(True)
     assert dumps_market(m) == _oracle_dump(m)
     assert market_digest(m) == _oracle_digest(m)
-    for every in (1, 2):
-        loaded = parse_market(_respelled_object(m, RESPELLINGS["plus"], "positional", every))
-        assert market_digest(loaded) == _oracle_digest(m)
+    for table in ("positional", "keyed"):
+        for spelling, every in (("canonical", 1), ("plus", 1), ("plus", 2)):
+            loaded = parse_market(_respelled_object(m, RESPELLINGS[spelling], table, every))
+            assert market_digest(loaded) == _oracle_digest(m), (table, spelling, every)
 
 
 # every one is refused by, or read exactly by, parse_rational; none is the
