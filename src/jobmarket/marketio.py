@@ -72,6 +72,7 @@ from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
+from operator import itemgetter
 from typing import Any, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import (
@@ -275,7 +276,11 @@ class _Load:
         fracs = self._distinct_values(ordered, entries)
         den, (cleared,) = clear_denominators((), [list(fracs.values())])
         ints = dict(zip(fracs, cleared))
-        fn = SetFunction(self.workers, den, tuple(map(ints.__getitem__, ordered)))
+        if len(ordered) > 1:
+            scaled = itemgetter(*ordered)(ints)
+        else:  # itemgetter of one key returns the bare value, not a 1-tuple
+            scaled = tuple(map(ints.__getitem__, ordered))
+        fn = SetFunction(self.workers, den, scaled)
         return fn, ordered if self.plain.issuperset(fracs) else None
 
     def _distinct_values(
@@ -405,7 +410,8 @@ def parse_market(obj: Any) -> Market:
     except ValueError as exc:
         raise MarketFormatError(f"market: {exc}") from None
     # hashed while the texts as read are still alive; `market_digest` reads
-    # it back. Not a field: `dataclasses.replace` would carry it over.
+    # it back. `Market.__init__` never sets it, so a market built from this
+    # one's fields renders its own digest.
     market.__dict__[_DIGEST] = _digest(market, texts)
     return market
 

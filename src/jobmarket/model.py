@@ -16,7 +16,6 @@ Profiles, salaries and payoffs are Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -68,7 +67,6 @@ def as_fraction(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
 class ConditionReport:
     """Outcome of a checkable condition.
 
@@ -79,16 +77,21 @@ class ConditionReport:
         details: free-form note (e.g. premise flags for conditional checks).
     """
 
-    verdict: bool
-    witness: Optional[dict] = None
-    details: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.verdict and self.witness is None:
+    def __init__(self, verdict: bool, witness: Optional[dict] = None, details: str = "") -> None:
+        if not verdict and witness is None:
             raise ValueError("false verdict requires a witness")
+        self.verdict = verdict
+        self.witness = witness
+        self.details = details
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.verdict, self.witness, self.details) == (
+            other.verdict, other.witness, other.details
+        )
 
 
-@dataclass(frozen=True)
 class SetFunction:
     """Normalized set function on subsets of an ordered worker universe.
 
@@ -100,28 +103,32 @@ class SetFunction:
     Monotonicity is not enforced here; is_monotone reports on it.
     """
 
-    universe: tuple[str, ...]
-    den: int
-    scaled: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.universe)
+    def __init__(self, universe: tuple[str, ...], den: int, scaled: tuple[int, ...]) -> None:
+        n = len(universe)
         check_worker_cap(n)
-        if len(set(self.universe)) != n:
+        if len(set(universe)) != n:
             raise ValueError("duplicate worker ids in universe")
-        if len(self.scaled) != 1 << n:
+        if len(scaled) != 1 << n:
             raise ValueError(
-                f"table has {len(self.scaled)} entries, expected {1 << n} "
+                f"table has {len(scaled)} entries, expected {1 << n} "
                 "(one per subset, no implicit completion)"
             )
-        if self.den <= 0:
-            raise ValueError(f"denominator must be positive, got {self.den}")
-        if self.scaled[0] != 0:
-            raise ValueError(f"empty set must map to 0, got {Fraction(self.scaled[0], self.den)}")
-        common = gcd(self.den, gcd(*self.scaled))
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        if scaled[0] != 0:
+            raise ValueError(f"empty set must map to 0, got {Fraction(scaled[0], den)}")
+        common = gcd(den, gcd(*scaled))
         if common != 1:
-            object.__setattr__(self, "den", self.den // common)
-            object.__setattr__(self, "scaled", tuple([v // common for v in self.scaled]))
+            den //= common
+            scaled = tuple([v // common for v in scaled])
+        self.universe = universe
+        self.den = den
+        self.scaled = scaled
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.universe, self.den, self.scaled) == (other.universe, other.den, other.scaled)
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -285,20 +292,28 @@ def clear_denominators(
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
-@dataclass(frozen=True)
 class Profile:
     """Disutility matrix: rows follow worker order, columns firm order."""
 
-    workers: tuple[str, ...]
-    firms: tuple[str, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.rows) != len(self.workers):
+    def __init__(
+        self,
+        workers: tuple[str, ...],
+        firms: tuple[str, ...],
+        rows: tuple[tuple[Fraction, ...], ...],
+    ) -> None:
+        if len(rows) != len(workers):
             raise ValueError("one row per worker required")
-        for r in self.rows:
-            if len(r) != len(self.firms):
+        for r in rows:
+            if len(r) != len(firms):
                 raise ValueError("one entry per firm required in every row")
+        self.workers = workers
+        self.firms = firms
+        self.rows = rows
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.workers, self.firms, self.rows) == (other.workers, other.firms, other.rows)
 
     @cached_property
     def worker_index(self) -> dict[str, int]:
@@ -358,7 +373,6 @@ class Profile:
         }
 
 
-@dataclass(frozen=True)
 class Market:
     """Workers, firms with utilities, and (optionally) embedded disutilities.
 
@@ -367,32 +381,40 @@ class Market:
     a type profile; operations that need one take it explicitly.
     """
 
-    workers: tuple[str, ...]
-    firms: tuple[tuple[str, SetFunction], ...]
-    disutilities: Optional[Profile] = None
-    #: largest full-hire utility across firms; 0 for a firmless market
-    ubar: Fraction = field(init=False)
-
-    def __post_init__(self) -> None:
-        if len(set(self.workers)) != len(self.workers):
+    def __init__(
+        self,
+        workers: tuple[str, ...],
+        firms: tuple[tuple[str, SetFunction], ...],
+        disutilities: Optional[Profile] = None,
+    ) -> None:
+        if len(set(workers)) != len(workers):
             raise ValueError("duplicate worker ids")
-        names = [name for name, _ in self.firms]
+        names = [name for name, _ in firms]
         if len(set(names)) != len(names):
             raise ValueError("duplicate firm ids")
-        check_worker_cap(len(self.workers))
-        for name, fn in self.firms:
-            if fn.universe != self.workers:
+        check_worker_cap(len(workers))
+        for name, fn in firms:
+            if fn.universe != workers:
                 raise ValueError(
                     f"firm {name!r} utility universe {fn.universe} does not match "
-                    f"market workers {self.workers}"
+                    f"market workers {workers}"
                 )
-        if self.disutilities is not None:
-            if self.disutilities.workers != self.workers or self.disutilities.firms != tuple(
-                names
-            ):
+        if disutilities is not None:
+            if disutilities.workers != workers or disutilities.firms != tuple(names):
                 raise ValueError("disutility matrix does not match market workers/firms")
-        peak = max((fn.value(fn.full_mask) for _, fn in self.firms), default=Fraction(0))
-        object.__setattr__(self, "ubar", peak)
+        self.workers = workers
+        self.firms = firms
+        self.disutilities = disutilities
+        #: largest full-hire utility across firms; 0 for a firmless market
+        self.ubar = max((fn.value(fn.full_mask) for _, fn in firms), default=Fraction(0))
+
+    def __eq__(self, other: object) -> bool:
+        # ubar is a function of the firms, so the three arguments decide
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.workers, self.firms, self.disutilities) == (
+            other.workers, other.firms, other.disutilities
+        )
 
     @cached_property
     def firm_names(self) -> tuple[str, ...]:
@@ -437,7 +459,6 @@ def validate_profile(m: Market, profile: Profile) -> None:
                 raise ValueError(f"negative disutility {d} for {w} at {f}")
 
 
-@dataclass(frozen=True)
 class Matching:
     """Assignment of workers to firms (None = unmatched), stored worker-major.
 
@@ -445,7 +466,13 @@ class Matching:
     two views cannot disagree.
     """
 
-    assignment: tuple[tuple[str, Optional[str]], ...]
+    def __init__(self, assignment: tuple[tuple[str, Optional[str]], ...]) -> None:
+        self.assignment = assignment
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.assignment == other.assignment
 
     @cached_property
     def _by_worker(self) -> dict[str, Optional[str]]:
@@ -467,24 +494,27 @@ class Matching:
         return cls(tuple((w, assignment.get(w)) for w in workers))
 
 
-@dataclass(frozen=True)
 class Outcome:
     """A matching plus salaries. Unmatched workers must be paid exactly 0."""
 
-    matching: Matching
-    salaries: tuple[tuple[str, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        paid = {w for w, _ in self.salaries}
-        assigned = {w for w, _ in self.matching.assignment}
+    def __init__(self, matching: Matching, salaries: tuple[tuple[str, Fraction], ...]) -> None:
+        paid = {w for w, _ in salaries}
+        assigned = {w for w, _ in matching.assignment}
         if paid != assigned:
             raise ValueError("salaries must cover exactly the market's workers")
-        by_worker = dict(self.salaries)
-        for w, f in self.matching.assignment:
+        by_worker = dict(salaries)
+        for w, f in matching.assignment:
             if by_worker[w] < 0:
                 raise ValueError(f"negative salary for {w}")
             if f is None and by_worker[w] != 0:
                 raise ValueError(f"unmatched worker {w} must have salary 0")
+        self.matching = matching
+        self.salaries = salaries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.matching, self.salaries) == (other.matching, other.salaries)
 
     @cached_property
     def salary(self) -> dict[str, Fraction]:

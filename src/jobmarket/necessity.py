@@ -32,8 +32,6 @@ search and for the self-test corpus.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -61,23 +59,34 @@ class ConstructionError(RuntimeError):
     """A candidate profile failed its post-construction verification."""
 
 
-@dataclass(frozen=True)
 class AdversarialProfile:
     """A verified certificate: the profile plus what it makes go wrong.
 
-    `outcome` is the efficient pivot-priced outcome the certificate talks
-    about; `canonical` records whether it is the solver's own outcome or an
-    exhibited alternative with the same total surplus.
+    `kind` is "ir" or "sir". `outcome` is the efficient pivot-priced
+    outcome the certificate talks about; `canonical` records whether it is
+    the solver's own outcome or an exhibited alternative with the same
+    total surplus.
     """
 
-    kind: str  # "ir" or "sir"
-    firm: str
-    subset: tuple[str, ...]
-    pair: Optional[tuple[str, str]]
-    profile: Profile
-    outcome: Outcome
-    canonical: bool
-    summary: dict
+    def __init__(
+        self,
+        kind: str,
+        firm: str,
+        subset: tuple[str, ...],
+        pair: Optional[tuple[str, str]],
+        profile: Profile,
+        outcome: Outcome,
+        canonical: bool,
+        summary: dict,
+    ) -> None:
+        self.kind = kind
+        self.firm = firm
+        self.subset = subset
+        self.pair = pair
+        self.profile = profile
+        self.outcome = outcome
+        self.canonical = canonical
+        self.summary = summary
 
     def to_dict(self) -> dict:
         return {
@@ -450,6 +459,8 @@ def generate(kind: str, n: int, m: int, seed: int = 0) -> Market:
         raise ValueError("worker and firm counts must be nonnegative")
     check_worker_cap(n)
     check_entry_cap(m, n)
+    import random  # only `gen` draws a market, so no other command loads it
+
     rng = random.Random(f"{kind}:{n}:{m}:{seed}")
     workers = tuple(f"w{i}" for i in range(1, n + 1))
     make = _FAMILIES[kind]

@@ -22,7 +22,6 @@ under a grid of one worker's misreports, for the self-test and the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -31,7 +30,6 @@ from .stability import deviations, hire_masks, outcome_payoffs
 from .surplus import MarketSolver
 
 
-@dataclass(frozen=True)
 class VcgResult:
     """Efficient matching, pivot salaries, and every agent's payoff.
 
@@ -39,14 +37,25 @@ class VcgResult:
     kept for the rationality checks and left out of `to_dict`.
     """
 
-    market: Market
-    profile: Profile
-    outcome: Outcome
-    total: Fraction
-    worker_payoffs: tuple[tuple[str, Fraction], ...]
-    firm_payoffs: tuple[tuple[str, Fraction], ...]
-    surplus_excluding: tuple[tuple[str, Fraction], ...]
-    ties_broken: bool
+    def __init__(
+        self,
+        market: Market,
+        profile: Profile,
+        outcome: Outcome,
+        total: Fraction,
+        worker_payoffs: tuple[tuple[str, Fraction], ...],
+        firm_payoffs: tuple[tuple[str, Fraction], ...],
+        surplus_excluding: tuple[tuple[str, Fraction], ...],
+        ties_broken: bool,
+    ) -> None:
+        self.market = market
+        self.profile = profile
+        self.outcome = outcome
+        self.total = total
+        self.worker_payoffs = worker_payoffs
+        self.firm_payoffs = firm_payoffs
+        self.surplus_excluding = surplus_excluding
+        self.ties_broken = ties_broken
 
     def salary(self, worker: str) -> Fraction:
         return self.outcome.salary[worker]

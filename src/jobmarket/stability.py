@@ -30,7 +30,6 @@ one, to recompute their excess exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Iterator, Optional
@@ -39,14 +38,27 @@ from .model import Market, Matching, Outcome, Profile, clear_denominators
 from .subsets import bit_indices, pack_lanes, subset_sums
 
 
-@dataclass(frozen=True)
 class Block:
     """A profitable deviation: the firm, the coalition, and payments."""
 
-    firm: str
-    coalition: tuple[str, ...]
-    payments: tuple[tuple[str, Fraction], ...]
-    slack: Fraction
+    def __init__(
+        self,
+        firm: str,
+        coalition: tuple[str, ...],
+        payments: tuple[tuple[str, Fraction], ...],
+        slack: Fraction,
+    ) -> None:
+        self.firm = firm
+        self.coalition = coalition
+        self.payments = payments
+        self.slack = slack
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.firm, self.coalition, self.payments, self.slack) == (
+            other.firm, other.coalition, other.payments, other.slack
+        )
 
     def to_dict(self) -> dict:
         return {

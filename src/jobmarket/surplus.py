@@ -66,7 +66,6 @@ order, tight-set closure) live in `oracles`, which no command loads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import eq, mul, sub
@@ -85,7 +84,6 @@ from .subsets import (
 )
 
 
-@dataclass(frozen=True)
 class EfficientSolution:
     """An efficient matching and its total surplus.
 
@@ -93,9 +91,10 @@ class EfficientSolution:
     canonical rule then picked one).
     """
 
-    matching: Matching
-    total: Fraction
-    ties_broken: bool
+    def __init__(self, matching: Matching, total: Fraction, ties_broken: bool) -> None:
+        self.matching = matching
+        self.total = total
+        self.ties_broken = ties_broken
 
 
 def _kept_workers(values: Sequence[int], factor: int, costs: Sequence[int]) -> list[int]:

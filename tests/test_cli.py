@@ -540,7 +540,7 @@ def no_table_built(monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("a table was built before the refusal")
 
-    monkeypatch.setattr(SetFunction, "__post_init__", built)
+    monkeypatch.setattr(SetFunction, "__init__", built)
     for name in ("from_values", "from_table", "additive", "budget_additive", "unit_demand"):
         monkeypatch.setattr(SetFunction, name, classmethod(built))
 
@@ -658,13 +658,13 @@ def test_closed_stdout_exits_141_without_traceback(argv):
     assert (proc.returncode, proc.stderr) == (141, "")
 
 
-# prints the jobmarket modules a command leaves loaded, after the command
+# prints the modules a command leaves loaded, after the command
 LOADED_PROBE = """
 import contextlib, io, sys
 import jobmarket.cli as cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, *sorted(name for name in sys.modules if name.startswith("jobmarket")))
+print(code, *sorted(sys.modules))
 """
 
 
@@ -697,3 +697,26 @@ def test_market_commands_load_no_oracle(argv):
     assert "jobmarket.surplus" in loaded
     assert "jobmarket.selftest" not in loaded
     assert "jobmarket.oracles" not in loaded
+
+
+@pytest.mark.parametrize("command", ["vcg", "classify"])
+def test_market_commands_load_no_dataclasses_or_random(command):
+    """Without `site` (-S), whose .pth files may preload any module, a
+    market command loads neither `dataclasses` with the `inspect` it pulls
+    in, nor `random`, which only `gen` uses, nor the oracles or the
+    self-test."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LOADED_PROBE, command, str(DATA / "budget_vs_additive.json")],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stderr == ""
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert "jobmarket.surplus" in loaded
+    for name in ("dataclasses", "inspect", "random", "jobmarket.oracles", "jobmarket.selftest"):
+        assert name not in loaded

@@ -1,6 +1,5 @@
 """The self-test must pass on healthy code and fail on corrupted code."""
 
-import dataclasses
 import json
 
 import pytest
@@ -143,7 +142,7 @@ def test_detects_corrupted_classifier(monkeypatch):
     real = setfn.is_submodular
 
     def always_true(h):
-        return dataclasses.replace(real(h), verdict=True, witness=None)
+        return ConditionReport(True, None, real(h).details)
 
     monkeypatch.setattr(setfn, "is_submodular", always_true)
     report = selftest.run(trials=40, seed=1)
@@ -237,7 +236,7 @@ def test_detects_corrupted_solver(monkeypatch):
 
     def inflated(m, u=None, **kw):
         sol = real(m, u, **kw)
-        return dataclasses.replace(sol, total=sol.total + 1)
+        return surplus.EfficientSolution(sol.matching, sol.total + 1, sol.ties_broken)
 
     monkeypatch.setattr(surplus, "efficient_matching", inflated)
     report = selftest.run(trials=12, seed=1)
@@ -255,7 +254,7 @@ def _off_by_one(real):
 def _flipped(real):
     def wrong(*args, **kwargs):
         report = real(*args, **kwargs)
-        return dataclasses.replace(report, verdict=not report.verdict, witness={"planted": "yes"})
+        return ConditionReport(not report.verdict, {"planted": "yes"}, report.details)
 
     return wrong
 
