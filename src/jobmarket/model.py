@@ -170,35 +170,41 @@ class SetFunction:
     def subset_value(self, workers: Iterable[str]) -> Fraction:
         return self.value(self.mask_of(workers))
 
+    @cached_property
+    def lanes(self) -> tuple[int, int]:
+        """(packed, width): `scaled` packed into lanes with headroom 1
+        (`subsets.pack_lanes`), which the monotonicity kernel and
+        `setfn._interacting_table`'s modular test share."""
+        return pack_lanes(self.scaled, 1)
+
     def first_monotonicity_violation(self) -> Optional[tuple[int, int]]:
         """First (submask, supermask) adjacent pair with a value drop.
 
-        Scans subsets in ascending mask order, added worker in index order;
+        First in ascending mask order, then added worker in index order;
         adjacent pairs suffice because monotonicity failures compose along
-        one-element chains. The verdict is a shift, a subtraction and a
-        mask per bit b, big-int operations on the table packed into lanes
-        (`subsets.pack_lanes`); only a table that drops somewhere runs the
-        ordered walk.
+        one-element chains. Decided and found on the table packed into
+        lanes (`lanes`): a shift, a subtraction and a mask per bit b give
+        the lanes m without b where vals[m | 2^b] < vals[m], and the
+        witness is the least (lowest such lane, b) over all bits,
+        re-checked on the table.
         """
         vals = self.scaled
-        n = self.n
-        packed, width = pack_lanes(vals, 1)
+        packed, width = self.lanes
         bias = lane_tops(width, len(vals))
-        # lane m: vals[m | 2^b] - vals[m] + 2^(width-1), top bit set iff no drop
-        if all(
-            ((packed >> (width << b)) + bias - packed) & tops == tops
-            for b, tops in lanes_without(width, n)
-        ):
+        first = None
+        for b, tops in lanes_without(width, self.n):
+            # lane m: vals[m | 2^b] - vals[m] + 2^(width-1), top bit clear iff a drop
+            drops = tops ^ ((packed >> (width << b)) + bias - packed) & tops
+            if drops:
+                hit = ((drops & -drops).bit_length() // width - 1, b)  # the lowest lane
+                if first is None or hit < first:
+                    first = hit
+        if first is None:
             return None
-        for s in range(1 << n):
-            vs = vals[s]
-            for i in range(n):
-                bit = 1 << i
-                if s & bit:
-                    continue
-                if vals[s | bit] < vs:
-                    return (s, s | bit)
-        raise RuntimeError("monotonicity: the kernel finds a drop but the ordered walk does not")
+        s, b = first
+        if not vals[s | 1 << b] < vals[s]:
+            raise RuntimeError("monotonicity: the kernel names a pair that does not drop")
+        return s, s | 1 << b
 
     def is_monotone(self) -> bool:
         return self.first_monotonicity_violation() is None

@@ -19,9 +19,9 @@ Each false verdict is witnessed by the local violation its decider found:
   one, S' = {i, j} removed from S, and the gross one, w = i moved from S to
   T = B, where no swap exists: each inequality is the pair's, rearranged.
 - On a submodular table, the first triple i < j < k the exchange kernel
-  fails. One walk over X within N - {i, j, k}, ascending, at most 2^(n-3)
-  steps, finds the least X where one of the three sums h(X+a+b) + h(X+c)
-  is the strict maximum. Then (S, T, w) = (X+a+b, X+c, the lower of a and
+  fails, at the least X within N - {i, j, k} where one of the three sums
+  h(X+a+b) + h(X+c) is the strict maximum: the kernel's lowest failing
+  lane for that triple. Then (S, T, w) = (X+a+b, X+c, the lower of a and
   b) loses value: moving w alone and swapping it against c give the other
   two sums. The exchange is re-checked on the table before it is returned.
 The defining conditions range over pairs of sets, 3^n for strong and 4^n
@@ -38,9 +38,9 @@ pair of workers, and 17 per triple. Each kernel holds about a dozen
 packed ints at a time, at most three of them lane masks: the mask of
 the lanes without a pair's or a triple's bits comes from the last one by
 a shift and an xor, as in `subsets.lanes_without`, with the bits walked
-down. After a false verdict the ordered pair walk
-(`_submodularity_violations`) or the triple's X walk finds the witness
-on the full table.
+down. After a false submodularity verdict the ordered pair walk
+(`_submodularity_violations`) finds the witness on the full table; the
+exchange kernel names its own, a triple and its lowest failing lane.
 
 Both kernels run on the table's interacting workers only. A worker i is
 modular when its marginal d_i(S) = h(S+i) - h(S) is one constant c_i on
@@ -58,12 +58,13 @@ With k the number of workers left, the interacting ones, each kernel runs
 on 2^k entries. Finding them costs two reads per worker, d_i(empty)
 against d_i(N-i), which are equal for every modular worker (and on a
 submodular table, where d_i does not rise, only for those); a worker that
-passes goes after a slice comparison of d_i with that value, which stops
-at the first slice that differs. On a submodular table the exchange
-kernel's first failing triple is the same on either table, since a triple
-holding a modular worker passes and the squeeze keeps the workers' order;
-its X walk runs on the full table, where the least X holds no modular
-worker.
+passes goes after one packed test that d_i is that value on every lane
+without i. The table over the rest is one gather at their subsets. On a
+submodular table the exchange kernel's first failing triple is the same
+on either table, since a triple holding a modular worker passes and the
+squeeze keeps the workers' order; so is its least X, spread back over
+the kept workers, since a modular worker in X adds the same 2 c_i to all
+three sums.
 
 `classify` reports monotonicity, with the first drop as witness, then
 decides all four classes of a monotone table as one chain (gross
@@ -72,25 +73,20 @@ which is what the `classify` command runs. Per table: the monotonicity
 kernel, n big-int subtractions (one per worker) on the packed 2^n table,
 the O(n) probes and the submodularity kernel, k(k-1)/2 pairs of a few
 big-int operations on the packed 2^k table; on a submodular table, the
-exchange kernel's C(k,3) triples of about 17, and the 2^(n-3) X walk
-after a false verdict; on any other, the ordered pair walk to the first
-violation and the O(n 2^n) weak-substitutes scan. Deriving weak
-substitutes from submodularity (telescope the marginals down to the
-empty set) rests on h(empty) = 0, which SetFunction enforces.
+exchange kernel's C(k,3) triples of about 17; on any other, the ordered
+pair walk to the first violation and the O(n 2^n) weak-substitutes scan.
+Deriving weak substitutes from submodularity (telescope the marginals
+down to the empty set) rests on h(empty) = 0, which SetFunction enforces.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from operator import eq, sub
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import ConditionReport, RationalLike, SetFunction, as_fraction, clear_denominators
 from .subsets import (
-    bit_halves,
     bit_indices,
-    drop_bit,
     lane_tops,
     lanes_without,
     pack_lanes,
@@ -147,33 +143,39 @@ def _submodularity_violations(h: SetFunction) -> Iterator[tuple[int, int, int]]:
                     yield (base, i, j)
 
 
-def _interacting_table(vals: Sequence[int]) -> tuple[Sequence[int], list[int]]:
-    """`vals` with every modular worker squeezed out: the table over the
-    workers that interact, which both kernels decide on (see the module
-    docstring), and those workers' indices in `vals`, ascending. `vals`
-    itself when no worker is modular.
+def _interacting_table(h: SetFunction) -> tuple[Sequence[int], list[int]]:
+    """h's table with every modular worker squeezed out: the table over
+    the workers that interact, which both kernels decide on (see the
+    module docstring), and those workers' indices in h, ascending.
+    `h.scaled` itself when no worker is modular.
 
-    Workers go from the top bit down, so the lower bits keep their
-    positions. Worker i is probed in O(1), d_i(empty) against d_i(N-i) on
-    the table cut so far. One that passes goes only if d_i is that value
-    on every set, by a slice comparison that stops at the first set where
-    it is not (a table that is not submodular can pass the probe), and is
-    then squeezed out (`subsets.drop_bit`). Dropping a modular worker
-    leaves every other marginal list the same, so modularity on the cut
-    table is modularity on `vals`.
+    Worker i is probed in O(1), d_i(empty) against d_i(N-i). One that
+    passes goes only if d_i is that value c on every set, by one test on
+    h's table packed into lanes of headroom 1 (`SetFunction.lanes`): the
+    lanes without i of (P >> width * 2^i) + 2^(width-1) - P all equal
+    c + 2^(width-1) (a table that is not submodular can pass the probe).
+    The kept workers' table is one gather, at the masks `subset_sums`
+    gives their bits.
     """
-    n = len(vals).bit_length() - 1
-    kept = list(range(n))
-    for i in reversed(range(n)):
-        bit, top = 1 << i, len(vals) - 1
+    vals, n = h.scaled, h.n
+    top, kept, packed = len(vals) - 1, [], None
+    for i in range(n):
+        bit = 1 << i
         c = vals[bit] - vals[0]
-        if vals[top] - vals[top ^ bit] == c and all(
-            all(map(eq, map(sub, vals[hi], vals[lo]), repeat(c)))
-            for lo, hi in bit_halves(len(vals), bit)
-        ):
-            vals = drop_bit(vals, bit)
-            del kept[i]
-    return vals, kept
+        if vals[top] - vals[top ^ bit] == c:
+            if packed is None:
+                packed, width = h.lanes
+                bias = lane_tops(width, len(vals))
+            tops = lane_tops(width, len(vals), bit)  # the lanes without i
+            ones = tops >> width - 1
+            # lane m: d_i(m) + 2^(width-1), read whole on the lanes without i
+            d = (packed >> (width << i)) + bias - packed
+            if d & ((tops << 1) - ones) == ones * (c + (1 << width - 1)):
+                continue
+        kept.append(i)
+    if len(kept) == n:
+        return vals, kept
+    return list(map(vals.__getitem__, subset_sums([1 << i for i in kept]))), kept
 
 
 def _submodular_holds(vals: Sequence[int]) -> bool:
@@ -215,7 +217,7 @@ def _first_submodularity_violation(
     here when not given); only a table that fails it runs the ordered walk
     on h, whose first hit is the witness.
     """
-    if _submodular_holds(_interacting_table(h.scaled)[0] if core is None else core):
+    if _submodular_holds(_interacting_table(h)[0] if core is None else core):
         return None
     hit = next(_submodularity_violations(h), None)
     if hit is None:
@@ -346,7 +348,7 @@ def is_gross_substitutes(h: SetFunction) -> ConditionReport:
     """
     if not h.is_monotone():
         raise ValueError("gross-substitutes test requires a weakly increasing table")
-    core, kept = _interacting_table(h.scaled)
+    core, kept = _interacting_table(h)
     return _gross_substitutes(h, _first_submodularity_violation(h, core), core, kept)
 
 
@@ -363,28 +365,25 @@ def _gross_substitutes(
     triple = _first_exchange_violation(core)
     if triple is None:
         return ConditionReport(verdict=True)
-    return _exchange_report(h, *_triple_exchange(h.scaled, *(kept[c] for c in triple)))
+    i, j, k = (kept[c] for c in triple[:3])
+    x = sum(1 << kept[b] for b in bit_indices(triple[3]))  # lane X of `core`, as a set of h
+    return _exchange_report(h, *_triple_exchange(h.scaled, i, j, k, x))
 
 
-def _triple_exchange(vals: Sequence[int], i: int, j: int, k: int) -> tuple[int, int, int]:
-    """(S, T, w) for the triple i < j < k at the least X within N - {i,
-    j, k} where one of the three sums is the strict maximum: its pair
-    a < b with X is S, its lone worker c with X is T, and w = a."""
+def _triple_exchange(vals: Sequence[int], i: int, j: int, k: int, x: int) -> tuple[int, int, int]:
+    """(S, T, w) for the triple i < j < k at X = `x`, where one of the three
+    sums must be the strict maximum: its pair a < b with X is S, its lone
+    worker c with X is T, and w = a."""
     bi, bj, bk = 1 << i, 1 << j, 1 << k
     splits = ((bi, bj, bk), (bi, bk, bj), (bj, bk, bi))  # (a, b, c), a < b
-    rest = (len(vals) - 1) ^ bi ^ bj ^ bk
-    x = 0
-    while True:
-        sums = [vals[x | a | b] + vals[x | c] for a, b, c in splits]
-        top = max(sums)
-        if sums.count(top) == 1:
-            a, b, c = splits[sums.index(top)]
-            return x | a | b, x | c, a.bit_length() - 1
-        if x == rest:
-            raise RuntimeError(
-                "gross substitutes: the exchange kernel names a triple that holds at every X"
-            )
-        x = (x - rest) & rest
+    sums = [vals[x | a | b] + vals[x | c] for a, b, c in splits]
+    top = max(sums)
+    if sums.count(top) != 1:
+        raise RuntimeError(
+            "gross substitutes: the exchange kernel names an X with no strict maximum"
+        )
+    a, b, c = splits[sums.index(top)]
+    return x | a | b, x | c, a.bit_length() - 1
 
 
 def _exchange_report(h: SetFunction, s: int, t: int, i: int) -> ConditionReport:
@@ -443,7 +442,7 @@ def classify(h: SetFunction) -> dict[str, ConditionReport]:
         }
         return {"monotone": ConditionReport(verdict=False, witness=witness)}
     holds = ConditionReport(verdict=True)
-    core, kept = _interacting_table(h.scaled)
+    core, kept = _interacting_table(h)
     hit = _first_submodularity_violation(h, core)
     return {
         "monotone": holds,
@@ -454,10 +453,11 @@ def classify(h: SetFunction) -> dict[str, ConditionReport]:
     }
 
 
-def _first_exchange_violation(vals: Sequence[int]) -> Optional[tuple[int, int, int]]:
-    """The first triple i < j < k of the table `vals` that fails the
-    three-element local inequality at some X, pairs (i, k) ascending and
-    then j; None when every triple holds.
+def _first_exchange_violation(vals: Sequence[int]) -> Optional[tuple[int, int, int, int]]:
+    """(i, j, k, X): the first triple i < j < k of the table `vals` that
+    fails the three-element local inequality at some X, pairs (i, k)
+    ascending and then j, and the least such X; None when every triple
+    holds.
 
     Of the three sums h(X+i+j) + h(X+k), h(X+i+k) + h(X+j) and
     h(X+j+k) + h(X+i), each must be at most the larger of the other two,
@@ -484,8 +484,9 @@ def _first_exchange_violation(vals: Sequence[int]) -> Optional[tuple[int, int, i
     `subsets.lanes_without`, each from the last by a shift and an xor,
     which only runs from a bit down to the next lower one: k and then j
     go down, and each i runs all its pairs, keeping the last failing
-    triple it meets, the first in the triple order. Held at a time: about
-    a dozen packed ints, two of them masks.
+    triple it meets, the first in the triple order, with its failing
+    lanes, of which X is the lowest. Held at a time: about a dozen packed
+    ints, two of them masks.
 
     This is the test on any table, submodular or not. The deciders hand it
     the `_interacting_table` only behind a submodular verdict, where a
@@ -520,10 +521,12 @@ def _first_exchange_violation(vals: Sequence[int]) -> Optional[tuple[int, int, i
                     | (twice - x_over_y) & y_over_z
                     | (twice - x_over_z) & (twice - y_over_z)
                 )
-                if unique & without:
-                    hit = i, j, k
+                fails = unique & without
+                if fails:
+                    hit = i, j, k, fails
                 without ^= without << (width << j - 1)  # the lanes without bits i, j - 1 and k
             both ^= both << (width << k - 1)  # the lanes without bits i and k - 1
         if hit:
-            return hit
+            i, j, k, fails = hit
+            return i, j, k, (fails & -fails).bit_length() // width - 1  # the lowest lane
     return None

@@ -61,31 +61,15 @@ def bit_halves(size: int, bit: int) -> Iterator[tuple[slice, slice]]:
     return ((slice(b, b + bit), slice(b + bit, b + step)) for b in range(0, size, step))
 
 
-def _squeezed_halves(size: int, bit: int) -> Iterator[tuple[slice, slice, slice]]:
-    """`bit_halves` pairs, each with the slice its without-bit entries fill
-    in the half-size table that has `bit` squeezed out: a strided slice
-    lands every `bit`-th entry, a block lands contiguously."""
-    for lo, hi in bit_halves(size, bit):
-        start = lo.start if lo.start < bit else lo.start >> 1
-        yield lo, hi, slice(start, None, bit) if lo.step else slice(start, start + bit)
-
-
-def drop_bit(vals: Sequence[Any], bit: int) -> list[Any]:
-    """vals at the masks without `bit`, ascending: the table with `bit`
-    squeezed out, copied by `bit_halves` slices."""
-    base = [0] * (len(vals) >> 1)
-    for lo, _, dst in _squeezed_halves(len(vals), bit):
-        base[dst] = vals[lo]
-    return base
-
-
 def insert_bit(vals: Sequence[Any], bit: int) -> list[Any]:
-    """The inverse of `drop_bit`: the table twice the size in which both
-    m and m | `bit` read vals at m with `bit` squeezed out, so the new
-    bit changes no value. Copied by the same slices."""
+    """The table twice the size in which both m and m | `bit` read vals at
+    m with `bit` squeezed out, so the new bit changes no value. Copied by
+    `bit_halves` slices: each pair reads every `bit`-th entry of vals from
+    its start (strided), or a run of `bit` entries (blocks)."""
     out = [0] * (len(vals) << 1)
-    for lo, hi, dst in _squeezed_halves(len(out), bit):
-        out[lo] = out[hi] = vals[dst]
+    for lo, hi in bit_halves(len(out), bit):
+        start = lo.start if lo.start < bit else lo.start >> 1
+        out[lo] = out[hi] = vals[start::bit] if lo.step else vals[start : start + bit]
     return out
 
 

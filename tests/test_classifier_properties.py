@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jobmarket.model as model
 import jobmarket.oracles as oracles
 import jobmarket.setfn as setfn
 from jobmarket.model import ConditionReport, SetFunction
@@ -467,8 +468,7 @@ def test_triple_test_matches_the_per_ordering_loop(fn):
     triples = _ref_exchange_triples(fn)
     first = setfn._first_exchange_violation(fn.scaled)
     assert (first is None) == triples
-    reference = _ref_first_triple(fn)
-    assert first == (None if reference is None else reference[:3])
+    assert first == _ref_first_triple(fn)
     local = setfn._submodular_holds(fn.scaled) and first is None
     assert local == (_ref_submodular(fn).verdict and triples)
 
@@ -630,14 +630,26 @@ def _submodularity_agrees(fn: SetFunction) -> bool:
 
 
 def _exchange_agrees(fn: SetFunction) -> bool:
-    triple = _ref_first_triple(fn)
-    return setfn._first_exchange_violation(fn.scaled) == (triple and triple[:3])
+    return setfn._first_exchange_violation(fn.scaled) == _ref_first_triple(fn)
+
+
+def _modular_cut_agrees(fn: SetFunction) -> bool:
+    modular = _ref_modular_mask(fn)
+    core, kept = setfn._interacting_table(fn)
+    return kept == [i for i in range(fn.n) if not modular >> i & 1] and list(core) == [
+        v for m, v in enumerate(fn.scaled) if not m & modular
+    ]
 
 
 @pytest.mark.parametrize("nbytes", (1, 2, 8, 9))
 @pytest.mark.parametrize(
     "headroom, agrees",
-    ((1, _monotonicity_agrees), (2, _submodularity_agrees), (2, _exchange_agrees)),
+    (
+        (1, _monotonicity_agrees),
+        (1, _modular_cut_agrees),
+        (2, _submodularity_agrees),
+        (2, _exchange_agrees),
+    ),
 )
 def test_lane_kernels_match_the_references_at_a_lane_width_boundary(nbytes, headroom, agrees):
     """Each kernel on tables whose range R just fills `nbytes`-byte lanes
@@ -676,11 +688,20 @@ PROBE_PASSING_NON_MODULAR = SetFunction.from_values(
     ("w1", "w2", "w3"), tuple(Fraction(v) for v in (0, 1, 1, 3, 1, 2, 2, 3))
 )
 # 2|S| raised by 1 at {w1, w2, w3}: the probe passes for w1, w2 and w3, and
-# d_w2 differs from 2 only on sets holding w1, which the second of w2's
-# two strided slice pairs holds
+# d_w2 differs from 2 only at {w1, w3}, one lane of the packed test
 LATE_SLICE_NON_MODULAR = SetFunction.from_values(
     ("w1", "w2", "w3", "w4"),
     tuple(Fraction(2 * m.bit_count() + (m == 7)) for m in range(16)),
+)
+# modular w1 (adds 1) beside min(7, 2[w2] + 2[w3] + 3[w4] + 3[w5]): submodular,
+# and the first failing triple (w2, w3, w4) ties at X = empty and has a
+# strict maximum first at X = {w5}, bit 3 of the cut table and bit 4 of h
+MODULAR_BELOW_THE_LEAST_X = SetFunction.from_values(
+    _universe(5),
+    tuple(
+        Fraction((m & 1) + min(7, sum(v for i, v in enumerate((2, 2, 3, 3)) if m >> i + 1 & 1)))
+        for m in range(32)
+    ),
 )
 small_table = st.one_of(
     monotone_tables(4),
@@ -719,9 +740,10 @@ def _ref_modular_mask(h: SetFunction) -> int:
 @example(MODULAR_BESIDE_COMPLEMENTS)
 @example(PROBE_PASSING_NON_MODULAR)
 @example(LATE_SLICE_NON_MODULAR)
+@example(MODULAR_BELOW_THE_LEAST_X)
 def test_modular_workers_change_no_verdict_or_witness(fn):
     modular = _ref_modular_mask(fn)
-    core, kept = setfn._interacting_table(fn.scaled)
+    core, kept = setfn._interacting_table(fn)
     assert list(core) == [v for m, v in enumerate(fn.scaled) if not m & modular]
     assert kept == [i for i in range(fn.n) if not modular >> i & 1]
     hit = setfn._first_submodularity_violation(fn)
@@ -745,16 +767,16 @@ def test_modular_workers_change_no_verdict_or_witness(fn):
     # the kernels on the whole table, every worker kept, give every witness
     # the same sets: the triple a cut table names maps back through `kept`
     whole = (fn.scaled, list(range(fn.n)))
-    with mock.patch.object(setfn, "_interacting_table", lambda vals: whole):
+    with mock.patch.object(setfn, "_interacting_table", lambda h: whole):
         assert setfn.classify(fn) == chain
 
 
 def test_the_triple_reduction_needs_a_submodular_table():
     fn = MODULAR_BESIDE_COMPLEMENTS
-    core, kept = setfn._interacting_table(fn.scaled)
+    core, kept = setfn._interacting_table(fn)
     assert (list(core), kept) == ([0, 0, 0, 1], [1, 2])
     assert setfn._first_exchange_violation(core) is None
-    assert setfn._first_exchange_violation(fn.scaled) == (0, 1, 2)
+    assert setfn._first_exchange_violation(fn.scaled) == (0, 1, 2, 0)
     hit = setfn._first_submodularity_violation(fn)
     assert hit == (0, 1, 2)
     # the pair violation (empty, w2, w3) witnesses the false verdict
@@ -826,7 +848,7 @@ def test_a_passed_probe_is_confirmed_before_a_worker_goes(monkeypatch, fn, passi
 def test_a_table_without_modular_workers_passes_whole(monkeypatch, spec):
     fn = generate(*spec).utility("f1")
     assert _ref_modular_mask(fn) == 0
-    core, kept = setfn._interacting_table(fn.scaled)
+    core, kept = setfn._interacting_table(fn)
     assert core is fn.scaled and kept == list(range(fn.n))
     calls = _kernel_inputs(monkeypatch)
     assert setfn.classify(fn)["submodular"].verdict
@@ -851,19 +873,27 @@ def test_scaled_table_clears_the_common_denominator(fn):
 
 
 def test_false_verdicts_without_a_witness_are_internal_errors(monkeypatch):
-    """A kernel that names a violation the table does not have, or a walk
-    that reports an exchange that does not lose, is an internal error."""
+    """A kernel that names a violation the table does not have, or an
+    exchange that does not lose, is an internal error."""
     # gross substitutes, and no worker is modular
     fn = SetFunction.unit_demand(_universe(4), {"w1": 1, "w2": 2, "w3": 3, "w4": 4})
-    assert setfn._interacting_table(fn.scaled)[1] == [0, 1, 2, 3]
+    assert setfn._interacting_table(fn)[1] == [0, 1, 2, 3]
     with monkeypatch.context() as patch:
-        # (w1, w2, w3): every sum is 3 + h(X + w4), at every X
-        patch.setattr(setfn, "_first_exchange_violation", lambda vals: (0, 1, 2))
-        for check in (setfn.classify, setfn.is_gross_substitutes):
-            with pytest.raises(RuntimeError, match="names a triple that holds at every X"):
-                check(fn)
+        # without the bias every lane's top bit is clear, a drop at the
+        # empty set for every bit; h({w1}) = 1 is not below h(empty) = 0
+        patch.setattr(model, "lane_tops", lambda width, size, run=0: 0)
+        with pytest.raises(RuntimeError, match="names a pair that does not drop"):
+            setfn.classify(fn)
+    with monkeypatch.context() as patch:
+        # (w1, w2, w3) at X = empty: the sums are 2 + 3, 3 + 2 and 3 + 1;
+        # at X = {w4} all three are 4 + 4
+        for x in (0, 0b1000):
+            patch.setattr(setfn, "_first_exchange_violation", lambda vals, x=x: (0, 1, 2, x))
+            for check in (setfn.classify, setfn.is_gross_substitutes):
+                with pytest.raises(RuntimeError, match="names an X with no strict maximum"):
+                    check(fn)
         # moving w1 from {w1, w2} to {w3} keeps 2 + 3
-        patch.setattr(setfn, "_triple_exchange", lambda vals, i, j, k: (0b011, 0b100, 0))
+        patch.setattr(setfn, "_triple_exchange", lambda vals, i, j, k, x: (0b011, 0b100, 0))
         with pytest.raises(RuntimeError, match="the reported exchange does not lose value"):
             setfn.classify(fn)
     monkeypatch.setattr(setfn, "_submodular_holds", lambda vals: False)
