@@ -13,8 +13,11 @@ Exit codes: 0 success, 1 the checked property fails (vcg: IR or SIR false;
 stability: blocked; selftest: any suite failure), 2 bad input, 141 stdout
 closed before the output was written (console entry only). Output is
 deterministic for a fixed input and seed; --json emits a stable schema with
-all rationals as exact strings. `gen` always writes a market file, which is
-JSON, and takes no --json.
+all rationals as exact strings, in the layout of json.dumps(payload,
+indent=2, sort_keys=True). The package writes that text itself
+(`marketio.json_text`): json.dumps given an indent runs its pure-Python
+encoder on CPython 3.12 and before. `gen` always writes a market file,
+which is JSON, and takes no --json.
 
 The five market commands share one envelope, built in `main`: it loads the
 market, calls the body `(args, market) -> (code, lines, payload)`, then
@@ -40,12 +43,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Optional, Sequence
 
-from .marketio import dumps_market, load_market, load_profile, market_digest
+from .marketio import dumps_market, json_text, load_market, load_profile, market_digest
 from .model import ConditionReport, Market, Profile
 from .necessity import (
     GENERATOR_KINDS,
@@ -83,7 +85,7 @@ def _cond_dict(r: ConditionReport) -> dict:
 
 def _emit(args, lines: list[str], payload: dict) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json_text(payload))
     else:
         for line in lines:
             print(line)

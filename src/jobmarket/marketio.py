@@ -32,22 +32,25 @@ past `model.WORKER_CAP` workers, or whose firms' tables would hold more
 than `model.ENTRY_CAP` entries in all (m firms times 2^n), is refused
 before any table is built.
 
-Cost: one load parses each distinct rational string once (a generated
+Cost: one load reads each distinct rational string once (a generated
 12-worker table holds a few dozen distinct strings among its 4,096
-values) and scales each distinct value once, by the LCM of its table's
-denominators, straight into the table's integer form (`SetFunction.den`
-and `scaled`); no Fraction is built per entry. A string already in the
-canonical form `str(Fraction)` writes ("3", "-7/2", as `gen` writes every
-value) is read by `int()` on its "/"-parts and kept only if it prints back
-to itself; any other string goes to `parse_rational`, which alone decides
-refusals. Both spellings share that step; an array is already in mask
-order, needs no subset key, and JSON reads it without the per-object
-duplicate-key check. A keyed table whose keys are the load's subset key
-list in mask order is read in file order after one comparison of the two
-key lists. Keys in another order resolve to masks by dict lookup in that
-list, only keys whose ids come in another order are split and resolved
-worker by worker, and only a table found at fault is walked entry by
-entry to name its first offender.
+values) to an exact (num, den) pair of ints, and scales each distinct
+value once, num * (L // den) for the LCM L of its table's denominators,
+straight into the table's integer form (`SetFunction.den` and `scaled`);
+no table value builds a Fraction. A string already in the canonical form
+`str(Fraction)` writes ("3", "-7/2", as `gen` writes every value) is read
+by `int()` on its "/"-parts and kept only if den > 1 is prime to num and
+the pair prints back to the string; any other string goes to
+`parse_rational`, which alone decides refusals. The disutility matrix is
+read once, in worker and firm order, through the same memo, and equal
+values share one Fraction. Both spellings of a table share the bulk step;
+an array is already in mask order, needs no subset key, and JSON reads it
+without the per-object duplicate-key check. A keyed table whose keys are
+the load's subset key list in mask order is read in file order after one
+comparison of the two key lists. Keys in another order resolve to masks by
+dict lookup in that list, only keys whose ids come in another order are
+split and resolved worker by worker, and only a table found at fault is
+walked entry by entry to name its first offender.
 
 `dumps_market` writes its JSON text straight from the integer tables, one
 text per distinct value of each table, and the digest is the sha256 of
@@ -56,10 +59,13 @@ that same text: the digest of a market is the `sha256sum` of the file
 are dropped, from the texts it has just read: a table whose distinct
 values are all canonical strings is hashed from its values as read, any
 other is printed from its integers as `dumps_market` prints it, each
-distinct value once. The text is fed to the hash about 2^14 values at a
-time, so it is never held whole. `market_digest` returns that digest, or
-renders a market built any other way. Both spellings of a table load to
-the same integer tables, so they share one digest.
+distinct value once; a disutility matrix of canonical strings is hashed
+from its strings as read, any other from `str` of each entry. The text is
+fed to the hash about 2^14 values at a time, so it is never held whole.
+`market_digest` returns that digest, or renders a market built any other
+way. Both spellings of a table load to the same integer tables, so they
+share one digest. `json_text` writes a command's --json payload in the
+same indent-2 layout, by `_layout`.
 """
 
 from __future__ import annotations
@@ -67,13 +73,14 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
-from typing import Any, Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Optional
 
 from .model import (
     Market,
@@ -83,7 +90,6 @@ from .model import (
     as_fraction,
     check_entry_cap,
     check_worker_cap,
-    clear_denominators,
 )
 from .subsets import mask_of
 
@@ -128,44 +134,52 @@ def parse_rational(x: Any, where: str = "value") -> Fraction:
         raise MarketFormatError(f"{where}: bad rational {x!r} ({exc})") from None
 
 
-def _exact_rational(raw: str) -> Optional[Fraction]:
-    """The value of a string that is already its own canonical text
-    (`str(Fraction)`: "3", "-7/2"), read by `int()` on its "/"-parts; None
-    for any other string, which `parse_rational` then reads or refuses.
-    `int()` reads more than the canonical spelling ("+3", " 3", "03", "3_0",
-    and the "1/-2" that Fraction refuses), so the result counts only when
-    it prints back to `raw` exactly."""
+def _exact_pair(raw: str) -> Optional[tuple[int, int]]:
+    """(num, den) of a string that is already its own canonical text
+    (`str(Fraction)`: "3", "-7/2"), read by `int()` on its "/"-parts, with
+    den = 1 for an integer; None for any other string, which
+    `parse_rational` then reads or refuses. `int()` reads more than the
+    canonical spelling ("+3", " 3", "03", "3_0", "-0", and the "1/-2" that
+    Fraction refuses), so the pair counts only when it prints back to
+    `raw` exactly, and a "/"-pair only when den > 1 is prime to num
+    ("0/5", "6/4" and "3/1" go to `parse_rational`)."""
     if len(raw) > _MAX_RATIONAL_CHARS:
         return None
     num, slash, den = raw.partition("/")
     try:
-        value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
-    except (ValueError, ZeroDivisionError):
+        n = int(num)
+        if not slash:
+            return (n, 1) if str(n) == raw else None
+        d = int(den)
+    except ValueError:
         return None
-    return value if str(value) == raw else None
+    return (n, d) if d > 1 and gcd(n, d) == 1 and f"{n}/{d}" == raw else None
 
 
 def _parse_memo(
-    memo: dict[str, Fraction], x: Any, where: str, plain: Optional[set[str]] = None
-) -> Fraction:
-    """parse_rational, run once per distinct string of one load. A string
-    that `_exact_rational` reads goes into `plain`, when given.
+    memo: dict[str, tuple[int, int]], x: Any, where: str, plain: Optional[set[str]] = None
+) -> tuple[int, int]:
+    """The exact (num, den) of a rational, den > 0 and prime to num, from
+    `_exact_pair` or else `parse_rational`, once per distinct string of one
+    load. A string that `_exact_pair` reads goes into `plain`, when given.
 
     Only strings are stored: True == 1 and both hash alike, so a memo that
     stored integers would hand a later JSON true the value of an earlier 1
     and let it past the bool refusal.
     """
     if type(x) is not str:
-        return parse_rational(x, where)
-    value = memo.get(x)
-    if value is None:
-        value = _exact_rational(x)
-        if value is None:
+        value = parse_rational(x, where)
+        return value.numerator, value.denominator
+    pair = memo.get(x)
+    if pair is None:
+        pair = _exact_pair(x)
+        if pair is None:
             value = parse_rational(x, where)
+            pair = value.numerator, value.denominator
         elif plain is not None:
             plain.add(x)
-        memo[x] = value
-    return value
+        memo[x] = pair
+    return pair
 
 
 def subset_keys(workers: tuple[str, ...]) -> list[str]:
@@ -194,10 +208,15 @@ class _Load:
 
     def __init__(self, workers: tuple[str, ...]) -> None:
         self.workers = workers
-        self.rationals: dict[str, Fraction] = {}
-        #: strings of `rationals` that `_exact_rational` read for a table:
-        #: each is its own canonical text
+        #: {distinct rational string: (num, den)}, shared by every value read
+        self.rationals: dict[str, tuple[int, int]] = {}
+        #: strings of `rationals` that `_exact_pair` read: each is its own
+        #: canonical text
         self.plain: set[str] = set()
+
+    def read(self, x: Any, where: str) -> tuple[int, int]:
+        """One value's exact (num, den), through this load's memo."""
+        return _parse_memo(self.rationals, x, where, self.plain)
 
     @cached_property
     def keys(self) -> list[str]:
@@ -253,9 +272,12 @@ class _Load:
             except ValueError:
                 masks = []  # a key that does not resolve: named below
         if len(masks) != size or len(found) != size:
-            fracs = self._distinct_values(values.values(), entries)
+            # a key set at fault: its values are parsed first, then
+            # `from_table` names the first bad key
+            pairs = self._distinct_values(values.values(), entries)
             return SetFunction.from_table(
-                self.workers, ((_key_ids(key), fracs[raw]) for key, raw in values.items())
+                self.workers,
+                ((_key_ids(key), Fraction(*pairs[raw])) for key, raw in values.items()),
             ), None
         ordered: list[Any] = [None] * size
         for m, raw in zip(masks, values.values()):
@@ -266,27 +288,27 @@ class _Load:
         self, ordered: Collection[Any], entries: Iterable[tuple[str, Any]]
     ) -> tuple[SetFunction, Optional[_Texts]]:
         """The bulk step of both spellings, on values in mask order: each
-        distinct value is parsed once and scaled once, by the LCM of the
-        table's distinct denominators (`model.clear_denominators`).
-        `entries` pairs each value as written with its label, in file
-        order; it is walked only to name a refused value.
+        distinct value is read once, as an exact (num, den) pair, and
+        scaled once, num * (den' // den), by the LCM den' of the table's
+        distinct denominators. `entries` pairs each value as written with
+        its label, in file order; it is walked only to name a refused value.
 
         Also returns the table's texts: the values as read when every
         distinct one is a canonical string, else None."""
-        fracs = self._distinct_values(ordered, entries)
-        den, (cleared,) = clear_denominators((), [list(fracs.values())])
-        ints = dict(zip(fracs, cleared))
+        pairs = self._distinct_values(ordered, entries)
+        den = lcm(*[d for _, d in pairs.values()])
+        ints = {raw: n * (den // d) for raw, (n, d) in pairs.items()}
         if len(ordered) > 1:
             scaled = itemgetter(*ordered)(ints)
         else:  # itemgetter of one key returns the bare value, not a 1-tuple
             scaled = tuple(map(ints.__getitem__, ordered))
         fn = SetFunction(self.workers, den, scaled)
-        return fn, ordered if self.plain.issuperset(fracs) else None
+        return fn, ordered if self.plain.issuperset(pairs) else None
 
     def _distinct_values(
         self, raws: Collection[Any], entries: Iterable[tuple[str, Any]]
-    ) -> dict[Any, Fraction]:
-        """{distinct value as written: Fraction}, strings from the load's memo.
+    ) -> dict[Any, tuple[int, int]]:
+        """{distinct value as written: (num, den)}, strings from the load's memo.
 
         A string equals only strings, so only a non-string can hide another
         entry from the set (True == 1 == 1.0 hash alike); a table holding
@@ -307,20 +329,19 @@ class _Load:
             raise
 
 
-def _parse_value_map(obj: Any, where: str, memo: dict[str, Fraction]) -> dict[str, Fraction]:
+def _parse_value_map(obj: Any, where: str, load: _Load) -> dict[str, Fraction]:
     if not isinstance(obj, Mapping):
         raise MarketFormatError(f"{where}: expected an object of per-worker values")
     for w in obj:
         if not isinstance(w, str):
             raise MarketFormatError(f"{where}: worker key {w!r} is not a string")
-    return {w: _parse_memo(memo, v, f"{where}[{w}]") for w, v in obj.items()}
+    return {w: Fraction(*load.read(v, f"{where}[{w}]")) for w, v in obj.items()}
 
 
 def _parse_utility(spec: Any, load: _Load, firm: str) -> tuple[SetFunction, Optional[_Texts]]:
     """The firm's table, and its texts when the file spells it as a table
     of canonical strings (None otherwise)."""
     workers = load.workers
-    memo = load.rationals
     where = f"firm {firm!r} utility"
     if not isinstance(spec, Mapping):
         raise MarketFormatError(f"{where}: expected an object")
@@ -345,7 +366,7 @@ def _parse_utility(spec: Any, load: _Load, firm: str) -> tuple[SetFunction, Opti
                     " or an object keyed by subset"
                 )
             return load.keyed(values, where)
-        per = _parse_value_map(values, where, memo)
+        per = _parse_value_map(values, where, load)
         unknown = set(per) - set(workers)
         if unknown:
             raise MarketFormatError(f"{where}: unknown worker {sorted(unknown)[0]!r}")
@@ -356,7 +377,7 @@ def _parse_utility(spec: Any, load: _Load, firm: str) -> tuple[SetFunction, Opti
         budget = spec.get("budget")
         if budget is None:
             raise MarketFormatError(f"{where}: budget_additive requires 'budget'")
-        budget = _parse_memo(memo, budget, f"{where} budget")
+        budget = Fraction(*load.read(budget, f"{where} budget"))
         return SetFunction.budget_additive(workers, budget, per), None
     except MarketFormatError:
         raise
@@ -402,9 +423,9 @@ def parse_market(obj: Any) -> Market:
         firms.append((fobj["name"], fn))
         texts.append(fn_texts)
     dis_raw = obj.get("disutilities")
-    profile = None
+    profile = rows = None
     if dis_raw is not None:
-        profile = _parse_profile(dis_raw, workers, tuple(name for name, _ in firms), load.rationals)
+        profile, rows = _parse_profile(dis_raw, load, tuple(name for name, _ in firms))
     try:
         market = Market(workers, tuple(firms), profile)
     except ValueError as exc:
@@ -412,20 +433,51 @@ def parse_market(obj: Any) -> Market:
     # hashed while the texts as read are still alive; `market_digest` reads
     # it back. `Market.__init__` never sets it, so a market built from this
     # one's fields renders its own digest.
-    market.__dict__[_DIGEST] = _digest(market, texts)
+    market.__dict__[_DIGEST] = _digest(market, texts, rows)
     return market
 
 
 def parse_profile(obj: Any, workers: tuple[str, ...], firms: tuple[str, ...]) -> Profile:
     """Parse a bare {worker: {firm: rational}} mapping against known ids."""
-    return _parse_profile(obj, workers, firms, {})
+    return _parse_profile(obj, _Load(tuple(workers)), tuple(firms))[0]
 
 
 def _parse_profile(
-    obj: Any, workers: tuple[str, ...], firms: tuple[str, ...], memo: dict[str, Fraction]
-) -> Profile:
+    obj: Any, load: _Load, firms: tuple[str, ...]
+) -> tuple[Profile, Optional[list[list[str]]]]:
+    """The profile over the load's workers and `firms`, and its values as
+    read, in worker and firm order, when every one is a canonical string
+    (None otherwise).
+
+    A matrix keyed by exactly those workers, each row by exactly those
+    firms, is read once, in that order, through the load's memo; equal
+    values share one Fraction. Any other matrix, or one holding a value
+    that does not read, is walked in file order, so that the first fault
+    in the file is the one named, then checked by `Profile.from_dict`.
+    """
     if not isinstance(obj, Mapping):
         raise MarketFormatError("disutilities: expected an object keyed by worker")
+    workers = load.workers
+    raws = _matrix(obj, workers, firms)
+    if raws is not None:
+        memo, plain = load.rationals, load.plain
+        fracs: dict[tuple[int, int], Fraction] = {}
+        rows = []
+        try:
+            for raw_row in raws:
+                row = []
+                for raw in raw_row:
+                    pair = _parse_memo(memo, raw, "", plain)
+                    value = fracs.get(pair)
+                    if value is None:
+                        value = fracs[pair] = Fraction(*pair)
+                    row.append(value)
+                rows.append(tuple(row))
+        except MarketFormatError:
+            pass  # named by the walk below
+        else:
+            texts = raws if all(map(plain.issuperset, raws)) else None
+            return Profile(workers, firms, tuple(rows)), texts
     entries: dict[str, dict[str, Fraction]] = {}
     for w, row in obj.items():
         if not isinstance(w, str):
@@ -436,12 +488,30 @@ def _parse_profile(
             if not isinstance(f, str):
                 raise MarketFormatError(f"disutilities[{w!r}]: firm key {f!r} is not a string")
         entries[w] = {
-            f: _parse_memo(memo, v, f"disutilities[{w!r}][{f!r}]") for f, v in row.items()
+            f: Fraction(*load.read(v, f"disutilities[{w!r}][{f!r}]")) for f, v in row.items()
         }
     try:
-        return Profile.from_dict(workers, firms, entries)
+        return Profile.from_dict(workers, firms, entries), None
     except ValueError as exc:
         raise MarketFormatError(f"disutilities: {exc}") from None
+
+
+def _matrix(
+    obj: Mapping, workers: tuple[str, ...], firms: tuple[str, ...]
+) -> Optional[list[list[Any]]]:
+    """The values of `obj` in worker and firm order, when its keys are
+    exactly `workers` and each row is an object keyed by exactly `firms`;
+    else None. Ids named twice leave room for a key that is neither, which
+    `Profile.from_dict` names, so they give None too."""
+    if len(obj) != len(workers) or len(set(workers)) != len(workers) or len(set(firms)) != len(firms):
+        return None
+    try:
+        rows = [obj[w] for w in workers]
+        if not all(isinstance(row, Mapping) and len(row) == len(firms) for row in rows):
+            return None
+        return [[row[f] for f in firms] for row in rows]
+    except KeyError:
+        return None
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -498,6 +568,35 @@ def _layout(items: list[str], depth: int, brackets: str = "{}") -> str:
     return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
 
 
+def json_text(obj: Any, depth: int = 0) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) for a tree of str, int,
+    bool, None, lists, tuples and dicts with str keys, the types a
+    command's payload holds, laid out by `_layout` at `depth`. Any other
+    value, a float or a Fraction among them, and any key that is not a
+    str, raises TypeError. On CPython 3.12 and before, json.dumps never
+    takes its C encoder with an indent; this writer runs its one C step,
+    the string escape, per string."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is dict:
+        inner = depth + 1
+        items = []
+        for key in sorted(obj):  # `_quote` refuses a key that is not a str
+            items.append(_quote(key) + ": " + json_text(obj[key], inner))
+        return _layout(items, depth)
+    if kind is list or kind is tuple:
+        inner = depth + 1
+        return _layout([json_text(x, inner) for x in obj], depth, "[]")
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 # Values per piece of the canonical text: a 2^20-entry table is mapped to
 # text, joined and hashed one piece of about 300 KB at a time, never whole.
 _TEXT_CHUNK = 1 << 14
@@ -506,12 +605,18 @@ _TEXT_CHUNK = 1 << 14
 _DIGEST = "_marketio_digest"
 
 
-def _text_pieces(m: Market, texts: Optional[Sequence[Optional[_Texts]]] = None) -> Iterator[str]:
+def _text_pieces(
+    m: Market,
+    texts: Optional[Sequence[Optional[_Texts]]] = None,
+    rows: Optional[Sequence[Sequence[str]]] = None,
+) -> Iterator[str]:
     """The canonical text of `m` in pieces: explicit tables as arrays in
     mask order, rationals as strings, laid out by json.dumps(..., indent=2)
     rules. Firm k's texts are `texts[k]` when given (the loader's), else
     `_value_texts` of its table; values are walked by one iterator and
-    mapped to text a chunk at a time, so no table's texts are held whole."""
+    mapped to text a chunk at a time, so no table's texts are held whole.
+    The disutilities' texts are `rows` when given (the loader's, in worker
+    and firm order), else `str` of each entry."""
     sep = '",\n' + "  " * 5 + '"'
     yield '{\n  "workers": ' + _layout(list(map(_quote, m.workers)), 1, "[]") + ',\n  "firms": ['
     for k, (name, fn) in enumerate(m.firms):
@@ -529,12 +634,17 @@ def _text_pieces(m: Market, texts: Optional[Sequence[Optional[_Texts]]] = None) 
             yield sep.join(chunk if text is None else map(text.__getitem__, chunk))
         yield '"\n        ]\n      }\n    }'
     yield "\n  ]" if m.firms else "]"
-    if m.disutilities is not None:
-        rows = [
-            f"{_quote(w)}: " + _layout([f"{_quote(f)}: {_quote(d)}" for f, d in row.items()], 2)
-            for w, row in m.disutilities.to_dict().items()
+    profile = m.disutilities
+    if profile is not None:
+        if rows is None:
+            rows = [[str(d) for d in row] for row in profile.rows]
+        # a rational's canonical text needs no escape inside its quotes
+        heads = [_quote(f) + ': "' for f in profile.firms]
+        lines = [
+            _quote(w) + ": " + _layout([head + t + '"' for head, t in zip(heads, row)], 2)
+            for w, row in zip(profile.workers, rows)
         ]
-        yield f',\n  "disutilities": {_layout(rows, 1)}'
+        yield ',\n  "disutilities": ' + _layout(lines, 1)
     yield "\n}\n"
 
 
@@ -545,11 +655,15 @@ def dumps_market(m: Market) -> str:
     return "".join(_text_pieces(m))
 
 
-def _digest(m: Market, texts: Optional[Sequence[Optional[_Texts]]] = None) -> str:
+def _digest(
+    m: Market,
+    texts: Optional[Sequence[Optional[_Texts]]] = None,
+    rows: Optional[Sequence[Sequence[str]]] = None,
+) -> str:
     """sha256 of the canonical text, fed piece by piece. The text is pure
     ASCII, so its bytes do not depend on an encoding."""
     h = hashlib.sha256()
-    for piece in _text_pieces(m, texts):
+    for piece in _text_pieces(m, texts, rows):
         h.update(piece.encode())
     return h.hexdigest()
 

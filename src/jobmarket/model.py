@@ -16,10 +16,11 @@ Profiles, salaries and payoffs are Fractions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .subsets import lane_tops, lanes_without, mask_of, members, pack_lanes, subset_sums
 
@@ -30,7 +31,7 @@ WORKER_CAP = 20
 #: costs tens of bytes once its table is built.
 ENTRY_CAP = 1 << 24
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 
 class SizeLimitError(ValueError):

@@ -118,7 +118,7 @@ def is_weak_substitutes(h: SetFunction) -> ConditionReport:
     return ConditionReport(verdict=True)
 
 
-PairHit = Optional[tuple[int, int, int]]
+PairHit = tuple[int, int, int] | None
 
 
 def _submodularity_violations(h: SetFunction) -> Iterator[tuple[int, int, int]]:

@@ -5,13 +5,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import jobmarket.cli as cli
 import jobmarket.selftest as selftest
-from jobmarket.marketio import load_market, market_digest, parse_market
+from jobmarket.marketio import json_text, load_market, market_digest, parse_market
 from jobmarket.model import ENTRY_CAP, SetFunction, SizeLimitError
 from jobmarket.necessity import generate
 from jobmarket.selftest import SelftestReport, SuiteResult
@@ -211,6 +214,49 @@ def test_every_market_command_shares_the_envelope(capsys, argv):
     rc_text, out, err = run_cli(capsys, *argv)
     assert (rc_text, err) == (rc, "")
     assert out.splitlines()[0] == f"market {digest}"
+
+
+@pytest.mark.parametrize("argv", MARKET_COMMANDS, ids=[a[0] for a in MARKET_COMMANDS])
+def test_json_output_keeps_the_indented_sorted_json_dumps_layout(capsys, argv):
+    _, out, _ = run_cli(capsys, *argv, "--json")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# strings with the characters an escape must handle: quotes, backslashes,
+# control characters, non-ASCII text and a character past the BMP
+_TEXTS = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\té€\u2028😀'), st.characters()),
+    max_size=6,
+)
+_TREES = st.recursive(
+    st.one_of(_TEXTS, st.integers(-(1 << 100), 1 << 100), st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXTS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+@example([])
+@example({})
+@example({"a": [(), {}, [[]]], "b": (1, (2, [3]))})
+@example([-(1 << 64), 1 << 64, True, False, None, "\"\\\x00é😀"])
+def test_json_writer_is_indented_sorted_json_dumps(tree):
+    assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [Fraction(1, 2), 0.5, {1: "a"}, {"a": 1, 2: "b"}, [{"a": (Fraction(3),)}], {"a": {(1,): 0}}],
+    ids=["fraction", "float", "int key", "mixed keys", "nested fraction", "tuple key"],
+)
+def test_json_writer_refuses_what_no_payload_holds(tree):
+    with pytest.raises(TypeError):
+        json_text(tree)
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])

@@ -5,7 +5,7 @@ import itertools
 import json
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import jobmarket.cli as cli
@@ -268,6 +268,52 @@ def test_profile_refuses_non_string_keys():
         assert str(exc.value) == message
     obj["disutilities"] = {"1": {"7": "1"}, "w1": {"7": "0"}}
     assert parse_market(obj).disutilities.get("1", "7") == 1
+
+
+def test_profile_in_any_key_order_loads_and_hashes_in_worker_order():
+    """The matrix is read in worker and firm order, whatever order the file
+    lists its keys in, and hashed as `gen` writes it; of two bad values the
+    one the file lists first is named, as a walk in file order names it."""
+    workers = ("w1", "w2", "w3")
+    fn = SetFunction.additive(workers, {"w1": 2, "w2": 3, "w3": 4})
+    firms = (("f1", fn), ("f2", fn))
+    rows = (("1/2", "0"), ("2", "7/3"), ("0", "1"))
+    m = Market(workers, firms, Profile(workers, ("f1", "f2"), tuple(
+        tuple(map(Fraction, row)) for row in rows)))
+    obj = json.loads(dumps_market(m))
+    obj["disutilities"] = {
+        w: dict(reversed(list(obj["disutilities"][w].items()))) for w in ("w3", "w1", "w2")
+    }
+    loaded = parse_market(obj)
+    assert loaded == m
+    assert market_digest(loaded) == hashlib.sha256(dumps_market(m).encode()).hexdigest()
+    obj["disutilities"]["w3"]["f1"] = "x"
+    obj["disutilities"]["w1"]["f2"] = "y"
+    with pytest.raises(MarketFormatError) as exc:
+        parse_market(obj)
+    assert str(exc.value) == (
+        "disutilities['w3']['f1']: bad rational 'x' (Invalid literal for Fraction: 'x')"
+    )
+    with pytest.raises(MarketFormatError) as exc:
+        parse_profile(obj["disutilities"], workers, ("f1", "f2"))
+    assert str(exc.value) == (
+        "disutilities['w3']['f1']: bad rational 'x' (Invalid literal for Fraction: 'x')"
+    )
+
+
+def test_profile_against_ids_named_twice_names_the_stray_key():
+    """A row as long as a firm list that names a firm twice holds a key
+    that is no firm: it is named, not read past in firm order."""
+    fn = {"type": "additive", "values": {"a": "1"}}
+    obj = {
+        "workers": ["a"],
+        "firms": [{"name": "f1", "utility": fn}, {"name": "f1", "utility": fn}],
+        "disutilities": {"a": {"f1": "1", "f2": "2"}},
+    }
+    with pytest.raises(MarketFormatError, match=r"^disutilities: worker 'a' lists unknown firm 'f2'$"):
+        parse_market(obj)
+    with pytest.raises(MarketFormatError, match=r"^disutilities: disutilities list unknown worker 'b'$"):
+        parse_profile({"a": {"f": "1"}, "b": {"f": "1"}}, ("a", "a"), ("f",))
 
 
 def test_serialize_market_roundtrips_exactly():
@@ -943,36 +989,66 @@ def test_text_fed_in_chunks_is_the_whole_text(monkeypatch, chunk):
 
 # every one is refused by, or read exactly by, parse_rational; none is the
 # canonical text of its value, so the int() reading must not keep it
-NOT_CANONICAL = ["+3", " 3", "3_0", "03", "-0", "6/4", "3/1", "٣"]
+NOT_CANONICAL = ["+3", " 3", "3_0", "03", "-0", "0/5", "6/4", "3/1", "٣"]
 REFUSED = ["1/-2", "1/0", "1e101", "abc", "1" * 101]
+CANONICAL = ["0", "3", "-7", "7/2", "-7/2", "-1/3", "9" * 100]
 
 
 def _outcome(read, raw):
+    """("refused", message), or ("value", (num, den)) in lowest terms with
+    den > 0, from a Fraction or an int pair alike."""
     try:
         value = read(raw)
     except MarketFormatError as exc:
         return "refused", str(exc)
-    return type(value), value
+    if isinstance(value, Fraction):
+        return "value", (value.numerator, value.denominator)
+    num, den = value
+    assert type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
+    return "value", (num, den)
 
 
-@pytest.mark.parametrize("raw", NOT_CANONICAL + REFUSED)
+@pytest.mark.parametrize("raw", NOT_CANONICAL + REFUSED + ["-7/2"])
 def test_int_reading_gives_exactly_what_parse_rational_gives(raw):
     label = "firm 'f' utility values[1] ('a')"
     expected = _outcome(lambda x: parse_rational(x, label), raw)
-    assert expected[0] == ("refused" if raw in REFUSED else Fraction)
+    assert expected[0] == ("refused" if raw in REFUSED else "value")
+    # the pair reader keeps the canonical text alone, and reads it exactly
+    pair = marketio._exact_pair(raw)
+    assert pair == (expected[1] if raw in CANONICAL else None)
     plain: set = set()
     assert _outcome(lambda x: marketio._parse_memo({}, x, label, plain), raw) == expected
-    assert plain == set()
+    assert plain == ({raw} if pair else set())
     obj = {"workers": ["a"], "firms": [{"name": "f", "utility": {"type": "table", "values": ["0", raw]}}]}
     loaded = _outcome(lambda _: parse_market(obj).utility("f").value(1), raw)
     assert loaded == expected
 
 
-@pytest.mark.parametrize("raw", ["0", "3", "-7", "7/2", "-1/3", "9" * 100])
+@pytest.mark.parametrize("raw", CANONICAL)
 def test_canonical_strings_are_read_by_int_and_kept_as_written(raw):
     plain: set = set()
-    assert marketio._parse_memo({}, raw, "v", plain) == parse_rational(raw)
+    value = parse_rational(raw)
+    assert marketio._parse_memo({}, raw, "v", plain) == (value.numerator, value.denominator)
+    assert marketio._exact_pair(raw) == (value.numerator, value.denominator)
     assert plain == {raw}
+
+
+def test_gen_tables_load_without_parse_rational_or_a_fraction(monkeypatch):
+    """Every value `gen` writes is canonical: its tables are read by the
+    pair reader alone, and no table value builds a Fraction."""
+    m = generate("random_monotone", 6, 3, seed=2)
+    obj = json.loads(dumps_market(m))
+    del obj["disutilities"]
+    expected = Market(m.workers, m.firms)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called while loading a gen market's tables")
+
+    monkeypatch.setattr(marketio, "parse_rational", refuse)
+    monkeypatch.setattr(marketio, "Fraction", refuse)
+    loaded = parse_market(obj)
+    assert loaded == expected
+    assert market_digest(loaded) == hashlib.sha256(dumps_market(expected).encode()).hexdigest()
 
 
 def test_commands_on_a_gen_file_print_no_table_text(capsys, tmp_path, monkeypatch):

@@ -116,6 +116,10 @@ def test_each_lane_holds_its_entry_less_the_minimum(n):
         [rng.randint(0, 9) for _ in range(size - 1)] + [70_000],
         [rng.randint(0, 9) for _ in range(size - 1)] + [1 << 40],
         [rng.randint(-(1 << 70), 1 << 70) for _ in range(size)],  # lanes past 64 bits
+        # one entry past a byte either way: the bytearray read refuses the
+        # table, which then pays min and max
+        [0] + [rng.randint(0, 255) for _ in range(size - 2)] + [256] * (size > 1),
+        [0] + [rng.randint(0, 255) for _ in range(size - 2)] + [-1] * (size > 1),
     )
     for vals in tables:
         low = min(vals)
