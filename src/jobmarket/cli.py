@@ -45,7 +45,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .marketio import dumps_market, json_text, load_market, load_profile, market_digest
 from .model import ConditionReport, Market, Profile
@@ -73,7 +73,7 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _fmt_witness(witness: Optional[dict]) -> str:
+def _fmt_witness(witness: dict | None) -> str:
     if not witness:
         return ""
     return " ".join(f"{k}={_fmt_value(v)}" for k, v in witness.items())
@@ -91,7 +91,7 @@ def _emit(args, lines: list[str], payload: dict) -> None:
             print(line)
 
 
-def _profile_for(args, m: Market) -> Optional[Profile]:
+def _profile_for(args, m: Market) -> Profile | None:
     """The --profile file, else the embedded one, refused outside [0, ubar].
 
     The engine solves any nonnegative profile; the commands keep to the
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if "market" not in args:

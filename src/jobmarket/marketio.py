@@ -41,16 +41,15 @@ no table value builds a Fraction. A string already in the canonical form
 `str(Fraction)` writes ("3", "-7/2", as `gen` writes every value) is read
 by `int()` on its "/"-parts and kept only if den > 1 is prime to num and
 the pair prints back to the string; any other string goes to
-`parse_rational`, which alone decides refusals. The disutility matrix is
-read once, in worker and firm order, through the same memo, and equal
-values share one Fraction. Both spellings of a table share the bulk step;
-an array is already in mask order, needs no subset key, and JSON reads it
-without the per-object duplicate-key check. A keyed table whose keys are
-the load's subset key list in mask order is read in file order after one
-comparison of the two key lists. Keys in another order resolve to masks by
-dict lookup in that list, only keys whose ids come in another order are
-split and resolved worker by worker, and only a table found at fault is
-walked entry by entry to name its first offender.
+`parse_rational`, which alone decides refusals. Both spellings of a
+table, the disutility matrix (read in worker and firm order, one Fraction
+per distinct value) and each per-worker value map share one bulk step,
+`_Load._distinct_values`, and only a group of values found at fault is
+walked entry by entry, in file order, to name its first offender. An
+array is already in mask order, needs no subset key, and JSON reads it
+without the per-object duplicate-key check. A keyed table's keys resolve
+to masks by dict lookup in the load's subset key list; only keys whose ids
+come in another order are split and resolved worker by worker.
 
 `dumps_market` writes its JSON text straight from the integer tables, one
 text per distinct value of each table, and the digest is the sha256 of
@@ -80,7 +79,6 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Any, Optional
 
 from .model import (
     Market,
@@ -91,7 +89,7 @@ from .model import (
     check_entry_cap,
     check_worker_cap,
 )
-from .subsets import mask_of
+from .subsets import mask_of, members
 
 
 class MarketFormatError(ValueError):
@@ -110,7 +108,7 @@ _MAX_EXPONENT = 100
 _INT_BOUND = 10**_MAX_RATIONAL_CHARS
 
 
-def parse_rational(x: Any, where: str = "value") -> Fraction:
+def parse_rational(x: object, where: str = "value") -> Fraction:
     if isinstance(x, bool) or isinstance(x, float):
         raise MarketFormatError(f"{where}: expected a rational string, got {x!r}")
     if not isinstance(x, (str, int)):
@@ -134,7 +132,7 @@ def parse_rational(x: Any, where: str = "value") -> Fraction:
         raise MarketFormatError(f"{where}: bad rational {x!r} ({exc})") from None
 
 
-def _exact_pair(raw: str) -> Optional[tuple[int, int]]:
+def _exact_pair(raw: str) -> tuple[int, int] | None:
     """(num, den) of a string that is already its own canonical text
     (`str(Fraction)`: "3", "-7/2"), read by `int()` on its "/"-parts, with
     den = 1 for an integer; None for any other string, which
@@ -157,11 +155,11 @@ def _exact_pair(raw: str) -> Optional[tuple[int, int]]:
 
 
 def _parse_memo(
-    memo: dict[str, tuple[int, int]], x: Any, where: str, plain: Optional[set[str]] = None
+    memo: dict[str, tuple[int, int]], x: object, where: str, plain: set[str]
 ) -> tuple[int, int]:
     """The exact (num, den) of a rational, den > 0 and prime to num, from
     `_exact_pair` or else `parse_rational`, once per distinct string of one
-    load. A string that `_exact_pair` reads goes into `plain`, when given.
+    load. A string that `_exact_pair` reads goes into `plain`.
 
     Only strings are stored: True == 1 and both hash alike, so a memo that
     stored integers would hand a later JSON true the value of an earlier 1
@@ -176,7 +174,7 @@ def _parse_memo(
         if pair is None:
             value = parse_rational(x, where)
             pair = value.numerator, value.denominator
-        elif plain is not None:
+        else:
             plain.add(x)
         memo[x] = pair
     return pair
@@ -193,7 +191,7 @@ def subset_keys(workers: tuple[str, ...]) -> list[str]:
     return keys
 
 
-def _key_ids(key: Any) -> tuple[str, ...]:
+def _key_ids(key: object) -> tuple[str, ...]:
     """A table key's worker ids as written; stray commas are refused."""
     if not isinstance(key, str):
         raise ValueError(f"table key {key!r} is not a string")
@@ -214,26 +212,20 @@ class _Load:
         #: canonical text
         self.plain: set[str] = set()
 
-    def read(self, x: Any, where: str) -> tuple[int, int]:
+    def read(self, x: object, where: str) -> tuple[int, int]:
         """One value's exact (num, den), through this load's memo."""
         return _parse_memo(self.rationals, x, where, self.plain)
 
     @cached_property
-    def keys(self) -> list[str]:
-        """`subset_keys` of the universe, built at most once per load: for
-        a keyed table, or to name a refused array entry."""
-        return subset_keys(self.workers)
-
-    @cached_property
     def key_masks(self) -> dict[str, int]:
-        """{canonical key: mask}, built by the first table that needs it."""
-        return dict(zip(self.keys, range(1 << len(self.workers))))
+        """{canonical key: mask}, built by the first keyed table."""
+        return dict(zip(subset_keys(self.workers), range(1 << len(self.workers))))
 
     @cached_property
     def index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.workers)}
 
-    def positional(self, values: list, where: str) -> tuple[SetFunction, Optional[_Texts]]:
+    def positional(self, values: list, where: str) -> tuple[SetFunction, _Texts | None]:
         """One firm's table from its array in mask order: entry i is the
         value of the set whose members are the set bits of i. The length
         is checked before any entry is parsed; a refused entry is named by
@@ -244,21 +236,22 @@ class _Load:
                 f"{where}: table 'values' holds {len(values)} entries, expected 2^{len(self.workers)}"
                 f" = {size}, one per subset in mask order"
             )
-        entries = ((f"{where} values[{i}] ({self.keys[i]!r})", raw) for i, raw in enumerate(values))
+        workers = self.workers
+        entries = (
+            (f"{where} values[{i}] ({','.join(members(i, workers))!r})", raw)
+            for i, raw in enumerate(values)
+        )
         return self._set_function(values, entries)
 
-    def keyed(self, values: Mapping, where: str) -> tuple[SetFunction, Optional[_Texts]]:
+    def keyed(self, values: Mapping, where: str) -> tuple[SetFunction, _Texts | None]:
         """One firm's table from its {key: value} object, put into mask order.
 
-        Keys that are the subset key list itself, in mask order, are taken
-        in file order; other keys resolve to masks through `key_masks`, and
-        only a key in another order is split. A key set that does not
-        resolve to every subset once has its values parsed first, then
+        Keys resolve to masks through `key_masks`, and only a key whose
+        ids come in another order is split. A key set that does not resolve
+        to every subset once has its values parsed first, then
         `SetFunction.from_table` names the first bad key in entry order.
         """
         entries = ((f"{where}[{key!r}]", raw) for key, raw in values.items())
-        if list(values) == self.keys:
-            return self._set_function(values.values(), entries)
         size = 1 << len(self.workers)
         masks = list(map(self.key_masks.get, values))
         found = set(masks)
@@ -279,14 +272,14 @@ class _Load:
                 self.workers,
                 ((_key_ids(key), Fraction(*pairs[raw])) for key, raw in values.items()),
             ), None
-        ordered: list[Any] = [None] * size
+        ordered: list[object] = [None] * size
         for m, raw in zip(masks, values.values()):
             ordered[m] = raw
         return self._set_function(ordered, entries)
 
     def _set_function(
-        self, ordered: Collection[Any], entries: Iterable[tuple[str, Any]]
-    ) -> tuple[SetFunction, Optional[_Texts]]:
+        self, ordered: Collection[object], entries: Iterable[tuple[str, object]]
+    ) -> tuple[SetFunction, _Texts | None]:
         """The bulk step of both spellings, on values in mask order: each
         distinct value is read once, as an exact (num, den) pair, and
         scaled once, num * (den' // den), by the LCM den' of the table's
@@ -306,12 +299,14 @@ class _Load:
         return fn, ordered if self.plain.issuperset(pairs) else None
 
     def _distinct_values(
-        self, raws: Collection[Any], entries: Iterable[tuple[str, Any]]
-    ) -> dict[Any, tuple[int, int]]:
-        """{distinct value as written: (num, den)}, strings from the load's memo.
+        self, raws: Collection[object], entries: Iterable[tuple[str, object]]
+    ) -> dict[object, tuple[int, int]]:
+        """{distinct value as written: (num, den)}, strings from the load's
+        memo: the one read of a group of values, a table, the disutility
+        matrix or a value map.
 
         A string equals only strings, so only a non-string can hide another
-        entry from the set (True == 1 == 1.0 hash alike); a table holding
+        entry from the set (True == 1 == 1.0 hash alike); a group holding
         one has every non-string entry checked. A refused or unhashable
         value is named by a second, per-entry pass over `entries`.
         """
@@ -325,20 +320,21 @@ class _Load:
             return {raw: _parse_memo(memo, raw, "", plain) for raw in distinct}
         except (MarketFormatError, TypeError):  # TypeError: an unhashable value
             for label, raw in entries:
-                _parse_memo(memo, raw, label)
+                _parse_memo(memo, raw, label, plain)
             raise
 
 
-def _parse_value_map(obj: Any, where: str, load: _Load) -> dict[str, Fraction]:
+def _parse_value_map(obj: object, where: str, load: _Load) -> dict[str, Fraction]:
     if not isinstance(obj, Mapping):
         raise MarketFormatError(f"{where}: expected an object of per-worker values")
     for w in obj:
         if not isinstance(w, str):
             raise MarketFormatError(f"{where}: worker key {w!r} is not a string")
-    return {w: Fraction(*load.read(v, f"{where}[{w}]")) for w, v in obj.items()}
+    pairs = load._distinct_values(obj.values(), ((f"{where}[{w}]", v) for w, v in obj.items()))
+    return {w: Fraction(*pairs[v]) for w, v in obj.items()}
 
 
-def _parse_utility(spec: Any, load: _Load, firm: str) -> tuple[SetFunction, Optional[_Texts]]:
+def _parse_utility(spec: object, load: _Load, firm: str) -> tuple[SetFunction, _Texts | None]:
     """The firm's table, and its texts when the file spells it as a table
     of canonical strings (None otherwise)."""
     workers = load.workers
@@ -385,7 +381,7 @@ def _parse_utility(spec: Any, load: _Load, firm: str) -> tuple[SetFunction, Opti
         raise MarketFormatError(f"{where}: {exc}") from None
 
 
-def parse_market(obj: Any) -> Market:
+def parse_market(obj: object) -> Market:
     """Build a Market from a parsed JSON object."""
     if not isinstance(obj, Mapping):
         raise MarketFormatError("market: expected a JSON object")
@@ -437,47 +433,37 @@ def parse_market(obj: Any) -> Market:
     return market
 
 
-def parse_profile(obj: Any, workers: tuple[str, ...], firms: tuple[str, ...]) -> Profile:
+def parse_profile(obj: object, workers: tuple[str, ...], firms: tuple[str, ...]) -> Profile:
     """Parse a bare {worker: {firm: rational}} mapping against known ids."""
     return _parse_profile(obj, _Load(tuple(workers)), tuple(firms))[0]
 
 
 def _parse_profile(
-    obj: Any, load: _Load, firms: tuple[str, ...]
-) -> tuple[Profile, Optional[list[list[str]]]]:
+    obj: object, load: _Load, firms: tuple[str, ...]
+) -> tuple[Profile, list[list[str]] | None]:
     """The profile over the load's workers and `firms`, and its values as
     read, in worker and firm order, when every one is a canonical string
     (None otherwise).
 
     A matrix keyed by exactly those workers, each row by exactly those
-    firms, is read once, in that order, through the load's memo; equal
-    values share one Fraction. Any other matrix, or one holding a value
-    that does not read, is walked in file order, so that the first fault
-    in the file is the one named, then checked by `Profile.from_dict`.
+    firms, is read by the bulk step of the tables (`_Load._distinct_values`),
+    one Fraction per distinct value as written; a refused value is named by
+    a walk in file order. Any other matrix is walked in file order, so that
+    the first fault in the file is the one named, then checked by
+    `Profile.from_dict`.
     """
     if not isinstance(obj, Mapping):
         raise MarketFormatError("disutilities: expected an object keyed by worker")
     workers = load.workers
     raws = _matrix(obj, workers, firms)
     if raws is not None:
-        memo, plain = load.rationals, load.plain
-        fracs: dict[tuple[int, int], Fraction] = {}
-        rows = []
-        try:
-            for raw_row in raws:
-                row = []
-                for raw in raw_row:
-                    pair = _parse_memo(memo, raw, "", plain)
-                    value = fracs.get(pair)
-                    if value is None:
-                        value = fracs[pair] = Fraction(*pair)
-                    row.append(value)
-                rows.append(tuple(row))
-        except MarketFormatError:
-            pass  # named by the walk below
-        else:
-            texts = raws if all(map(plain.issuperset, raws)) else None
-            return Profile(workers, firms, tuple(rows)), texts
+        entries = (
+            (f"disutilities[{w!r}][{f!r}]", v) for w, row in obj.items() for f, v in row.items()
+        )
+        pairs = load._distinct_values([raw for row in raws for raw in row], entries)
+        fracs = {raw: Fraction(*pair) for raw, pair in pairs.items()}
+        rows = tuple(tuple(map(fracs.__getitem__, row)) for row in raws)
+        return Profile(workers, firms, rows), raws if load.plain.issuperset(pairs) else None
     entries: dict[str, dict[str, Fraction]] = {}
     for w, row in obj.items():
         if not isinstance(w, str):
@@ -498,7 +484,7 @@ def _parse_profile(
 
 def _matrix(
     obj: Mapping, workers: tuple[str, ...], firms: tuple[str, ...]
-) -> Optional[list[list[Any]]]:
+) -> list[list[object]] | None:
     """The values of `obj` in worker and firm order, when its keys are
     exactly `workers` and each row is an object keyed by exactly `firms`;
     else None. Ids named twice leave room for a key that is neither, which
@@ -514,7 +500,7 @@ def _matrix(
         return None
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     """A JSON object, refused when it names a key twice (json keeps the last)."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
@@ -523,7 +509,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
-def _read_json(path: str) -> Any:
+def _read_json(path: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
@@ -568,7 +554,7 @@ def _layout(items: list[str], depth: int, brackets: str = "{}") -> str:
     return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
 
 
-def json_text(obj: Any, depth: int = 0) -> str:
+def json_text(obj: object, depth: int = 0) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) for a tree of str, int,
     bool, None, lists, tuples and dicts with str keys, the types a
     command's payload holds, laid out by `_layout` at `depth`. Any other
@@ -607,8 +593,8 @@ _DIGEST = "_marketio_digest"
 
 def _text_pieces(
     m: Market,
-    texts: Optional[Sequence[Optional[_Texts]]] = None,
-    rows: Optional[Sequence[Sequence[str]]] = None,
+    texts: Sequence[_Texts | None] | None = None,
+    rows: Sequence[Sequence[str]] | None = None,
 ) -> Iterator[str]:
     """The canonical text of `m` in pieces: explicit tables as arrays in
     mask order, rationals as strings, laid out by json.dumps(..., indent=2)
@@ -657,8 +643,8 @@ def dumps_market(m: Market) -> str:
 
 def _digest(
     m: Market,
-    texts: Optional[Sequence[Optional[_Texts]]] = None,
-    rows: Optional[Sequence[Sequence[str]]] = None,
+    texts: Sequence[_Texts | None] | None = None,
+    rows: Sequence[Sequence[str]] | None = None,
 ) -> str:
     """sha256 of the canonical text, fed piece by piece. The text is pure
     ASCII, so its bytes do not depend on an encoding."""

@@ -20,7 +20,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional, Union
 
 from .subsets import lane_tops, lanes_without, mask_of, members, pack_lanes, subset_sums
 
@@ -68,7 +67,21 @@ def as_fraction(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
-class ConditionReport:
+class _Record:
+    """The records' one equality rule: another class is not equal, and a
+    record of the same class is equal when the attributes its `_fields`
+    names are. Defining `__eq__` leaves every record unhashable."""
+
+    _fields: tuple[str, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self._fields
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+
+
+class ConditionReport(_Record):
     """Outcome of a checkable condition.
 
     Attributes:
@@ -78,22 +91,17 @@ class ConditionReport:
         details: free-form note (e.g. premise flags for conditional checks).
     """
 
-    def __init__(self, verdict: bool, witness: Optional[dict] = None, details: str = "") -> None:
+    _fields = ("verdict", "witness", "details")
+
+    def __init__(self, verdict: bool, witness: dict | None = None, details: str = "") -> None:
         if not verdict and witness is None:
             raise ValueError("false verdict requires a witness")
         self.verdict = verdict
         self.witness = witness
         self.details = details
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.verdict, self.witness, self.details) == (
-            other.verdict, other.witness, other.details
-        )
 
-
-class SetFunction:
+class SetFunction(_Record):
     """Normalized set function on subsets of an ordered worker universe.
 
     The value on the subset encoded by mask is scaled[mask] / den: one
@@ -103,6 +111,8 @@ class SetFunction:
     reduced on construction. scaled[0] (the empty set) must be 0.
     Monotonicity is not enforced here; is_monotone reports on it.
     """
+
+    _fields = ("universe", "den", "scaled")
 
     def __init__(self, universe: tuple[str, ...], den: int, scaled: tuple[int, ...]) -> None:
         n = len(universe)
@@ -125,11 +135,6 @@ class SetFunction:
         self.universe = universe
         self.den = den
         self.scaled = scaled
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.universe, self.den, self.scaled) == (other.universe, other.den, other.scaled)
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -178,7 +183,7 @@ class SetFunction:
         `setfn._interacting_table`'s modular test share."""
         return pack_lanes(self.scaled, 1)
 
-    def first_monotonicity_violation(self) -> Optional[tuple[int, int]]:
+    def first_monotonicity_violation(self) -> tuple[int, int] | None:
         """First (submask, supermask) adjacent pair with a value drop.
 
         First in ascending mask order, then added worker in index order;
@@ -224,9 +229,8 @@ class SetFunction:
     def from_table(
         cls,
         universe: Sequence[str],
-        table: Union[
-            Mapping[tuple[str, ...], RationalLike], Iterable[tuple[tuple[str, ...], RationalLike]]
-        ],
+        table: Mapping[tuple[str, ...], RationalLike]
+        | Iterable[tuple[tuple[str, ...], RationalLike]],
     ) -> "SetFunction":
         """Build from {tuple-of-worker-ids: value}, or (ids, value) pairs.
 
@@ -238,7 +242,7 @@ class SetFunction:
         universe = tuple(universe)
         check_worker_cap(len(universe))
         index = {w: i for i, w in enumerate(universe)}
-        vals: list[Optional[Fraction]] = [None] * (1 << len(universe))
+        vals: list[Fraction | None] = [None] * (1 << len(universe))
         for key, raw in table.items() if isinstance(table, Mapping) else table:
             m = mask_of(index, key)
             if vals[m] is not None:
@@ -299,8 +303,10 @@ def clear_denominators(
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
-class Profile:
+class Profile(_Record):
     """Disutility matrix: rows follow worker order, columns firm order."""
+
+    _fields = ("workers", "firms", "rows")
 
     def __init__(
         self,
@@ -316,11 +322,6 @@ class Profile:
         self.workers = workers
         self.firms = firms
         self.rows = rows
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.workers, self.firms, self.rows) == (other.workers, other.firms, other.rows)
 
     @cached_property
     def worker_index(self) -> dict[str, int]:
@@ -380,7 +381,7 @@ class Profile:
         }
 
 
-class Market:
+class Market(_Record):
     """Workers, firms with utilities, and (optionally) embedded disutilities.
 
     Every firm's utility must live on exactly this market's worker universe,
@@ -388,11 +389,14 @@ class Market:
     a type profile; operations that need one take it explicitly.
     """
 
+    # ubar is a function of the firms, so the three arguments decide
+    _fields = ("workers", "firms", "disutilities")
+
     def __init__(
         self,
         workers: tuple[str, ...],
         firms: tuple[tuple[str, SetFunction], ...],
-        disutilities: Optional[Profile] = None,
+        disutilities: Profile | None = None,
     ) -> None:
         if len(set(workers)) != len(workers):
             raise ValueError("duplicate worker ids")
@@ -414,14 +418,6 @@ class Market:
         self.disutilities = disutilities
         #: largest full-hire utility across firms; 0 for a firmless market
         self.ubar = max((fn.value(fn.full_mask) for _, fn in firms), default=Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        # ubar is a function of the firms, so the three arguments decide
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.workers, self.firms, self.disutilities) == (
-            other.workers, other.firms, other.disutilities
-        )
 
     @cached_property
     def firm_names(self) -> tuple[str, ...]:
@@ -449,7 +445,7 @@ class Market:
         except KeyError:
             raise ValueError(f"unknown firm {firm!r}") from None
 
-    def require_profile(self, profile: Optional[Profile]) -> Profile:
+    def require_profile(self, profile: Profile | None) -> Profile:
         p = profile if profile is not None else self.disutilities
         if p is None:
             raise ValueError("market has no embedded disutilities and none were supplied")
@@ -466,43 +462,42 @@ def validate_profile(m: Market, profile: Profile) -> None:
                 raise ValueError(f"negative disutility {d} for {w} at {f}")
 
 
-class Matching:
+class Matching(_Record):
     """Assignment of workers to firms (None = unmatched), stored worker-major.
 
     The firm-side view is derived from the worker-side assignment, so the
     two views cannot disagree.
     """
 
-    def __init__(self, assignment: tuple[tuple[str, Optional[str]], ...]) -> None:
+    _fields = ("assignment",)
+
+    def __init__(self, assignment: tuple[tuple[str, str | None], ...]) -> None:
         self.assignment = assignment
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.assignment == other.assignment
-
     @cached_property
-    def _by_worker(self) -> dict[str, Optional[str]]:
+    def _by_worker(self) -> dict[str, str | None]:
         return dict(self.assignment)
 
-    def firm_of(self, worker: str) -> Optional[str]:
+    def firm_of(self, worker: str) -> str | None:
         return self._by_worker[worker]
 
-    def workers_of(self, firm: Optional[str]) -> tuple[str, ...]:
+    def workers_of(self, firm: str | None) -> tuple[str, ...]:
         return tuple(w for w, f in self.assignment if f == firm)
 
-    def to_dict(self) -> dict[str, Optional[str]]:
+    def to_dict(self) -> dict[str, str | None]:
         return dict(self.assignment)
 
     @classmethod
     def from_dict(
-        cls, workers: Sequence[str], assignment: Mapping[str, Optional[str]]
+        cls, workers: Sequence[str], assignment: Mapping[str, str | None]
     ) -> "Matching":
         return cls(tuple((w, assignment.get(w)) for w in workers))
 
 
-class Outcome:
+class Outcome(_Record):
     """A matching plus salaries. Unmatched workers must be paid exactly 0."""
+
+    _fields = ("matching", "salaries")
 
     def __init__(self, matching: Matching, salaries: tuple[tuple[str, Fraction], ...]) -> None:
         paid = {w for w, _ in salaries}
@@ -517,11 +512,6 @@ class Outcome:
                 raise ValueError(f"unmatched worker {w} must have salary 0")
         self.matching = matching
         self.salaries = salaries
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.matching, self.salaries) == (other.matching, other.salaries)
 
     @cached_property
     def salary(self) -> dict[str, Fraction]:

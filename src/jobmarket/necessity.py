@@ -32,8 +32,8 @@ search and for the self-test corpus.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
 
 from .model import (
     Market,
@@ -73,7 +73,7 @@ class AdversarialProfile:
         kind: str,
         firm: str,
         subset: tuple[str, ...],
-        pair: Optional[tuple[str, str]],
+        pair: tuple[str, str] | None,
         profile: Profile,
         outcome: Outcome,
         canonical: bool,
@@ -104,7 +104,7 @@ class AdversarialProfile:
         }
 
 
-def find_ws_violation(h: SetFunction) -> Optional[tuple[str, ...]]:
+def find_ws_violation(h: SetFunction) -> tuple[str, ...] | None:
     """First weak-substitutes violator in ascending bit-pattern order.
 
     Scanning masks as integers visits every strict subset of a set before
@@ -119,7 +119,7 @@ def find_ws_violation(h: SetFunction) -> Optional[tuple[str, ...]]:
 
 def find_submodularity_violation(
     h: SetFunction,
-) -> Optional[tuple[tuple[str, ...], str, str]]:
+) -> tuple[tuple[str, ...], str, str] | None:
     """First (S, wl, wk) with u(S+wl) + u(S+wk) < u(S+wl+wk) + u(S)."""
     hit = _first_submodularity_violation(h)
     if hit is None:
@@ -214,7 +214,7 @@ def _exhibited_matching(
 ) -> Matching:
     """Hand `inside` to `firm`, match everyone else optimally without them."""
     taken = set(inside)
-    assignment: dict[str, Optional[str]] = {
+    assignment: dict[str, str | None] = {
         w: (firm if w in taken else None) for w in m.workers
     }
     outside = tuple(w for w in m.workers if w not in taken)
@@ -354,7 +354,7 @@ def demonstrate_sir_violation(m: Market, firm: str) -> AdversarialProfile:
         yield from deferred
 
     tried = 0
-    last: Optional[ConstructionError] = None
+    last: ConstructionError | None = None
     for base, i, j in by_preference():
         tried += 1
         try:

@@ -23,9 +23,9 @@ an oracle, so none of them sits on a command's path.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Optional
 
 from .model import (
     ConditionReport,
@@ -48,7 +48,7 @@ BRUTE_FORCE_WORKER_CAP = 8
 BRUTE_FORCE_FIRM_CAP = 4
 
 
-def brute_force_total(m: Market, u: Optional[Profile] = None) -> Fraction:
+def brute_force_total(m: Market, u: Profile | None = None) -> Fraction:
     """Best total surplus by exhaustive search over all (m+1)^n
     worker-to-firm assignments.
 
@@ -91,7 +91,7 @@ def brute_force_total(m: Market, u: Optional[Profile] = None) -> Fraction:
 
 
 def check_marginal_product_order(
-    m: Market, u: Optional[Profile] = None
+    m: Market, u: Profile | None = None
 ) -> ConditionReport:
     """Group marginal products at market level never exceed the firm level.
 
@@ -166,7 +166,7 @@ def check_tight_sets_downward_closed(
 
 
 def check_strategy_proofness(
-    m: Market, worker: str, k: int = 6, u: Optional[Profile] = None
+    m: Market, worker: str, k: int = 6, u: Profile | None = None
 ) -> ConditionReport:
     """No grid misreport of one worker's disutilities beats truth-telling.
 

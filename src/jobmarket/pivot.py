@@ -23,7 +23,6 @@ under a grid of one worker's misreports, for the self-test and the tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .model import ConditionReport, Market, Matching, Outcome, Profile
 from .stability import deviations, hire_masks, outcome_payoffs
@@ -94,7 +93,7 @@ def pivot_outcome(solver: MarketSolver, matching: Matching) -> Outcome:
     return Outcome.build(matching, salaries)
 
 
-def vcg(m: Market, u: Optional[Profile] = None) -> VcgResult:
+def vcg(m: Market, u: Profile | None = None) -> VcgResult:
     solver = MarketSolver(m, u)
     sol = solver.solution()
     outcome = pivot_outcome(solver, sol.matching)
@@ -124,7 +123,7 @@ def check_sir(r: VcgResult) -> ConditionReport:
 
 
 def check_outcome_ir(
-    m: Market, o: Outcome, u: Optional[Profile] = None
+    m: Market, o: Outcome, u: Profile | None = None
 ) -> ConditionReport:
     """Every agent's payoff under the outcome is nonnegative.
 
@@ -156,7 +155,7 @@ def _ir_report(
 
 
 def check_outcome_sir(
-    m: Market, o: Outcome, u: Optional[Profile] = None
+    m: Market, o: Outcome, u: Profile | None = None
 ) -> ConditionReport:
     """Individual rationality plus: no firm gains by firing a subset.
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import jobmarket.necessity as necessity
@@ -42,24 +41,34 @@ from .model import Market, Profile
 Corpus = list[tuple[str, Market, tuple[Profile, ...]]]
 
 
-@dataclass(frozen=True)
 class SuiteResult:
-    name: str
-    checked: int
-    failures: tuple[str, ...]
-    counts: dict[str, int] = field(default_factory=dict)
+    """One suite's checks, the failure lines and what it counted."""
+
+    def __init__(
+        self,
+        name: str,
+        checked: int,
+        failures: tuple[str, ...],
+        counts: dict[str, int] | None = None,
+    ) -> None:
+        self.name = name
+        self.checked = checked
+        self.failures = failures
+        self.counts = {} if counts is None else counts
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass(frozen=True)
 class SelftestReport:
-    seed: int
-    trials: int
-    grid: int
-    suites: tuple[SuiteResult, ...]
+    """Every suite's result for one seed, trial count and grid."""
+
+    def __init__(self, seed: int, trials: int, grid: int, suites: tuple[SuiteResult, ...]) -> None:
+        self.seed = seed
+        self.trials = trials
+        self.grid = grid
+        self.suites = suites
 
     @property
     def ok(self) -> bool:

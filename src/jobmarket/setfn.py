@@ -81,8 +81,8 @@ down to the empty set) rests on h(empty) = 0, which SetFunction enforces.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import ConditionReport, RationalLike, SetFunction, as_fraction, clear_denominators
 from .subsets import (
@@ -209,7 +209,7 @@ def _submodular_holds(vals: Sequence[int]) -> bool:
 
 
 def _first_submodularity_violation(
-    h: SetFunction, core: Optional[Sequence[int]] = None
+    h: SetFunction, core: Sequence[int] | None = None
 ) -> PairHit:
     """First (base mask, i, j) with h(S+i) + h(S+j) < h(S+i+j) + h(S).
 
@@ -453,7 +453,7 @@ def classify(h: SetFunction) -> dict[str, ConditionReport]:
     }
 
 
-def _first_exchange_violation(vals: Sequence[int]) -> Optional[tuple[int, int, int, int]]:
+def _first_exchange_violation(vals: Sequence[int]) -> tuple[int, int, int, int] | None:
     """(i, j, k, X): the first triple i < j < k of the table `vals` that
     fails the three-element local inequality at some X, pairs (i, k)
     ascending and then j, and the least such X; None when every triple

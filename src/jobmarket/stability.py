@@ -30,16 +30,18 @@ one, to recompute their excess exactly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from operator import add
-from typing import Iterator, Optional
 
-from .model import Market, Matching, Outcome, Profile, clear_denominators
+from .model import Market, Matching, Outcome, Profile, _Record, clear_denominators
 from .subsets import bit_indices, pack_lanes, subset_sums
 
 
-class Block:
+class Block(_Record):
     """A profitable deviation: the firm, the coalition, and payments."""
+
+    _fields = ("firm", "coalition", "payments", "slack")
 
     def __init__(
         self,
@@ -53,13 +55,6 @@ class Block:
         self.payments = payments
         self.slack = slack
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.firm, self.coalition, self.payments, self.slack) == (
-            other.firm, other.coalition, other.payments, other.slack
-        )
-
     def to_dict(self) -> dict:
         return {
             "firm": self.firm,
@@ -70,7 +65,7 @@ class Block:
 
 
 def outcome_payoffs(
-    m: Market, o: Outcome, u: Optional[Profile] = None
+    m: Market, o: Outcome, u: Profile | None = None
 ) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
     """(firm payoffs, worker payoffs) induced by an outcome.
 
@@ -106,7 +101,7 @@ def outcome_payoffs(
     return firm_payoffs, worker_payoffs
 
 
-def hire_masks(m: Market, matching: Matching) -> dict[Optional[str], int]:
+def hire_masks(m: Market, matching: Matching) -> dict[str | None, int]:
     """Each firm's hires as a mask, and the unmatched workers' under None.
 
     The matching must already fit the market (see outcome_payoffs).
@@ -187,7 +182,7 @@ def _scan_for_block(
     profile: Profile,
     payoffs: tuple[dict[str, Fraction], dict[str, Fraction]],
     allowed_mask_of: dict[str, int],
-) -> Optional[Block]:
+) -> Block | None:
     """The first block: firms as declared, then coalitions ascending."""
     worker_payoffs = payoffs[1]
     for name, fn in m.firms:
@@ -205,7 +200,7 @@ def _scan_for_block(
     return None
 
 
-def find_block(m: Market, o: Outcome, u: Optional[Profile] = None) -> Optional[Block]:
+def find_block(m: Market, o: Outcome, u: Profile | None = None) -> Block | None:
     """First blocking pair over all firms and all worker subsets."""
     profile = m.require_profile(u)
     payoffs = outcome_payoffs(m, o, profile)
@@ -214,8 +209,8 @@ def find_block(m: Market, o: Outcome, u: Optional[Profile] = None) -> Optional[B
 
 
 def find_weak_block(
-    m: Market, o: Outcome, u: Optional[Profile] = None
-) -> Optional[Block]:
+    m: Market, o: Outcome, u: Profile | None = None
+) -> Block | None:
     """Blocking restricted to each firm's own hires plus unmatched workers."""
     profile = m.require_profile(u)
     # checks that the outcome fits the market before its workers are indexed

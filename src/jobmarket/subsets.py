@@ -24,9 +24,9 @@ operations, each linear in the 2^n * width bits of the table.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 from operator import sub
-from typing import Any, Iterable, Iterator, Sequence
 
 _BYTE_VALUES = bytes(range(256))
 _PACK_CHUNK = 1 << 12
@@ -61,7 +61,7 @@ def bit_halves(size: int, bit: int) -> Iterator[tuple[slice, slice]]:
     return ((slice(b, b + bit), slice(b + bit, b + step)) for b in range(0, size, step))
 
 
-def insert_bit(vals: Sequence[Any], bit: int) -> list[Any]:
+def insert_bit(vals: Sequence[int], bit: int) -> list[int]:
     """The table twice the size in which both m and m | `bit` read vals at
     m with `bit` squeezed out, so the new bit changes no value. Copied by
     `bit_halves` slices: each pair reads every `bit`-th entry of vals from
@@ -73,16 +73,16 @@ def insert_bit(vals: Sequence[Any], bit: int) -> list[Any]:
     return out
 
 
-def subset_sums(weights: Sequence[Any], zero: Any = 0) -> list[Any]:
+def subset_sums(weights: Sequence[int]) -> list[int]:
     """sums[mask] = sum of weights[i] over the bits i of mask, one addition
     per mask: each weight doubles the table, sums[mask | bit i] from mask."""
-    sums = [zero]
+    sums = [0]
     for w in weights:
         sums += [s + w for s in sums]
     return sums
 
 
-def submask_max(vals: Sequence[Any]) -> list[Any]:
+def submask_max(vals: Sequence[int]) -> list[int]:
     """out[mask] = max of vals over the submasks of mask (len(vals) = 2^n),
     by one pass per bit (a zeta transform); ties keep the largest submask."""
     out = list(vals)

@@ -66,10 +66,10 @@ order, tight-set closure) live in `oracles`, which no command loads.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import eq, mul, sub
-from typing import Optional, Sequence
 
 from .model import Market, Matching, Profile, clear_denominators, validate_profile
 from .subsets import (
@@ -249,7 +249,7 @@ class MarketSolver:
     matching reconstruction.
     """
 
-    def __init__(self, market: Market, profile: Optional[Profile] = None) -> None:
+    def __init__(self, market: Market, profile: Profile | None = None) -> None:
         self.market = market
         self.profile = market.require_profile(profile)
         validate_profile(market, self.profile)
@@ -277,7 +277,7 @@ class MarketSolver:
             layers.append(_join(self.vf[side], self.tight[side], nxt, form))
         layers.reverse()
         self._layers = layers
-        self._solution: Optional[EfficientSolution] = None
+        self._solution: EfficientSolution | None = None
 
     def scaled_value_on(self, available_mask: int) -> int:
         """value_on(available_mask) times den, as an exact integer."""
@@ -299,7 +299,7 @@ class MarketSolver:
         market = self.market
         s = market.full_mask
         target = self.scaled_value_on(s)
-        assignment: dict[str, Optional[str]] = {}
+        assignment: dict[str, str | None] = {}
         ties = False
         for k, (name, _) in enumerate(market.firms):
             vfk, nxt = self.vf[k], self._layers[k + 1]
@@ -316,5 +316,5 @@ class MarketSolver:
         return self._solution
 
 
-def efficient_matching(m: Market, u: Optional[Profile] = None) -> EfficientSolution:
+def efficient_matching(m: Market, u: Profile | None = None) -> EfficientSolution:
     return MarketSolver(m, u).solution()

@@ -745,16 +745,14 @@ def test_market_commands_load_no_oracle(argv):
     assert "jobmarket.oracles" not in loaded
 
 
-@pytest.mark.parametrize("command", ["vcg", "classify"])
-def test_market_commands_load_no_dataclasses_or_random(command):
-    """Without `site` (-S), whose .pth files may preload any module, a
-    market command loads neither `dataclasses` with the `inspect` it pulls
-    in, nor `random`, which only `gen` uses, nor the oracles or the
-    self-test."""
+def _loaded_without_site(*argv: str) -> tuple[str, list[str]]:
+    """(exit code, modules loaded) of `cli.main(argv)` in a fresh
+    interpreter without `site` (-S), whose .pth files may preload any
+    module."""
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", LOADED_PROBE, command, str(DATA / "budget_vs_additive.json")],
+        [sys.executable, "-S", "-c", LOADED_PROBE, *argv],
         capture_output=True,
         env=env,
         text=True,
@@ -762,7 +760,28 @@ def test_market_commands_load_no_dataclasses_or_random(command):
     )
     assert proc.stderr == ""
     code, *loaded = proc.stdout.split()
+    return code, loaded
+
+
+@pytest.mark.parametrize("command", ["vcg", "classify"])
+def test_market_commands_load_no_dataclasses_or_random(command):
+    """A market command loads neither `dataclasses` with the `inspect` it
+    pulls in, nor `typing`, nor `random`, which only `gen` uses, nor the
+    oracles or the self-test."""
+    code, loaded = _loaded_without_site(command, str(DATA / "budget_vs_additive.json"))
     assert code == "0"
     assert "jobmarket.surplus" in loaded
-    for name in ("dataclasses", "inspect", "random", "jobmarket.oracles", "jobmarket.selftest"):
+    for name in (
+        "dataclasses", "inspect", "typing", "random", "jobmarket.oracles", "jobmarket.selftest"
+    ):
+        assert name not in loaded
+
+
+def test_selftest_loads_no_dataclasses():
+    """The self-test's records are plain classes: `selftest` loads neither
+    `dataclasses` nor `inspect`, nor `typing`."""
+    code, loaded = _loaded_without_site("selftest", "--trials", "1")
+    assert code == "0"
+    assert "jobmarket.selftest" in loaded and "jobmarket.oracles" in loaded
+    for name in ("dataclasses", "inspect", "typing"):
         assert name not in loaded

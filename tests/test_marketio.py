@@ -301,6 +301,62 @@ def test_profile_in_any_key_order_loads_and_hashes_in_worker_order():
     )
 
 
+# pairs of bad values: the first is listed first in the file but read
+# second in worker order; each kind of refusal the bulk step can meet
+BAD_VALUE_PAIRS = [
+    ("x", "y"),
+    (True, "y"),
+    ("x", False),
+    (["1"], "2"),
+    ("1e5000", {"a": "1"}),
+    (1.5, "1/0"),
+    ("y", "x"),
+]
+
+
+def _first_refusal(raw, where: str) -> str:
+    with pytest.raises(MarketFormatError) as exc:
+        parse_rational(raw, where)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("first, second", BAD_VALUE_PAIRS)
+def test_matrix_names_its_first_bad_value_in_file_order(first, second):
+    """A matrix keyed in another worker and firm order is read in worker
+    order, but of two bad values the one the file lists first is named."""
+    obj = {
+        "workers": ["w1", "w2", "w3"],
+        "firms": [
+            {"name": "f1", "utility": {"type": "additive", "values": {"w1": "1"}}},
+            {"name": "f2", "utility": {"type": "additive", "values": {"w2": "1"}}},
+        ],
+        "disutilities": {
+            "w3": {"f2": "1", "f1": first},
+            "w1": {"f2": second, "f1": "0"},
+            "w2": {"f2": "1/2", "f1": "0"},
+        },
+    }
+    expected = _first_refusal(first, "disutilities['w3']['f1']")
+    with pytest.raises(MarketFormatError) as exc:
+        parse_market(obj)
+    assert str(exc.value) == expected
+    with pytest.raises(MarketFormatError) as exc:
+        parse_profile(obj["disutilities"], ("w1", "w2", "w3"), ("f1", "f2"))
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("kind", ["additive", "budget_additive", "unit_demand"])
+@pytest.mark.parametrize("first, second", BAD_VALUE_PAIRS)
+def test_value_map_names_its_first_bad_value_in_file_order(kind, first, second):
+    utility = {"type": kind, "values": {"w3": first, "w2": "1", "w1": second}}
+    if kind == "budget_additive":
+        utility["budget"] = "9"
+    obj = {"workers": ["w1", "w2", "w3"], "firms": [{"name": "f", "utility": utility}]}
+    with pytest.raises(MarketFormatError) as exc:
+        parse_market(obj)
+    assert str(exc.value) == _first_refusal(first, "firm 'f' utility[w3]")
+
+
 def test_profile_against_ids_named_twice_names_the_stray_key():
     """A row as long as a firm list that names a firm twice holds a key
     that is no firm: it is named, not read past in firm order."""

@@ -70,7 +70,7 @@ def _shifted(m: Market, a: list[list[Fraction]]) -> Market:
     return _transformed(
         m,
         lambda j, fn: SetFunction.from_values(
-            fn.universe, [v + s for v, s in zip(fn.values, subset_sums(a[j], Fraction(0)))]
+            fn.universe, [v + s for v, s in zip(fn.values, subset_sums(a[j]))]
         ),
         lambda i, j, d: d + a[j][i],
     )

@@ -1,5 +1,6 @@
 """Data-layer checks: set functions, profiles, markets, matchings, outcomes."""
 
+import copy
 import random
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ import jobmarket.cli as cli
 import jobmarket.model as model
 from jobmarket.marketio import dumps_market
 from jobmarket.model import (
+    ConditionReport,
     Market,
     Matching,
     Outcome,
@@ -21,6 +23,7 @@ from jobmarket.model import (
     validate_profile,
 )
 from jobmarket.oracles import brute_force_total
+from jobmarket.stability import Block
 from jobmarket.subsets import lane_tops
 from jobmarket.surplus import efficient_matching
 
@@ -354,3 +357,45 @@ def test_set_function_values_are_fractions_after_construction():
         )
         assert all(isinstance(v, Fraction) for v in fn.values)
         assert len(fn.values) == 1 << n
+
+
+
+def _records():
+    """One record of each class that callers compare, with the fields its
+    equality must read; `Market` leaves out `ubar`, a function of its firms."""
+    fn = SetFunction(("a", "b"), 2, (0, 1, 1, 3))
+    profile = Profile(("a", "b"), ("f",), ((Fraction(1),), (Fraction(2),)))
+    matching = Matching((("a", "f"), ("b", None)))
+    records = [
+        (ConditionReport(False, {"a": 1}, "note"), ("verdict", "witness", "details")),
+        (fn, ("universe", "den", "scaled")),
+        (profile, ("workers", "firms", "rows")),
+        (Market(("a", "b"), (("f", fn),), profile), ("workers", "firms", "disutilities")),
+        (matching, ("assignment",)),
+        (Outcome(matching, (("a", Fraction(1)), ("b", Fraction(0)))), ("matching", "salaries")),
+        (
+            Block("f", ("a",), (("a", Fraction(1)),), Fraction(1, 2)),
+            ("firm", "coalition", "payments", "slack"),
+        ),
+    ]
+    return [pytest.param(r, fields, id=type(r).__name__) for r, fields in records]
+
+
+@pytest.mark.parametrize("record, fields", _records())
+def test_records_share_one_equality_rule(record, fields):
+    """Every record is equal to a copy, unequal once any one named field
+    changes, unequal to another class with the same fields, and unhashable.
+    Its `_fields` are every attribute its constructor sets but `ubar`."""
+    assert record._fields == fields
+    assert set(vars(record)) - {"ubar"} == set(fields)
+    assert copy.copy(record) == record
+    for f in fields:
+        changed = copy.copy(record)
+        setattr(changed, f, object())
+        assert changed != record and record != changed
+    other = copy.copy(record)
+    other.__class__ = type("Other", (type(record),), {})
+    assert other != record and record != other
+    assert record != object()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
