@@ -47,6 +47,15 @@ GOLDEN_CASES = [
         1,
         ["stability", DATA / "budget_vs_additive.json", "--profile", DATA / "high_profile.json"],
     ),
+    # IR holds, and firing fails with a fractional gain; the weak block is a firing
+    *(
+        (f"{command}_thirds_plateau_sir{suffix}.txt", 1, [
+            command, DATA / "thirds_plateau.json",
+            "--profile", DATA / "thirds_plateau_sir_profile.json", *flags,
+        ])
+        for command in ("vcg", "stability")
+        for suffix, flags in (("", []), ("_json", ["--json"]))
+    ),
     ("necessity_all_or_nothing.txt", 0, ["necessity", DATA / "all_or_nothing.json", "--firm", "f"]),
     ("necessity_plateau.txt", 0, ["necessity", DATA / "plateau.json", "--firm", "f"]),
     ("necessity_tie_dodger.txt", 0, ["necessity", DATA / "tie_dodger.json", "--firm", "f1"]),

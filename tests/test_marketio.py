@@ -48,6 +48,7 @@ PINNED_FILES = {
     "budget_vs_additive.json": "4af8a904497f2beaf9e4a29cdea3cc807e95ec8eaae6bcac6c8e9afe940309ad",
     "non_monotone.json": "3d900150bb1042ea68c9b5ffabd5adee838f8fffde0faf2091db7f813036011f",
     "plateau.json": "2cbd2817b286628279532d362aa2cb1a80a9ba48213f4790ba39c04ea5156558",
+    "thirds_plateau.json": "77617d9fb6afdff75cdf48de34536a790fa8ba22bc2ef943694f69fd498e9721",
     "tie_dodger.json": "8070ebab11cd8f737a35dfc3921f5293806738cd9c9d8e66c8dcc579dbc6377b",
 }
 
