@@ -92,22 +92,14 @@ def _emit(args, lines: list[str], payload: dict) -> None:
 
 
 def _profile_for(args, m: Market) -> Profile | None:
-    """The --profile file, else the embedded one, refused outside [0, ubar].
+    """The --profile file, else the embedded one (None when neither).
 
-    The engine solves any nonnegative profile; the commands keep to the
-    type space the paper's results range over. Entries are scanned
-    worker-major; a negative one is left for the engine to name.
+    The engine solves any nonnegative profile; the solving commands keep to
+    the type space the paper's results range over, [0, ubar], and pass
+    `box` to the solve, which refuses the first entry outside it,
+    worker-major, in one scan of the scaled profile.
     """
-    profile = load_profile(args.profile, m) if args.profile else m.disutilities
-    if profile is None:
-        return None
-    for w, row in zip(m.workers, profile.rows):
-        for f, d in zip(m.firm_names, row):
-            if d < 0:
-                return profile
-            if d > m.ubar:
-                raise ValueError(f"disutility {d} for {w} at {f} exceeds ubar={m.ubar}")
-    return profile
+    return load_profile(args.profile, m) if args.profile else m.disutilities
 
 
 def cmd_classify(args, m: Market) -> tuple[int, list[str], dict]:
@@ -137,7 +129,7 @@ def cmd_classify(args, m: Market) -> tuple[int, list[str], dict]:
 
 
 def cmd_solve(args, m: Market) -> tuple[int, list[str], dict]:
-    sol = efficient_matching(m, _profile_for(args, m))
+    sol = efficient_matching(m, _profile_for(args, m), box=True)
     assign = " ".join(
         f"{w}->{f if f is not None else '-'}" for w, f in sol.matching.assignment
     )
@@ -154,16 +146,16 @@ def cmd_solve(args, m: Market) -> tuple[int, list[str], dict]:
 
 
 def cmd_vcg(args, m: Market) -> tuple[int, list[str], dict]:
-    r = vcg(m, _profile_for(args, m))
+    r = vcg(m, _profile_for(args, m), box=True)
     ir = check_ir(r)
     sir = check_sir(r)
-    lines = [f"total_surplus {r.total}"]
+    result = r.to_dict()  # the text lines print the same texts
+    salaries, payoffs = result["salaries"], result["worker_payoffs"]
+    lines = [f"total_surplus {result['total_surplus']}"]
     for w, f in r.outcome.matching.assignment:
         firm = f if f is not None else "-"
-        lines.append(
-            f"worker {w}: firm={firm} salary={r.salary(w)} payoff={r.worker_payoff(w)}"
-        )
-    for f, payoff in r.firm_payoffs:
+        lines.append(f"worker {w}: firm={firm} salary={salaries[w]} payoff={payoffs[w]}")
+    for f, payoff in result["firm_payoffs"].items():
         lines.append(f"firm {f}: payoff={payoff}")
     lines.append(f"individually_rational {_fmt_value(ir.verdict)}")
     if not ir.verdict:
@@ -172,7 +164,7 @@ def cmd_vcg(args, m: Market) -> tuple[int, list[str], dict]:
     if not sir.verdict:
         lines.append(f"  witness: {_fmt_witness(sir.witness)}")
     return (0 if ir.verdict and sir.verdict else 1), lines, {
-        "result": r.to_dict(),
+        "result": result,
         "individually_rational": _cond_dict(ir),
         "firing_proof": _cond_dict(sir),
     }
@@ -180,7 +172,7 @@ def cmd_vcg(args, m: Market) -> tuple[int, list[str], dict]:
 
 def cmd_stability(args, m: Market) -> tuple[int, list[str], dict]:
     profile = _profile_for(args, m)
-    r = vcg(m, profile)
+    r = vcg(m, profile, box=True)
     block = find_block(m, r.outcome, profile)
     # a weak block is a block, so only a blocked outcome can have one
     weak = None if block is None else find_weak_block(m, r.outcome, profile)

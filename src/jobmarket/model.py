@@ -11,7 +11,10 @@ denominator per table: SetFunction holds (universe, den, scaled), and a
 single value comes out as a Fraction. Convenience families (additive,
 budget-additive, unit-demand) are compiled down to tables at construction
 time, on integers, so every downstream algorithm sees one representation.
-Profiles, salaries and payoffs are Fractions.
+Profiles are Fractions. A solve clears the tables' and the profile's
+denominators once (`clear_denominators`); the salaries and payoffs priced
+on it stay integers over that denominator, and come out as Fractions, or
+as text by `ratio_text`, only where they leave the engine.
 """
 
 from __future__ import annotations
@@ -431,6 +434,10 @@ class Market(_Record):
     def worker_index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.workers)}
 
+    @cached_property
+    def firm_index(self) -> dict[str, int]:
+        return {name: j for j, (name, _) in enumerate(self.firms)}
+
     @property
     def n(self) -> int:
         return len(self.workers)
@@ -452,14 +459,41 @@ class Market(_Record):
         return p
 
 
-def validate_profile(m: Market, profile: Profile) -> None:
-    """Reject profiles that do not fit the market or have a negative entry."""
+def ratio_text(v: int, den: int) -> str:
+    """str(Fraction(v, den)) for a positive `den`, without the Fraction.
+    (`marketio._value_texts` inlines the same rule in its per-value loop.)"""
+    g = gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
+
+
+def profile_columns(m: Market, profile: Profile) -> list[tuple[Fraction, ...]]:
+    """Each firm's column of `profile`, in market order; refused unless the
+    profile lists exactly the market's workers and firms."""
     if profile.workers != m.workers or profile.firms != m.firm_names:
         raise ValueError("profile workers/firms do not match market")
-    for w, row in zip(m.workers, profile.rows):
-        for f, d in zip(m.firm_names, row):
-            if d < 0:
-                raise ValueError(f"negative disutility {d} for {w} at {f}")
+    return [profile.column(name) for name in m.firm_names]
+
+
+def refuse_costs(m: Market, den: int, costs: Sequence[Sequence[int]], box: bool = False) -> None:
+    """Refuse the first entry, worker-major, of a profile's cost columns
+    (costs[j][i] is worker i's disutility at firm j times `den`, a multiple
+    of every table's denominator when `box` is set) that is negative, or
+    with `box` above the market's ubar: the solving commands keep to
+    [0, ubar], the type space the paper's results range over."""
+    top = m.ubar.numerator * (den // m.ubar.denominator) if box else 0
+    for w, row in zip(m.workers, zip(*costs)):
+        for f, c in zip(m.firm_names, row):
+            if c < 0:
+                raise ValueError(f"negative disutility {ratio_text(c, den)} for {w} at {f}")
+            if box and c > top:
+                raise ValueError(
+                    f"disutility {ratio_text(c, den)} for {w} at {f} exceeds ubar={m.ubar}"
+                )
+
+
+def validate_profile(m: Market, profile: Profile) -> None:
+    """Reject profiles that do not fit the market or have a negative entry."""
+    refuse_costs(m, *clear_denominators((), profile_columns(m, profile)))
 
 
 class Matching(_Record):
@@ -495,9 +529,16 @@ class Matching(_Record):
 
 
 class Outcome(_Record):
-    """A matching plus salaries. Unmatched workers must be paid exactly 0."""
+    """A matching plus salaries. Unmatched workers must be paid exactly 0.
+
+    An outcome that `pivot.pivot_outcome` priced is built by `priced` from
+    its `ledger` (a `stability.Ledger`: its payoffs on the solve's integer
+    scale), which the scans reuse; its `salaries` are made from the
+    ledger's integers when first read. Any other outcome has no ledger.
+    """
 
     _fields = ("matching", "salaries")
+    ledger = None  # not a field: a priced outcome's own attribute
 
     def __init__(self, matching: Matching, salaries: tuple[tuple[str, Fraction], ...]) -> None:
         paid = {w for w, _ in salaries}
@@ -513,15 +554,24 @@ class Outcome(_Record):
         self.matching = matching
         self.salaries = salaries
 
+    @classmethod
+    def priced(cls, ledger) -> "Outcome":
+        """The outcome a ledger records, its salaries left as integers."""
+        o = cls.__new__(cls)
+        o.matching = ledger.matching
+        o.ledger = ledger
+        return o
+
+    @cached_property
+    def salaries(self) -> tuple[tuple[str, Fraction], ...]:
+        # read only on a priced outcome: `__init__` sets the attribute,
+        # which this (non-data) descriptor then leaves alone
+        led = self.ledger
+        index, den = led.market.worker_index, led.den
+        return tuple(
+            (w, Fraction(led.salaries[index[w]], den)) for w, _ in self.matching.assignment
+        )
+
     @cached_property
     def salary(self) -> dict[str, Fraction]:
         return dict(self.salaries)
-
-    @classmethod
-    def build(
-        cls, matching: Matching, salaries: Mapping[str, Fraction]
-    ) -> "Outcome":
-        return cls(
-            matching,
-            tuple((w, as_fraction(salaries.get(w, 0))) for w, _ in matching.assignment),
-        )

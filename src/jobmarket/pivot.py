@@ -10,6 +10,13 @@ marginal products V(W) - V(W minus w); a firm's payoff is its utility
 minus its wage bill. All exclusion values come from the same dynamic
 program as the efficient matching, so a full result costs one solve.
 
+Salaries and payoffs are computed once, as integers over the solve's
+denominator (`surplus.MarketSolver.den`), into the outcome's
+`stability.Ledger`; the rationality checks and the block scans compare
+those integers. A `VcgResult`'s Fractions are built from them when first
+read, and its `to_dict` and the checks' witnesses print them by gcd
+(`model.ratio_text`) without building one.
+
 Firing-proofness is blocking inside a firm's own hires (for a hired worker,
 disutility plus payoff is salary), so `check_outcome_sir` runs the walk of
 `stability.deviations` on each firm's hires, from the largest kept set
@@ -23,9 +30,10 @@ under a grid of one worker's misreports, for the self-test and the tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
-from .model import ConditionReport, Market, Matching, Outcome, Profile
-from .stability import deviations, hire_masks, outcome_payoffs
+from .model import ConditionReport, Market, Matching, Outcome, Profile, ratio_text
+from .stability import Ledger, deviations, ledger_of
 from .surplus import MarketSolver
 
 
@@ -33,7 +41,12 @@ class VcgResult:
     """Efficient matching, pivot salaries, and every agent's payoff.
 
     `profile` is the disutility profile the outcome was priced under; it is
-    kept for the rationality checks and left out of `to_dict`.
+    kept for the rationality checks and left out of `to_dict`. The amounts are integers over the solve's
+    denominator: the salaries and payoffs in the outcome's ledger,
+    `scaled_total` and `scaled_excluding` (the total without each worker,
+    in market order). `total`, `worker_payoffs`, `firm_payoffs` and
+    `surplus_excluding` are their Fractions, built when first read, and
+    `to_dict` prints them by gcd.
     """
 
     def __init__(
@@ -41,73 +54,108 @@ class VcgResult:
         market: Market,
         profile: Profile,
         outcome: Outcome,
-        total: Fraction,
-        worker_payoffs: tuple[tuple[str, Fraction], ...],
-        firm_payoffs: tuple[tuple[str, Fraction], ...],
-        surplus_excluding: tuple[tuple[str, Fraction], ...],
+        scaled_total: int,
+        scaled_excluding: list[int],
         ties_broken: bool,
     ) -> None:
         self.market = market
         self.profile = profile
         self.outcome = outcome
-        self.total = total
-        self.worker_payoffs = worker_payoffs
-        self.firm_payoffs = firm_payoffs
-        self.surplus_excluding = surplus_excluding
+        self.scaled_total = scaled_total
+        self.scaled_excluding = scaled_excluding
         self.ties_broken = ties_broken
+
+    def _fractions(self, names, amounts) -> tuple[tuple[str, Fraction], ...]:
+        den = self.outcome.ledger.den
+        return tuple((name, Fraction(x, den)) for name, x in zip(names, amounts))
+
+    @cached_property
+    def total(self) -> Fraction:
+        return Fraction(self.scaled_total, self.outcome.ledger.den)
+
+    @cached_property
+    def worker_payoffs(self) -> tuple[tuple[str, Fraction], ...]:
+        return self._fractions(self.market.workers, self.outcome.ledger.worker)
+
+    @cached_property
+    def firm_payoffs(self) -> tuple[tuple[str, Fraction], ...]:
+        return self._fractions(self.market.firm_names, self.outcome.ledger.firm)
+
+    @cached_property
+    def surplus_excluding(self) -> tuple[tuple[str, Fraction], ...]:
+        return self._fractions(self.market.workers, self.scaled_excluding)
+
+    @cached_property
+    def _worker_payoff(self) -> dict[str, Fraction]:
+        return dict(self.worker_payoffs)
+
+    @cached_property
+    def _firm_payoff(self) -> dict[str, Fraction]:
+        return dict(self.firm_payoffs)
 
     def salary(self, worker: str) -> Fraction:
         return self.outcome.salary[worker]
 
     def worker_payoff(self, worker: str) -> Fraction:
-        return dict(self.worker_payoffs)[worker]
+        return self._worker_payoff[worker]
 
     def firm_payoff(self, firm: str) -> Fraction:
-        return dict(self.firm_payoffs)[firm]
+        return self._firm_payoff[firm]
 
     def to_dict(self) -> dict:
+        led = self.outcome.ledger
+        den, workers = led.den, self.market.workers
         return {
-            "total_surplus": str(self.total),
+            "total_surplus": ratio_text(self.scaled_total, den),
             "matching": self.outcome.matching.to_dict(),
-            "salaries": {w: str(s) for w, s in self.outcome.salaries},
-            "worker_payoffs": {w: str(x) for w, x in self.worker_payoffs},
-            "firm_payoffs": {f: str(x) for f, x in self.firm_payoffs},
-            "surplus_excluding": {w: str(x) for w, x in self.surplus_excluding},
+            "salaries": {w: ratio_text(x, den) for w, x in zip(workers, led.salaries)},
+            "worker_payoffs": {w: ratio_text(x, den) for w, x in zip(workers, led.worker)},
+            "firm_payoffs": {
+                f: ratio_text(x, den) for f, x in zip(self.market.firm_names, led.firm)
+            },
+            "surplus_excluding": {
+                w: ratio_text(x, den) for w, x in zip(workers, self.scaled_excluding)
+            },
             "ties_broken": self.ties_broken,
         }
 
 
 def pivot_outcome(solver: MarketSolver, matching: Matching) -> Outcome:
-    """Price an efficient matching by the pivot formula.
+    """Price an efficient matching by the pivot formula, on the solve's
+    integer scale; the outcome carries the ledger.
 
     Only matched workers are priced; unmatched ones are paid 0 and cost no
     exclusion query.
     """
-    total = solver.total()
-    profile = solver.profile
-    salaries: dict[str, Fraction] = {}
-    for i, w in enumerate(solver.market.workers):
-        firm = matching.firm_of(w)
+    market = solver.market
+    full = market.full_mask
+    total = solver.scaled_value_on(full)
+    index, at = market.worker_index, market.firm_index
+    salaries = [0] * market.n
+    for w, firm in matching.assignment:
         if firm is not None:
-            salaries[w] = total - solver.value_excluding_mask(1 << i) + profile.get(w, firm)
-    return Outcome.build(matching, salaries)
+            i = index[w]
+            salary = total - solver.scaled_value_on(full ^ 1 << i) + solver.costs[at[firm]][i]
+            if salary < 0:
+                raise ValueError(f"negative salary for {w}")
+            salaries[i] = salary
+    return Outcome.priced(
+        Ledger(market, solver.profile, matching, solver.den, solver.costs, salaries)
+    )
 
 
-def vcg(m: Market, u: Profile | None = None) -> VcgResult:
-    solver = MarketSolver(m, u)
+def vcg(m: Market, u: Profile | None = None, box: bool = False) -> VcgResult:
+    """The pivot result on profile `u` (else the embedded one); `box` also
+    refuses entries above ubar, as `surplus.MarketSolver` does."""
+    solver = MarketSolver(m, u, box)
     sol = solver.solution()
-    outcome = pivot_outcome(solver, sol.matching)
-    firm_payoffs, worker_payoffs = outcome_payoffs(m, outcome, solver.profile)
+    full = m.full_mask
     return VcgResult(
         market=m,
         profile=solver.profile,
-        outcome=outcome,
-        total=sol.total,
-        worker_payoffs=tuple(worker_payoffs.items()),
-        firm_payoffs=tuple(firm_payoffs.items()),
-        surplus_excluding=tuple(
-            (w, solver.value_excluding_mask(1 << i)) for i, w in enumerate(m.workers)
-        ),
+        outcome=pivot_outcome(solver, sol.matching),
+        scaled_total=solver.scaled_value_on(full),
+        scaled_excluding=[solver.scaled_value_on(full ^ 1 << i) for i in range(m.n)],
         ties_broken=sol.ties_broken,
     )
 
@@ -129,27 +177,26 @@ def check_outcome_ir(
 
     Firms are scanned first, then workers, each in market order.
     """
-    return _ir_report(m, *outcome_payoffs(m, o, u))
+    return _ir_report(ledger_of(m, o, u))
 
 
-def _ir_report(
-    m: Market, firm_payoffs: dict[str, Fraction], worker_payoffs: dict[str, Fraction]
-) -> ConditionReport:
-    for name in m.firm_names:
-        payoff = firm_payoffs[name]
+def _ir_report(led: Ledger) -> ConditionReport:
+    m, den = led.market, led.den
+    for name, payoff in zip(m.firm_names, led.firm):
         if payoff < 0:
             return ConditionReport(
                 verdict=False,
-                witness={"agent": name, "kind": "firm", "payoff": str(payoff)},
-                details=f"firm {name} runs a deficit of {-payoff}",
+                witness={"agent": name, "kind": "firm", "payoff": ratio_text(payoff, den)},
+                details=f"firm {name} runs a deficit of {ratio_text(-payoff, den)}",
             )
-    for w in m.workers:
-        payoff = worker_payoffs[w]
+    for w, payoff in zip(m.workers, led.worker):
         if payoff < 0:
             return ConditionReport(
                 verdict=False,
-                witness={"agent": w, "kind": "worker", "payoff": str(payoff)},
-                details=f"worker {w} ends below their outside option by {-payoff}",
+                witness={"agent": w, "kind": "worker", "payoff": ratio_text(payoff, den)},
+                details=(
+                    f"worker {w} ends below their outside option by {ratio_text(-payoff, den)}"
+                ),
             )
     return ConditionReport(verdict=True)
 
@@ -162,24 +209,25 @@ def check_outcome_sir(
     A firm keeping R out of its hires A (salaries fixed) gets u_f(R) minus
     the wages of R. The witness is the largest such R by bit pattern.
     """
-    profile = m.require_profile(u)
-    payoffs = outcome_payoffs(m, o, profile)
-    ir = _ir_report(m, *payoffs)
+    led = ledger_of(m, o, u)
+    ir = _ir_report(led)
     if not ir.verdict:
         return ConditionReport(
             verdict=False,
             witness={"individual_rationality": ir.witness},
             details="fails individual rationality outright: " + ir.details,
         )
-    hires = hire_masks(m, o.matching)
-    for name, fn in m.firms:
-        hit = next(deviations(m, profile, payoffs, name, hires[name], descending=True), None)
+    den = led.den
+    # a hired worker's cost to a kept set, disutility plus payoff, is their salary
+    for (name, fn), have, hires in zip(led.market.firms, led.firm, led.hires):
+        hit = next(deviations(fn, den // fn.den, led.salaries, have, hires, descending=True), None)
         if hit is not None:
             keep, gain = hit
             kept = list(fn.members(keep))
+            gain_text = ratio_text(gain, den)
             return ConditionReport(
                 verdict=False,
-                witness={"firm": name, "keep": kept, "improvement": str(gain)},
-                details=f"firm {name} gains {gain} by keeping only {kept}",
+                witness={"firm": name, "keep": kept, "improvement": gain_text},
+                details=f"firm {name} gains {gain_text} by keeping only {kept}",
             )
     return ConditionReport(verdict=True)

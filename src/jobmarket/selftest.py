@@ -290,13 +290,12 @@ def _valuation_chain(corpus: Corpus) -> SuiteResult:
 def _block_is_sound(m: Market, r: pivot.VcgResult, block) -> bool:
     """Substitute the block's payments back into the two inequalities of
     the outcome `r` it blocks."""
-    firm_payoffs, worker_payoffs = stability.outcome_payoffs(m, r.outcome)
     fn = m.utility(block.firm)
     paid = dict(block.payments)
     new_firm = fn.subset_value(block.coalition) - sum(paid.values(), Fraction(0))
-    conds = [new_firm - firm_payoffs[block.firm]]
+    conds = [new_firm - r.firm_payoff(block.firm)]
     for w in block.coalition:
-        conds.append(paid[w] - m.disutilities.get(w, block.firm) - worker_payoffs[w])
+        conds.append(paid[w] - m.disutilities.get(w, block.firm) - r.worker_payoff(w))
     return all(c >= 0 for c in conds) and any(c > 0 for c in conds)
 
 

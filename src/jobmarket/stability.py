@@ -18,23 +18,36 @@ reads u_f(S) - wages of S > payoff(f). `deviations` is the one walk that
 `find_block` (all workers), `find_weak_block` (own hires and unmatched)
 and `pivot.check_outcome_sir` (own hires) run.
 
-The walk runs on integers: the coalition costs and the firm payoff are
-scaled with the utility table by one common denominator
-(`model.clear_denominators`), so salaries of any denominator are exact.
-It tests every coalition at once, on the table and the coalition cost
-sums packed into lanes of one int each (`subsets.pack_lanes`): a few
-big-int operations per firm and one per member of `allowed`, linear in
-the 2^|allowed| lanes. Only the coalitions it reports are summed one by
-one, to recompute their excess exactly.
+Every scan runs on one integer scale, an outcome's `Ledger`: the
+disutilities, salaries and payoffs times one common denominator. A pivot
+outcome carries the solve's (`pivot.pivot_outcome`), so its scans clear
+no denominator; any other outcome has its own cleared once per scan
+(`model.clear_denominators`). The walk, `deviations`, takes the member
+costs and the firm payoff already on that scale, with the factor that
+brings the firm's table to it. It tests every coalition at once, on the
+table and the coalition cost sums packed into lanes of one int each
+(`subsets.pack_lanes`): a few big-int operations per firm and one per
+member of `allowed`, linear in the 2^|allowed| lanes. Only the coalitions
+it reports are summed one by one, to recompute their excess exactly, and
+only a reported block's amounts become Fractions.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from operator import add
 
-from .model import Market, Matching, Outcome, Profile, _Record, clear_denominators
+from .model import (
+    Market,
+    Matching,
+    Outcome,
+    Profile,
+    SetFunction,
+    _Record,
+    clear_denominators,
+    profile_columns,
+)
 from .subsets import bit_indices, pack_lanes, subset_sums
 
 
@@ -64,18 +77,62 @@ class Block(_Record):
         }
 
 
-def outcome_payoffs(
-    m: Market, o: Outcome, u: Profile | None = None
-) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
-    """(firm payoffs, worker payoffs) induced by an outcome.
+class Ledger:
+    """An outcome's payoffs in `market` under `profile`, on one integer
+    scale: every amount is an int over `den`, a multiple of each table's
+    denominator. Workers are indexed as in the market, firms likewise.
 
-    A firm gets its utility minus its wage bill, a worker their salary minus
-    their disutility at their firm (0 when unmatched). Every payoff in the
-    package, the pivot result's included, is computed here, so this is also
-    where an outcome is checked to fit its market: it must list exactly the
-    market's workers, each once, and send them only to market firms.
+    costs[j][i] is worker i's disutility at firm j and salaries[i] their
+    salary; hires[j] is firm j's hires as a mask and unmatched the
+    unmatched workers'. firm[j] is firm j's payoff, its utility less its
+    wage bill, and worker[i] worker i's, salary less disutility at their
+    firm (0 when unmatched).
     """
+
+    __slots__ = (
+        "market", "profile", "matching", "den", "costs", "salaries",
+        "hires", "unmatched", "firm", "worker",
+    )
+
+    def __init__(
+        self,
+        market: Market,
+        profile: Profile,
+        matching: Matching,
+        den: int,
+        costs: Sequence[Sequence[int]],
+        salaries: Sequence[int],
+    ) -> None:
+        """`matching` must fit the market (see `ledger_of`)."""
+        self.market, self.profile, self.matching = market, profile, matching
+        self.den, self.costs, self.salaries = den, costs, salaries
+        index, at = market.worker_index, market.firm_index
+        hires, unmatched, worker = [0] * len(costs), 0, [0] * len(salaries)
+        for w, firm in matching.assignment:
+            i = index[w]
+            if firm is None:
+                unmatched |= 1 << i
+            else:
+                j = at[firm]
+                hires[j] |= 1 << i
+                worker[i] = salaries[i] - costs[j][i]
+        self.hires, self.unmatched, self.worker = hires, unmatched, worker
+        self.firm = [
+            fn.scaled[mask] * (den // fn.den) - sum([salaries[i] for i in bit_indices(mask)])
+            for (_, fn), mask in zip(market.firms, hires)
+        ]
+
+
+def ledger_of(m: Market, o: Outcome, u: Profile | None = None) -> Ledger:
+    """The outcome's ledger in `m` under `u` (else the embedded profile):
+    the one it carries when it was priced in this market under this
+    profile, else one cleared here, once the outcome is checked to fit
+    the market: it must list exactly the market's workers, each once, and
+    send them only to market firms."""
     profile = m.require_profile(u)
+    led = o.ledger
+    if led is not None and led.market is m and led.profile is profile:
+        return led
     for w, firm in o.matching.assignment:
         if w not in m.worker_index:
             raise ValueError(f"outcome assigns worker {w!r}, who is not in the market")
@@ -87,24 +144,30 @@ def outcome_payoffs(
     if len(o.matching.assignment) != m.n:
         raise ValueError("outcome lists a worker more than once")
     salary = o.salary
-    hires = hire_masks(m, o.matching)
-    firm_payoffs: dict[str, Fraction] = {}
-    for name, fn in m.firms:
-        bill = sum((salary[w] for w in fn.members(hires[name])), Fraction(0))
-        firm_payoffs[name] = fn.value(hires[name]) - bill
-    worker_payoffs: dict[str, Fraction] = {}
-    for w, firm in o.matching.assignment:
-        if firm is None:
-            worker_payoffs[w] = Fraction(0)
-        else:
-            worker_payoffs[w] = salary[w] - profile.get(w, firm)
+    den, (*costs, salaries) = clear_denominators(
+        [fn for _, fn in m.firms],
+        [*profile_columns(m, profile), [salary[w] for w in m.workers]],
+    )
+    return Ledger(m, profile, o.matching, den, costs, salaries)
+
+
+def outcome_payoffs(
+    m: Market, o: Outcome, u: Profile | None = None
+) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
+    """(firm payoffs, worker payoffs) induced by an outcome, as Fractions:
+    its ledger's (`ledger_of`), firms in market order and workers in the
+    matching's."""
+    led = ledger_of(m, o, u)
+    den, index = led.den, m.worker_index
+    firm_payoffs = {name: Fraction(x, den) for name, x in zip(m.firm_names, led.firm)}
+    worker_payoffs = {w: Fraction(led.worker[index[w]], den) for w, _ in o.matching.assignment}
     return firm_payoffs, worker_payoffs
 
 
 def hire_masks(m: Market, matching: Matching) -> dict[str | None, int]:
     """Each firm's hires as a mask, and the unmatched workers' under None.
 
-    The matching must already fit the market (see outcome_payoffs).
+    The matching must already fit the market (see ledger_of).
     """
     masks = dict.fromkeys((None, *m.firm_names), 0)
     index = m.worker_index
@@ -114,16 +177,19 @@ def hire_masks(m: Market, matching: Matching) -> dict[str | None, int]:
 
 
 def deviations(
-    m: Market,
-    profile: Profile,
-    payoffs: tuple[dict[str, Fraction], dict[str, Fraction]],
-    firm: str,
+    fn: SetFunction,
+    factor: int,
+    costs: Sequence[int],
+    have: int,
     allowed: int,
     descending: bool = False,
-) -> Iterator[tuple[int, Fraction]]:
-    """Each coalition inside `allowed` that blocks with `firm`, with its
-    excess (left side minus right side): ascending by bit pattern, or
-    descending when `descending` is set.
+) -> Iterator[tuple[int, int]]:
+    """Each coalition inside `allowed` that blocks with the firm of utility
+    `fn`, with its excess (left side minus right side), on one integer
+    scale: the table is `factor` times fn.scaled, costs[i] is worker i's
+    cost to a coalition (disutility plus current payoff) and `have` the
+    firm's payoff. Ascending by bit pattern, or descending when
+    `descending` is set.
 
     The test runs on lanes, lane j for the j-th subset of `allowed` in
     ascending order: the firm's table (gathered at those subsets first
@@ -135,19 +201,11 @@ def deviations(
     bit exactly when its coalition blocks, and each hit, taken off the top
     bits, has its excess recomputed exactly.
     """
-    firm_payoffs, worker_payoffs = payoffs
-    fn = m.utilities[firm]
-    column = profile.column(firm)
+    table = fn.scaled
     bits = bit_indices(allowed)
-    den, (disutilities, member_payoffs, (have,)) = clear_denominators(
-        [fn],
-        [[column[i] for i in bits], [worker_payoffs[m.workers[i]] for i in bits], (firm_payoffs[firm],)],
-    )
-    # a member's cost to the coalition: disutility plus current payoff
-    costs = list(map(add, disutilities, member_payoffs))
-    factor, table = den // fn.den, fn.scaled
+    costs = [costs[i] for i in bits]
     subs, vals = range(len(table)), table
-    if allowed != m.full_mask:
+    if allowed != len(table) - 1:
         subs = subset_sums([1 << i for i in bits])
         vals = list(map(table.__getitem__, subs))
     # each cost sum plus lift lies in [0, spread], and factor times a
@@ -174,47 +232,38 @@ def deviations(
         excess = table[subs[j]] * factor - sum(costs[k] for k in bit_indices(j)) - have
         if excess <= 0:
             raise RuntimeError("blocking: a lane blocks but its exact excess does not")
-        yield subs[j], Fraction(excess, den)
+        yield subs[j], excess
 
 
-def _scan_for_block(
-    m: Market,
-    profile: Profile,
-    payoffs: tuple[dict[str, Fraction], dict[str, Fraction]],
-    allowed_mask_of: dict[str, int],
-) -> Block | None:
-    """The first block: firms as declared, then coalitions ascending."""
-    worker_payoffs = payoffs[1]
-    for name, fn in m.firms:
-        hit = next(deviations(m, profile, payoffs, name, allowed_mask_of[name]), None)
+def _scan_for_block(led: Ledger, allowed: Sequence[int]) -> Block | None:
+    """The first block, firm j's coalitions inside allowed[j]: firms as
+    declared, then coalitions ascending."""
+    den = led.den
+    for (name, fn), column, have, inside in zip(led.market.firms, led.costs, led.firm, allowed):
+        # a member's cost to the coalition: disutility plus current payoff
+        costs = list(map(add, column, led.worker))
+        hit = next(deviations(fn, den // fn.den, costs, have, inside), None)
         if hit is not None:
             sub, excess = hit
             members = fn.members(sub)
-            column = profile.column(name)
-            share = excess / (2 * len(members)) if members else Fraction(0)
+            # each member is paid their cost and an equal share of half the excess
+            half = 2 * len(members)
             payments = tuple(
-                (w, column[i] + worker_payoffs[w] + share)
+                (w, Fraction(costs[i] * half + excess, den * half))
                 for w, i in zip(members, bit_indices(sub))
             )
-            return Block(name, members, payments, excess)
+            return Block(name, members, payments, Fraction(excess, den))
     return None
 
 
 def find_block(m: Market, o: Outcome, u: Profile | None = None) -> Block | None:
     """First blocking pair over all firms and all worker subsets."""
-    profile = m.require_profile(u)
-    payoffs = outcome_payoffs(m, o, profile)
-    full = m.full_mask
-    return _scan_for_block(m, profile, payoffs, {name: full for name in m.firm_names})
+    return _scan_for_block(ledger_of(m, o, u), [m.full_mask] * len(m.firms))
 
 
 def find_weak_block(
     m: Market, o: Outcome, u: Profile | None = None
 ) -> Block | None:
     """Blocking restricted to each firm's own hires plus unmatched workers."""
-    profile = m.require_profile(u)
-    # checks that the outcome fits the market before its workers are indexed
-    payoffs = outcome_payoffs(m, o, profile)
-    hires = hire_masks(m, o.matching)
-    allowed = {name: hires[name] | hires[None] for name in m.firm_names}
-    return _scan_for_block(m, profile, payoffs, allowed)
+    led = ledger_of(m, o, u)
+    return _scan_for_block(led, [hires | led.unmatched for hires in led.hires])

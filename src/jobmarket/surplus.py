@@ -57,11 +57,16 @@ tables are monotone, so the same argument holds from either side.
 * the canonical matching takes one pass over each firm's tight list.
 
 All arithmetic runs on integers after clearing denominators once per solve
-(`model.clear_denominators`); exactness is preserved and results are converted
-back to Fraction. Any nonnegative profile that fits the market is solved;
-the [0, ubar] box is a policy of the solving commands (see cli). The slow
-cross-checks of this program (exhaustive search, the marginal-product
-order, tight-set closure) live in `oracles`, which no command loads.
+(`model.clear_denominators`). The solver keeps that scale: its `den`, the
+profile's cost columns on it (`costs`) and the value of any pool times
+`den` (`scaled_value_on`), which the pivot prices and the scans compare
+on; `value_on` and `total` are the Fractions. The profile is checked on
+the scaled columns, in one worker-major scan (`model.refuse_costs`): any
+nonnegative profile that fits the market is solved, and `box`, the
+solving commands' policy (see cli), refuses entries above ubar as well.
+The slow cross-checks of this program (exhaustive search, the
+marginal-product order, tight-set closure) live in `oracles`, which no
+command loads.
 """
 
 from __future__ import annotations
@@ -71,7 +76,14 @@ from fractions import Fraction
 from itertools import compress, repeat
 from operator import eq, mul, sub
 
-from .model import Market, Matching, Profile, clear_denominators, validate_profile
+from .model import (
+    Market,
+    Matching,
+    Profile,
+    clear_denominators,
+    profile_columns,
+    refuse_costs,
+)
 from .subsets import (
     bit_indices,
     canonical_key,
@@ -246,21 +258,22 @@ class MarketSolver:
 
     Answers the value function on any worker pool (so all exclusion
     queries come from a single dynamic program) plus the canonical
-    matching reconstruction.
+    matching reconstruction. costs[j][i] is worker i's disutility at firm
+    j times `den`. The profile must fit the market and have no negative
+    entry, nor with `box` one above the market's ubar.
     """
 
-    def __init__(self, market: Market, profile: Profile | None = None) -> None:
+    def __init__(self, market: Market, profile: Profile | None = None, box: bool = False) -> None:
         self.market = market
         self.profile = market.require_profile(profile)
-        validate_profile(market, self.profile)
         nfirms = len(market.firms)
-        columns = [self.profile.column(name) for name, _ in market.firms]
         fns = [fn for _, fn in market.firms]
-        self.den, costs = clear_denominators(fns, columns)
+        self.den, self.costs = clear_denominators(fns, profile_columns(market, self.profile))
+        refuse_costs(market, self.den, self.costs, box)
         self.vf: list[list[int]] = []
         # each firm's tight masks, ascending; their values are in self.vf
         self.tight: list[list[int]] = []
-        for fn, column in zip(fns, costs):
+        for fn, column in zip(fns, self.costs):
             vf, tight = _int_surplus_table(fn.scaled, self.den // fn.den, column)
             self.vf.append(vf)
             self.tight.append(tight)
@@ -316,5 +329,7 @@ class MarketSolver:
         return self._solution
 
 
-def efficient_matching(m: Market, u: Profile | None = None) -> EfficientSolution:
-    return MarketSolver(m, u).solution()
+def efficient_matching(
+    m: Market, u: Profile | None = None, box: bool = False
+) -> EfficientSolution:
+    return MarketSolver(m, u, box).solution()

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from jobmarket.model import Market, Matching, Outcome, Profile, SetFunction
+from jobmarket.model import Market, Matching, Outcome, Profile, SetFunction, as_fraction
 from jobmarket.necessity import GENERATOR_KINDS, generate
 from jobmarket.subsets import bit_indices
 
@@ -74,6 +74,15 @@ def markets(max_n: int = 6, max_m: int = 4):
     )
 
 
+def outcome_of(matching: Matching, salaries) -> Outcome:
+    """The outcome paying each worker their entry of `salaries`, any
+    rational, and 0 to a worker it leaves out."""
+    return Outcome(
+        matching,
+        tuple((w, as_fraction(salaries.get(w, 0))) for w, _ in matching.assignment),
+    )
+
+
 @st.composite
 def arbitrary_outcomes(draw, m: Market) -> Outcome:
     """Any matching, with salaries over denominators the market never uses."""
@@ -83,7 +92,7 @@ def arbitrary_outcomes(draw, m: Market) -> Outcome:
     )
     assignment = {w: draw(firm) for w in m.workers}
     salaries = {w: draw(salary) for w, f in assignment.items() if f is not None}
-    return Outcome.build(Matching.from_dict(m.workers, assignment), salaries)
+    return outcome_of(Matching.from_dict(m.workers, assignment), salaries)
 
 
 @st.composite
@@ -113,5 +122,5 @@ def rational_outcomes(draw, m: Market) -> tuple[Outcome, Profile]:
         }
         for w in m.workers
     }
-    outcome = Outcome.build(Matching.from_dict(m.workers, assignment), salaries)
+    outcome = outcome_of(Matching.from_dict(m.workers, assignment), salaries)
     return outcome, Profile.from_dict(m.workers, m.firm_names, entries)

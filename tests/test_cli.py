@@ -668,6 +668,47 @@ def test_negative_entry_before_the_box_is_named_by_the_engine(capsys, tmp_path):
     assert err == "error: negative disutility -1 for w1 at f1\n"
 
 
+# (market, edited entries, message): the first entry outside [0, ubar],
+# worker-major, names the refusal, a negative one as the engine does
+BOX_REFUSALS = [
+    (
+        "budget_vs_additive.json",
+        {"w1": {"f1": "-1", "f2": "7/2"}, "w2": {"f1": "4"}},
+        "negative disutility -1 for w1 at f1",
+    ),
+    (
+        "budget_vs_additive.json",
+        {"w1": {"f1": "7/2", "f2": "-1"}},
+        "disutility 7/2 for w1 at f1 exceeds ubar=3",
+    ),
+    # ubar 5/2 itself passes; 11/4 is over another denominator
+    (
+        "thirds_plateau.json",
+        {"w1": {"g": "5/2"}, "w2": {"f": "11/4"}, "w3": {"g": "-1/3"}},
+        "disutility 11/4 for w2 at f exceeds ubar=5/2",
+    ),
+]
+
+
+@pytest.mark.parametrize("source", ["profile", "embedded"])
+@pytest.mark.parametrize("command", ["solve", "vcg", "stability"])
+@pytest.mark.parametrize(
+    "name,entries,message", BOX_REFUSALS, ids=["negative-first", "above-first", "mixed-denominators"]
+)
+def test_solving_commands_refuse_the_first_entry_outside_the_box(
+    capsys, tmp_path, command, source, name, entries, message
+):
+    edited = _with_disutilities(tmp_path, name, entries)
+    argv = [command, edited]
+    if source == "profile":
+        path = tmp_path / "costs.json"
+        path.write_text(json.dumps(json.loads(edited.read_text())["disutilities"]))
+        argv = [command, DATA / name, "--profile", path]
+    for extra in ([], ["--json"]):
+        rc, out, err = run_cli(capsys, *argv, *extra)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "name,entries,argv",
     [

@@ -34,6 +34,7 @@ from jobmarket.pivot import vcg
 from jobmarket.setfn import classify
 from jobmarket.stability import find_block
 from jobmarket.subsets import subset_sums
+from market_strategies import outcome_of
 
 #: (kind, workers, firms, seed): every kind at 9 to 12 workers
 MARKETS = [
@@ -153,13 +154,13 @@ def _outcomes(m: Market) -> list[Outcome]:
     leaves the hires cheap to raid, so that blocks turn up."""
     o = vcg(m).outcome
     halved = {w: s / 2 for w, s in o.salaries}
-    return [o, Outcome.build(o.matching, halved)]
+    return [o, outcome_of(o.matching, halved)]
 
 
 def _repriced(o: Outcome, salary) -> Outcome:
     """o with each worker's salary `salary(worker, firm, s)`."""
     firms = dict(o.matching.assignment)
-    return Outcome.build(o.matching, {w: salary(w, firms[w], s) for w, s in o.salaries})
+    return outcome_of(o.matching, {w: salary(w, firms[w], s) for w, s in o.salaries})
 
 
 @pytest.mark.parametrize("spec", MARKETS, ids=_label)

@@ -335,16 +335,16 @@ def test_matching_views_agree():
     assert matching.to_dict() == {"w1": "f1", "w2": None, "w3": "f1"}
 
 
-def test_outcome_build_defaults_and_invariants():
+def test_outcome_invariants():
     matching = Matching.from_dict(("w1", "w2"), {"w1": "f1", "w2": None})
-    o = Outcome.build(matching, {"w1": Fraction(5)})
+    o = Outcome(matching, (("w1", Fraction(5)), ("w2", Fraction(0))))
     assert o.salary == {"w1": Fraction(5), "w2": Fraction(0)}
     with pytest.raises(ValueError, match="salary 0"):
-        Outcome.build(matching, {"w1": Fraction(5), "w2": Fraction(1)})
+        Outcome(matching, (("w1", Fraction(5)), ("w2", Fraction(1))))
     with pytest.raises(ValueError, match="negative"):
-        Outcome.build(matching, {"w1": Fraction(-5)})
-    with pytest.raises(TypeError, match="floats are not accepted"):
-        Outcome.build(matching, {"w1": 0.1})
+        Outcome(matching, (("w1", Fraction(-5)), ("w2", Fraction(0))))
+    with pytest.raises(ValueError, match="cover exactly"):
+        Outcome(matching, (("w1", Fraction(5)),))
 
 
 def test_set_function_values_are_fractions_after_construction():

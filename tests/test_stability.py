@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jobmarket.model import ConditionReport, Market, Matching, Outcome, Profile, SetFunction
+from jobmarket.model import (
+    ConditionReport,
+    Market,
+    Matching,
+    Outcome,
+    Profile,
+    SetFunction,
+    clear_denominators,
+)
 from jobmarket.necessity import generate
 from jobmarket.pivot import check_ir, check_outcome_ir, check_outcome_sir, check_sir, vcg
 from jobmarket.setfn import is_gross_substitutes
@@ -24,7 +32,7 @@ from jobmarket.stability import (
     find_weak_block,
     outcome_payoffs,
 )
-from market_strategies import arbitrary_outcomes, markets, rational_outcomes
+from market_strategies import arbitrary_outcomes, markets, outcome_of, rational_outcomes
 from worked_examples import all_or_nothing_market, budget_vs_additive_market
 
 ALL_KINDS = ("additive", "budget_additive", "unit_demand", "random_submodular", "random_monotone")
@@ -288,7 +296,7 @@ def test_firing_witness_is_the_largest_kept_set():
         (("f", SetFunction.from_values(workers, values)),),
         Profile.from_dict(workers, ("f",), {w: {"f": "0"} for w in workers}),
     )
-    o = Outcome.build(Matching.from_dict(workers, {"w1": "f", "w2": "f"}), {"w1": 2, "w2": 2})
+    o = outcome_of(Matching.from_dict(workers, {"w1": "f", "w2": "f"}), {"w1": 2, "w2": 2})
     report = check_outcome_sir(m, o)
     assert report.witness == {"firm": "f", "keep": ["w2"], "improvement": "1"}
     assert report == _reference_sir(m, o)
@@ -317,9 +325,23 @@ def _reference_deviations(m: Market, profile: Profile, payoffs, firm: str, allow
 
 def _assert_walk_matches(m: Market, profile: Profile, payoffs, firm: str, allowed: int) -> None:
     expected = _reference_deviations(m, profile, payoffs, firm, allowed)
-    assert list(deviations(m, profile, payoffs, firm, allowed)) == expected
+    # the walk's scale: the table's, the costs' and the firm payoff's
+    # denominators cleared together
+    firm_payoffs, worker_payoffs = payoffs
+    fn = m.utility(firm)
+    den, (column, owed, (have,)) = clear_denominators(
+        [fn],
+        [profile.column(firm), [worker_payoffs[w] for w in m.workers], [firm_payoffs[firm]]],
+    )
+    costs = [d + p for d, p in zip(column, owed)]
+
+    def walk(descending: bool = False) -> list:
+        hits = deviations(fn, den // fn.den, costs, have, allowed, descending)
+        return [(sub, Fraction(excess, den)) for sub, excess in hits]
+
+    assert walk() == expected
     # the first hit of each order: find_block's and the firing check's
-    assert list(deviations(m, profile, payoffs, firm, allowed, descending=True)) == expected[::-1]
+    assert walk(descending=True) == expected[::-1]
 
 
 def _one_firm_market(values, profile_rows=None) -> Market:

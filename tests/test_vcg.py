@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import jobmarket.pivot as pivot
-from jobmarket.model import Market, Outcome, Profile, SetFunction
+from jobmarket.model import Market, Profile, SetFunction
 from jobmarket.necessity import generate
 from jobmarket.pivot import (
     check_ir,
@@ -16,7 +16,8 @@ from jobmarket.pivot import (
     vcg,
 )
 from jobmarket.oracles import check_strategy_proofness
-from jobmarket.stability import outcome_payoffs
+from jobmarket.stability import ledger_of, outcome_payoffs
+from market_strategies import outcome_of
 from solver_queries import max_surplus_excluding
 from worked_examples import (
     all_or_nothing_market,
@@ -160,13 +161,14 @@ def test_outcome_checks_agree_with_result_checks():
 
 
 def test_check_outcome_sir_computes_payoffs_once(monkeypatch):
+    # the payoffs are the outcome's ledger; a pivot outcome's is reused
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return outcome_payoffs(*args)
+        return ledger_of(*args)
 
-    monkeypatch.setattr(pivot, "outcome_payoffs", counting)
+    monkeypatch.setattr(pivot, "ledger_of", counting)
     # IR fails (the all-or-nothing firm runs a deficit); IR and SIR hold
     for m in (all_or_nothing_market(), budget_vs_additive_market()):
         r = vcg(m)
@@ -180,13 +182,13 @@ def test_outcome_checks_on_hand_built_outcome():
     from jobmarket.model import Matching
 
     matching = Matching.from_dict(("w1", "w2"), {"w1": "f", "w2": "f"})
-    cheap = Outcome.build(matching, {"w1": Fraction(4), "w2": Fraction(5)})
+    cheap = outcome_of(matching, {"w1": Fraction(4), "w2": Fraction(5)})
     report = check_outcome_ir(m, cheap)
     assert report.verdict  # firm nets 1, workers net 1 each
     firm_payoffs, worker_payoffs = outcome_payoffs(m, cheap)
     assert firm_payoffs["f"] == 1
     assert worker_payoffs == {"w1": Fraction(1), "w2": Fraction(1)}
-    giveaway = Outcome.build(matching, {"w1": Fraction(9), "w2": Fraction(5)})
+    giveaway = outcome_of(matching, {"w1": Fraction(9), "w2": Fraction(5)})
     report = check_outcome_ir(m, giveaway)
     assert not report.verdict
     assert report.witness["agent"] == "f"
